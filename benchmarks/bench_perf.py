@@ -65,7 +65,6 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 import repro.functional.trace as trace_mod  # noqa: E402
-from repro.core.kernel import get_kernel  # noqa: E402
 from repro.experiments import diskcache  # noqa: E402
 from repro.functional import traceio  # noqa: E402
 from repro.functional.trace import TraceSoA  # noqa: E402
@@ -173,8 +172,9 @@ def profile_section(scale: int = SCALE) -> dict:
     keeps busy (``stage_cycle_fraction``), and — under ``batch`` — how
     wide the execute-stage kernel batches (``kernel.batch_size``) and the
     vector engine's deferred cross-cycle value batches
-    (``engine.batch_size``) ran.  Profiled runs are bit-identical to
-    plain ones, but slower — they are *not* the timed KIPS runs.
+    (``engine.batch_size``) ran.  The profiler's hooks sit in the same run
+    loop the timed KIPS runs execute; profiled runs are bit-identical to
+    plain ones, only slower by the clock reads.
     """
     out = {}
     for label, (name, width, ports, mode) in POINTS.items():
@@ -248,7 +248,6 @@ def run_benchmark(
         "unit": "KIPS (thousand simulated instructions / second)",
         "scale": scale,
         "rounds": rounds,
-        "kernel": get_kernel().name,
         "baseline_kips": BASELINE_KIPS,
         "current_kips": current,
         "speedup": speedup,
@@ -413,8 +412,8 @@ def append_history(payload: dict, timestamp: str | None) -> list:
     """The ``history`` array for the fresh payload: every entry recorded
     in the existing BENCH_perf.json plus one for this run.
 
-    Each entry is the measurement summary (timestamp, kernel backend,
-    per-point KIPS, speedups) — the full trajectory across PRs stays
+    Each entry is the measurement summary (timestamp, per-point KIPS,
+    speedups) — the full trajectory across PRs stays
     machine-readable instead of being overwritten by each rewrite.  The
     timestamp comes from the ``--timestamp`` CLI arg (e.g.
     ``--timestamp "$(date -u +%Y-%m-%dT%H:%M:%SZ)"``) so the harness
@@ -436,7 +435,6 @@ def append_history(payload: dict, timestamp: str | None) -> list:
     history.append(
         {
             "timestamp": timestamp,
-            "kernel": payload["kernel"],
             "current_kips": payload["current_kips"],
             "speedup": payload["speedup"],
             "min_speedup": payload["min_speedup"],

@@ -42,11 +42,11 @@ the test suites all run, and :func:`error_dict` /
 ``repro.run/v1``, ``repro.grid/v1``, ``repro.campaign/v1``,
 ``repro.trace/v1``,
 ``repro.figure/v1`` (one figure), ``repro.figure.set/v1`` (the CLI's
-multi-figure payload — ``repro.figures/v1`` is a deprecated alias the
-validator accepts for one release), ``repro.headline/v1``,
+multi-figure payload), ``repro.headline/v1``,
 ``repro.fuzz/v1``, ``repro.fuzz.oracle/v1``, ``repro.fuzz.repro/v1``,
 ``repro.fuzz.replay/v1``, ``repro.fuzz.corpus/v1``, ``repro.error/v1``,
-and the service's ``repro.service.{job,status,metrics,event}/v1``.
+and the service's ``repro.service.job/v2`` and
+``repro.service.{status,metrics,event}/v1``.
 Emitting a schema string literal outside :mod:`repro.schemas` is
 deprecated — import the ``SCHEMA_*`` constants.
 """
@@ -85,7 +85,6 @@ from .pipeline.machine import Machine
 from .pipeline.stats import SimStats
 from .sampling import SamplingConfig, run_sampled
 from .schemas import (
-    DEPRECATED_ALIASES,
     EnvelopeError,
     SCHEMAS,
     SCHEMA_CAMPAIGN,
@@ -865,7 +864,6 @@ __all__ = [
     "CampaignOutcome",
     "CampaignReport",
     "CampaignResult",
-    "DEPRECATED_ALIASES",
     "EXPERIMENT_SCALE",
     "EnvelopeError",
     "ExecutorBackend",

@@ -56,7 +56,7 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with the pipeline
     from ..observe import Observer
     from ..pipeline.config import MachineConfig
     from ..pipeline.stats import SimStats
-from .kernel import get_kernel
+from .kernel import alu_values, issue_slots
 from .table_of_loads import TableOfLoads
 from .vector_regfile import VectorRegister, VectorRegisterFile
 from .vrmt import VRMT, VRMTEntry
@@ -238,8 +238,6 @@ class VectorizationEngine:
         self._cancel_dead = vc.cancel_dead_fetches
         self._fetch_ahead = vc.fetch_ahead
         self._check_invariants = config.check_invariants
-        #: process-wide batch-evaluation backend (python or numpy).
-        self._kernel = get_kernel()
         #: single scratch Decision mutated in place by the decode paths:
         #: dispatch copies every field out before the next decode call, so
         #: one record serves the whole run (allocation-churn removal).
@@ -657,7 +655,7 @@ class VectorizationEngine:
         defunct / freed / abandoned sources count as known — their values
         are garbage, but consumers of garbage are squashed before commit),
         then the run's issue slots and element values are evaluated as one
-        batch through the kernel backend.
+        batch through :mod:`repro.core.kernel`.
 
         The issue recurrence per element is
         ``issue = max(prev_issue + 1, pipe_start, src_ready)`` — one
@@ -716,7 +714,7 @@ class VectorizationEngine:
         floor = inst.last_issue + 1
         if inst.pipe_start > floor:
             floor = inst.pipe_start
-        issues = self._kernel.issue_slots(readys, floor)
+        issues = issue_slots(readys, floor)
         dest_r_time = dest.r_time
         latency = inst.latency
         for i in range(n):
@@ -729,8 +727,7 @@ class VectorizationEngine:
         inst.next_elem = first + n
         # Timing is fully resolved above; the element *values* join the
         # cross-cycle per-opcode batch instead of being evaluated now, so
-        # one kernel call covers many instances' elements (the numpy
-        # backend then clears its minimum batch size on V workloads).
+        # one kernel call covers many instances' elements.
         defer = self._defer
         op = inst.op
         buf = defer.get(op)
@@ -763,12 +760,11 @@ class VectorizationEngine:
         defer = self._defer
         if not defer:
             return
-        kernel = self._kernel
         hist = self._engine_batch_hist
         for op, (a_ops, b_ops, dests) in defer.items():
             if hist is not None:
                 hist(len(a_ops))
-            values = kernel.alu_values(op, a_ops, b_ops)
+            values = alu_values(op, a_ops, b_ops)
             for (reg, idx), value in zip(dests, values):
                 # Elements materialized early are simply rewritten with
                 # the same value (same operands, deterministic op).
@@ -797,7 +793,7 @@ class VectorizationEngine:
 
     def _materialize_element(self, reg: VectorRegister, k: int) -> None:
         """Evaluate one deferred element in place (exact: the same shared
-        apply_alu the python kernel uses) without draining the batch."""
+        apply_alu the batch kernel uses) without draining the batch."""
         op, j = self._defer_pos[(reg, k)]
         buf = self._defer[op]
         reg.values[k] = apply_alu(op, buf[0][j], buf[1][j])

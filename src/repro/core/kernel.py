@@ -1,232 +1,43 @@
-"""Batched execution kernels: the data-parallel math behind the scheduler.
+"""Batched execution kernels: the data-parallel math behind the vector datapath.
 
-The per-cycle batch scheduler in :mod:`repro.pipeline.machine` and the
-vector datapath in :mod:`repro.core.engine` collect ready work into typed
-parallel arrays (operand values, predicted/actual addresses, source-ready
-times) and hand each group to *one* kernel call instead of evaluating
-element by element.  This module provides the two interchangeable
-backends for those calls:
-
-* :class:`PyKernel` — pure-python array loops, always available, the
-  default.  It is also the reference semantics: every result is produced
-  by the same :func:`~repro.functional.semantics.apply_alu` shared by the
-  functional interpreter.
-* :class:`NumpyKernel` — evaluates *exact-safe* operation groups with
-  numpy when the batch is large enough to amortize array construction.
-  int64 two's-complement wrap matches :func:`s64` and float add/sub/mul
-  are IEEE-754 correctly rounded in both datapaths, so results are
-  bit-identical by construction; everything else (division semantics,
-  shifts, conversions) delegates to the python reference.  Below
-  ``NUMPY_MIN_BATCH`` elements the array-construction overhead exceeds
-  the loop cost and the python path runs — still bit-identical.
-
-Backend selection is **process-level**, not part of
-:class:`~repro.pipeline.config.MachineConfig`: both backends produce
-bit-identical SimStats (enforced by ``tests/verify/test_kernel_parity.py``
-and the differential fuzzer), so the choice must not pollute the
-experiment disk-cache keys.  Select with ``--kernel numpy`` on the CLI or
-``REPRO_KERNEL=numpy`` in the environment; :func:`set_kernel` switches it
-programmatically (tests, benchmark harnesses).
-
-If numpy is unavailable (the CI no-numpy lane proves this path), asking
-for the numpy backend falls back to pure python with a warning rather
-than failing — the backends are interchangeable by contract.
+The vector engine (:mod:`repro.core.engine`) and the vector register file
+(:mod:`repro.core.vector_regfile`) collect work into parallel lists
+(operand values, predicted addresses, source-ready times) and evaluate
+each group with *one* call here instead of element by element.  Every
+ALU result comes from the same :func:`~repro.functional.semantics.apply_alu`
+the functional interpreter uses, so the vector datapath cannot drift from
+the architectural semantics.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..functional.semantics import apply_alu
-from ..isa.opcodes import Opcode
-
-try:  # gated dependency: the pure-python backend is always sufficient
-    import numpy as _np
-except Exception:  # pragma: no cover - exercised by the CI no-numpy lane
-    _np = None
-
-#: smallest batch worth shipping to numpy; smaller groups loop in python.
-NUMPY_MIN_BATCH = 16
-
-#: integer opcodes whose numpy int64 evaluation wraps exactly like s64.
-_NP_INT_OPS = {
-    int(Opcode.ADD): "add",
-    int(Opcode.ADDI): "add",
-    int(Opcode.SUB): "subtract",
-    int(Opcode.AND): "bitwise_and",
-    int(Opcode.ANDI): "bitwise_and",
-    int(Opcode.OR): "bitwise_or",
-    int(Opcode.ORI): "bitwise_or",
-    int(Opcode.XOR): "bitwise_xor",
-    int(Opcode.XORI): "bitwise_xor",
-}
-
-#: float opcodes that are IEEE-754 correctly rounded in both datapaths.
-_NP_FP_OPS = {
-    int(Opcode.FADD): "add",
-    int(Opcode.FSUB): "subtract",
-    int(Opcode.FMUL): "multiply",
-}
 
 
-class PyKernel:
-    """Pure-python batch evaluation (reference semantics, no dependencies)."""
-
-    name = "python"
-
-    # -- address generation / validation ---------------------------------
-
-    def pred_addrs(self, base: int, stride: int, n: int) -> List[int]:
-        """Predicted element addresses for a strided load register."""
-        return [base + k * stride for k in range(n)]
-
-    def mismatch_flags(
-        self, preds: Sequence[Optional[int]], actuals: Sequence[int]
-    ) -> List[bool]:
-        """Batched address compare for a validation group: True where a
-        predicted address exists and differs from the actual one."""
-        return [p is not None and p != a for p, a in zip(preds, actuals)]
-
-    # -- store coherence (§3.6) -------------------------------------------
-
-    def range_hits(
-        self, addr: int, firsts: Sequence[int], lasts: Sequence[int]
-    ) -> List[int]:
-        """Indices whose [first, last] address range covers ``addr``."""
-        return [
-            i
-            for i in range(len(firsts))
-            if firsts[i] <= addr <= lasts[i]
-        ]
-
-    # -- vector ALU evaluation --------------------------------------------
-
-    def alu_values(self, op, a: Sequence, b: Sequence) -> List:
-        """Element-wise ALU results for one opcode group."""
-        return [apply_alu(op, x, y) for x, y in zip(a, b)]
-
-    def issue_slots(self, ready: Sequence[int], floor: int) -> List[int]:
-        """Pipelined issue recurrence: element ``k`` issues at
-        ``max(prev_issue + 1, floor, ready[k])`` (one element per cycle
-        through one FU, never before its sources or the pipe opens)."""
-        out = []
-        prev = floor - 1
-        for r in ready:
-            prev = prev + 1 if prev + 1 > r else r
-            out.append(prev)
-        return out
+def pred_addrs(base: int, stride: int, n: int) -> List[int]:
+    """Predicted element addresses for a strided load register."""
+    return [base + k * stride for k in range(n)]
 
 
-class NumpyKernel(PyKernel):
-    """Numpy-accelerated batches for exact-safe groups; python otherwise."""
-
-    name = "numpy"
-
-    def pred_addrs(self, base: int, stride: int, n: int) -> List[int]:
-        if _np is None or n < NUMPY_MIN_BATCH:
-            return [base + k * stride for k in range(n)]
-        # Strided addresses are monotone, so the two ends bound every
-        # element; checking them catches int64 overflow that numpy would
-        # otherwise wrap *silently* (base fits, base + k*stride doesn't —
-        # no OverflowError is ever raised for that case).
-        last = base + stride * (n - 1)
-        lo, hi = (base, last) if stride >= 0 else (last, base)
-        if lo < -(2**63) or hi >= 2**63:
-            return [base + k * stride for k in range(n)]
-        return (base + stride * _np.arange(n, dtype=_np.int64)).tolist()
-
-    def mismatch_flags(self, preds, actuals):
-        if _np is None or len(preds) < NUMPY_MIN_BATCH or None in preds:
-            return PyKernel.mismatch_flags(self, preds, actuals)
-        try:
-            p = _np.asarray(preds, dtype=_np.int64)
-            a = _np.asarray(actuals, dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return PyKernel.mismatch_flags(self, preds, actuals)
-        return (p != a).tolist()
-
-    def range_hits(self, addr, firsts, lasts):
-        if _np is None or len(firsts) < NUMPY_MIN_BATCH:
-            return PyKernel.range_hits(self, addr, firsts, lasts)
-        try:
-            f = _np.asarray(firsts, dtype=_np.int64)
-            l = _np.asarray(lasts, dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return PyKernel.range_hits(self, addr, firsts, lasts)
-        return _np.nonzero((f <= addr) & (addr <= l))[0].tolist()
-
-    def alu_values(self, op, a, b):
-        if _np is None or len(a) < NUMPY_MIN_BATCH:
-            return PyKernel.alu_values(self, op, a, b)
-        key = int(op)
-        ufunc_name = _NP_INT_OPS.get(key)
-        if ufunc_name is not None:
-            try:
-                av = _np.asarray([int(x) for x in a], dtype=_np.int64)
-                bv = _np.asarray([int(x) for x in b], dtype=_np.int64)
-            except (OverflowError, TypeError, ValueError):
-                return PyKernel.alu_values(self, op, a, b)
-            with _np.errstate(over="ignore"):
-                out = getattr(_np, ufunc_name)(av, bv)
-            return [int(v) for v in out]
-        ufunc_name = _NP_FP_OPS.get(key)
-        if ufunc_name is not None:
-            try:
-                av = _np.asarray(a, dtype=_np.float64)
-                bv = _np.asarray(b, dtype=_np.float64)
-            except (TypeError, ValueError):
-                return PyKernel.alu_values(self, op, a, b)
-            with _np.errstate(over="ignore"):
-                out = getattr(_np, ufunc_name)(av, bv)
-            return [float(v) for v in out]
-        # Division / shifts / conversions: python semantics are the spec.
-        return PyKernel.alu_values(self, op, a, b)
-
-    def issue_slots(self, ready, floor):
-        n = len(ready)
-        if _np is None or n < NUMPY_MIN_BATCH:
-            return PyKernel.issue_slots(self, ready, floor)
-        try:
-            e = _np.asarray(ready, dtype=_np.int64)
-        except (OverflowError, TypeError, ValueError):
-            return PyKernel.issue_slots(self, ready, floor)
-        # issue_k = max(issue_{k-1}+1, floor, ready_k)
-        #         = k + running-max of (max(ready, floor) - k)
-        idx = _np.arange(n, dtype=_np.int64)
-        base = _np.maximum(e, floor) - idx
-        return (idx + _np.maximum.accumulate(base)).tolist()
+def range_hits(addr: int, firsts: Sequence[int], lasts: Sequence[int]) -> List[int]:
+    """Indices whose [first, last] address range covers ``addr`` (§3.6)."""
+    return [i for i in range(len(firsts)) if firsts[i] <= addr <= lasts[i]]
 
 
-_KERNELS = {"python": PyKernel, "numpy": NumpyKernel}
-
-_active: Optional[PyKernel] = None
-
-
-def set_kernel(name: str) -> PyKernel:
-    """Select the process-wide kernel backend; returns the instance."""
-    global _active
-    cls = _KERNELS.get(name)
-    if cls is None:
-        raise ValueError(
-            f"unknown kernel backend {name!r} (choose from {sorted(_KERNELS)})"
-        )
-    if name == "numpy" and _np is None:
-        warnings.warn(
-            "REPRO_KERNEL=numpy requested but numpy is not importable; "
-            "falling back to the pure-python kernel (results are identical)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        cls = PyKernel
-    _active = cls()
-    return _active
+def alu_values(op, a: Sequence, b: Sequence) -> List:
+    """Element-wise ALU results for one opcode group."""
+    return [apply_alu(op, x, y) for x, y in zip(a, b)]
 
 
-def get_kernel() -> PyKernel:
-    """The active kernel backend (initialised from ``REPRO_KERNEL``)."""
-    global _active
-    if _active is None:
-        set_kernel(os.environ.get("REPRO_KERNEL", "python"))
-    return _active
+def issue_slots(ready: Sequence[int], floor: int) -> List[int]:
+    """Pipelined issue recurrence: element ``k`` issues at
+    ``max(prev_issue + 1, floor, ready[k])`` (one element per cycle
+    through one FU, never before its sources or the pipe opens)."""
+    out = []
+    prev = floor - 1
+    for r in ready:
+        prev = prev + 1 if prev + 1 > r else r
+        out.append(prev)
+    return out

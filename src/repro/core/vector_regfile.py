@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple, Union
 
-from .kernel import get_kernel
+from .kernel import pred_addrs, range_hits
 
 Number = Union[int, float]
 
@@ -131,7 +131,7 @@ class VectorRegister:
 
     def set_load_addresses(self, base_addr: int, stride: int) -> None:
         """Record the predicted element addresses and the §3.6 range."""
-        pa = get_kernel().pred_addrs(base_addr, stride, self.length)
+        pa = pred_addrs(base_addr, stride, self.length)
         self.pred_addrs = pa
         # Strided addresses are monotone, so the range is the two ends.
         if stride >= 0:
@@ -274,14 +274,14 @@ class VectorRegisterFile:
 
     def coherence_candidates(self, addr: int) -> List[VectorRegister]:
         """Live load registers whose predicted range covers ``addr``
-        (batched range compare through the active kernel backend)."""
+        (one batched range compare, :func:`repro.core.kernel.range_hits`)."""
         firsts = self._load_firsts
         if not firsts:
             return []
         regs = self._load_regs
         return [
             regs[i]
-            for i in get_kernel().range_hits(addr, firsts, self._load_lasts)
+            for i in range_hits(addr, firsts, self._load_lasts)
             if not regs[i].freed
         ]
 

@@ -17,7 +17,7 @@ Both produce the exact worker-outcome tuples ``(point, stats_dict,
 simulated, metrics)`` that the pool path produces, so ``run_grid``'s
 merge, memo-priming and accounting code cannot tell them apart — the
 backend-parity suite (``tests/experiments/test_backend_parity.py``)
-pins bit-identical SimStats across backends and kernel lanes.
+pins bit-identical SimStats across backends.
 
 Selection: pass an instance, or a name (``"local"`` / ``"subprocess"``)
 through :func:`resolve_backend`, or set ``$REPRO_BACKEND``.

@@ -565,6 +565,13 @@ def run_grid(
         finally:
             if owned_backend is not None:
                 owned_backend.close()
+        # Merge in request order, not completion order: gauges merge
+        # last-write-wins, so completion order would make the aggregate
+        # depend on which worker finished last.
+        order = {point: i for i, point in enumerate(still_cold)}
+        computed = sorted(
+            computed, key=lambda outcome: order.get(outcome[0], len(order))
+        )
         for point, payload, simulated, point_metrics in computed:
             stats = diskcache.stats_from_dict(payload)
             runner.prime_memo(tuple(point), stats)

@@ -7,16 +7,18 @@ Two complementary views of "where does the time go":
   fetch).  This is the microarchitectural view: a benchmark whose
   ``execute`` activity dwarfs ``commit`` is window-bound, one whose
   ``fetch`` share collapses is starving on mispredictions.
-* **Wall-clock self-profiling** — CPU seconds the *simulator* spends
-  inside each stage, measured with ``perf_counter`` around the stage
-  calls.  This is the engineering view: it tells the next optimization
+* **Wall-clock self-profiling** — seconds the *simulator* spends
+  inside each stage, read from ``perf_counter`` at each stage boundary of
+  the run loop.  This is the engineering view: it tells the next optimization
   PR which stage's Python is hot, and it is surfaced in
   ``BENCH_perf.json``'s ``profile`` section.
 
 The profiler is handed to :class:`~repro.pipeline.machine.Machine` via an
-:class:`~repro.observe.Observer`; when absent the machine runs its
-unprofiled loop and pays nothing.  Profiled runs are bit-identical to
-unprofiled ones — the hooks only read the clock.
+:class:`~repro.observe.Observer`.  Its hooks sit inside the machine's one
+run loop (the loop every run executes), so the profile describes the
+code that plain runs time; when absent each hook costs one ``is not
+None`` test.  Profiled runs are bit-identical to unprofiled ones — the
+hooks only read the clock.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ class StageProfiler:
     def __init__(self) -> None:
         #: simulated cycles in which each stage did work.
         self.stage_cycles: Dict[str, int] = {stage: 0 for stage in STAGES}
-        #: CPU seconds spent inside each stage's Python.
+        #: wall-clock seconds spent inside each stage's Python.
         self.stage_seconds: Dict[str, float] = {stage: 0.0 for stage in STAGES}
         #: total simulated cycles observed.
         self.cycles = 0
@@ -50,10 +52,6 @@ class StageProfiler:
         self.stage_seconds[stage] += seconds
         if active:
             self.stage_cycles[stage] += 1
-
-    def tick(self) -> None:
-        """One simulated cycle elapsed."""
-        self.cycles += 1
 
     # -- reporting ---------------------------------------------------------
 

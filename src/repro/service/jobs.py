@@ -29,7 +29,6 @@ front.
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import threading
 import time
@@ -176,7 +175,8 @@ class Job:
 class JobManager:
     """Bounded queue + worker threads + dedup + retention for jobs.
 
-    ``executors`` maps a job kind to a callable ``params -> envelope``;
+    ``executors`` maps a job kind to a callable ``(params, job) ->
+    envelope`` (the job lets it publish progress and observe cancels);
     an envelope with ``ok`` False (or a raised exception, turned into a
     ``job.crashed`` error object) fails the job.  ``notify`` (optional)
     is called after every state change — the server uses it to bump
@@ -185,7 +185,7 @@ class JobManager:
 
     def __init__(
         self,
-        executors: Dict[str, Callable[[Dict], Dict]],
+        executors: Dict[str, Callable[[Dict, Job], Dict]],
         queue_limit: int = 16,
         workers: int = 2,
         history: int = 256,
@@ -381,7 +381,7 @@ class JobManager:
                 self._changed.notify_all()
             self._notify and self._notify(job)
             try:
-                envelope = self._call_executor(job)
+                envelope = self._executors[job.kind](job.params, job)
                 failed = not envelope.get("ok", False)
                 error = envelope.get("error") if failed else None
                 if failed and error is None:
@@ -409,27 +409,6 @@ class JobManager:
                 job.emit("job.failed" if failed else "job.done")
                 self._changed.notify_all()
             self._notify and self._notify(job)
-
-    def _call_executor(self, job: Job) -> Dict:
-        """Invoke the job's executor; pass the job too when it takes it.
-
-        Executors come in two arities: the classic ``params -> envelope``
-        (tests swap these in freely) and ``(params, job) -> envelope``
-        for ones that want to publish live progress onto the job.
-        """
-        executor = self._executors[job.kind]
-        try:
-            parameters = inspect.signature(executor).parameters.values()
-        except (TypeError, ValueError):
-            return executor(job.params)
-        positional = [
-            p for p in parameters
-            if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)
-        ]
-        variadic = any(p.kind == p.VAR_POSITIONAL for p in parameters)
-        if variadic or len(positional) >= 2:
-            return executor(job.params, job)
-        return executor(job.params)
 
     def _evict_locked(self) -> None:
         """Drop the oldest *terminal* jobs past the retention bound."""

@@ -62,7 +62,7 @@ from ..schemas import (
 )
 from . import wire
 from .dedup import InflightRegistry
-from .jobs import JobCancelled, JobManager, JobQueueFull
+from .jobs import Job, JobCancelled, JobManager, JobQueueFull
 
 
 def _default_jobs() -> int:
@@ -392,12 +392,12 @@ class SimulationService:
         finally:
             backend.close()
 
-    def _execute_grid(self, params: Dict, job=None) -> Dict:
+    def _execute_grid(self, params: Dict, job: Job) -> Dict:
         report = self._grid_report(params["points"], job)
         self._check_cancelled(job, report.accounting.cancelled)
         return report.to_dict()
 
-    def _execute_figure(self, params: Dict, job=None) -> Dict:
+    def _execute_figure(self, params: Dict, job: Job) -> Dict:
         backend = self._make_backend(job)
         try:
             result = api.figure(
@@ -420,7 +420,7 @@ class SimulationService:
         self._check_cancelled(job)
         return result.to_dict()
 
-    def _execute_headline(self, params: Dict, job=None) -> Dict:
+    def _execute_headline(self, params: Dict, job: Job) -> Dict:
         backend = self._make_backend(job)
         try:
             claims = api.headline(

@@ -2,11 +2,9 @@
 
 The same 60-point grid (all 12 benchmarks x 5 configurations spanning
 both widths and all three modes) runs through ``LocalPoolBackend`` and
-``SubprocessBackend`` from cold caches, on both kernel lanes, and every
-``SimStats`` field must come out bit-identical.  This is the distributed
-layer's equivalent of the scalar/numpy kernel-parity suite: sharding,
-the framed wire protocol and the cache-mediated result exchange are
-transport, not semantics.
+``SubprocessBackend`` from cold caches, and every ``SimStats`` field must
+come out bit-identical.  Sharding, the framed wire protocol and the
+cache-mediated result exchange are transport, not semantics.
 """
 
 from __future__ import annotations
@@ -71,25 +69,10 @@ def _run_backend(tmp_path, monkeypatch, backend, cache_name):
     return _fingerprints(results)
 
 
-@pytest.mark.parametrize("lane", ["python", "numpy"])
-def test_sixty_point_grid_identical_through_both_backends(
-    lane, fresh_state, monkeypatch
-):
-    from repro.core.kernel import get_kernel, set_kernel
-
-    previous = get_kernel().name
-    # The env var reaches pool workers and subprocess peers; set_kernel
-    # covers the in-process memo path.
-    monkeypatch.setenv("REPRO_KERNEL", lane)
-    set_kernel(lane)
-    try:
-        local = _run_backend(
-            fresh_state, monkeypatch, LocalPoolBackend(jobs=2), f"local-{lane}"
-        )
-        distributed = _run_backend(
-            fresh_state, monkeypatch, SubprocessBackend(nodes=2), f"dist-{lane}"
-        )
-    finally:
-        set_kernel(previous)
+def test_sixty_point_grid_identical_through_both_backends(fresh_state, monkeypatch):
+    local = _run_backend(fresh_state, monkeypatch, LocalPoolBackend(jobs=2), "local")
+    distributed = _run_backend(
+        fresh_state, monkeypatch, SubprocessBackend(nodes=2), "dist"
+    )
     assert set(local) == set(POINTS)
     assert local == distributed

@@ -76,7 +76,6 @@ def test_figures_json(capsys):
     assert main(["figures", "--scale", "2500", "--only", "fig14", "--json",
                  "--jobs", "1"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    # canonical since the repro.figures/v1 spelling was deprecated
     assert payload["schema"] == "repro.figure.set/v1"
     assert payload["ok"] is True and payload["error"] is None
     assert payload["figures"]["fig14"]["schema"] == "repro.figure/v1"
@@ -133,17 +132,6 @@ def test_zero_sampling_flags_are_rejected(flag, capsys):
         main(["run", "li", "--scale", "3000", flag, "0"])
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
-
-
-def test_figure_runners_shim_warns_but_works():
-    import repro.__main__ as module
-
-    with pytest.warns(DeprecationWarning, match="FIGURE_RUNNERS"):
-        runners = module.FIGURE_RUNNERS
-    assert "fig14" in runners and len(runners["fig14"]) == 3
-    rows_fn, title, points_fn = runners["fig14"]
-    assert callable(rows_fn) and callable(points_fn)
-    assert "Figure 14" in title
 
 
 def test_cache_info_breaks_down_sections(capsys):

@@ -11,7 +11,7 @@ from repro.schemas import SCHEMA_GRID, envelope, validate_envelope
 from repro.service.jobs import JobManager, JobQueueFull
 
 
-def _ok_envelope(params):
+def _ok_envelope(params, job):
     return envelope(SCHEMA_GRID, accounting={}, failures=[], runs=[])
 
 
@@ -22,10 +22,10 @@ class TestJobManager:
         gate = threading.Event()
         started = threading.Event()
 
-        def gated(params):
+        def gated(params, job):
             started.set()
             assert gate.wait(10.0)
-            return _ok_envelope(params)
+            return _ok_envelope(params, job)
 
         manager = JobManager({"grid": gated}, queue_limit=2, workers=1)
         try:
@@ -47,7 +47,7 @@ class TestJobManager:
 
     def test_dedup_joins_live_and_retries_failed(self):
         manager = JobManager(
-            {"grid": _ok_envelope, "boom": lambda p: 1 / 0}, queue_limit=4, workers=1
+            {"grid": _ok_envelope, "boom": lambda p, job: 1 / 0}, queue_limit=4, workers=1
         )
         try:
             job, deduped = manager.submit("grid", {}, "key")
@@ -78,10 +78,10 @@ def test_http_503_with_retry_after(daemon):
     gate = threading.Event()
     started = threading.Event()
 
-    def gated(params):
+    def gated(params, job):
         started.set()
         assert gate.wait(30.0)
-        return _ok_envelope(params)
+        return _ok_envelope(params, job)
 
     # deterministic saturation: the real executor would race the test
     server.service.jobs._executors["grid"] = gated

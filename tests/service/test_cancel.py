@@ -53,7 +53,7 @@ class TestCancelQueued:
         started = threading.Event()
         ran = []
 
-        def gated(params):
+        def gated(params, job):
             started.set()
             assert gate.wait(30.0)
             ran.append(params)
@@ -100,7 +100,7 @@ class TestCancelQueued:
         gate = threading.Event()
         started = threading.Event()
 
-        def gated(params):
+        def gated(params, job):
             started.set()
             assert gate.wait(30.0)
             return envelope(SCHEMA_GRID, accounting={}, failures=[], runs=[])

@@ -78,7 +78,7 @@ class TestFollow:
         """A live ``follow()`` stream wrapped mid-flight yields an
         ``events.dropped`` marker in place of the evicted events, then
         resumes exactly at the surviving window — no duplicates."""
-        manager = JobManager({"grid": lambda p: envelope(
+        manager = JobManager({"grid": lambda p, job: envelope(
             SCHEMA_GRID, accounting={}, failures=[], runs=[]
         )}, workers=1)
         try:
@@ -116,7 +116,7 @@ class TestFollow:
         """A stream that outlives its timeout ends with an explicit
         ``stream.timeout`` error envelope (retriable), distinguishable
         from normal completion (which ends with the job envelope)."""
-        manager = JobManager({"grid": lambda p: envelope(
+        manager = JobManager({"grid": lambda p, job: envelope(
             SCHEMA_GRID, accounting={}, failures=[], runs=[]
         )}, workers=1)
         try:
@@ -137,19 +137,15 @@ class TestFollow:
         server, client = daemon(job_workers=1)
         gate = threading.Event()
 
-        def chatty(params):
-            # Called on the manager worker thread with the job attached
-            # via the arity-dispatched executor protocol.
-            return envelope(SCHEMA_GRID, accounting={}, failures=[], runs=[])
-
-        def chatty_with_job(params, job):
+        def chatty(params, job):
+            # Called on the manager worker thread with the job attached.
             job.bus = TraceBus(capacity=64)  # shrink the window for the test
             for i in range(500):
                 job.emit("tick", i=i)
             assert gate.wait(30.0)
-            return chatty(params)
+            return envelope(SCHEMA_GRID, accounting={}, failures=[], runs=[])
 
-        server.service.jobs._executors["grid"] = chatty_with_job
+        server.service.jobs._executors["grid"] = chatty
         status, payload, _ = client.request(
             "POST", "/grid",
             {"points": [{"benchmark": "compress", "mode": "V", "scale": 3_520}]},

@@ -1,35 +1,22 @@
-"""Kernel-backend parity: the numpy and python backends are bit-identical.
+"""Fingerprint and run-loop parity: the cycle model's results are pinned.
 
-The batched execution kernels (:mod:`repro.core.kernel`) are selected
-process-wide and deliberately kept **out** of the configuration / disk-cache
-keys, so their interchangeability is a hard correctness contract, not a
-nice-to-have: every SimStats field must match bit-for-bit between backends
-on the full 60-point fingerprint grid (12 benchmarks x 5 configurations),
-and the fused ``Machine._run_fast`` loop must match the canonical
-``step()`` loop that observed runs use.
-
-The PR-4 differential fuzzer is the ongoing soundness net for this
-contract (CI runs a campaign with ``REPRO_KERNEL=numpy``); the
-development campaigns for the batched-kernel work (200 programs under
-each backend) found **no** divergence, so there are no minimized
-divergence reproducers to pin — the seeded-program parity cases below
-stand in as fast deterministic regressions over the same generator.
+The pipeline has one run loop (``Machine._cycles``); plain runs, observed
+runs (metrics and stage profiling are hooks inside that loop) and runs
+driven one cycle at a time through ``step()`` all execute it.  Every
+SimStats field must match bit-for-bit across those drivers, and the
+whole 60-point grid (12 benchmarks x 5 configurations) must equal the
+pinned seed fingerprints.
 """
 
 import dataclasses
 import json
-import math
-import os
 import pathlib
 import random
-import warnings
 
 import pytest
 
-from repro.core.kernel import NumpyKernel, PyKernel, set_kernel
 from repro.functional import run_program
-from repro.isa.opcodes import Opcode
-from repro.observe import Observer
+from repro.observe import MetricsRegistry, Observer, StageProfiler
 from repro.pipeline.config import make_config
 from repro.pipeline.machine import Machine
 from repro.verify.fuzzer import generate_genome, synthesize
@@ -42,29 +29,10 @@ GRID_SCALE = 1500
 #: SimStats fingerprints of the whole grid, captured before the
 #: flat-array engine-state / cross-cycle batching rework: the refactors
 #: must be pure restructurings, so current results must equal these
-#: bit-for-bit (not merely agree across backends).
+#: bit-for-bit.
 _FINGERPRINTS = json.loads(
     (pathlib.Path(__file__).parent / "seed_fingerprints.json").read_text()
 )
-
-
-@pytest.fixture
-def kernel_reset():
-    """Restore the process-wide backend after a test switches it."""
-    yield
-    set_kernel(os.environ.get("REPRO_KERNEL", "python"))
-
-
-def _select_numpy():
-    """Switch to the numpy backend, tolerating the no-numpy fallback.
-
-    On hosts without numpy (the CI no-numpy lane) ``set_kernel("numpy")``
-    warns and installs the python backend — parity then holds trivially,
-    which is exactly the interchangeability the lane proves.
-    """
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        set_kernel("numpy")
 
 
 def _stats(trace, width, ports, mode, observer=None):
@@ -72,21 +40,28 @@ def _stats(trace, width, ports, mode, observer=None):
     return dataclasses.asdict(machine.run())
 
 
-def test_kernel_parity_60_point_grid(kernel_reset):
-    """Bit-identical SimStats on all 60 grid points under both backends,
-    and bit-identical to the pinned pre-rework seed fingerprints."""
+def _stepped_stats(trace, width, ports, mode):
+    """Drive a machine to completion one ``step()`` at a time, then stamp
+    the whole-run statistics exactly as ``run()`` does after its loop."""
+    machine = Machine(make_config(width, ports, mode), trace)
+    now = 0
+    while machine.committed_count < len(trace.entries):
+        machine.step(now)
+        now += 1
+    return dataclasses.asdict(machine._finish(now))
+
+
+def test_kernel_parity_60_point_grid():
+    """Bit-identical SimStats on all 60 grid points against the pinned
+    seed fingerprints."""
     assert _FINGERPRINTS["scale"] == GRID_SCALE
     points = _FINGERPRINTS["points"]
     for name in ALL_BENCHMARKS:
         trace = cached_trace(name, GRID_SCALE)
         for width, ports, mode in GRID_CONFIGS:
-            set_kernel("python")
-            ref = _stats(trace, width, ports, mode)
-            _select_numpy()
             got = _stats(trace, width, ports, mode)
-            assert got == ref, f"backend divergence at {name}/{width}w{ports}p{mode}"
             pinned = points[f"{name}/{width}w{ports}p/{mode}"]
-            assert ref == pinned, f"seed-semantics drift at {name}/{width}w{ports}p{mode}"
+            assert got == pinned, f"seed-semantics drift at {name}/{width}w{ports}p{mode}"
 
 
 @pytest.mark.parametrize(
@@ -94,88 +69,25 @@ def test_kernel_parity_60_point_grid(kernel_reset):
     [("compress", 4, 1, "noIM"), ("compress", 4, 1, "IM"), ("swim", 4, 1, "V")],
 )
 def test_fused_run_loop_matches_step_loop(name, width, ports, mode):
-    """The fused unobserved loop == the canonical per-stage step() loop.
+    """Plain run == metrics + profiler run == a machine driven by step().
 
-    An observed run (any Observer, even an empty one) drives the
-    canonical ``step()`` path; an unobserved run drives the inlined
-    ``_run_fast`` loop.  Their SimStats must be bit-identical — the
-    inlining is a pure restructuring, never a semantic fork.
+    The observation hooks only read clocks and counters, and step() runs
+    one cycle of the same loop, so every SimStats field must be
+    bit-identical across the three drivers.
     """
     trace = cached_trace(name, 3000)
-    fused = _stats(trace, width, ports, mode)
-    stepped = _stats(trace, width, ports, mode, observer=Observer())
-    assert fused == stepped
+    plain = _stats(trace, width, ports, mode)
+    observer = Observer(metrics=MetricsRegistry(), profiler=StageProfiler())
+    assert _stats(trace, width, ports, mode, observer=observer) == plain
+    assert observer.profiler.cycles == plain["cycles"]
+    assert _stepped_stats(trace, width, ports, mode) == plain
 
 
 @pytest.mark.parametrize("seed", (7, 23, 91))
-def test_fuzz_program_backend_parity(kernel_reset, seed):
-    """Seeded fuzz-generator programs through the V machine, both backends."""
+def test_fuzz_program_loop_parity(seed):
+    """Seeded fuzz-generator programs through the V machine: the step()
+    driven run matches the plain run."""
     program = synthesize(generate_genome(random.Random(seed)))
     trace = run_program(program, max_instructions=20_000)
     assert trace.halted
-    set_kernel("python")
-    ref = _stats(trace, 4, 1, "V")
-    _select_numpy()
-    got = _stats(trace, 4, 1, "V")
-    assert got == ref
-
-
-# ----------------------------------------------------------------------
-# Unit-level parity on batches large enough to take the numpy paths
-# (machine runs at grid scale mostly stay under NUMPY_MIN_BATCH; these
-# drive the array code directly, including the wrap/fallback edges).
-# ----------------------------------------------------------------------
-
-
-def test_unit_parity_pred_addrs():
-    py, npk = PyKernel(), NumpyKernel()
-    for base, stride in ((0, 8), (10_000, -16), (2**40, 24), (-64, 8)):
-        assert npk.pred_addrs(base, stride, 64) == py.pred_addrs(base, stride, 64)
-    # Near-overflow bases must fall back, not wrap silently.
-    assert npk.pred_addrs(2**63 - 8, 8, 64) == py.pred_addrs(2**63 - 8, 8, 64)
-
-
-def test_unit_parity_mismatch_flags():
-    py, npk = PyKernel(), NumpyKernel()
-    preds = [k * 8 for k in range(48)]
-    actuals = [k * 8 if k % 5 else k * 8 + 4 for k in range(48)]
-    assert npk.mismatch_flags(preds, actuals) == py.mismatch_flags(preds, actuals)
-    # None entries (elements with no prediction) force the python path.
-    preds2 = list(preds)
-    preds2[3] = None
-    assert npk.mismatch_flags(preds2, actuals) == py.mismatch_flags(preds2, actuals)
-
-
-def test_unit_parity_range_hits():
-    py, npk = PyKernel(), NumpyKernel()
-    firsts = [k * 100 for k in range(40)]
-    lasts = [k * 100 + 24 for k in range(40)]
-    for addr in (0, 24, 50, 1716, 3900, 3924, 5000):
-        assert npk.range_hits(addr, firsts, lasts) == py.range_hits(addr, firsts, lasts)
-
-
-def test_unit_parity_alu_values_int_wrap():
-    py, npk = PyKernel(), NumpyKernel()
-    a = [2**63 - 1, -(2**63), 17, -1] * 8
-    b = [1, -1, 5, 2**62] * 8
-    for op in (Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR):
-        assert npk.alu_values(op, a, b) == py.alu_values(op, a, b)
-
-
-def test_unit_parity_alu_values_fp():
-    py, npk = PyKernel(), NumpyKernel()
-    a = [0.1 * k for k in range(32)] + [1e308, -1e308]
-    b = [1.7 - 0.05 * k for k in range(32)] + [1e308, 1e308]
-    for op in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL):
-        got, ref = npk.alu_values(op, a, b), py.alu_values(op, a, b)
-        assert len(got) == len(ref)
-        for g, r in zip(got, ref):
-            assert g == r or (math.isnan(g) and math.isnan(r))
-
-
-def test_unit_parity_issue_slots():
-    py, npk = PyKernel(), NumpyKernel()
-    rng = random.Random(5)
-    for floor in (0, 3, 250):
-        ready = [rng.randrange(0, 300) for _ in range(64)]
-        assert npk.issue_slots(ready, floor) == py.issue_slots(ready, floor)
+    assert _stepped_stats(trace, 4, 1, "V") == _stats(trace, 4, 1, "V")
