@@ -3,27 +3,24 @@
 A thin shell over the stable :mod:`repro.api` facade.  Commands:
 
 * ``figures [--scale N] [--sampled] [--only figNN ...] [--jobs J]
-  [--backend B] [--nodes N] [--campaign] [--point-budget N]
-  [--task-timeout S] [--max-retries N] [--json]`` — regenerate the
-  paper's figures; the grid points behind the selected figures are
-  collected up front and fanned out over a fault-tolerant executor
-  backend — the in-host process pool by default, or ``--backend
-  subprocess`` worker peers with node-loss tolerance (see
-  :mod:`repro.experiments.parallel`, :mod:`repro.experiments.distributed`
-  and ``docs/PERFORMANCE.md`` §5/§6) — the command exits 1 when any
-  grid point remains failed after retries; ``--campaign`` persists a
-  resumable manifest (kill it, then ``resume <id>``);
-* ``headline [--scale N] [--sampled] [--jobs J] [--backend B]
-  [--nodes N] [--task-timeout S] [--max-retries N] [--json]`` —
-  measure the paper's headline claims, same batched execution and
-  failure semantics;
-* ``resume CAMPAIGN_ID [--backend B] [--nodes N] [--jobs J]
-  [--point-budget N] [--json]`` — resume a persisted campaign:
-  done points are recovered from the disk cache, only missing or
-  quarantined points recompute;
+  [--campaign] [--point-budget N] [--task-timeout S] [--max-retries N]
+  [--json]`` — regenerate the paper's figures; the grid points behind
+  the selected figures are collected up front and computed in-process
+  (``--jobs 1``) or fanned out over ``J`` fault-tolerant worker peers
+  (see :mod:`repro.experiments.parallel`,
+  :mod:`repro.experiments.distributed` and ``docs/PERFORMANCE.md`` §5)
+  — the command exits 1 when any grid point remains failed after
+  retries; ``--campaign`` persists a resumable manifest (kill it, then
+  ``resume <id>``);
+* ``headline [--scale N] [--sampled] [--jobs J] [--task-timeout S]
+  [--max-retries N] [--json]`` — measure the paper's headline claims,
+  same batched execution and failure semantics;
+* ``resume CAMPAIGN_ID [--jobs J] [--point-budget N] [--json]`` —
+  resume a persisted campaign: done points are recovered from the disk
+  cache, only missing or quarantined points recompute;
 * ``worker --node N --generation G [--heartbeat S]`` — internal: one
-  subprocess-backend peer speaking the framed JSON task protocol on
-  stdin/stdout (spawned by the scheduler, not meant for hand use);
+  worker peer speaking the framed JSON task protocol on stdin/stdout
+  (spawned by the scheduler, not meant for hand use);
 * ``run <benchmark> [--width W] [--ports P] [--mode M] [--scale N]
   [--sampled] [--json]`` — simulate one benchmark on one configuration;
 * ``trace <benchmark> [--events SPEC] [--limit N] [--output FILE]``
@@ -42,8 +39,8 @@ A thin shell over the stable :mod:`repro.api` facade.  Commands:
 * ``fuzz corpus [--json]`` — show the persistent fuzz corpus;
 * ``serve [--port N] [--jobs J] [--queue-limit N] [--sync-limit N]
   [--request-timeout S]`` — run the simulation service daemon: a
-  stdlib-only HTTP/JSON server fronting this same facade with a warm
-  worker pool, request deduplication, async jobs and backpressure
+  stdlib-only HTTP/JSON server fronting this same facade with warm
+  worker peers, request deduplication, async jobs and backpressure
   (:mod:`repro.service`, ``docs/SERVICE.md``);
 * ``cache {info,clear}`` — inspect or drop the persistent result cache
   (the fuzz corpus and campaign manifests are sections of it);
@@ -136,21 +133,6 @@ def _sampling_from_args(args: argparse.Namespace) -> api.SamplingConfig | None:
     return api.SamplingConfig(window=window, interval=interval)
 
 
-def _backend_from_args(args: argparse.Namespace):
-    """Resolve (backend spec, jobs) from ``--backend``/``--nodes``/``--jobs``.
-
-    ``--nodes`` implies the subprocess backend; with it, the node count
-    wins over ``--jobs`` (which sizes the in-host pool).
-    """
-    backend = getattr(args, "backend", None)
-    nodes = getattr(args, "nodes", None)
-    if nodes is not None and backend is None:
-        backend = "subprocess"
-    if backend == "subprocess":
-        return backend, (nodes or args.jobs)
-    return backend, args.jobs
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
     names = args.only or api.figure_names()
     for name in names:
@@ -164,7 +146,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
     points = []
     for name in names:
         points.extend(api.get_figure(name).points(args.scale, sampling))
-    backend, jobs = _backend_from_args(args)
     outcome = None
     if args.campaign:
         # Resumable path: persist a per-point manifest keyed by the
@@ -172,8 +153,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         # campaign id behind that ``resume`` picks back up.
         outcome = api.campaign(
             points,
-            backend=backend,
-            jobs=jobs,
+            jobs=args.jobs,
             sampling=sampling,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
@@ -185,11 +165,10 @@ def cmd_figures(args: argparse.Namespace) -> int:
     else:
         batch = api.grid(
             points,
-            jobs=jobs,
+            jobs=args.jobs,
             sampling=sampling,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
-            backend=backend,
         )
         batch_ok = batch.ok
         accounting = batch.accounting
@@ -232,15 +211,13 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 def cmd_headline(args: argparse.Namespace) -> int:
     sampling = _sampling_from_args(args)
-    backend, jobs = _backend_from_args(args)
     try:
         claims = api.headline(
             scale=args.scale,
             sampling=sampling,
-            jobs=jobs,
+            jobs=args.jobs,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
-            backend=backend,
         )
     except api.GridFailureError as exc:
         if args.json:
@@ -265,12 +242,10 @@ def cmd_headline(args: argparse.Namespace) -> int:
 
 
 def cmd_resume(args: argparse.Namespace) -> int:
-    backend, jobs = _backend_from_args(args)
     try:
         outcome = api.campaign_resume(
             args.campaign_id,
-            backend=backend,
-            jobs=jobs,
+            jobs=args.jobs,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
             point_budget=args.point_budget,
@@ -445,8 +420,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         request_timeout=args.request_timeout,
         max_retries=args.max_retries,
         warm_benchmarks=tuple(args.warm_benchmarks or ()),
-        backend=args.backend or ("subprocess" if args.nodes else "local"),
-        backend_nodes=args.nodes,
     )
     try:
         return serve(config, warm=not args.no_warm)
@@ -518,27 +491,7 @@ def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
         type=_positive_int,
         default=None,
         metavar="J",
-        help="worker processes (default: $REPRO_JOBS or the CPU count)",
-    )
-
-
-def _add_backend_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--backend",
-        choices=("local", "subprocess"),
-        default=None,
-        help=(
-            "executor backend: the in-host process pool (local, default) "
-            "or node-loss-tolerant `python -m repro worker` subprocess "
-            "peers (default: $REPRO_BACKEND or local)"
-        ),
-    )
-    parser.add_argument(
-        "--nodes",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="subprocess-backend worker peers (implies --backend subprocess)",
+        help="worker peers; 1 runs in-process (default: $REPRO_JOBS or the CPU count)",
     )
 
 
@@ -549,8 +502,9 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         help=(
-            "per-task stall timeout: fail a grid point when no task "
-            "completes for this long (default: $REPRO_TASK_TIMEOUT or off)"
+            "per-task deadline: charge a grid point a timeout attempt when "
+            "its worker peer has no result this long after dispatch "
+            "(default: $REPRO_TASK_TIMEOUT or off)"
         ),
     )
     parser.add_argument(
@@ -608,7 +562,6 @@ def main(argv=None) -> int:
     )
     _add_sampling_arguments(p)
     _add_jobs_argument(p)
-    _add_backend_arguments(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
     p.set_defaults(fn=cmd_figures)
@@ -617,7 +570,6 @@ def main(argv=None) -> int:
     p.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
     _add_sampling_arguments(p)
     _add_jobs_argument(p)
-    _add_backend_arguments(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
     p.set_defaults(fn=cmd_headline)
@@ -632,14 +584,13 @@ def main(argv=None) -> int:
         help="compute at most N cold points this invocation",
     )
     _add_jobs_argument(p)
-    _add_backend_arguments(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
     p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser(
         "worker",
-        help="internal: subprocess-backend peer (framed JSON on stdin/stdout)",
+        help="internal: grid worker peer (framed JSON on stdin/stdout)",
     )
     p.add_argument("--node", type=_nonnegative_int, default=0, metavar="N")
     p.add_argument("--generation", type=_nonnegative_int, default=0, metavar="G")
@@ -779,7 +730,6 @@ def main(argv=None) -> int:
         "--no-warm", action="store_true",
         help="skip worker warm-up (first requests pay imports instead)",
     )
-    _add_backend_arguments(p)
     p.set_defaults(fn=cmd_serve)
 
     p = sub.add_parser("cache", help="inspect or clear the on-disk result cache")

@@ -11,7 +11,7 @@ Entry points:
 * :func:`simulate` — one benchmark on one configuration →
   :class:`RunResult`;
 * :func:`grid` — a batch of :class:`GridPoint` coordinates fanned out
-  over the process pool (or any executor backend) → :class:`GridReport`;
+  over worker peers (:class:`DistributedScheduler`) → :class:`GridReport`;
 * :func:`campaign` / :func:`campaign_resume` — resumable sweeps: the
   same batch with a persisted per-point manifest
   (:mod:`repro.experiments.distributed`), so a killed run restarts and
@@ -60,15 +60,9 @@ from .experiments import diskcache
 from .experiments import figures as _figures
 from .experiments import parallel as _parallel
 from .experiments import runner as _runner
-from .experiments.distributed import (
-    CampaignResult,
-    ExecutorBackend,
-    LocalPoolBackend,
-    SubprocessBackend,
-    resolve_backend,
-)
+from .experiments.distributed import CampaignResult, DistributedScheduler
 from .experiments.distributed import campaign as _campaign
-from .experiments.parallel import GridPoint, WorkerPool
+from .experiments.parallel import GridPoint
 from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
 from .observe import (
     MetricsRegistry,
@@ -303,9 +297,9 @@ def simulate(
 def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
     """The wire form of fabric accounting.
 
-    Distributed-backend fields (``nodes_lost`` / ``points_reassigned`` /
+    Worker-peer fields (``nodes_lost`` / ``points_reassigned`` /
     ``resume_skipped`` / ``nodes``) appear only when nonzero/nonempty,
-    so pool-path payloads stay bit-identical to the pre-backend era.
+    so in-process payloads carry only the core counters.
     """
     out = {
         "requested": accounting.requested,
@@ -315,8 +309,6 @@ def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
         "simulated": accounting.simulated,
         "jobs": accounting.jobs,
         "retries": accounting.retries,
-        "pool_restarts": accounting.pool_restarts,
-        "degraded_serial": accounting.degraded_serial,
     }
     if accounting.cancelled:
         out["cancelled"] = True
@@ -379,22 +371,22 @@ def grid(
     metrics: bool = False,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
+    scheduler: Optional[DistributedScheduler] = None,
     on_result=None,
     cancel=None,
+    progress=None,
 ) -> GridReport:
-    """Compute a batch of grid points, fanning misses over a process pool.
+    """Compute a batch of grid points, fanning misses over worker peers.
 
     ``points`` may be :class:`GridPoint` instances or plain tuples in
     GridPoint order.  ``sampling``, when given, overrides the sampling
     coordinate of *every* point (the common "same grid, sampled" case).
     ``metrics=True`` aggregates every point's metrics — whether it came
     from a worker, the disk cache, or the memo — into one registry on the
-    returned report.  ``pool``, when given, is a warm
-    :class:`repro.experiments.parallel.WorkerPool` reused instead of
-    spawning a fresh process pool per call (the service daemon's
-    amortization lever).
+    returned report.  ``scheduler``, when given, is a caller-owned
+    :class:`DistributedScheduler` whose warm peers run every cold point
+    instead of peers spawned for this call (the service daemon's
+    amortization lever); without it ``jobs=1`` runs in-process.
 
     Failures are contained per point: a task that keeps failing (or, with
     ``task_timeout``, hanging) is retried ``max_retries`` times with
@@ -402,15 +394,10 @@ def grid(
     of the batch completes — check ``report.ok`` before trusting a full
     grid.  See :class:`repro.experiments.parallel.FaultPolicy`.
 
-    ``backend`` swaps the execution layer: an
-    :class:`ExecutorBackend` instance (caller-owned), or a name —
-    ``"local"`` (the process pool) / ``"subprocess"`` (``python -m repro
-    worker`` peers with node-level fault tolerance; ``jobs`` then counts
-    *nodes*).  See :mod:`repro.experiments.distributed` and
-    docs/PERFORMANCE.md §6.
-
     ``on_result(point, stats_dict)`` streams each point as it completes
     (cache hits immediately, computed points from inside the fabric);
+    ``progress(event, **data)`` receives the scheduler's point and node
+    events for this batch;
     ``cancel`` — anything with ``is_set()`` — stops the batch early with
     ``report.accounting.cancelled`` set, keeping (and caching) whatever
     completed first.  See :func:`repro.experiments.parallel.run_grid`.
@@ -431,10 +418,10 @@ def grid(
         metrics=registry,
         task_timeout=task_timeout,
         max_retries=max_retries,
-        pool=pool,
-        backend=backend,
+        scheduler=scheduler,
         on_result=on_result,
         cancel=cancel,
+        progress=progress,
     )
     runs = [
         RunResult(
@@ -523,7 +510,7 @@ class CampaignOutcome:
 def campaign(
     points: Iterable[Union[GridPoint, Sequence]],
     *,
-    backend=None,
+    scheduler: Optional[DistributedScheduler] = None,
     jobs: Optional[int] = None,
     sampling: SamplingLike = None,
     metrics: bool = False,
@@ -552,7 +539,7 @@ def campaign(
     registry = MetricsRegistry() if metrics else None
     result = _campaign.run_campaign(
         normalized,
-        backend=backend,
+        scheduler=scheduler,
         jobs=jobs,
         metrics=registry,
         task_timeout=task_timeout,
@@ -565,7 +552,7 @@ def campaign(
 def campaign_resume(
     campaign_id: str,
     *,
-    backend=None,
+    scheduler: Optional[DistributedScheduler] = None,
     jobs: Optional[int] = None,
     metrics: bool = False,
     task_timeout: Optional[float] = None,
@@ -576,7 +563,7 @@ def campaign_resume(
     registry = MetricsRegistry() if metrics else None
     result = _campaign.resume_campaign(
         campaign_id,
-        backend=backend,
+        scheduler=scheduler,
         jobs=jobs,
         metrics=registry,
         task_timeout=task_timeout,
@@ -740,10 +727,10 @@ def figure(
     prebatched: bool = False,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
+    scheduler: Optional[DistributedScheduler] = None,
     on_result=None,
     cancel=None,
+    progress=None,
 ) -> FigureResult:
     """Regenerate one figure of the paper (see :data:`FIGURES` for names).
 
@@ -762,8 +749,8 @@ def figure(
             report = grid(
                 points, jobs=jobs,
                 task_timeout=task_timeout, max_retries=max_retries,
-                pool=pool, backend=backend,
-                on_result=on_result, cancel=cancel,
+                scheduler=scheduler, on_result=on_result,
+                cancel=cancel, progress=progress,
             )
             if not report.ok:
                 raise GridFailureError(report.accounting)
@@ -779,10 +766,10 @@ def headline(
     jobs: Optional[int] = None,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
-    pool: Optional[_parallel.WorkerPool] = None,
-    backend=None,
+    scheduler: Optional[DistributedScheduler] = None,
     on_result=None,
     cancel=None,
+    progress=None,
 ) -> Dict[str, float]:
     """Measure the paper's headline claims (§1/§4/§6) on this machine.
 
@@ -793,8 +780,8 @@ def headline(
     report = grid(
         _figures.headline_points(scale, sampling), jobs=jobs,
         task_timeout=task_timeout, max_retries=max_retries,
-        pool=pool, backend=backend,
-        on_result=on_result, cancel=cancel,
+        scheduler=scheduler, on_result=on_result,
+        cancel=cancel, progress=progress,
     )
     if not report.ok:
         raise GridFailureError(report.accounting)
@@ -864,9 +851,9 @@ __all__ = [
     "CampaignOutcome",
     "CampaignReport",
     "CampaignResult",
+    "DistributedScheduler",
     "EXPERIMENT_SCALE",
     "EnvelopeError",
-    "ExecutorBackend",
     "FIGURES",
     "FigureResult",
     "FigureSpec",
@@ -874,7 +861,6 @@ __all__ = [
     "GridFailureError",
     "GridPoint",
     "GridReport",
-    "LocalPoolBackend",
     "OracleConfig",
     "RunResult",
     "SCHEMAS",
@@ -896,9 +882,7 @@ __all__ = [
     "SCHEMA_SERVICE_STATUS",
     "SCHEMA_TRACE",
     "SamplingConfig",
-    "SubprocessBackend",
     "TraceReport",
-    "WorkerPool",
     "campaign",
     "campaign_resume",
     "error_dict",
@@ -910,7 +894,6 @@ __all__ = [
     "get_figure",
     "grid",
     "headline",
-    "resolve_backend",
     "schema_names",
     "simulate",
     "trace",

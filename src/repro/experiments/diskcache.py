@@ -17,7 +17,7 @@ bit for bit.  This module caches both layers on disk:
   functional re-decode as well as the functional execution;
 * **checkpoints/** — warmed microarchitectural state (cache contents,
   predictor tables, architectural memory) at sampled-window boundaries,
-  written by :mod:`repro.sampling` so re-runs and pool workers
+  written by :mod:`repro.sampling` so re-runs and worker peers
   fast-forward to a window instead of re-streaming the warmer;
 * **corpus/** — interesting fuzzing inputs kept by the differential
   fuzzer (:mod:`repro.verify.fuzzer`): program genomes plus the coverage
@@ -50,7 +50,7 @@ else ``~/.cache/repro``.  Set ``REPRO_CACHE_DIR=`` (empty) or
 Robustness: a corrupted or truncated cache file is treated as a miss —
 the point is re-simulated and the bad file overwritten.  Writes go
 through a temp file + :func:`os.replace` so concurrent workers (the
-process-pool grid runner) never observe half-written entries.
+grid's worker peers) never observe half-written entries.
 
 Process-wide hit/miss/store counters feed the CLI's cache summary line
 (``python -m repro figures`` reports how many points were served from

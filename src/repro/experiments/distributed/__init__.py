@@ -1,26 +1,16 @@
 """Distributed, resumable grid execution.
 
-The grid fabric's execution layer made pluggable (``ExecutorBackend``:
-the in-host process pool, or ``python -m repro worker`` subprocess peers
-over a framed JSON transport with heartbeats), with PR 5's
-retry/quarantine semantics lifted to the node level, the
-content-addressed disk cache as the cross-node result-exchange medium,
+The grid fabric's execution layer: ``python -m repro worker`` peers over
+a framed JSON transport with heartbeats, driven by one node-level
+scheduler with per-point retry/quarantine and per-node strikes; the
+content-addressed disk cache as the cross-node result-exchange medium;
 and content-hash campaign manifests making whole sweeps resumable.
 
-See :mod:`.backends` (selection API), :mod:`.scheduler` (node-loss
-semantics), :mod:`.protocol` / :mod:`.worker` (the wire peer), and
-:mod:`.campaign` (resume semantics); docs/PERFORMANCE.md §6 is the
-prose version.
+See :mod:`.scheduler` (node-loss semantics, concurrent batches),
+:mod:`.protocol` / :mod:`.worker` (the wire peer), and :mod:`.campaign`
+(resume semantics); docs/PERFORMANCE.md §5 is the prose version.
 """
 
-from .backends import (
-    BACKEND_ENV,
-    BACKEND_NAMES,
-    ExecutorBackend,
-    LocalPoolBackend,
-    SubprocessBackend,
-    resolve_backend,
-)
 from .campaign import (
     CampaignManifest,
     CampaignResult,
@@ -33,18 +23,12 @@ from .campaign import (
 from .scheduler import DistributedScheduler
 
 __all__ = [
-    "BACKEND_ENV",
-    "BACKEND_NAMES",
     "CampaignManifest",
     "CampaignResult",
     "DistributedScheduler",
-    "ExecutorBackend",
-    "LocalPoolBackend",
-    "SubprocessBackend",
     "campaign_id",
     "load_manifest",
     "point_cache_key",
-    "resolve_backend",
     "resume_campaign",
     "run_campaign",
 ]

@@ -15,8 +15,8 @@ mid-sweep restarts cheaply: :func:`run_campaign` on the same points (or
 memo/disk cache without simulating (counted as
 ``GridReport.resume_skipped`` and the ``dist.resume_skipped`` metric),
 re-queues ``failed`` ones — quarantined points deserve a fresh retry
-budget on a new run — and computes the rest through whichever executor
-backend is attached.
+budget on a new run — and computes the rest in-process (``jobs=1``) or
+on worker peers under one :class:`~.scheduler.DistributedScheduler`.
 
 Even points the manifest missed (killed between checkpoints) cost only
 a disk-cache probe on resume: every completed simulation was stored by
@@ -36,6 +36,7 @@ from ...pipeline.stats import SimStats
 from .. import diskcache, parallel, runner
 from ..parallel import GridPoint, GridReport
 from . import protocol
+from .scheduler import DistributedScheduler
 
 #: manifest checkpoint cadence, in completed points.
 DEFAULT_CHECKPOINT_EVERY = 8
@@ -171,14 +172,12 @@ def _merge_report(master: GridReport, chunk: GridReport) -> None:
     master.disk_hits += chunk.disk_hits
     master.simulated += chunk.simulated
     master.retries += chunk.retries
-    master.pool_restarts += chunk.pool_restarts
     master.nodes_lost += chunk.nodes_lost
     master.points_reassigned += chunk.points_reassigned
-    master.degraded_serial = master.degraded_serial or chunk.degraded_serial
     master.jobs = max(master.jobs, chunk.jobs)
     master.failed.extend(chunk.failed)
     if chunk.nodes:
-        # Slot accounting is cumulative inside a persistent backend, so
+        # Slot accounting is cumulative inside a persistent scheduler, so
         # the latest snapshot supersedes earlier ones.
         master.nodes = chunk.nodes
 
@@ -186,7 +185,7 @@ def _merge_report(master: GridReport, chunk: GridReport) -> None:
 def run_campaign(
     points: Iterable[GridPoint],
     *,
-    backend=None,
+    scheduler=None,
     jobs: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     task_timeout: Optional[float] = None,
@@ -199,16 +198,15 @@ def run_campaign(
     If a manifest for these points already exists it is resumed: its
     ``done`` points are recovered from the memo/disk cache without
     simulation (``report.resume_skipped``), ``failed`` points get a
-    fresh retry budget, and only the remainder executes — through
-    ``backend`` (an :class:`~.backends.ExecutorBackend`, a name, or None
-    for the default local fabric).
+    fresh retry budget, and only the remainder executes — on
+    ``scheduler`` (a caller-owned :class:`~.scheduler.DistributedScheduler`),
+    or else in-process for ``jobs=1`` and on one scheduler of ``jobs``
+    peers owned by this call otherwise.
 
     ``point_budget`` bounds this *invocation* to that many fresh points
     (the manifest checkpoint makes the rest resumable later) — the knob
     for running a huge sweep in bounded slices.
     """
-    from . import backends as _backends
-
     ordered: List[GridPoint] = []
     seen = set()
     for point in points:
@@ -223,18 +221,22 @@ def run_campaign(
         manifest = CampaignManifest.fresh(cid, ordered)
     index = {point: i for i, point in enumerate(manifest.points)}
 
-    owned = not isinstance(backend, _backends.ExecutorBackend)
-    backend = _backends.resolve_backend(backend, jobs=jobs)
+    owned = None
+    if scheduler is None:
+        jobs = parallel.resolve_jobs(jobs)
+        if jobs > 1:
+            # Peers spawn lazily: a campaign the cache satisfies costs none.
+            scheduler = owned = DistributedScheduler(jobs)
 
     report = GridReport()
     report.requested = len(ordered)
     report.unique = len(ordered)
-    report.jobs = backend.jobs
+    report.jobs = scheduler.nodes if scheduler is not None else jobs
     results: Dict[GridPoint, SimStats] = {}
 
     try:
         # Phase 1 — recover previously-done points.  run_grid satisfies
-        # them from the memo/disk cache (the backend never engages: there
+        # them from the memo/disk cache (no worker engages: there
         # is nothing cold), or honestly recomputes if the cache was wiped
         # under the manifest.
         done_points = [p for p in manifest.points if manifest.state[index[p]] == "done"]
@@ -242,7 +244,8 @@ def run_campaign(
             recover = GridReport()
             recovered = parallel.run_grid(
                 done_points,
-                backend=backend,
+                jobs=jobs,
+                scheduler=scheduler,
                 report=recover,
                 metrics=metrics,
                 task_timeout=task_timeout,
@@ -268,7 +271,8 @@ def run_campaign(
             chunk_report = GridReport()
             chunk_results = parallel.run_grid(
                 chunk,
-                backend=backend,
+                jobs=jobs,
+                scheduler=scheduler,
                 report=chunk_report,
                 metrics=metrics,
                 task_timeout=task_timeout,
@@ -288,8 +292,8 @@ def run_campaign(
             manifest.store()
         manifest.store()
     finally:
-        if owned:
-            backend.close()
+        if owned is not None:
+            owned.close()
 
     if metrics is not None and report.resume_skipped:
         metrics.counter("dist.resume_skipped").inc(report.resume_skipped)
@@ -301,7 +305,7 @@ def run_campaign(
 def resume_campaign(
     cid: str,
     *,
-    backend=None,
+    scheduler=None,
     jobs: Optional[int] = None,
     metrics: Optional[MetricsRegistry] = None,
     task_timeout: Optional[float] = None,
@@ -315,7 +319,7 @@ def resume_campaign(
         raise KeyError(f"no campaign manifest {cid!r} in the cache")
     return run_campaign(
         manifest.points,
-        backend=backend,
+        scheduler=scheduler,
         jobs=jobs,
         metrics=metrics,
         task_timeout=task_timeout,

@@ -11,6 +11,8 @@ Frame types, parent → worker:
 * ``{"type": "task", "id": n, "point": [...], "metrics": bool}`` — one
   grid point to compute (``point`` is the wire form of a
   :class:`~repro.experiments.parallel.GridPoint`);
+* ``{"type": "warm", "benchmarks": [...], "scale": n}`` — load those
+  functional traces now (disk-cached, so peers share the work);
 * ``{"type": "shutdown"}`` — finish up and exit cleanly.
 
 Worker → parent:
@@ -23,7 +25,9 @@ Worker → parent:
   "metrics": {...}|null}`` — one completed task (stats in the disk
   cache's dict form, so the payload is transport- and version-stable);
 * ``{"type": "task.error", "id": n, "error": "..."}`` — the task raised;
-  the peer itself is still healthy.
+  the peer itself is still healthy;
+* ``{"type": "warmed", "pid": p}`` — the traces of a ``warm`` frame are
+  loaded (``"error": "..."`` added if loading raised).
 
 Any bytes that do not decode as a well-formed frame raise
 :class:`FrameError`; the scheduler treats that as a dead peer (a

@@ -1,8 +1,8 @@
 """The remote executor peer behind ``python -m repro worker``.
 
 A worker speaks the length-prefixed frame protocol
-(:mod:`.protocol`) on its **stdin/stdout** pipe pair: tasks in, results
-out, with a daemon heartbeat thread beating every ``heartbeat`` seconds
+(:mod:`.protocol`) on its **stdin/stdout** pipe pair: tasks (and
+trace warm-up requests) in, results out, with a daemon heartbeat thread beating every ``heartbeat`` seconds
 so the scheduler can tell a long simulation from a dead or wedged peer.
 stdout is reserved for frames — nothing else in the process writes to
 it — and stderr stays a normal diagnostic channel.
@@ -74,6 +74,19 @@ def _heartbeat_loop(writer: _FrameWriter, node, generation, interval, stop) -> N
             return
 
 
+def _warm(frame: Dict) -> Dict:
+    """Load the traces a ``warm`` frame names; the ``warmed`` answer."""
+    from ...workloads.spec95 import cached_trace
+
+    answer = {"type": "warmed", "pid": os.getpid()}
+    try:
+        for name in frame.get("benchmarks", ()):
+            cached_trace(name, frame["scale"])
+    except Exception as exc:
+        answer["error"] = f"{type(exc).__name__}: {exc}"
+    return answer
+
+
 def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> int:
     """Run the peer loop until shutdown/EOF; returns the exit status."""
     stdin = sys.stdin.buffer
@@ -93,6 +106,9 @@ def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> i
             frame = protocol.read_frame(stdin)
             if frame is None or frame.get("type") == "shutdown":
                 return 0
+            if frame.get("type") == "warm":
+                writer.send(_warm(frame))
+                continue
             if frame.get("type") != "task":
                 continue  # future-proofing: unknown parent frames are ignored
             task_id = frame.get("id")

@@ -11,7 +11,7 @@ cached at two layers:
   by a content hash of the benchmark, scale, resolved
   :class:`~repro.pipeline.config.MachineConfig` and a digest of the
   simulator sources, so a *new* process (a rerun of ``python -m repro
-  figures``, a pytest-bench invocation, a pool worker) skips simulation
+  figures``, a pytest-bench invocation, a worker peer) skips simulation
   entirely for points any earlier process already ran.
 
 :func:`run_point` returns a **private copy** of the cached stats: callers
@@ -19,7 +19,7 @@ may freely mutate the result (e.g. normalize counters in place) without
 corrupting what later callers — or other figures sharing the same grid
 point — observe.
 
-For whole-grid fan-out over a process pool, see
+For whole-grid fan-out over worker peers, see
 :mod:`repro.experiments.parallel`.
 """
 
@@ -64,7 +64,7 @@ def _fire_fault(site: str, **context) -> None:
     Imported lazily — :mod:`repro.verify` itself imports this package,
     so a top-level import would cycle — and only once the injector is
     armed (module already loaded, or ``$REPRO_FAULTS`` set, which is how
-    specs reach pool workers).  With nothing armed this is one dict
+    specs reach worker peers).  With nothing armed this is one dict
     probe per *task*, nowhere near any hot loop.
     """
     module = sys.modules.get("repro.verify.faults")
@@ -153,7 +153,7 @@ def run_point(
 def compute_point(key: PointKey, observer=None) -> SimStats:
     """Disk-cache lookup + (on miss) one simulation for one grid point.
 
-    Shared by :func:`run_point` and the process-pool workers; bypasses the
+    Shared by :func:`run_point` and the grid's worker peers; bypasses the
     in-process memo on purpose (the callers own that layer).
 
     When ``observer`` carries a metrics registry, the point's metrics are
@@ -229,7 +229,7 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
 
 
 def prime_memo(key: PointKey, stats: SimStats) -> None:
-    """Install a result computed elsewhere (e.g. by a pool worker)."""
+    """Install a result computed elsewhere (e.g. by a worker peer)."""
     _MEMO.setdefault(key, stats)
 
 

@@ -10,8 +10,8 @@ Three cooperating pieces, all **zero-overhead when off**:
   per-kind counts that cross-check against ``SimStats``, JSONL export
   (``python -m repro trace``).
 * :mod:`~repro.observe.metrics` — a :class:`MetricsRegistry` of
-  counters/gauges/histograms/series that merges across process-pool grid
-  workers and serializes into the disk cache alongside results.
+  counters/gauges/histograms/series that merges across grid worker
+  peers and serializes into the disk cache alongside results.
 * :mod:`~repro.observe.profile` — a :class:`StageProfiler` attributing
   simulated cycles and simulator wall-clock to pipeline stages
   (``BENCH_perf.json``'s ``profile`` section).

@@ -16,10 +16,10 @@ is the structured replacement for bolting ever more ad-hoc counters onto
 
 All metric types **merge**: merging two registries adds counters and
 histogram buckets, concatenates series and keeps the later gauge — which
-is exactly what aggregating per-point metrics across the process-pool
-grid runner needs (:func:`repro.experiments.parallel.run_grid`).  The
-whole registry serializes to/from plain JSON-safe dicts so pool workers
-can ship it across the pickle boundary and the disk cache can persist it
+is exactly what aggregating per-point metrics across the grid's worker
+peers needs (:func:`repro.experiments.parallel.run_grid`).  The whole
+registry serializes to/from plain JSON-safe dicts so worker peers can
+ship it in their result frames and the disk cache can persist it
 alongside the stats payload.
 
 :func:`record_sim_stats` is the thin recording shim between the legacy

@@ -17,7 +17,8 @@ and ``error: null``; a failed one has ``ok: false`` and a populated
 error object.  The error object is the ``repro.error/v1`` shape::
 
     {
-      "kind":      "grid.failure" | "timeout" | "crash" | ...,
+      "kind":      "grid.failure" | "error" | "timeout" | "node.lost"
+                   | "node.unavailable" | ...,
       "message":   human-readable description,
       "retriable": bool,              # might an identical retry succeed?
       "point":     null | {grid-point coordinates},

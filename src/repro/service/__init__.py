@@ -5,10 +5,11 @@ dependencies) fronting :mod:`repro.api` for many concurrent clients:
 ``python -m repro serve --port N``.  What a long-running process buys
 over per-invocation CLI calls:
 
-* a **warm worker pool** (:class:`repro.experiments.parallel.WorkerPool`)
-  that amortizes process spawn, interpreter imports and functional-trace
+* **warm worker peers** (one shared
+  :class:`repro.experiments.distributed.DistributedScheduler`) that
+  amortize process spawn, interpreter imports and functional-trace
   loading across requests, with the fault-tolerant retry / quarantine /
-  broken-pool-salvage semantics intact;
+  node-loss semantics intact;
 * **request deduplication**: identical in-flight requests coalesce onto
   one computation (keyed by the same content-hash identity as the disk
   cache), so a thundering herd of equal grids costs one grid;
@@ -17,7 +18,7 @@ over per-invocation CLI calls:
   progress stream at ``GET /jobs/<id>/events``;
 * **backpressure**: a bounded job queue and a sync-concurrency limit —
   saturation is a ``503`` + ``Retry-After``, never an unbounded pile-up —
-  plus a per-request timeout backed by the fabric's stall detection.
+  plus a per-request timeout backed by the fabric's per-task deadline.
 
 Every response body is a v2 envelope (:mod:`repro.schemas`):
 ``{"schema", "ok", "error", ...payload}``, with failures carried as

@@ -22,9 +22,8 @@ poll (``GET /jobs/<id>``) or stream (``GET /jobs/<id>/events``, NDJSON).
   fed straight from that bus.
 
 Execution happens on a small thread pool (the heavy lifting is in the
-shared :class:`~repro.experiments.parallel.WorkerPool` *processes*; these
-threads mostly wait on futures), so a wedged grid cannot starve the HTTP
-front.
+shared scheduler's worker-peer *processes*; these threads mostly wait on
+their batches), so a wedged grid cannot starve the HTTP front.
 """
 
 from __future__ import annotations
@@ -75,8 +74,8 @@ class Job:
         self.result: Optional[Dict] = None   #: terminal api envelope
         self.error: Optional[Dict] = None    #: repro.error/v1 object when failed
         self.dedup_hits = 0
-        #: live executor-maintained progress (e.g. the distributed
-        #: backend's per-node table); shown on ``/jobs/<id>`` while the
+        #: live executor-maintained progress (e.g. the scheduler's
+        #: per-node table); shown on ``/jobs/<id>`` while the
         #: job runs, alongside the event stream.
         self.progress: Dict = {}
         #: set by :meth:`JobManager.cancel` on a running job; executors

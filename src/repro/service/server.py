@@ -1,9 +1,9 @@
 """The HTTP front: routing, admission control, and the daemon entry point.
 
 Stdlib only — :class:`http.server.ThreadingHTTPServer` with one thread
-per connection; the simulation work itself runs in the shared
-:class:`~repro.experiments.parallel.WorkerPool` *processes*, so a
-poisoned request (``REPRO_FAULTS`` crash, wedged simulation) is
+per connection; the simulation work itself runs on the worker peers of
+one shared :class:`~repro.experiments.distributed.DistributedScheduler`,
+so a poisoned request (``REPRO_FAULTS`` crash, wedged simulation) is
 contained by the fabric's retry/quarantine machinery and the daemon
 keeps serving.
 
@@ -66,13 +66,13 @@ from .jobs import Job, JobCancelled, JobManager, JobQueueFull
 
 
 def _default_jobs() -> int:
-    """Pool width: ``$REPRO_JOBS``/CPU count, but never below 2.
+    """Worker peers: ``$REPRO_JOBS``/CPU count, but never below 2.
 
-    The floor matters: with one worker a crash-fault retry has no healthy
-    process to salvage onto, and a single slow request would serialize the
-    whole daemon.  ``REPRO_JOBS=0`` or negative is a usage error and
-    raises ``ValueError`` — the same contract as every other consumer of
-    the variable — not a silent reinterpretation as 2.
+    The floor matters: with one peer a crash-fault retry waits for its
+    respawn, and a single slow request would serialize the whole daemon.
+    ``REPRO_JOBS=0`` or negative is a usage error and raises
+    ``ValueError`` — the same contract as every other consumer of the
+    variable — not a silent reinterpretation as 2.
     """
     return max(2, resolve_jobs(None))
 
@@ -83,7 +83,7 @@ class ServiceConfig:
 
     host: str = "127.0.0.1"
     port: int = 8642
-    #: worker processes in the shared pool (default: max(2, CPUs)).
+    #: worker peers of the shared scheduler (default: max(2, CPUs)).
     jobs: Optional[int] = None
     #: threads draining the async job queue.
     job_workers: int = 2
@@ -95,11 +95,6 @@ class ServiceConfig:
     request_timeout: float = 300.0
     #: retry budget forwarded to the fault-tolerant fabric (None = env/default).
     max_retries: Optional[int] = None
-    #: executor backend for grid work: "local" (the shared worker pool)
-    #: or "subprocess" (node-loss-tolerant worker peers per job).
-    backend: str = "local"
-    #: subprocess-backend peers per job (None = the pool width).
-    backend_nodes: Optional[int] = None
     #: completed jobs kept for polling before eviction.
     job_history: int = 256
     #: benchmarks whose functional traces workers preload at warm-up.
@@ -109,7 +104,7 @@ class ServiceConfig:
 
 
 class SimulationService:
-    """The daemon's brain: pool + dedup + jobs + metrics, HTTP-agnostic.
+    """The daemon's brain: peers + dedup + jobs + metrics, HTTP-agnostic.
 
     Separated from the HTTP handler so tests can drive it directly and
     the wire layer stays a thin translation.
@@ -118,7 +113,9 @@ class SimulationService:
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
         self.started = time.time()
-        self.pool = api.WorkerPool(self.config.jobs or _default_jobs())
+        self.scheduler = api.DistributedScheduler(
+            self.config.jobs or _default_jobs()
+        )
         self.metrics = MetricsRegistry()
         self.inflight = InflightRegistry()
         self._sync_slots = threading.BoundedSemaphore(self.config.sync_limit)
@@ -137,8 +134,8 @@ class SimulationService:
     # -- lifecycle ---------------------------------------------------------
 
     def warm(self) -> int:
-        """Spin the worker pool up now; returns distinct workers warmed."""
-        warmed = self.pool.warm(
+        """Spawn the worker peers now; returns how many finished warming."""
+        warmed = self.scheduler.warm(
             self.config.warm_benchmarks, scale=self.config.warm_scale
         )
         self.metrics.gauge("service.workers_warmed").set(warmed)
@@ -146,15 +143,15 @@ class SimulationService:
 
     def shutdown(self) -> None:
         self.jobs.shutdown()
-        self.pool.shutdown()
+        self.scheduler.close()
 
     # -- sync endpoints ----------------------------------------------------
 
     def run(self, body: Dict) -> Tuple[Dict, int]:
-        """``POST /run``: one point, synchronously, via the worker pool.
+        """``POST /run``: one point, synchronously, on a worker peer.
 
         Routed through :func:`api.grid` (not :func:`api.simulate`) so the
-        simulation runs in a pool *process*: a crash or hang is the
+        simulation runs in a peer *process*: a crash or hang is the
         fabric's problem — quarantined into an error envelope — never the
         daemon's.
         """
@@ -163,7 +160,7 @@ class SimulationService:
 
     def trace(self, body: Dict) -> Tuple[Dict, int]:
         """``POST /trace``: instrumented run, in-process (events cannot
-        cross the pickle boundary cheaply; tracing is bounded by scale)."""
+        cross the wire cheaply; tracing is bounded by scale)."""
         params, key = wire.parse_trace_request(body)
 
         def compute() -> Tuple[Dict, int]:
@@ -301,24 +298,10 @@ class SimulationService:
 
     # -- job executors (run on JobManager threads) -------------------------
 
-    def _make_backend(self, job=None) -> "api.ExecutorBackend":
-        """The executor backend one grid batch runs on.
-
-        ``local`` wraps the shared warm pool; ``subprocess`` spins up a
-        fresh set of worker peers per job whose scheduler events are
-        mirrored onto the job (per-node progress on ``/jobs/<id>``).
-        The caller must :meth:`close` the returned backend (a no-op for
-        the pool wrapper — the pool outlives the request).
-        """
-        if self.config.backend == "subprocess":
-            return api.SubprocessBackend(
-                nodes=self.config.backend_nodes or self.pool.jobs,
-                progress=self._job_progress(job) if job is not None else None,
-            )
-        return api.LocalPoolBackend(pool=self.pool)
-
     def _job_progress(self, job):
         """Scheduler progress hook -> job event stream + per-node table."""
+        if job is None:
+            return None
 
         def hook(event: str, **data) -> None:
             node = data.get("node")
@@ -337,6 +320,8 @@ class SimulationService:
                     entry["generation"] = data.get("generation")
                 elif event == "node.quarantined":
                     entry["state"] = "quarantined"
+                elif event == "node.recycled":
+                    entry["recycled"] = entry.get("recycled", 0) + 1
             job.emit(f"dist.{event}", **data)
 
         return hook
@@ -367,10 +352,6 @@ class SimulationService:
         return hook
 
     @staticmethod
-    def _job_cancel(job):
-        return job.cancel_event if job is not None else None
-
-    @staticmethod
     def _check_cancelled(job, cancelled: bool = False) -> None:
         """Land a cancel that the grid observed (or that raced the finish
         line) as :class:`JobCancelled` — the worker loop's signal to move
@@ -378,19 +359,21 @@ class SimulationService:
         if cancelled or (job is not None and job.cancel_event.is_set()):
             raise JobCancelled()
 
+    def _fabric(self, job=None) -> Dict:
+        """The grid arguments every request shares: the daemon's scheduler,
+        its fault policy, and the job's result stream, cancel signal and
+        per-node progress."""
+        return {
+            "scheduler": self.scheduler,
+            "task_timeout": self.config.request_timeout,
+            "max_retries": self.config.max_retries,
+            "on_result": self._job_results(job),
+            "cancel": job.cancel_event if job is not None else None,
+            "progress": self._job_progress(job),
+        }
+
     def _grid_report(self, points, job=None):
-        backend = self._make_backend(job)
-        try:
-            return api.grid(
-                points,
-                backend=backend,
-                task_timeout=self.config.request_timeout,
-                max_retries=self.config.max_retries,
-                on_result=self._job_results(job),
-                cancel=self._job_cancel(job),
-            )
-        finally:
-            backend.close()
+        return api.grid(points, **self._fabric(job))
 
     def _execute_grid(self, params: Dict, job: Job) -> Dict:
         report = self._grid_report(params["points"], job)
@@ -398,47 +381,33 @@ class SimulationService:
         return report.to_dict()
 
     def _execute_figure(self, params: Dict, job: Job) -> Dict:
-        backend = self._make_backend(job)
         try:
             result = api.figure(
                 params["figure"],
                 scale=params["scale"],
                 sampling=params["sampling"],
-                backend=backend,
-                task_timeout=self.config.request_timeout,
-                max_retries=self.config.max_retries,
-                on_result=self._job_results(job),
-                cancel=self._job_cancel(job),
+                **self._fabric(job),
             )
         except api.GridCancelled:
             raise JobCancelled()
         except api.GridFailureError as exc:
             self._check_cancelled(job)
             return wrap_error(exc.to_error())
-        finally:
-            backend.close()
         self._check_cancelled(job)
         return result.to_dict()
 
     def _execute_headline(self, params: Dict, job: Job) -> Dict:
-        backend = self._make_backend(job)
         try:
             claims = api.headline(
                 scale=params["scale"],
                 sampling=params["sampling"],
-                backend=backend,
-                task_timeout=self.config.request_timeout,
-                max_retries=self.config.max_retries,
-                on_result=self._job_results(job),
-                cancel=self._job_cancel(job),
+                **self._fabric(job),
             )
         except api.GridCancelled:
             raise JobCancelled()
         except api.GridFailureError as exc:
             self._check_cancelled(job)
             return wrap_error(exc.to_error())
-        finally:
-            backend.close()
         self._check_cancelled(job)
         return {
             "schema": SCHEMA_HEADLINE,
@@ -464,8 +433,8 @@ class SimulationService:
                 "sync_limit": self.config.sync_limit,
                 "request_timeout": self.config.request_timeout,
                 "pool": {
-                    "jobs": self.pool.jobs,
-                    "restarts": self.pool.restarts,
+                    "jobs": self.scheduler.nodes,
+                    "restarts": self.scheduler.restarts,
                 },
                 "dedup": {
                     "inflight": self.inflight.depth(),
@@ -754,11 +723,11 @@ def serve(config: Optional[ServiceConfig] = None, warm: bool = True) -> int:
     service: SimulationService = server.service  # type: ignore[attr-defined]
     if warm:
         warmed = service.warm()
-        print(f"serve: warmed {warmed} worker(s)", file=sys.stderr)
+        print(f"serve: warmed {warmed} worker peer(s)", file=sys.stderr)
     host, port = server.server_address[:2]
     print(
         f"serve: listening on http://{host}:{port} "
-        f"(pool={service.pool.jobs}, sync_limit={config.sync_limit}, "
+        f"(pool={service.scheduler.nodes}, sync_limit={config.sync_limit}, "
         f"queue_limit={config.queue_limit})",
         file=sys.stderr,
     )

@@ -1,10 +1,11 @@
-"""Backend parity: the execution substrate must never change the physics.
+"""Execution parity: the execution substrate must never change the physics.
 
 The same 60-point grid (all 12 benchmarks x 5 configurations spanning
-both widths and all three modes) runs through ``LocalPoolBackend`` and
-``SubprocessBackend`` from cold caches, and every ``SimStats`` field must
-come out bit-identical.  Sharding, the framed wire protocol and the
-cache-mediated result exchange are transport, not semantics.
+both widths and all three modes) runs in-process (``jobs=1``) and on two
+worker peers under a ``DistributedScheduler`` from cold caches, and
+every ``SimStats`` field must come out bit-identical.  Sharding, the
+framed wire protocol and the cache-mediated result exchange are
+transport, not semantics.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import dataclasses
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.distributed import LocalPoolBackend, SubprocessBackend
+from repro.experiments.distributed import DistributedScheduler
 from repro.experiments.parallel import GridPoint, GridReport, run_grid
 from repro.verify import faults
 from repro.workloads import ALL_BENCHMARKS
@@ -57,22 +58,20 @@ def _fingerprints(results):
     return {p: dataclasses.asdict(s) for p, s in results.items()}
 
 
-def _run_backend(tmp_path, monkeypatch, backend, cache_name):
-    """One cold run through ``backend`` in its own private disk cache."""
+def _run_cold(tmp_path, monkeypatch, cache_name, **fabric):
+    """One cold run of the grid in its own private disk cache."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / cache_name))
     runner.clear_memo()
     report = GridReport()
-    with backend:
-        results = run_grid(POINTS, backend=backend, report=report)
+    results = run_grid(POINTS, report=report, **fabric)
     assert report.ok, report.failed
     assert report.simulated == len(POINTS)
     return _fingerprints(results)
 
 
 def test_sixty_point_grid_identical_through_both_backends(fresh_state, monkeypatch):
-    local = _run_backend(fresh_state, monkeypatch, LocalPoolBackend(jobs=2), "local")
-    distributed = _run_backend(
-        fresh_state, monkeypatch, SubprocessBackend(nodes=2), "dist"
-    )
+    local = _run_cold(fresh_state, monkeypatch, "local", jobs=1)
+    with DistributedScheduler(nodes=2) as scheduler:
+        distributed = _run_cold(fresh_state, monkeypatch, "dist", scheduler=scheduler)
     assert set(local) == set(POINTS)
     assert local == distributed

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
 from repro.experiments import runner
-from repro.experiments.distributed import SubprocessBackend
+from repro.experiments.distributed import DistributedScheduler
 from repro.experiments.parallel import GridPoint, GridReport, run_grid
 from repro.verify import faults
 
@@ -81,8 +82,8 @@ def test_killed_worker_mid_grid_is_reassigned(fresh_state, monkeypatch):
         {"site": "node.crash", "action": "crash", "match": {"node": 0, "generation": 0}},
     ])
     report = GridReport()
-    with SubprocessBackend(nodes=2) as backend:
-        results = run_grid(POINTS, backend=backend, report=report)
+    with DistributedScheduler(nodes=2) as scheduler:
+        results = run_grid(POINTS, scheduler=scheduler, report=report)
     assert report.ok, report.failed
     assert report.nodes_lost == 1
     assert report.points_reassigned == 1
@@ -108,8 +109,8 @@ def test_poisoned_point_quarantines_without_costing_the_grid(
         },
     ])
     report = GridReport()
-    with SubprocessBackend(nodes=2) as backend:
-        results = run_grid(POINTS, backend=backend, report=report)
+    with DistributedScheduler(nodes=2) as scheduler:
+        results = run_grid(POINTS, scheduler=scheduler, report=report)
     assert not report.ok
     assert [failure.point for failure in report.failed] == [POISONED]
     failure = report.failed[0]
@@ -134,8 +135,8 @@ def test_corrupt_transport_frame_recycles_the_node(fresh_state, monkeypatch):
         },
     ])
     report = GridReport()
-    with SubprocessBackend(nodes=2) as backend:
-        results = run_grid(POINTS, backend=backend, report=report)
+    with DistributedScheduler(nodes=2) as scheduler:
+        results = run_grid(POINTS, scheduler=scheduler, report=report)
     assert report.ok, report.failed
     assert report.nodes_lost == 1
     assert report.points_reassigned == 1
@@ -162,11 +163,144 @@ def test_dropped_heartbeats_with_wedged_task_hit_the_liveness_clock(
         },
     ])
     report = GridReport()
-    with SubprocessBackend(
+    with DistributedScheduler(
         nodes=2, heartbeat_interval=0.2, heartbeat_timeout=2.0
-    ) as backend:
-        results = run_grid(POINTS, backend=backend, report=report)
+    ) as scheduler:
+        results = run_grid(POINTS, scheduler=scheduler, report=report)
     assert report.ok, report.failed
     assert report.nodes_lost == 1
     assert report.points_reassigned == 1
     assert _fingerprints(results) == reference
+
+
+def test_concurrent_batches_share_one_scheduler_and_survive_a_cancel(
+    fresh_state, monkeypatch
+):
+    """Three batches from three threads share one caller-owned scheduler
+    (more threads than peers or cores) and come back bit-identical to the
+    serial run; cancelling one drops only its own work, and the same
+    scheduler then serves a fourth batch."""
+    reference = _reference(fresh_state, monkeypatch)
+    batches = {"a": POINTS[0:2], "b": POINTS[2:4], "doomed": POINTS[4:6]}
+    stop = threading.Event()
+    reports = {name: GridReport() for name in batches}
+    results, errors = {}, []
+
+    def run(name, **extra):
+        try:
+            results[name] = run_grid(
+                batches[name], scheduler=scheduler, report=reports[name], **extra
+            )
+        except Exception as exc:  # surfaced below; a thread cannot raise
+            errors.append(exc)
+
+    with DistributedScheduler(nodes=2) as scheduler:
+        threads = [
+            threading.Thread(target=run, args=("a",)),
+            threading.Thread(target=run, args=("b",)),
+            threading.Thread(
+                target=run,
+                args=("doomed",),
+                kwargs={"cancel": stop, "on_result": lambda point, stats: stop.set()},
+            ),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+
+        for name in ("a", "b"):
+            assert reports[name].ok and not reports[name].cancelled
+            assert set(results[name]) == set(batches[name])
+            assert reports[name].nodes_lost == 0
+        assert reports["doomed"].cancelled
+        assert len(results["doomed"]) < len(batches["doomed"])
+        finished = {p: s for found in results.values() for p, s in found.items()}
+        assert _fingerprints(finished) == {p: reference[p] for p in finished}
+
+        again = GridReport()
+        rerun = run_grid(batches["doomed"], scheduler=scheduler, report=again)
+        assert again.ok and not again.cancelled
+        assert _fingerprints(rerun) == {p: reference[p] for p in batches["doomed"]}
+
+
+def test_poisoned_batch_cannot_take_peers_from_a_concurrent_one(
+    fresh_state, monkeypatch
+):
+    """Strikes belong to the batch whose point was in flight.  A batch
+    whose points crash every peer they land on strikes out on both slots
+    and fails; a concurrent healthy batch keeps both slots and completes
+    bit-identical, with no node counted against it."""
+    healthy = [
+        GridPoint(name, 4, 1, "noIM", SCALE)
+        for name in ("compress", "go", "swim", "perl", "ijpeg", "m88ksim", "applu", "vortex")
+    ]
+    poisoned = [GridPoint("li", 4, 1, mode, SCALE) for mode in ("V", "IM")]
+    reference = _reference(fresh_state, monkeypatch, healthy)
+    _arm(monkeypatch, [
+        {"site": "grid.point", "action": "crash", "match": {"benchmark": "li"}},
+        # slow healthy points keep the healthy batch queued while the
+        # poisoned one burns through its strikes
+        {"site": "grid.point", "action": "hang", "match": {"mode": "noIM"}, "delay": 0.4},
+    ])
+    started = threading.Event()
+    reports = {"healthy": GridReport(), "poisoned": GridReport()}
+    results, errors = {}, []
+
+    def run(name, points, **extra):
+        try:
+            results[name] = run_grid(
+                points, scheduler=scheduler, report=reports[name], **extra
+            )
+        except Exception as exc:  # surfaced below; a thread cannot raise
+            errors.append(exc)
+
+    def run_poisoned():
+        started.wait(60)
+        run("poisoned", poisoned)
+
+    with DistributedScheduler(nodes=2) as scheduler:
+        threads = [
+            threading.Thread(
+                target=run,
+                args=("healthy", healthy),
+                kwargs={"on_result": lambda point, stats: started.set()},
+            ),
+            threading.Thread(target=run_poisoned),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+    assert not errors, errors
+
+    bad = reports["poisoned"]
+    assert {failure.point for failure in bad.failed} == set(poisoned)
+    assert bad.nodes_lost >= 4
+    assert all(node["quarantined"] for node in bad.nodes)
+
+    good = reports["healthy"]
+    assert good.ok, good.failed
+    assert good.nodes_lost == 0
+    assert not any(node["quarantined"] for node in good.nodes)
+    assert _fingerprints(results["healthy"]) == reference
+
+
+def test_dispatcher_failure_raises_instead_of_hanging(fresh_state):
+    """An unexpected exception in the dispatcher thread reaches the
+    waiting caller, and every later call raises instead of blocking."""
+    scheduler = DistributedScheduler(nodes=1)
+
+    def broken():
+        raise KeyError("stats")
+
+    scheduler._dispatch = broken
+    try:
+        for _ in range(2):
+            with pytest.raises(RuntimeError, match="dispatcher failed"):
+                run_grid(POINTS[:2], scheduler=scheduler)
+    finally:
+        scheduler.close()

@@ -3,7 +3,7 @@
 One bad grid point must never cost the rest of the grid.  These tests
 script every failure class through :mod:`repro.verify.faults` —
 transient exceptions (retried), persistent exceptions (quarantined),
-worker crashes (pool salvage + isolation) and hangs (stall timeout) —
+worker crashes (peer loss + reassignment) and hangs (per-task deadline) —
 and assert both halves of the contract: the healthy points' results
 stay bit-identical to a fault-free run, and the failures are reported
 precisely (kind, attempts, exact point).
@@ -114,12 +114,12 @@ def test_clean_run_materializes_no_fabric_metrics(fresh_state):
     # registries stay bit-identical with the fault layer present.
     assert registry.get("grid.task_retries") is None
     assert registry.get("grid.tasks_failed") is None
-    assert registry.get("grid.pool_restarts") is None
+    assert registry.get("dist.nodes_lost") is None
 
 
 def test_worker_crash_salvages_the_grid_and_indicts_the_point(fresh_state, monkeypatch):
     reference = _reference(fresh_state, monkeypatch)
-    # The env form is what reaches pool workers (inherited environment).
+    # The env form is what reaches worker peers (inherited environment).
     monkeypatch.setenv(
         "REPRO_FAULTS",
         json.dumps([
@@ -140,9 +140,9 @@ def test_worker_crash_salvages_the_grid_and_indicts_the_point(fresh_state, monke
     # Exactly the crashing point is quarantined, with its retry count.
     (failure,) = report.failed
     assert failure.point == CRASHER
-    assert failure.kind == "crash"
+    assert failure.kind == "node.lost"
     assert failure.attempts == 2
-    assert report.pool_restarts >= 1
+    assert report.nodes_lost >= 1
 
 
 def test_hung_task_times_out_and_the_rest_complete(fresh_state, monkeypatch):
@@ -218,12 +218,12 @@ def test_sixty_point_grid_survives_a_crash_and_a_poisoned_point(
 
     assert len(report.failed) == 2
     by_point = {failure.point: failure for failure in report.failed}
-    assert by_point[crasher].kind == "crash"
+    assert by_point[crasher].kind == "node.lost"
     assert by_point[crasher].attempts == 2
     assert by_point[poisoned].kind == "error"
     assert by_point[poisoned].attempts == 2
     assert "poisoned" in by_point[poisoned].error
-    assert report.pool_restarts >= 1
+    assert report.nodes_lost >= 1
     assert not report.ok
 
 

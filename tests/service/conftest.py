@@ -3,7 +3,7 @@
 The daemon boots on an ephemeral port (``port=0``) with small limits so
 every test exercises the actual HTTP stack — routing, envelopes, status
 codes, headers — not a mocked transport.  Teardown stops the HTTP loop,
-the job workers and the process pool.
+the job workers and the worker peers.
 """
 
 from __future__ import annotations

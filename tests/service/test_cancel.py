@@ -1,9 +1,9 @@
 """``DELETE /jobs/<id>``: the cancellation path, end to end.
 
 Queued jobs move straight to terminal ``cancelled``; running jobs get a
-cooperative stop signal that the grid fabric observes — queued pool
-futures are cancelled, subprocess peers are torn down — and whatever
-completed first stays cached for the next identical request.
+cooperative stop signal that the grid fabric observes — the job's queued
+points are dropped, the peers running its points are recycled — and
+whatever completed first stays cached for the next identical request.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class TestCancelEdges:
 
 class TestCancelRunning:
     def test_local_backend_cancel_mid_grid(self, daemon, tmp_path, monkeypatch):
-        """Cancel a running pool-backed grid: 202 ``cancelling``, then
+        """Cancel a running grid: 202 ``cancelling``, then
         terminal ``cancelled`` once the fabric unwinds — and the points
         that completed first stay cached for an identical resubmission."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
@@ -189,46 +189,46 @@ class TestCancelRunning:
     def test_subprocess_backend_cancel_tears_down_nodes(
         self, daemon, tmp_path, monkeypatch
     ):
-        """Cancel a running subprocess-backed grid: the scheduler is
-        closed, every worker peer is reaped, and cached points survive
-        for the next identical grid."""
+        """Cancel a running grid on the daemon's shared scheduler: the
+        peers running the job's points are recycled (killed and respawned
+        under a new generation), the scheduler stays open, and cached
+        points survive for the next identical grid."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         monkeypatch.delenv("REPRO_FAULTS", raising=False)
         from repro.experiments import runner
 
         runner.clear_memo()
-        server, client = daemon(backend="subprocess", backend_nodes=2)
-        backends = []
-        make_backend = server.service._make_backend
-
-        def capture(job=None):
-            backend = make_backend(job)
-            backends.append(backend)
-            return backend
-
-        monkeypatch.setattr(server.service, "_make_backend", capture)
+        server, client = daemon(jobs=2)
+        scheduler = server.service.scheduler
 
         body = {"points": _slow_points()}
         status, payload, _ = client.request("POST", "/grid", body)
         assert status == 202
         job_id = payload["job"]["id"]
         _wait_first_result(server, job_id, timeout=120.0)
+        before = {slot.index: slot.peer.pid for slot in scheduler._slots}
 
         status, _, _ = client.request("DELETE", f"/jobs/{job_id}")
         assert status in (200, 202)
         final = client.wait_job(job_id, timeout=120.0)
         assert final["job"]["state"] == "cancelled"
 
-        # Node teardown: the job's scheduler is closed and no peer
-        # process is left running.
-        assert backends, "executor never built a backend"
-        scheduler = backends[0].scheduler
-        assert scheduler._closed
-        for slot in scheduler._slots:
-            assert slot.peer is None, f"slot {slot.index} still holds a peer"
+        # Recycling, not teardown: every peer the job still occupied was
+        # replaced by a live successor, and the scheduler keeps serving.
+        recycled = [
+            int(node)
+            for node, entry in final["job"]["progress"]["nodes"].items()
+            if entry.get("recycled")
+        ]
+        assert recycled, "no peer of the cancelled job was recycled"
+        assert not scheduler._closed
+        for index in recycled:
+            peer = scheduler._slots[index].peer
+            assert peer.pid != before[index]
+            assert peer.process.poll() is None
 
         # Worker-side persistence: completed points were written to the
-        # shared disk cache before the teardown, so the identical grid
+        # shared disk cache before the cancel, so the identical grid
         # reuses them.
         status, payload, _ = client.request("POST", "/grid", body)
         assert status == 202

@@ -1,5 +1,5 @@
-"""The daemon on the subprocess executor backend: async grid jobs route
-through worker peers, ``/jobs/<id>`` reports per-node progress, and an
+"""The daemon's worker peers: async grid jobs route through the shared
+scheduler's peers, ``/jobs/<id>`` reports per-node progress, and an
 injected node crash is absorbed without the client noticing anything but
 the accounting.
 """
@@ -37,7 +37,7 @@ def _grid_body():
 
 
 def test_grid_job_runs_on_subprocess_backend(daemon, fresh_cache):
-    _, client = daemon(backend="subprocess", backend_nodes=2)
+    _, client = daemon(jobs=2)
     status, payload, _ = client.request("POST", "/grid", _grid_body())
     assert status == 202
     final = client.wait_job(payload["job"]["id"])
@@ -67,7 +67,7 @@ def test_node_crash_under_the_daemon_is_reassigned(
             }
         ]),
     )
-    _, client = daemon(backend="subprocess", backend_nodes=2)
+    _, client = daemon(jobs=2)
     status, payload, _ = client.request("POST", "/grid", _grid_body())
     assert status == 202
     final = client.wait_job(payload["job"]["id"])
