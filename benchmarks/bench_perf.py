@@ -67,12 +67,13 @@ if str(REPO_ROOT / "src") not in sys.path:
 import repro.functional.trace as trace_mod  # noqa: E402
 from repro.experiments import diskcache  # noqa: E402
 from repro.functional import traceio  # noqa: E402
+from repro.functional.interpreter import run_program  # noqa: E402
 from repro.functional.trace import TraceSoA  # noqa: E402
 from repro.observe import MetricsRegistry, Observer, StageProfiler  # noqa: E402
 from repro.pipeline.config import make_config  # noqa: E402
 from repro.pipeline.machine import Machine  # noqa: E402
 from repro.sampling import SamplingConfig, run_sampled  # noqa: E402
-from repro.workloads.spec95 import cached_trace  # noqa: E402
+from repro.workloads.spec95 import build, cached_trace  # noqa: E402
 
 #: dynamic instructions per timed run.
 SCALE = 12_000
@@ -306,17 +307,19 @@ def observe_check(tolerance: float, scale: int = SCALE, rounds: int = ROUNDS) ->
 
 
 def soa_check(scale: int = SCALE) -> int:
-    """CI guard: the persisted-predecode (``soa``) cache must pay for
-    itself.
+    """CI guard: the persisted trace and predecode (``traces``/``soa``)
+    cache sections must pay for themselves.
 
     In a throwaway cache directory: one cold run builds and persists the
-    predecode, then the guard asserts that a warm load (a) decodes
-    strictly faster than rebuilding the :class:`TraceSoA` from the
-    in-memory entries — best-of-N ``process_time`` on both sides in the
-    same process, so host speed cancels — and (b) skips the per-entry
-    build scan entirely (the ``SOA_BUILDS`` counter stays flat across a
-    warm ``cached_trace``).  If either fails the cache is dead weight and
-    the serialization format needs rework.
+    trace and its predecode, then the guard asserts, with best-of-N
+    ``process_time`` on both sides in the same process so host speed
+    cancels, that (a) a warm soa load decodes strictly faster than
+    rebuilding the :class:`TraceSoA` from the in-memory entries, (b) a
+    warm trace-plus-soa load costs strictly less than rebuilding both
+    (``build`` + ``run_program`` + ``TraceSoA``), and (c) a warm
+    ``cached_trace`` skips the per-entry build scan entirely (the
+    ``SOA_BUILDS`` counter stays flat).  If any fails the cache is dead
+    weight and the binary codec needs rework.
     """
     name = POINTS["vector_V"][0]
     saved = {
@@ -327,9 +330,10 @@ def soa_check(scale: int = SCALE) -> int:
         os.environ["REPRO_CACHE_DIR"] = tmp
         os.environ.pop("REPRO_NO_DISK_CACHE", None)
         cached_trace.cache_clear()
-        trace = cached_trace(name, scale)  # cold: builds + persists the predecode
-        key = diskcache.soa_key(name, scale, 0)
-        text = (pathlib.Path(tmp) / "soa" / f"{key}.soa").read_text()
+        trace = cached_trace(name, scale)  # cold: builds + persists trace and predecode
+        root = pathlib.Path(tmp)
+        trace_bytes = (root / "traces" / f"{diskcache.trace_key(name, scale, 0)}.jsonl").read_bytes()
+        soa_bytes = (root / "soa" / f"{diskcache.soa_key(name, scale, 0)}.soa").read_bytes()
 
         def best_ms(fn, reps: int = 30) -> float:
             best = float("inf")
@@ -340,7 +344,15 @@ def soa_check(scale: int = SCALE) -> int:
             return best * 1e3
 
         build_ms = best_ms(lambda: TraceSoA(trace.entries))
-        load_ms = best_ms(lambda: traceio.loads_soa(text))
+        load_ms = best_ms(lambda: traceio.loads_soa(soa_bytes))
+        rebuild_ms = best_ms(
+            lambda: TraceSoA(run_program(build(name, scale, 0), max_instructions=scale).entries),
+            reps=15,
+        )
+        warm_ms = best_ms(
+            lambda: (traceio.loads_trace_binary(trace_bytes), traceio.loads_soa(soa_bytes)),
+            reps=15,
+        )
 
         cached_trace.cache_clear()  # force the disk path for the warm run
         before = trace_mod.SOA_BUILDS
@@ -356,16 +368,20 @@ def soa_check(scale: int = SCALE) -> int:
         cached_trace.cache_clear()
         shutil.rmtree(tmp, ignore_errors=True)
     print(
-        f"soa warm load {load_ms:.2f} ms vs entry-scan rebuild {build_ms:.2f} ms "
+        f"soa warm load {load_ms:.2f} ms vs entry-scan rebuild {build_ms:.2f} ms; "
+        f"trace+soa warm load {warm_ms:.2f} ms vs build+run+predecode {rebuild_ms:.2f} ms "
         f"({name}, {scale} entries); warm rebuilds: {rebuilds}"
     )
     if load_ms >= build_ms:
         print("FAIL: warm soa load is not cheaper than rebuilding the predecode")
         return 1
+    if warm_ms >= rebuild_ms:
+        print("FAIL: warm trace+soa load is not cheaper than rebuilding the trace")
+        return 1
     if rebuilds or not attached:
         print("FAIL: warm run did not serve the predecode from the soa cache")
         return 1
-    print("OK: warm soa-cache loads beat the predecode scan and skip it entirely")
+    print("OK: warm trace+soa cache loads beat rebuilding and skip the predecode scan")
     return 0
 
 
@@ -484,8 +500,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--soa-check",
         action="store_true",
-        help="guard: a warm soa-predecode cache load must beat rebuilding "
-        "from entries and must skip the per-entry build scan",
+        help="guard: warm soa and trace+soa cache loads must beat rebuilding "
+        "them and must skip the per-entry build scan",
     )
     parser.add_argument(
         "--scale",
@@ -573,10 +589,10 @@ def test_profile_section_reports_batch_widths():
 
 
 def test_soa_check_guard_passes_here():
-    """The cold/warm soa guard holds at the benchmark scale in-process.
+    """The cold/warm trace+soa guard holds at the benchmark scale in-process.
 
     Deliberately *not* reduced-scale: the decode has a fixed overhead
-    (header parse, Base85, zlib) that amortizes over entries — the
+    (zlib, unmarshal, payload checks) that amortizes over entries — the
     strictly-cheaper contract is claimed, and so must be proven, at the
     scale the timed benchmark actually runs.
     """

@@ -9,12 +9,13 @@ bit for bit.  This module caches both layers on disk:
 
 * **stats/** — one JSON file per simulated grid point (exact or sampled;
   sampled keys carry the sampling parameters);
-* **traces/** — one serialized functional trace per (benchmark, scale,
-  seed), in the :mod:`repro.functional.traceio` format;
+* **traces/** — one functional trace per (benchmark, scale, seed), in
+  the binary columnar codec of :mod:`repro.functional.traceio` (the
+  ``.jsonl`` suffix predates the codec);
 * **soa/** — the :class:`~repro.functional.trace.TraceSoA` predecode of
-  each cached trace (versioned columnar payload): warm runs attach it
-  instead of re-scanning every entry, so repeated experiments skip the
-  functional re-decode as well as the functional execution;
+  each cached trace, in the same codec: warm runs attach it instead of
+  re-scanning every entry, so repeated experiments skip the functional
+  re-decode as well as the functional execution;
 * **checkpoints/** — warmed microarchitectural state (cache contents,
   predictor tables, architectural memory) at sampled-window boundaries,
   written by :mod:`repro.sampling` so re-runs and worker peers
@@ -311,12 +312,13 @@ def _corrupt_fault(section: str, path: pathlib.Path) -> None:
     module.corrupt_file("cache.store", path, section=section)
 
 
-def _atomic_write(path: pathlib.Path, text: str) -> None:
+def _atomic_write(path: pathlib.Path, data) -> None:
+    """Write ``data`` (text or bytes) to ``path`` via a temp file + rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -409,12 +411,11 @@ def load_cached_trace(key: str) -> Optional[Trace]:
         return None
     path = _traces_dir() / f"{key}.jsonl"
     try:
-        with path.open() as handle:
-            trace = traceio.load_trace(handle)
+        trace = traceio.loads_trace_binary(path.read_bytes())
     except FileNotFoundError:
         COUNTERS.trace_misses += 1
         return None
-    except (traceio.TraceFormatError, ValueError, OSError):
+    except (traceio.TraceFormatError, OSError):
         COUNTERS.trace_misses += 1
         try:
             path.unlink()
@@ -430,7 +431,7 @@ def store_trace(key: str, trace: Trace) -> None:
     if not cache_enabled():
         return
     path = _traces_dir() / f"{key}.jsonl"
-    _atomic_write(path, traceio.dumps_trace(trace))
+    _atomic_write(path, traceio.dumps_trace_binary(trace))
     _corrupt_fault("trace", path)
 
 
@@ -467,11 +468,11 @@ def load_soa(key: str):
         return None
     path = _soa_dir() / f"{key}.soa"
     try:
-        soa = traceio.loads_soa(path.read_text())
+        soa = traceio.loads_soa(path.read_bytes())
     except FileNotFoundError:
         COUNTERS.soa_misses += 1
         return None
-    except (traceio.TraceFormatError, ValueError, OSError):
+    except (traceio.TraceFormatError, OSError):
         COUNTERS.soa_misses += 1
         try:
             path.unlink()

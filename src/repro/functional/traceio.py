@@ -1,12 +1,25 @@
-"""Trace serialization: save/load dynamic traces.
+"""Trace serialization: a binary codec for the disk cache, text for export.
 
 The timing model is trace-driven, so a serialized trace is a complete,
 self-contained simulation input — useful for regression fixtures (pin a
 trace, assert cycle counts), for sharing a misbehaving workload without
 its generator, and for offline analysis in other tools.
 
-Format 3 (current, written by default) is packed and compressed — trace
-files dominate disk-cache size once experiment scales grow 10×:
+**Binary columnar codec** (the disk cache's ``traces/`` and ``soa/``
+sections): :func:`dumps_trace_binary` / :func:`loads_trace_binary` and
+:func:`dumps_soa` / :func:`loads_soa`.  A payload is one :mod:`marshal`
+tuple — section tag, format version, entry count, then one list per
+column — compressed with zlib level 1.  ``marshal`` keeps the Python type
+of every value (int vs float vs bool, ``-0.0``, NaN) and decodes at C
+speed, and the trace decoder rebuilds each :class:`TraceEntry`
+positionally through an ``int -> Opcode`` table, so a warm load costs
+less than rebuilding the trace.  A version mismatch, a malformed shape,
+columns of unequal length and every decode error raise
+:class:`TraceFormatError`; the cache treats that as a miss.  The layout
+is CPython's own, which is fine for a cache and wrong for interchange.
+
+**Text formats** (export; :func:`dump_trace` / :func:`load_trace`).
+Format 3 (written by default) is packed and compressed:
 
 * line 1 — plain-JSON header: format version, entry count, halted flag,
   program listing length, backward-branch PCs;
@@ -24,10 +37,10 @@ Floats round-trip exactly in every format (JSON numbers are IEEE doubles,
 the same type the simulator computes with, and zlib compression is
 lossless).  The :class:`~repro.isa.program.Program` itself is *not*
 serialized — a loaded trace carries a stub program that supports exactly
-what the timing model needs (``is_backward`` per PC and ``len``).
-Formats 2+ record the backward-branch PCs explicitly in the header, so a
-loaded trace reproduces ``is_backward`` — and therefore every
-GMRBB-dependent timing statistic — bit-for-bit; format 1 files (no
+what the timing model needs (``is_backward`` per PC and ``len``).  The
+binary codec and text formats 2+ record the backward-branch PCs
+explicitly, so a loaded trace reproduces ``is_backward`` — and therefore
+every GMRBB-dependent timing statistic — bit-for-bit; format 1 files (no
 ``backward`` field) reconstruct control-flow direction from the observed
 dynamic transfers, which is lossy for branches whose last dynamic
 instance fell through.
@@ -35,27 +48,28 @@ instance fell through.
 
 from __future__ import annotations
 
-import array
 import base64
 import io
 import json
-import sys
+import marshal
 import zlib
+from operator import attrgetter
 from typing import IO, List, Union
 
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.program import Program
-from .memory import MemoryImage
+from .memory import MemoryImage, MisalignedAccess
 from .trace import Trace, TraceEntry, TraceSoA
 
 FORMAT_VERSION = 3
 
-#: layout version of the persisted :class:`TraceSoA` predecode.  Bumped
-#: whenever the SoA column set or element encoding changes; readers treat
-#: any other version as unreadable (the disk cache then rebuilds and
-#: rewrites the entry).
-SOA_FORMAT_VERSION = 1
+#: layout versions of the binary payloads (:func:`dumps_trace_binary`,
+#: :func:`dumps_soa`).  Bumped whenever a column set or element encoding
+#: changes; readers treat any other version as unreadable (the disk cache
+#: then rebuilds and rewrites the entry).
+TRACE_BINARY_VERSION = 1
+SOA_FORMAT_VERSION = 2
 
 #: versions :func:`load_trace` understands.
 _READABLE_VERSIONS = (1, 2, 3)
@@ -88,21 +102,26 @@ class TraceFormatError(Exception):
     """Raised when a stream does not hold a valid serialized trace."""
 
 
-#: TraceEntry fields in column order (format 3 body and legacy row order).
+#: TraceEntry fields in column order (format 3 body, legacy row order and
+#: the binary codec, which rebuilds entries positionally: this must stay
+#: TraceEntry's constructor order).
 _ENTRY_FIELDS = (
     "seq", "pc", "op", "rd", "rs1", "rs2", "imm",
     "s1", "s2", "value", "addr", "taken", "next_pc",
 )
 
 
+def _backward_pcs(program: Program) -> List[int]:
+    return [pc for pc in range(len(program)) if program.is_backward(pc)]
+
+
 def _header(trace: Trace, version: int) -> dict:
-    program = trace.program
     return {
         "format": version,
         "entries": len(trace.entries),
         "halted": trace.halted,
-        "program_len": len(program),
-        "backward": [pc for pc in range(len(program)) if program.is_backward(pc)],
+        "program_len": len(trace.program),
+        "backward": _backward_pcs(trace.program),
     }
 
 
@@ -197,10 +216,50 @@ def _stub_program_from_backward(program_len: int, backward: List[int]) -> Progra
     backward by definition; everything else is NOP)."""
     instructions = [Instruction(Opcode.NOP) for _ in range(max(1, program_len))]
     for pc in backward:
-        if not 0 <= pc < len(instructions):
+        if type(pc) is not int or not 0 <= pc < len(instructions):
             raise TraceFormatError(f"backward pc {pc} out of range")
         instructions[pc] = Instruction(Opcode.J, target=pc)
     return Program(instructions)
+
+
+def _checked_header(header) -> dict:
+    """``header`` if it is a well-formed text-trace header line."""
+    if not isinstance(header, dict):
+        raise TraceFormatError(f"header is not an object: {type(header).__name__}")
+    version = header.get("format")
+    if version not in _READABLE_VERSIONS:
+        raise TraceFormatError(f"unsupported format {version!r}")
+    if (
+        type(header.get("entries")) is not int
+        or type(header.get("program_len")) is not int
+        or type(header.get("halted")) is not bool
+        or (version >= 2 and not isinstance(header.get("backward"), list))
+    ):
+        raise TraceFormatError("malformed header")
+    return header
+
+
+def _assemble(program, entries, memory, int_regs, fp_regs, halted) -> Trace:
+    """A :class:`Trace` whose final memory replays the stores over ``memory``."""
+    st, fst = Opcode.ST, Opcode.FST
+    try:
+        initial = MemoryImage(memory)
+        final = initial.copy()
+        for e in entries:
+            op = e.op
+            if op is st or op is fst:
+                final.store(e.addr, e.value)
+    except (MisalignedAccess, TypeError) as exc:
+        raise TraceFormatError(f"bad memory image: {exc}") from exc
+    return Trace(
+        program=program,
+        entries=entries,
+        initial_memory=initial,
+        final_memory=final,
+        final_int_regs=list(int_regs),
+        final_fp_regs=list(fp_regs),
+        halted=halted,
+    )
 
 
 def load_trace(stream: IO[str]) -> Trace:
@@ -209,9 +268,7 @@ def load_trace(stream: IO[str]) -> Trace:
         header = json.loads(stream.readline())
     except json.JSONDecodeError as exc:
         raise TraceFormatError("bad header line") from exc
-    version = header.get("format")
-    if version not in _READABLE_VERSIONS:
-        raise TraceFormatError(f"unsupported format {version!r}")
+    version = _checked_header(header)["format"]
     entries: List[TraceEntry] = []
     if version >= 3:
         try:
@@ -269,26 +326,17 @@ def load_trace(stream: IO[str]) -> Trace:
                     next_pc=row[12],
                 )
             )
-    initial = MemoryImage({int(addr): value for addr, value in memory_line.items()})
-    # Rebuild the final memory by replaying stores over the initial image.
-    final = initial.copy()
-    for e in entries:
-        if e.is_store:
-            final.store(e.addr, e.value)
     if version >= 2:
-        program = _stub_program_from_backward(
-            header["program_len"], header.get("backward", [])
-        )
+        program = _stub_program_from_backward(header["program_len"], header["backward"])
     else:
         program = _stub_program(header["program_len"], entries)
-    return Trace(
-        program=program,
-        entries=entries,
-        initial_memory=initial,
-        final_memory=final,
-        final_int_regs=list(regs_line["int"]),
-        final_fp_regs=list(regs_line["fp"]),
-        halted=header["halted"],
+    return _assemble(
+        program,
+        entries,
+        {int(addr): value for addr, value in memory_line.items()},
+        regs_line["int"],
+        regs_line["fp"],
+        header["halted"],
     )
 
 
@@ -300,73 +348,94 @@ def loads_trace(text: Union[str, bytes]) -> Trace:
 
 
 # ---------------------------------------------------------------------------
-# TraceSoA predecode (the disk cache's ``soa`` section)
+# Binary columnar codec (the disk cache's ``traces`` and ``soa`` sections)
 # ---------------------------------------------------------------------------
 
+#: opcode number -> Opcode, for the positional entry rebuild.
+_OPCODES = {int(op): op for op in Opcode}
 
-def dumps_soa(soa: TraceSoA) -> str:
-    """Serialize a :class:`TraceSoA` predecode to two text lines.
 
-    Header line: plain JSON (SoA format version, entry count, byte order,
-    item size).  Body line: one Base85 string of the zlib-compressed
-    concatenation of every column as a packed ``array('q')`` — loading is
-    a C-speed ``frombytes``/``tolist`` per column, which is what makes a
-    warm load strictly cheaper than re-scanning the trace entries (every
-    column is integral; boolean columns ride as 0/1, which the consumers
-    only ever use as truth values).
+def _pack(tag: str, version: int, n: int, meta: tuple, columns) -> bytes:
+    """One marshal tuple ``(tag, version, n, meta, *columns)``, zlib level 1."""
+    return zlib.compress(marshal.dumps((tag, version, n, meta, *columns)), 1)
+
+
+def _unpack(data: bytes, tag: str, version: int, width: int):
+    """``(meta, columns)`` of a :func:`_pack` payload.
+
+    Checks the tag, the version, the column count and that every column
+    is a list of exactly ``n`` values (``zip``/``map`` over the columns
+    would silently truncate a short one); anything else, and every
+    decompression or unmarshalling error, raises :class:`TraceFormatError`.
     """
-    header = {
-        "soa_format": SOA_FORMAT_VERSION,
-        "entries": len(soa.kind),
-        "byteorder": sys.byteorder,
-        "itemsize": array.array("q").itemsize,
-    }
-    raw = b"".join(
-        array.array("q", getattr(soa, name)).tobytes() for name in TraceSoA.__slots__
+    try:
+        payload = marshal.loads(zlib.decompress(data))
+    except (zlib.error, EOFError, ValueError, TypeError) as exc:
+        raise TraceFormatError(f"undecodable {tag} payload: {exc}") from exc
+    if type(payload) is not tuple or len(payload) != 4 + width or payload[0] != tag:
+        raise TraceFormatError(f"not a {tag} payload")
+    if type(payload[1]) is not int or payload[1] != version:
+        raise TraceFormatError(f"unsupported {tag} format {payload[1]!r}")
+    n, meta, columns = payload[2], payload[3], payload[4:]
+    if type(n) is not int or not all(type(c) is list and len(c) == n for c in columns):
+        raise TraceFormatError(f"{tag} columns disagree in length")
+    return meta, columns
+
+
+def dumps_trace_binary(trace: Trace) -> bytes:
+    """Serialize ``trace`` to the binary columnar payload (disk cache)."""
+    entries = trace.entries
+    columns = [list(map(attrgetter(name), entries)) for name in _ENTRY_FIELDS]
+    columns[2] = list(map(int, columns[2]))  # Opcode -> its number
+    meta = (
+        trace.halted,
+        len(trace.program),
+        _backward_pcs(trace.program),
+        dict(trace.initial_memory.items()),
+        list(trace.final_int_regs),
+        list(trace.final_fp_regs),
     )
-    body = base64.b85encode(zlib.compress(raw, 6)).decode("ascii")
-    return json.dumps(header) + "\n" + body + "\n"
+    return _pack("trace", TRACE_BINARY_VERSION, len(entries), meta, columns)
 
 
-def loads_soa(text: Union[str, bytes]) -> TraceSoA:
+def loads_trace_binary(data: bytes) -> Trace:
+    """Deserialize a trace written by :func:`dumps_trace_binary`."""
+    meta, columns = _unpack(data, "trace", TRACE_BINARY_VERSION, len(_ENTRY_FIELDS))
+    if (
+        type(meta) is not tuple
+        or len(meta) != 6
+        or type(meta[0]) is not bool
+        or type(meta[1]) is not int
+        or not all(type(part) is t for part, t in zip(meta[2:], (list, dict, list, list)))
+    ):
+        raise TraceFormatError("bad trace metadata")
+    halted, program_len, backward, memory, int_regs, fp_regs = meta
+    seqs, pcs, ops, *rest = columns
+    try:
+        ops = list(map(_OPCODES.__getitem__, ops))
+    except (KeyError, TypeError) as exc:
+        raise TraceFormatError(f"bad opcode column: {exc}") from exc
+    entries = list(map(TraceEntry, seqs, pcs, ops, *rest))
+    program = _stub_program_from_backward(program_len, backward)
+    return _assemble(program, entries, memory, int_regs, fp_regs, halted)
+
+
+def dumps_soa(soa: TraceSoA) -> bytes:
+    """Serialize a :class:`TraceSoA` predecode to the binary columnar payload.
+
+    Every column is integral or boolean and keeps its element types, so
+    a warm load hands the run loop exactly the lists a fresh build would.
+    """
+    columns = [getattr(soa, name) for name in TraceSoA.__slots__]
+    return _pack("soa", SOA_FORMAT_VERSION, len(soa.kind), (), columns)
+
+
+def loads_soa(data: bytes) -> TraceSoA:
     """Deserialize a predecode written by :func:`dumps_soa`.
 
-    Raises :class:`TraceFormatError` for any version mismatch, size
+    Raises :class:`TraceFormatError` for any version mismatch, shape
     disagreement, or undecodable body — the disk cache maps every such
     failure to a miss (rebuild and rewrite).
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    lines = text.splitlines()
-    if len(lines) < 2:
-        raise TraceFormatError("truncated soa payload")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise TraceFormatError("bad soa header line") from exc
-    if not isinstance(header, dict) or header.get("soa_format") != SOA_FORMAT_VERSION:
-        raise TraceFormatError(
-            f"unsupported soa format "
-            f"{header.get('soa_format') if isinstance(header, dict) else header!r}"
-        )
-    n = header.get("entries")
-    itemsize = array.array("q").itemsize
-    if not isinstance(n, int) or n < 0 or header.get("itemsize") != itemsize:
-        raise TraceFormatError("bad soa header")
-    try:
-        raw = zlib.decompress(base64.b85decode(lines[1].strip().encode("ascii")))
-    except (ValueError, zlib.error) as exc:
-        raise TraceFormatError(f"bad packed soa body: {exc}") from exc
-    fields = TraceSoA.__slots__
-    width = n * itemsize
-    if len(raw) != width * len(fields):
-        raise TraceFormatError("bad soa body size")
-    swap = header.get("byteorder") != sys.byteorder
-    columns = {}
-    for i, name in enumerate(fields):
-        arr = array.array("q")
-        arr.frombytes(raw[i * width : (i + 1) * width])
-        if swap:
-            arr.byteswap()
-        columns[name] = arr.tolist()
-    return TraceSoA.from_columns(columns)
+    _, columns = _unpack(data, "soa", SOA_FORMAT_VERSION, len(TraceSoA.__slots__))
+    return TraceSoA.from_columns(dict(zip(TraceSoA.__slots__, columns)))

@@ -269,8 +269,8 @@ def cached_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Trace:
     configurations (9 machine configs x 2 widths in Fig 11), so caching the
     architectural execution cuts experiment time roughly 10x.  The disk
     layer (:mod:`repro.experiments.diskcache`) extends that across
-    processes: a serialized trace round-trips bit-identically (including
-    per-PC control-flow direction — traceio format 2), so warm runs skip
+    processes: a cached trace round-trips bit-identically (including
+    per-PC control-flow direction — traceio's binary codec), so warm runs skip
     program construction and functional execution entirely.  Callers must
     treat the returned trace as immutable.
     """
