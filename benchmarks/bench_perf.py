@@ -146,8 +146,8 @@ def _batch_summary(hist) -> dict:
     ``median`` is *operation-weighted* — the batch width the median
     dispatched operation rode in — so a run that issues one 1000-wide
     batch and one 1-wide batch reports ~1000, not 500.  This is the
-    number that shows whether cross-cycle batching is actually amortizing
-    per-call overhead over wide groups.
+    number that shows whether batching actually amortizes per-call
+    overhead over wide groups.
     """
     counts = hist.counts
     if not counts:
@@ -171,9 +171,8 @@ def profile_section(scale: int = SCALE) -> dict:
     :class:`MetricsRegistry`: the payload records which stage's Python is
     hot (``stage_wall_fraction``), which stages the simulated machine
     keeps busy (``stage_cycle_fraction``), and — under ``batch`` — how
-    wide the execute-stage kernel batches (``kernel.batch_size``) and the
-    vector engine's deferred cross-cycle value batches
-    (``engine.batch_size``) ran.  The profiler's hooks sit in the same run
+    wide the execute-stage kernel batches (``kernel.batch_size``) ran.
+    The profiler's hooks sit in the same run
     loop the timed KIPS runs execute; profiled runs are bit-identical to
     plain ones, only slower by the clock reads.
     """
@@ -185,7 +184,6 @@ def profile_section(scale: int = SCALE) -> dict:
         out[label] = observer.profiler.to_dict()
         out[label]["batch"] = {
             "kernel": _batch_summary(observer.metrics.histogram("kernel.batch_size")),
-            "engine": _batch_summary(observer.metrics.histogram("engine.batch_size")),
         }
     return out
 
@@ -576,16 +574,12 @@ def test_batch_summary_is_operation_weighted():
 
 
 def test_profile_section_reports_batch_widths():
-    """A profiled V run surfaces kernel and engine batch histograms."""
+    """A profiled V run surfaces the execute-stage kernel batch histogram."""
     trace = cached_trace("swim", 2_500)
     observer = Observer(metrics=MetricsRegistry(), profiler=StageProfiler())
     Machine(make_config(4, 1, "V"), trace, observer=observer).run()
     kernel = _batch_summary(observer.metrics.histogram("kernel.batch_size"))
-    engine = _batch_summary(observer.metrics.histogram("engine.batch_size"))
     assert kernel["batches"] > 0 and kernel["max"] >= kernel["median"] >= 1
-    # The deferred cross-cycle ALU batches are the V-gap tentpole: they
-    # must exist and be wider than the per-cycle issue width.
-    assert engine["batches"] > 0 and engine["median"] > 4
 
 
 def test_soa_check_guard_passes_here():

@@ -40,7 +40,7 @@ from typing import Deque, List, Optional, Tuple, Union
 
 from typing import TYPE_CHECKING
 
-from ..functional.semantics import apply_alu
+from ..functional.semantics import alu_function
 from ..isa.opcodes import FU_LATENCY, Opcode, fu_class_of
 from ..observe.events import (
     SQUASH_COHERENCE,
@@ -56,7 +56,6 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with the pipeline
     from ..observe import Observer
     from ..pipeline.config import MachineConfig
     from ..pipeline.stats import SimStats
-from .kernel import alu_values, issue_slots
 from .table_of_loads import TableOfLoads
 from .vector_regfile import VectorRegister, VectorRegisterFile
 from .vrmt import VRMT, VRMTEntry
@@ -66,10 +65,8 @@ Number = Union[int, float]
 #: sentinel distinguishing "no scalar source seen" from a captured None.
 _NO_SCALAR = object()
 
-#: deferred-ALU-batch size cap: a flush is forced once this many element
-#: values are pending, bounding the buffers on runs whose values are
-#: never observed (invariant checking off, no dependent reads).
-_DEFER_WATERMARK = 4096
+#: the second ALU operand of a single-source opcode: broadcast constant 0.
+_ZERO_OPERAND = (None, 0, 0)
 
 #: FAULT-INJECTION HOOK — test use only.  True disables the §3.6 store
 #: range coherence check entirely, re-creating the classic silent-
@@ -126,9 +123,14 @@ _SCALAR_DECISION = Decision(DecodeKind.SCALAR)
 class VectorAluInstance:
     """A pending vector arithmetic operation (element-wise, pipelined).
 
-    ``srcs`` entries are ``("V", reg, base_elem)`` — element ``k`` of the
-    destination reads element ``k - start + base_elem`` of the source — or
-    ``("S", value)`` for broadcast scalar/immediate operands (§3.4).
+    Operands arrive split once, at creation, as ``(reg, offset, value)``
+    triples in ISA source order: destination element ``k`` reads element
+    ``k + offset`` of vector source ``reg``, or, when ``reg`` is None, the
+    broadcast scalar/immediate ``value`` (§3.4).  They land in the two
+    ALU operand fields the datapath reads per element (``a_*`` and
+    ``b_*``); a single-source opcode gets a constant 0 second operand.
+    ``fn`` is the opcode's callable from the dispatch table
+    :func:`~repro.functional.semantics.apply_alu` uses.
 
     Elements are scheduled individually as their source elements become
     available (sources may themselves trickle in when element fetching is
@@ -142,12 +144,15 @@ class VectorAluInstance:
 
     __slots__ = (
         "dest",
-        "op",
-        "srcs",
-        "start",
+        "fn",
+        "a_reg",
+        "a_off",
+        "a_val",
+        "b_reg",
+        "b_off",
+        "b_val",
         "alloc_cycle",
         "next_elem",
-        "pipe_start",
         "last_issue",
         "fu_unit",
         "fu_class",
@@ -158,22 +163,24 @@ class VectorAluInstance:
         self,
         dest: VectorRegister,
         op: Opcode,
-        srcs: List[Tuple],
+        operands: List[Tuple],
         start: int,
         alloc_cycle: int,
     ) -> None:
         self.dest = dest
-        self.op = op
-        self.srcs = srcs
-        self.start = start
+        self.fn = alu_function(op)
+        self.a_reg, self.a_off, self.a_val = operands[0]
+        self.b_reg, self.b_off, self.b_val = (
+            operands[1] if len(operands) > 1 else _ZERO_OPERAND
+        )
         self.alloc_cycle = alloc_cycle
         #: next destination element awaiting scheduling.
         self.next_elem = start
-        #: cycle the assigned FU opened up for this instance (set lazily).
-        self.pipe_start: Optional[int] = None
-        #: issue slot of the previously scheduled element (pipelining).
+        #: issue slot of the previously scheduled element (pipelining;
+        #: read only once the instance holds its FU).
         self.last_issue = -1
-        #: index of the vector FU this instance occupies (set lazily).
+        #: index of the vector FU this instance occupies (set lazily, when
+        #: its first element is ready).
         self.fu_unit: Optional[int] = None
         #: FU class / latency for ``op``, fixed per instance (set once here
         #: so the per-cycle scheduler skips the per-call table lookups).
@@ -182,24 +189,6 @@ class VectorAluInstance:
 
     #: re-initialize a pooled record in place (same signature as __init__).
     reset = __init__
-
-    @property
-    def done(self) -> bool:
-        return self.next_elem >= self.dest.length
-
-    def src_elem_known(self, k: int) -> bool:
-        """All source elements feeding dest element ``k`` have scheduled
-        compute times (defunct/freed sources count as known — their values
-        are garbage, but consumers of garbage are squashed before commit)."""
-        for desc in self.srcs:
-            if desc[0] != "V":
-                continue
-            reg, base = desc[1], desc[2]
-            if reg.defunct or reg.freed or reg.abandoned:
-                continue
-            if reg.r_time[k - self.start + base] is None:
-                return False
-        return True
 
 
 class VectorizationEngine:
@@ -244,30 +233,6 @@ class VectorizationEngine:
         self._decision = Decision(DecodeKind.SCALAR)
         #: recycled VectorAluInstance records (see tick()).
         self._alu_pool: List[VectorAluInstance] = []
-        #: deferred cross-cycle ALU value batches, op -> (a_ops, b_ops,
-        #: [(dest_reg, elem), ...]).  Issue slots, r_time and FU occupancy
-        #: are still computed eagerly (they are timing-observable); only
-        #: the element *values* accumulate here so one kernel call
-        #: evaluates many cycles' worth of elements.  Flushed when a
-        #: scheduled element depends on a deferred value, when a committing
-        #: validation observes one (invariant check), or at the watermark.
-        self._defer: dict = {}
-        #: (dest_reg, elem) -> (op, buffer position): lets a single
-        #: observed/depended-on element be materialized exactly (shared
-        #: apply_alu) without draining the whole batch.
-        self._defer_pos: dict = {}
-        self._defer_n = 0
-        #: invariant checks whose element value is still deferred:
-        #: (reg, elem, trace_entry).  Verified inside the batch flush so
-        #: observation does not shrink the batches; a wrong value raises
-        #: the same MisspeculationError, just at flush instead of commit
-        #: (both inside run(), so callers see no difference).
-        self._defer_checks: List[Tuple] = []
-        self._engine_batch_hist = (
-            observer.metrics.histogram("engine.batch_size").observe
-            if observer is not None and observer.metrics is not None
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Decode-time decisions
@@ -419,8 +384,7 @@ class VectorizationEngine:
         ``("imm", value)``.
         """
         pc = entry.pc
-        # Single pass over the descriptors replaces the old
-        # any(...) + _mixed_scalar_value() pair (decode hot path).
+        # One pass over the descriptors (decode hot path).
         any_vector = False
         scalar_value = first_scalar = _NO_SCALAR
         for d in src_descs:
@@ -500,17 +464,6 @@ class VectorizationEngine:
             return False
         return True
 
-    @staticmethod
-    def _mixed_scalar_value(src_descs: Tuple[Tuple, ...]) -> Optional[Number]:
-        """The captured scalar-register value for mixed instances (§3.2),
-        or None when no scalar register participates alongside a vector."""
-        if not any(d[0] == "V" for d in src_descs):
-            return None
-        for d in src_descs:
-            if d[0] == "S":
-                return d[2]
-        return None
-
     def _source_elems_aligned(
         self, mapping: VRMTEntry, src_descs: Tuple[Tuple, ...]
     ) -> bool:
@@ -534,35 +487,38 @@ class VectorizationEngine:
         scalar_value: Optional[Number],
         now: int,
     ) -> Decision:
+        """Allocate a register for a vector ALU instance (``src_descs``
+        holds at least one vector source; :meth:`decode_alu` checks)."""
         pc = entry.pc
-        if not any(d[0] == "V" for d in src_descs):
-            return self._decide(DecodeKind.SCALAR)
+        start = 0
+        for d in src_descs:
+            if d[0] == "V" and d[2] > start:
+                start = d[2]
         prev_state = self.vrmt.table.peek(pc)
         rollback = (pc, prev_state, prev_state.offset if prev_state is not None else 0)
-        start = max(d[2] for d in src_descs if d[0] == "V")
         reg = self.vrf.allocate(pc, is_load=False, start_offset=start, mrbb=self.gmrbb)
         if reg is None:
             self.stats.vreg_alloc_failures += 1
             self._sweep_frees(now)
             return self._decide(DecodeKind.SCALAR, vrmt_rollback=rollback)
-        srcs: List[Tuple] = []
+        operands: List[Tuple] = []
         recorded_desc = []
         for d in src_descs:
             if d[0] == "V":
-                srcs.append(("V", d[1], d[2]))
+                operands.append((d[1], d[2] - start, 0))
                 recorded_desc.append(("V", d[1].slot, d[1].gen, d[2]))
             elif d[0] == "S":
-                srcs.append(("S", d[2]))
+                operands.append((None, 0, d[2]))
                 recorded_desc.append(("S", d[1]))
             else:  # immediate
-                srcs.append(("S", d[1]))
+                operands.append((None, 0, d[1]))
                 recorded_desc.append(("imm",))
         pool = self._alu_pool
         if pool:
             instance = pool.pop()
-            instance.reset(reg, entry.op, srcs, start, now)
+            instance.reset(reg, entry.op, operands, start, now)
         else:
-            instance = VectorAluInstance(reg, entry.op, srcs, start, now)
+            instance = VectorAluInstance(reg, entry.op, operands, start, now)
         self.pending_alu.append(instance)
         self.vrmt.insert(
             pc,
@@ -596,208 +552,103 @@ class VectorizationEngine:
     # ------------------------------------------------------------------
 
     def tick(self, now: int) -> None:
-        """Advance the vector ALU datapath: schedule every pending element
-        whose sources now have known compute times (called once per cycle)."""
+        """Advance the vector ALU datapath by one cycle: one pass over the
+        pending instances that both times and computes every element whose
+        sources now have known compute times.
+
+        Per instance, the contiguous run of ready elements starting at
+        ``next_elem`` is scheduled: a live source element with no compute
+        time yet ends the run (defunct / freed / abandoned sources count as
+        ready — their values are garbage, but consumers of garbage are
+        squashed before commit).  Each element issues at
+        ``max(prev_issue + 1, pipe_start, src_ready)`` — one element per
+        cycle through one pipelined FU, claimed (least-busy unit of the
+        opcode's class) when the instance's first element is ready; the
+        ``pipe_start`` bound is the first ``prev_issue + 1``.  Its
+        ``r_time`` is the issue slot plus the FU latency, and its value is
+        written to ``dest.values`` in the same step, so every scheduled
+        element holds its real value.
+        """
         if not self.pending_alu:
             return
         cancel_dead = self._cancel_dead
         pool = self._alu_pool
+        fu_free = self.vec_fu_free
         remaining = []
         for inst in self.pending_alu:
             dest = inst.dest
             if dest.freed:
                 pool.append(inst)
                 continue
+            k = inst.next_elem
+            length = dest.length
             if cancel_dead and not dest.defunct and self._register_is_dead(dest):
                 # Future-work extension: skip computing elements nobody can
                 # ever validate (complete them as garbage so freeing and
                 # dependent timing still resolve).
-                while inst.next_elem < dest.length:
-                    if dest.r_time[inst.next_elem] is None:
-                        dest.r_time[inst.next_elem] = now
+                r_time = dest.r_time
+                for j in range(k, length):
+                    if r_time[j] is None:
+                        r_time[j] = now
                         self.stats.fetches_cancelled += 1
-                    inst.next_elem += 1
                 pool.append(inst)
                 continue
-            # Probe the first pending element's sources before building any
-            # batch arrays: the common steady state is "still waiting on
-            # the producer's next element", which needs no list work.
-            first = inst.next_elem
-            if first >= dest.length:
-                pool.append(inst)
-                continue
-            base = first - inst.start
-            blocked = False
-            for desc in inst.srcs:
-                if desc[0] == "V":
-                    reg = desc[1]
-                    if reg.r_time[base + desc[2]] is None and not (
-                        reg.defunct or reg.freed or reg.abandoned
-                    ):
-                        blocked = True
-                        break
-            if blocked:
-                remaining.append(inst)
-                continue
-            self._schedule_alu_elements(inst, now)
-            if inst.done:
-                pool.append(inst)
-            else:
-                remaining.append(inst)
-        self.pending_alu = remaining
-
-    def _schedule_alu_elements(self, inst: VectorAluInstance, now: int) -> None:
-        """Schedule ready elements of one ALU instance onto its vector FU.
-
-        Runs in two passes: a gather pass collects the contiguous run of
-        elements whose source elements all have known compute times (a
-        live source element with no compute time yet stops the run;
-        defunct / freed / abandoned sources count as known — their values
-        are garbage, but consumers of garbage are squashed before commit),
-        then the run's issue slots and element values are evaluated as one
-        batch through :mod:`repro.core.kernel`.
-
-        The issue recurrence per element is
-        ``issue = max(prev_issue + 1, pipe_start, src_ready)`` — one
-        element per cycle through one pipelined FU; ``issue_slots`` folds
-        the constant ``pipe_start`` bound into the first slot's floor
-        (later slots are already > it by monotonicity)."""
-        dest = inst.dest
-        start = inst.start
-        srcs = inst.srcs
-        dest_length = dest.length
-        first = inst.next_elem
-        if first >= dest_length:
-            return
-        a_ops: List[Number] = []
-        b_ops: List[Number] = []
-        readys: List[int] = []
-        k = first
-        while k < dest_length:
-            operands: List[Number] = []
-            src_ready = 0
-            blocked = False
-            for desc in srcs:
-                if desc[0] == "V":
-                    reg, base = desc[1], desc[2]
-                    idx = k - start + base
-                    rt = reg.r_time[idx]
-                    if rt is None:
-                        if not (reg.defunct or reg.freed or reg.abandoned):
-                            blocked = True
-                            break
-                    elif rt > src_ready:
-                        src_ready = rt
-                    if (reg.pend_bits >> idx) & 1:
-                        # Dependence: this operand's value is still in the
-                        # deferred batch — materialize just that element
-                        # (the batch keeps accumulating).
-                        self._materialize_element(reg, idx)
-                    operands.append(reg.values[idx])
+            first = k
+            a_reg = inst.a_reg
+            b_reg = inst.b_reg
+            while k < length:
+                ready = 0
+                if a_reg is None:
+                    a = inst.a_val
                 else:
-                    operands.append(desc[1])
-            if blocked:
-                break
-            a_ops.append(operands[0])
-            b_ops.append(operands[1] if len(operands) > 1 else 0)
-            readys.append(src_ready)
-            k += 1
-        n = len(readys)
-        if n == 0:
-            return
-        pool = self.vec_fu_free[inst.fu_class]
-        if inst.pipe_start is None:
-            unit = min(range(len(pool)), key=pool.__getitem__)
-            inst.pipe_start = max(now, pool[unit], inst.alloc_cycle + 1)
-            inst.last_issue = inst.pipe_start - 1
-            inst.fu_unit = unit
-        floor = inst.last_issue + 1
-        if inst.pipe_start > floor:
-            floor = inst.pipe_start
-        issues = issue_slots(readys, floor)
-        dest_r_time = dest.r_time
-        latency = inst.latency
-        for i in range(n):
-            dest_r_time[first + i] = issues[i] + latency
-        last = issues[-1]
-        inst.last_issue = last
-        unit = inst.fu_unit
-        if pool[unit] < last + 1:
-            pool[unit] = last + 1
-        inst.next_elem = first + n
-        # Timing is fully resolved above; the element *values* join the
-        # cross-cycle per-opcode batch instead of being evaluated now, so
-        # one kernel call covers many instances' elements.
-        defer = self._defer
-        op = inst.op
-        buf = defer.get(op)
-        if buf is None:
-            buf = defer[op] = ([], [], [])
-        a_buf = buf[0]
-        pos = len(a_buf)
-        a_buf.extend(a_ops)
-        buf[1].extend(b_ops)
-        dests = buf[2]
-        defer_pos = self._defer_pos
-        for i in range(n):
-            dests.append((dest, first + i))
-            defer_pos[(dest, first + i)] = (op, pos + i)
-        dest.pend_bits |= ((1 << n) - 1) << first
-        self._defer_n += n
-        if self._defer_n >= _DEFER_WATERMARK:
-            self._flush_deferred()
-
-    def _flush_deferred(self) -> None:
-        """Materialize every deferred ALU value batch.
-
-        Called on dependence (a newly scheduling element reads a deferred
-        value), on observation (a committing validation's invariant check
-        reads one), at the watermark, and at finalize.  Writing into a
-        register that went defunct or was freed while its values were
-        deferred is harmless — those values are never read (defunct
-        registers fail validation before the invariant check, freed ones
-        are frozen garbage)."""
-        defer = self._defer
-        if not defer:
-            return
-        hist = self._engine_batch_hist
-        for op, (a_ops, b_ops, dests) in defer.items():
-            if hist is not None:
-                hist(len(a_ops))
-            values = alu_values(op, a_ops, b_ops)
-            for (reg, idx), value in zip(dests, values):
-                # Elements materialized early are simply rewritten with
-                # the same value (same operands, deterministic op).
-                reg.values[idx] = value
-                reg.pend_bits &= ~(1 << idx)
-        defer.clear()
-        self._defer_pos.clear()
-        self._defer_n = 0
-        checks = self._defer_checks
-        if checks:
-            for reg, k, entry in checks:
-                expected = entry.value
-                got = reg.values[k]
-                if got != expected and not (
-                    isinstance(got, float)
-                    and isinstance(expected, float)
-                    and got != got
-                    and expected != expected
-                ):
-                    raise MisspeculationError(
-                        f"validation committed wrong value at pc {entry.pc} "
-                        f"seq {entry.seq} elem {k}: vector={got!r} "
-                        f"architectural={expected!r}"
-                    )
-            checks.clear()
-
-    def _materialize_element(self, reg: VectorRegister, k: int) -> None:
-        """Evaluate one deferred element in place (exact: the same shared
-        apply_alu the batch kernel uses) without draining the batch."""
-        op, j = self._defer_pos[(reg, k)]
-        buf = self._defer[op]
-        reg.values[k] = apply_alu(op, buf[0][j], buf[1][j])
-        reg.pend_bits &= ~(1 << k)
+                    i = k + inst.a_off
+                    t = a_reg.r_time[i]
+                    if t is None:
+                        if not (a_reg.defunct or a_reg.freed or a_reg.abandoned):
+                            break
+                    else:
+                        ready = t
+                    a = a_reg.values[i]
+                if b_reg is None:
+                    b = inst.b_val
+                else:
+                    i = k + inst.b_off
+                    t = b_reg.r_time[i]
+                    if t is None:
+                        if not (b_reg.defunct or b_reg.freed or b_reg.abandoned):
+                            break
+                    elif t > ready:
+                        ready = t
+                    b = b_reg.values[i]
+                if k == first:
+                    # The run has at least one element: bind the timing and
+                    # value state (a blocked visit never gets this far).
+                    r_time = dest.r_time
+                    values = dest.values
+                    fn = inst.fn
+                    latency = inst.latency
+                    units = fu_free[inst.fu_class]
+                    unit = inst.fu_unit
+                    if unit is None:
+                        unit = min(range(len(units)), key=units.__getitem__)
+                        inst.fu_unit = unit
+                        prev = max(now, units[unit], inst.alloc_cycle + 1) - 1
+                    else:
+                        prev = inst.last_issue
+                prev = prev + 1 if prev + 1 > ready else ready
+                r_time[k] = prev + latency
+                values[k] = fn(a, b)
+                k += 1
+            if k > first:
+                inst.last_issue = prev
+                if units[unit] <= prev:
+                    units[unit] = prev + 1
+                inst.next_elem = k
+                if k == length:
+                    pool.append(inst)
+                    continue
+            remaining.append(inst)
+        self.pending_alu = remaining
 
     def take_fetches(self, limit: int) -> List[Tuple[VectorRegister, int, int]]:
         """Pop up to ``limit`` live element fetches for the memory stage.
@@ -857,19 +708,6 @@ class VectorizationEngine:
     # Validation execution & commit
     # ------------------------------------------------------------------
 
-    def validation_check(self, fl) -> bool:
-        """Execute-time check for a validation/trigger instruction.
-
-        Returns True when the element is good; False fires misspeculation
-        recovery in the machine (squash + scalar re-execution).
-        """
-        reg: VectorRegister = fl.vreg
-        if reg.freed or reg.defunct:
-            return False
-        if fl.pred_addr is not None and fl.pred_addr != fl.entry.addr:
-            return False
-        return True
-
     def on_validation_failure(self, fl, now: int) -> None:
         """Misspeculation: drop the mapping, punish the stride entry.
 
@@ -911,25 +749,19 @@ class VectorizationEngine:
         reg: VectorRegister = fl.vreg
         k = fl.velem
         if self._check_invariants:
-            if (reg.pend_bits >> k) & 1:
-                # The element's value still sits in the deferred ALU batch;
-                # queue the check to run inside the flush (keeping the
-                # batch wide) instead of materializing the value now.
-                self._defer_checks.append((reg, k, fl.entry))
-            else:
-                expected = fl.entry.value
-                got = reg.values[k]
-                if got != expected and not (
-                    isinstance(got, float)
-                    and isinstance(expected, float)
-                    and got != got
-                    and expected != expected
-                ):  # NaN compares unequal to itself but is the same datum
-                    raise MisspeculationError(
-                        f"validation committed wrong value at pc {fl.entry.pc} "
-                        f"seq {fl.entry.seq} elem {k}: vector={got!r} "
-                        f"architectural={expected!r}"
-                    )
+            expected = fl.entry.value
+            got = reg.values[k]
+            if got != expected and not (
+                isinstance(got, float)
+                and isinstance(expected, float)
+                and got != got
+                and expected != expected
+            ):  # NaN compares unequal to itself but is the same datum
+                raise MisspeculationError(
+                    f"validation committed wrong value at pc {fl.entry.pc} "
+                    f"seq {fl.entry.seq} elem {k}: vector={got!r} "
+                    f"architectural={expected!r}"
+                )
         bit = 1 << k
         reg.v_bits |= bit
         reg.u_bits &= ~bit
@@ -1119,9 +951,6 @@ class VectorizationEngine:
 
     def finalize(self, now: int) -> None:
         """End of run: account element fates of still-live registers."""
-        # Drain the deferred value batches so the engine.batch_size
-        # histogram observes the tail groups too.
-        self._flush_deferred()
         for reg in self.vrf.live_registers():
             used, unused, not_computed = reg.element_fates(now)
             self.stats.elements_computed_used += used

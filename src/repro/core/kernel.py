@@ -1,19 +1,18 @@
-"""Batched execution kernels: the data-parallel math behind the vector datapath.
+"""Batched address kernels for the vector datapath.
 
-The vector engine (:mod:`repro.core.engine`) and the vector register file
-(:mod:`repro.core.vector_regfile`) collect work into parallel lists
-(operand values, predicted addresses, source-ready times) and evaluate
-each group with *one* call here instead of element by element.  Every
-ALU result comes from the same :func:`~repro.functional.semantics.apply_alu`
-the functional interpreter uses, so the vector datapath cannot drift from
-the architectural semantics.
+Two plain functions over parallel lists, called once per group instead of
+element by element: the vector register file uses :func:`pred_addrs` for
+a strided load register's predicted element addresses and
+:func:`range_hits` for the §3.6 store check against every indexed load
+range.  Vector ALU elements are not evaluated here: the engine's
+:meth:`~repro.core.engine.VectorizationEngine.tick` computes each
+element's value when it schedules it, with the opcode's callable from
+:func:`~repro.functional.semantics.apply_alu`'s dispatch table.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence
-
-from ..functional.semantics import apply_alu
 
 
 def pred_addrs(base: int, stride: int, n: int) -> List[int]:
@@ -24,20 +23,3 @@ def pred_addrs(base: int, stride: int, n: int) -> List[int]:
 def range_hits(addr: int, firsts: Sequence[int], lasts: Sequence[int]) -> List[int]:
     """Indices whose [first, last] address range covers ``addr`` (§3.6)."""
     return [i for i in range(len(firsts)) if firsts[i] <= addr <= lasts[i]]
-
-
-def alu_values(op, a: Sequence, b: Sequence) -> List:
-    """Element-wise ALU results for one opcode group."""
-    return [apply_alu(op, x, y) for x, y in zip(a, b)]
-
-
-def issue_slots(ready: Sequence[int], floor: int) -> List[int]:
-    """Pipelined issue recurrence: element ``k`` issues at
-    ``max(prev_issue + 1, floor, ready[k])`` (one element per cycle
-    through one FU, never before its sources or the pipe opens)."""
-    out = []
-    prev = floor - 1
-    for r in ready:
-        prev = prev + 1 if prev + 1 > r else r
-        out.append(prev)
-    return out

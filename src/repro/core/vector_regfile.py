@@ -55,7 +55,6 @@ class VectorRegister:
         "v_bits",
         "u_bits",
         "f_bits",
-        "pend_bits",
         "pred_addrs",
         "first_addr",
         "last_addr",
@@ -100,9 +99,6 @@ class VectorRegister:
         # Elements below start_offset do not exist for this instance; mark
         # them vacuously complete so the freeing rules read naturally.
         self.f_bits = (1 << start_offset) - 1
-        #: elements whose ALU result value sits in the engine's deferred
-        #: cross-cycle batch and has not been written to ``values`` yet.
-        self.pend_bits = 0
         #: predicted element addresses (loads only).
         self.pred_addrs: List[int] = []
         self.first_addr = 0

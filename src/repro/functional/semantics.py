@@ -153,6 +153,16 @@ def _build_alu_dispatch() -> Dict[Opcode, Callable[[Number, Number], Number]]:
 _ALU_DISPATCH = _build_alu_dispatch()
 
 
+def alu_function(op: Opcode) -> Callable[[Number, Number], Number]:
+    """The ``(a, b) -> result`` callable :func:`apply_alu` applies for
+    ``op`` — for callers that evaluate one opcode many times (the vector
+    datapath looks it up once per vector instance)."""
+    fn = _ALU_DISPATCH.get(op)
+    if fn is None:
+        raise ValueError(f"apply_alu: {op.name} is not an arithmetic opcode")
+    return fn
+
+
 def apply_alu(op: Opcode, a: Number, b: Number) -> Number:
     """Compute the result of arithmetic opcode ``op`` on operands ``a, b``.
 
@@ -162,10 +172,7 @@ def apply_alu(op: Opcode, a: Number, b: Number) -> Number:
     the opcode (int ops truncate floats toward zero; fp ops widen ints), so
     the function is total over any register contents.
     """
-    fn = _ALU_DISPATCH.get(op)
-    if fn is None:
-        raise ValueError(f"apply_alu: {op.name} is not an arithmetic opcode")
-    return fn(a, b)
+    return (_ALU_DISPATCH.get(op) or alu_function(op))(a, b)
 
 
 def branch_taken(op: Opcode, a: Number, b: Number) -> bool:

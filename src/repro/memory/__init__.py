@@ -2,7 +2,7 @@
 
 from .cache import Cache, CacheStats
 from .hierarchy import HierarchyConfig, MemoryHierarchy
-from .ports import DataPorts, ReadTransaction, WORDS_PER_LINE
+from .ports import DataPorts, WORDS_PER_LINE
 
 __all__ = [
     "Cache",
@@ -10,6 +10,5 @@ __all__ = [
     "HierarchyConfig",
     "MemoryHierarchy",
     "DataPorts",
-    "ReadTransaction",
     "WORDS_PER_LINE",
 ]

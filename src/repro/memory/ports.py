@@ -23,31 +23,11 @@ This module owns two pieces of bookkeeping the experiments need:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List
 
 
 #: Words per cache line / wide-bus transfer (32-byte lines of 8-byte words).
 WORDS_PER_LINE = 4
-
-
-@dataclass(slots=True)
-class ReadTransaction:
-    """Usefulness accounting for one read access of a line."""
-
-    useful_words: int = 0
-    speculative_words: int = 0
-
-    def cap(self) -> None:
-        total = self.useful_words + self.speculative_words
-        if total > WORDS_PER_LINE:
-            # More loads than words can only mean duplicates to the same
-            # word; clamp to the physical line size.
-            overflow = total - WORDS_PER_LINE
-            take = min(overflow, self.speculative_words)
-            self.speculative_words -= take
-            overflow -= take
-            self.useful_words -= overflow
 
 
 class DataPorts:
@@ -63,7 +43,11 @@ class DataPorts:
         self.cycles = 0
         self.read_transactions = 0
         self.write_transactions = 0
-        self._txns: List[ReadTransaction] = []
+        #: per-read-transaction word counts, indexed by transaction id:
+        #: two parallel int lists instead of one record per read, so a run
+        #: leaves two containers, not thousands, for the garbage collector.
+        self.useful_words: List[int] = []
+        self.speculative_words: List[int] = []
 
     # -- per-cycle arbitration ------------------------------------------------
 
@@ -88,33 +72,46 @@ class DataPorts:
     def open_read(self) -> int:
         """Start a read transaction; returns its id for later attribution."""
         self.read_transactions += 1
-        self._txns.append(ReadTransaction())
-        return len(self._txns) - 1
+        self.useful_words.append(0)
+        self.speculative_words.append(0)
+        return len(self.useful_words) - 1
 
     def open_write(self) -> None:
         """Record a write (store-commit) transaction; writes carry no
         usefulness accounting — Fig 13 is about read lines only."""
         self.write_transactions += 1
 
+    def _set_capped(self, txn: int, useful: int, speculative: int) -> None:
+        """Store ``txn``'s word counts clamped to the physical line size:
+        more loads than words can only mean duplicates to the same word,
+        so the overflow comes out of the speculative words first."""
+        overflow = useful + speculative - WORDS_PER_LINE
+        if overflow > 0:
+            take = min(overflow, speculative)
+            speculative -= take
+            useful -= overflow - take
+        self.useful_words[txn] = useful
+        self.speculative_words[txn] = speculative
+
     def add_useful(self, txn: int, words: int = 1) -> None:
         """Words of the transaction consumed by committed-path scalar loads."""
-        t = self._txns[txn]
-        t.useful_words += words
-        t.cap()
+        self._set_capped(
+            txn, self.useful_words[txn] + words, self.speculative_words[txn]
+        )
 
     def add_speculative(self, txn: int, words: int = 1) -> None:
         """Words fetched for vector elements, pending validation."""
-        t = self._txns[txn]
-        t.speculative_words += words
-        t.cap()
+        self._set_capped(
+            txn, self.useful_words[txn], self.speculative_words[txn] + words
+        )
 
     def element_validated(self, txn: int) -> None:
         """A vector element fetched by ``txn`` was validated: its word
         becomes useful."""
-        t = self._txns[txn]
-        if t.speculative_words > 0:
-            t.speculative_words -= 1
-            t.useful_words = min(WORDS_PER_LINE, t.useful_words + 1)
+        speculative = self.speculative_words[txn]
+        if speculative > 0:
+            self.speculative_words[txn] = speculative - 1
+            self.useful_words[txn] = min(WORDS_PER_LINE, self.useful_words[txn] + 1)
 
     # -- reporting ---------------------------------------------------------------
 
@@ -132,12 +129,12 @@ class DataPorts:
         and never validated).  Fractions sum to 1 over read transactions.
         """
         counts = {"1": 0, "2": 0, "3": 0, "4": 0, "unused": 0}
-        for t in self._txns:
-            if t.useful_words == 0:
+        for useful in self.useful_words:
+            if useful == 0:
                 counts["unused"] += 1
             else:
-                counts[str(min(WORDS_PER_LINE, t.useful_words))] += 1
-        total = len(self._txns)
+                counts[str(min(WORDS_PER_LINE, useful))] += 1
+        total = len(self.useful_words)
         if not total:
             return {k: 0.0 for k in counts}
         return {k: v / total for k, v in counts.items()}

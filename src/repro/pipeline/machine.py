@@ -37,8 +37,9 @@ as a unit, with one shared completion time per FU class.  The
 per-instruction properties the scheduler needs (kind, FU class, latency,
 dependence registers, ...) come from the trace's structure-of-arrays
 predecode (:meth:`repro.functional.trace.Trace.soa`), shared by fetch,
-dispatch and execute.  The vector datapath's data-parallel math lives in
-:mod:`repro.core.kernel`, called by the engine, not by this module.
+dispatch and execute.  The vector datapath (element scheduling and
+values) is the engine's :meth:`~repro.core.engine.VectorizationEngine.tick`,
+called once per cycle while vector ALU work is pending.
 """
 
 from __future__ import annotations
@@ -722,6 +723,11 @@ class Machine:
                             if engine is not None:
                                 conflict = on_store_commit(fl.addr, now)
                         rob.popleft()
+                        # Only a squash reads the rename rollback token,
+                        # and a committed instruction cannot be squashed;
+                        # dropping it keeps the committed writers from
+                        # chaining the whole run's history together.
+                        fl.saved_tok = None
                         if kind == K_LOAD or kind == K_STORE:
                             lsq = self.lsq
                             if lsq[0] is fl:
@@ -1291,9 +1297,8 @@ class Machine:
                         fl = InFlight(seq, entry, kind, addrs[seq])
                     if kind == K_LOAD:
                         r = d1s[seq]
-                        dep = rename[r] if r >= 0 else None
-                        fl.base_dep = dep
-                        fl.dep1 = dep
+                        if r >= 0:
+                            fl.dep1 = rename[r]
                         rd = rds[seq]
                         if rd > 0:
                             fl.saved_rd = rd

@@ -110,3 +110,26 @@ def test_write_transactions_counted_separately():
     ports.open_write()
     assert ports.write_transactions == 1
     assert ports.read_transactions == 0
+
+
+def test_word_counts_cap_and_validate_on_the_flat_lists():
+    # Per-read word counts live in two parallel int lists indexed by
+    # transaction id; the line-size cap takes overflow out of the
+    # speculative words first, then the useful ones.
+    ports = DataPorts(1, wide=True)
+    a = ports.open_read()
+    b = ports.open_read()
+    assert (a, b) == (0, 1)
+    ports.add_speculative(a, 3)
+    ports.add_useful(a, 2)  # 5 words on a 4-word line: one speculative goes
+    assert (ports.useful_words[a], ports.speculative_words[a]) == (2, 2)
+    ports.add_useful(a, 3)  # 7 words: both speculative go, then one useful
+    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
+    ports.element_validated(a)  # nothing speculative left: no change
+    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
+    ports.add_speculative(b, 2)
+    ports.element_validated(b)
+    assert (ports.useful_words[b], ports.speculative_words[b]) == (1, 1)
+    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
+    hist = ports.usefulness_histogram()
+    assert hist["4"] == 0.5 and hist["1"] == 0.5

@@ -1,5 +1,9 @@
 """White-box tests of the machine's internal state transitions."""
 
+import gc
+
+import pytest
+
 from repro.pipeline import make_config
 from repro.pipeline.machine import (
     K_LOAD,
@@ -7,8 +11,10 @@ from repro.pipeline.machine import (
     K_STORE,
     K_TRIGGER,
     K_VALIDATION,
+    InFlight,
     Machine,
 )
+from repro.workloads.spec95 import cached_trace
 
 from ..conftest import asm_trace
 
@@ -213,3 +219,26 @@ def test_machine_reports_wedge_instead_of_hanging():
         assert "wedged" in str(exc)
     else:  # pragma: no cover
         raise AssertionError("expected a wedge diagnosis")
+
+
+@pytest.mark.parametrize("name,mode", [("gcc", "noIM"), ("swim", "V")])
+def test_run_leaves_no_committed_history_reachable(name, mode):
+    # A committed instruction cannot be squashed, so its rename rollback
+    # token is dropped at commit; otherwise every committed writer links
+    # to the one before it and the whole run stays alive for the garbage
+    # collector to walk.  After run() the only InFlight records left are
+    # the rename map's last writers and the recycled validation records.
+    trace = cached_trace(name, 2000)
+    gc.collect()
+    before = [o for o in gc.get_objects() if isinstance(o, InFlight)]
+    machine = Machine(make_config(4, 1, mode), trace)
+    machine.run()
+    gc.collect()
+    old = {id(o) for o in before}
+    live = {
+        id(o) for o in gc.get_objects() if isinstance(o, InFlight) and id(o) not in old
+    }
+    held = {id(tok) for tok in machine.rename if isinstance(tok, InFlight)}
+    held |= {id(fl) for fl in machine._vec_pool}
+    assert not machine.rob
+    assert live <= held, f"{len(live - held)} committed InFlight records still reachable"
