@@ -6,16 +6,8 @@ per CPU-second (KIPS) for one representative scalar-mode run and one
 V-mode run.  Results are written machine-readably to ``BENCH_perf.json``
 at the repository root so successive PRs can track the trend.
 
-Two sections:
-
-* **exact** — the cycle model's raw throughput on the 12k experiment
-  scale (the PR-1 hot-loop trajectory);
-* **sampled** — the sampled-simulation subsystem at 10x that scale:
-  effective KIPS, speedup over an exact run of the same trace, and the
-  IPC estimation error it costs (see docs/PERFORMANCE.md for the
-  accuracy story).
-
-Plus a **profile** section: per-pipeline-stage wall-clock and
+The main section is the cycle model's raw throughput on the 12k
+experiment scale (the hot-loop trajectory).  Plus a **profile** section: per-pipeline-stage wall-clock and
 simulated-cycle attribution for each exact point, collected by
 :class:`repro.observe.StageProfiler` (see docs/OBSERVABILITY.md).
 
@@ -72,7 +64,6 @@ from repro.functional.trace import TraceSoA  # noqa: E402
 from repro.observe import MetricsRegistry, Observer, StageProfiler  # noqa: E402
 from repro.pipeline.config import make_config  # noqa: E402
 from repro.pipeline.machine import Machine  # noqa: E402
-from repro.sampling import SamplingConfig, run_sampled  # noqa: E402
 from repro.workloads.spec95 import build, cached_trace  # noqa: E402
 
 #: dynamic instructions per timed run.
@@ -85,20 +76,6 @@ POINTS = {
 }
 #: best-of repetitions per configuration.
 ROUNDS = 5
-
-#: sampled-mode section: 10x the exact scale, default sampling geometry.
-SAMPLED_SCALE = 120_000
-#: best-of repetitions for the (much longer) sampled/exact 120k runs.
-SAMPLED_ROUNDS = 2
-#: sampled points use benchmarks from the accuracy-pinned set
-#: (tests/sampling/test_accuracy.py) so the recorded ipc_error tracks the
-#: subsystem's representative behaviour; the suite-wide error table —
-#: outliers included — lives in docs/PERFORMANCE.md.
-SAMPLED_POINTS = {
-    "scalar_noIM": ("m88ksim", 4, 1, "noIM"),
-    "scalar_IM": ("m88ksim", 4, 1, "IM"),
-    "vector_V": ("swim", 4, 1, "V"),
-}
 
 #: KIPS measured on the pre-optimization code (recorded in the same PR
 #: that added the hot-loop work; see docs/PERFORMANCE.md).  Median of
@@ -188,48 +165,8 @@ def profile_section(scale: int = SCALE) -> dict:
     return out
 
 
-def measure_sampled_point(
-    name: str,
-    width: int,
-    ports: int,
-    mode: str,
-    scale: int = SAMPLED_SCALE,
-    sampling: SamplingConfig | None = None,
-    rounds: int = SAMPLED_ROUNDS,
-) -> dict:
-    """Sampled-vs-exact comparison for one point at large scale.
-
-    Returns effective sampled KIPS (committed instructions *estimated*,
-    i.e. the full trace, over the sampled run's CPU time), the exact
-    run's KIPS on the same trace, their ratio, and the IPC estimation
-    error.  Checkpoints are off so the speedup reflects cold warming.
-    """
-    sampling = sampling or SamplingConfig()
-    trace = cached_trace(name, scale)
-    config = make_config(width, ports, mode)
-    t0 = time.process_time()
-    exact = Machine(config, trace).run()
-    exact_elapsed = time.process_time() - t0
-    best = 0.0
-    sampled = None
-    for _ in range(rounds):
-        t0 = time.process_time()
-        sampled = run_sampled(make_config(width, ports, mode), trace, sampling)
-        elapsed = time.process_time() - t0
-        best = max(best, sampled.committed / 1000.0 / elapsed)
-    exact_kips = exact.committed / 1000.0 / exact_elapsed
-    return {
-        "kips": round(best, 2),
-        "exact_kips": round(exact_kips, 2),
-        "speedup": round(best / exact_kips, 2),
-        "ipc_error": round(sampled.ipc / exact.ipc - 1.0, 4),
-    }
-
-
-def run_benchmark(
-    include_sampled: bool = True, scale: int = SCALE, rounds: int = ROUNDS
-) -> dict:
-    """Measure every point and assemble the BENCH_perf.json payload.
+def run_benchmark(scale: int = SCALE, rounds: int = ROUNDS) -> dict:
+    """Measure every point: the KIPS part of the BENCH_perf.json payload.
 
     ``scale``/``rounds`` shrink the run for CI lanes: KIPS is
     scale-insensitive here (the hot loop does the same per-instruction
@@ -252,21 +189,6 @@ def run_benchmark(
         "speedup": speedup,
         "min_speedup": min(speedup.values()),
     }
-    if include_sampled:
-        defaults = SamplingConfig()
-        points = {
-            label: measure_sampled_point(*point)
-            for label, point in SAMPLED_POINTS.items()
-        }
-        payload["sampled"] = {
-            "scale": SAMPLED_SCALE,
-            "window": defaults.window,
-            "interval": defaults.interval,
-            "points": points,
-            "min_speedup": min(p["speedup"] for p in points.values()),
-            "max_abs_ipc_error": max(abs(p["ipc_error"]) for p in points.values()),
-        }
-        payload["profile"] = profile_section(scale)
     return payload
 
 
@@ -396,7 +318,7 @@ def check_regression(tolerance: float, scale: int = SCALE, rounds: int = ROUNDS)
     """
     recorded = json.loads(RESULT_PATH.read_text())
     floor = recorded["min_speedup"] * (1.0 - tolerance)
-    fresh = run_benchmark(include_sampled=False, scale=scale, rounds=rounds)
+    fresh = run_benchmark(scale=scale, rounds=rounds)
     print(json.dumps(fresh, indent=2))
     print(
         f"min_speedup: fresh {fresh['min_speedup']:.3f} vs recorded "
@@ -522,6 +444,7 @@ def main(argv=None) -> int:
     if args.check:
         return check_regression(args.tolerance, args.scale, args.rounds)
     payload = run_benchmark(scale=args.scale, rounds=args.rounds)
+    payload["profile"] = profile_section(args.scale)
     payload["history"] = append_history(payload, args.timestamp)
     if RESULT_PATH.exists():  # bench_service.py owns the "service" section
         try:
@@ -591,16 +514,6 @@ def test_soa_check_guard_passes_here():
     scale the timed benchmark actually runs.
     """
     assert soa_check() == 0
-
-
-def test_sampled_harness_runs():
-    """Smoke: the sampled section measures at a tiny scale too."""
-    result = measure_sampled_point(
-        "compress", 4, 1, "noIM",
-        scale=6_000, sampling=SamplingConfig(window=200, interval=1000), rounds=1,
-    )
-    assert result["kips"] > 0
-    assert abs(result["ipc_error"]) < 1.0
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 A thin shell over the stable :mod:`repro.api` facade.  Commands:
 
-* ``figures [--scale N] [--sampled] [--only figNN ...] [--jobs J]
+* ``figures [--scale N] [--only figNN ...] [--jobs J]
   [--campaign] [--point-budget N] [--task-timeout S] [--max-retries N]
   [--json]`` — regenerate the paper's figures; the grid points behind
   the selected figures are collected up front and computed in-process
@@ -12,7 +12,7 @@ A thin shell over the stable :mod:`repro.api` facade.  Commands:
   — the command exits 1 when any grid point remains failed after
   retries; ``--campaign`` persists a resumable manifest (kill it, then
   ``resume <id>``);
-* ``headline [--scale N] [--sampled] [--jobs J] [--task-timeout S]
+* ``headline [--scale N] [--jobs J] [--task-timeout S]
   [--max-retries N] [--json]`` — measure the paper's headline claims,
   same batched execution and failure semantics;
 * ``resume CAMPAIGN_ID [--jobs J] [--point-budget N] [--json]`` —
@@ -22,7 +22,7 @@ A thin shell over the stable :mod:`repro.api` facade.  Commands:
   worker peer speaking the framed JSON task protocol on stdin/stdout
   (spawned by the scheduler, not meant for hand use);
 * ``run <benchmark> [--width W] [--ports P] [--mode M] [--scale N]
-  [--sampled] [--json]`` — simulate one benchmark on one configuration;
+  [--json]`` — simulate one benchmark on one configuration;
 * ``trace <benchmark> [--events SPEC] [--limit N] [--output FILE]``
   — run one *instrumented* simulation and emit its captured events as
   JSONL (one event object per line); ``--events`` filters by kind
@@ -50,11 +50,6 @@ All JSON output — success or failure — carries the v2 envelope
 (``schema`` / ``ok`` / ``error`` + payload, :mod:`repro.schemas`);
 error paths answer with ``repro.error/v1`` envelopes.
 
-``--sampled`` switches the simulations to sampled mode (functional
-warming + detailed windows, see :mod:`repro.sampling`);
-``--window``/``--interval`` override the sampling parameters (and imply
-``--sampled``).  Exact simulation remains the default.
-
 ``--json`` on ``run``/``figures``/``headline`` prints the facade's
 versioned :meth:`to_dict` payloads instead of tables — the machine
 interface scripts should parse.
@@ -81,7 +76,7 @@ def _print_rows(title: str, rows) -> None:
 
 
 def _positive_int(text: str) -> int:
-    """argparse type for flags where zero is meaningless (window/interval/jobs)."""
+    """argparse type for flags where zero is meaningless (jobs, limits)."""
     try:
         value = int(text)
     except ValueError:
@@ -120,32 +115,18 @@ def _print_grid_failures(accounting) -> None:
     print(accounting.summary(), file=sys.stderr)
 
 
-def _sampling_from_args(args: argparse.Namespace) -> api.SamplingConfig | None:
-    """Build the SamplingConfig the flags ask for (None = exact mode)."""
-    if not (args.sampled or args.window is not None or args.interval is not None):
-        return None
-    defaults = api.SamplingConfig()
-    interval = args.interval if args.interval is not None else defaults.interval
-    window = args.window
-    if window is None:
-        # Keep the default 10% duty cycle when only the interval shrinks.
-        window = min(defaults.window, max(1, interval // 10))
-    return api.SamplingConfig(window=window, interval=interval)
-
-
 def cmd_figures(args: argparse.Namespace) -> int:
     names = args.only or api.figure_names()
     for name in names:
         if name not in api.FIGURES:
             print(f"unknown figure {name!r}; known: {', '.join(api.FIGURES)}")
             return 2
-    sampling = _sampling_from_args(args)
     # Collect every simulation point the selected figures need, then fan
     # the whole batch out at once; the figure functions afterwards run
     # entirely from the in-process memo.
     points = []
     for name in names:
-        points.extend(api.get_figure(name).points(args.scale, sampling))
+        points.extend(api.get_figure(name).points(args.scale))
     outcome = None
     if args.campaign:
         # Resumable path: persist a per-point manifest keyed by the
@@ -154,7 +135,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         outcome = api.campaign(
             points,
             jobs=args.jobs,
-            sampling=sampling,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
             point_budget=args.point_budget,
@@ -166,7 +146,6 @@ def cmd_figures(args: argparse.Namespace) -> int:
         batch = api.grid(
             points,
             jobs=args.jobs,
-            sampling=sampling,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
         )
@@ -186,7 +165,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
             _print_grid_failures(accounting)
         return 1
     results = [
-        api.figure(name, scale=args.scale, sampling=sampling, prebatched=True)
+        api.figure(name, scale=args.scale, prebatched=True)
         for name in names
     ]
     if args.json:
@@ -210,11 +189,9 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
-    sampling = _sampling_from_args(args)
     try:
         claims = api.headline(
             scale=args.scale,
-            sampling=sampling,
             jobs=args.jobs,
             task_timeout=args.task_timeout,
             max_retries=args.max_retries,
@@ -231,7 +208,8 @@ def cmd_headline(args: argparse.Namespace) -> int:
             "ok": True,
             "error": None,
             "scale": args.scale,
-            "sampled": sampling is not None,
+            # Kept for repro.headline/v1: simulation is always exact.
+            "sampled": False,
             "claims": claims,
         }
         print(json.dumps(payload, sort_keys=True))
@@ -291,7 +269,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         ports=args.ports,
         mode=args.mode,
         scale=args.scale,
-        sampling=_sampling_from_args(args),
         metrics=args.json,
     )
     if args.json:
@@ -312,7 +289,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
             ports=args.ports,
             mode=args.mode,
             scale=args.scale,
-            sampling=_sampling_from_args(args),
             events=args.events.split(",") if args.events else None,
             capacity=args.capacity,
         )
@@ -433,15 +409,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
         info = diskcache.cache_info()
         print(f"root:    {info['root']}")
         print(f"enabled: {info['enabled']}")
-        sections = (
-            ("stats", "stats"),
-            ("traces", "trace"),
-            ("soa", "soa"),
-            ("checkpoints", "checkpoint"),
-            ("corpus", "corpus"),
-            ("campaigns", "campaign"),
-        )
-        for label, key in sections:
+        for key, (directory, _suffixes) in diskcache._SECTIONS.items():
+            label = directory().name
             print(
                 f"{label + ':':<13}{info[f'{key}_entries']} entries, "
                 f"{info[f'{key}_bytes']} bytes"
@@ -461,28 +430,6 @@ def cmd_list(_args: argparse.Namespace) -> int:
     print("SpecInt95-like:", ", ".join(SPEC_INT))
     print("SpecFP95-like: ", ", ".join(SPEC_FP))
     return 0
-
-
-def _add_sampling_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sampled",
-        action="store_true",
-        help="sampled simulation: functional warming + detailed windows",
-    )
-    parser.add_argument(
-        "--window",
-        type=_positive_int,
-        default=None,
-        metavar="W",
-        help="detailed-window length in trace entries (implies --sampled)",
-    )
-    parser.add_argument(
-        "--interval",
-        type=_positive_int,
-        default=None,
-        metavar="I",
-        help="sampling interval in trace entries (implies --sampled)",
-    )
 
 
 def _add_jobs_argument(parser: argparse.ArgumentParser) -> None:
@@ -560,7 +507,6 @@ def main(argv=None) -> int:
         metavar="N",
         help="with --campaign: compute at most N cold points this invocation",
     )
-    _add_sampling_arguments(p)
     _add_jobs_argument(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
@@ -568,7 +514,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("headline", help="measure the paper's headline claims")
     p.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
-    _add_sampling_arguments(p)
     _add_jobs_argument(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
@@ -602,7 +547,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("run", help="simulate one benchmark/configuration")
     _add_point_arguments(p)
-    _add_sampling_arguments(p)
     _add_json_argument(p)
     p.set_defaults(fn=cmd_run)
 
@@ -618,7 +562,6 @@ def main(argv=None) -> int:
         ),
     )
     _add_point_arguments(p)
-    _add_sampling_arguments(p)
     p.add_argument(
         "--events",
         metavar="SPEC",
@@ -736,7 +679,7 @@ def main(argv=None) -> int:
     p.add_argument("action", choices=("info", "clear"))
     p.add_argument(
         "--section",
-        choices=("stats", "trace", "soa", "checkpoint", "corpus", "campaign"),
+        choices=tuple(diskcache._SECTIONS),
         default=None,
         help="clear only one cache section (default: all)",
     )

@@ -54,7 +54,7 @@ deprecated — import the ``SCHEMA_*`` constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from .experiments import diskcache
 from .experiments import figures as _figures
@@ -77,7 +77,6 @@ from .observe import (
 from . import verify as _verify
 from .pipeline.machine import Machine
 from .pipeline.stats import SimStats
-from .sampling import SamplingConfig, run_sampled
 from .schemas import (
     EnvelopeError,
     SCHEMAS,
@@ -110,16 +109,6 @@ from .workloads.spec95 import ALL_BENCHMARKS
 from .workloads.spec95 import cached_trace as _cached_trace
 
 EXPERIMENT_SCALE = _runner.EXPERIMENT_SCALE
-
-SamplingLike = Union[None, SamplingConfig, Tuple[int, int]]
-
-
-def _coerce_sampling(sampling: SamplingLike) -> Optional[SamplingConfig]:
-    """Accept None, a SamplingConfig, or a ``(window, interval)`` tuple."""
-    if sampling is None or isinstance(sampling, SamplingConfig):
-        return sampling
-    window, interval = sampling
-    return SamplingConfig(window=window, interval=interval)
 
 
 def _check_benchmark(name: str) -> None:
@@ -193,7 +182,6 @@ class RunResult:
     mode: str
     scale: int
     block_on_scalar_operand: bool
-    sampling: Optional[Tuple[int, int]]
     stats: SimStats
     metrics: Optional[Dict] = None
 
@@ -210,7 +198,6 @@ class RunResult:
             self.mode,
             self.scale,
             self.block_on_scalar_operand,
-            self.sampling,
         )
 
     def to_dict(self) -> Dict:
@@ -225,7 +212,6 @@ class RunResult:
                 "mode": self.mode,
                 "scale": self.scale,
                 "block_on_scalar_operand": self.block_on_scalar_operand,
-                "sampling": list(self.sampling) if self.sampling else None,
             },
             "stats": diskcache.stats_to_dict(self.stats),
             "derived": {
@@ -246,7 +232,6 @@ def simulate(
     mode: str = "V",
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
-    sampling: SamplingLike = None,
     metrics: bool = False,
     observer: Optional[Observer] = None,
 ) -> RunResult:
@@ -260,7 +245,6 @@ def simulate(
     event-capture run should use :func:`trace`.
     """
     _check_benchmark(benchmark)
-    sampling = _coerce_sampling(sampling)
     if metrics and observer is None:
         observer = Observer.measuring()
     stats = _runner.run_point(
@@ -270,7 +254,6 @@ def simulate(
         mode,
         scale,
         block_on_scalar_operand,
-        sampling=sampling,
         observer=observer,
     )
     payload = None
@@ -283,7 +266,6 @@ def simulate(
         mode=mode,
         scale=scale,
         block_on_scalar_operand=block_on_scalar_operand,
-        sampling=sampling.key if sampling is not None else None,
         stats=stats,
         metrics=payload,
     )
@@ -367,7 +349,6 @@ def grid(
     points: Iterable[Union[GridPoint, Sequence]],
     *,
     jobs: Optional[int] = None,
-    sampling: SamplingLike = None,
     metrics: bool = False,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -379,9 +360,7 @@ def grid(
     """Compute a batch of grid points, fanning misses over worker peers.
 
     ``points`` may be :class:`GridPoint` instances or plain tuples in
-    GridPoint order.  ``sampling``, when given, overrides the sampling
-    coordinate of *every* point (the common "same grid, sampled" case).
-    ``metrics=True`` aggregates every point's metrics — whether it came
+    GridPoint order.  ``metrics=True`` aggregates every point's metrics — whether it came
     from a worker, the disk cache, or the memo — into one registry on the
     returned report.  ``scheduler``, when given, is a caller-owned
     :class:`DistributedScheduler` whose warm peers run every cold point
@@ -402,17 +381,10 @@ def grid(
     ``report.accounting.cancelled`` set, keeping (and caching) whatever
     completed first.  See :func:`repro.experiments.parallel.run_grid`.
     """
-    sampling = _coerce_sampling(sampling)
-    normalized: List[GridPoint] = []
-    for point in points:
-        point = GridPoint(*point)
-        if sampling is not None:
-            point = point._replace(sampling=sampling.key)
-        normalized.append(point)
     registry = MetricsRegistry() if metrics else None
     accounting = _parallel.GridReport()
     results = _parallel.run_grid(
-        normalized,
+        [GridPoint(*point) for point in points],
         jobs=jobs,
         report=accounting,
         metrics=registry,
@@ -431,7 +403,6 @@ def grid(
             mode=point.mode,
             scale=point.scale,
             block_on_scalar_operand=point.block_on_scalar_operand,
-            sampling=point.sampling,
             stats=stats,
         )
         for point, stats in results.items()
@@ -512,7 +483,6 @@ def campaign(
     *,
     scheduler: Optional[DistributedScheduler] = None,
     jobs: Optional[int] = None,
-    sampling: SamplingLike = None,
     metrics: bool = False,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -529,16 +499,9 @@ def campaign(
     invocation to that many fresh points (huge sweeps in slices).  See
     :mod:`repro.experiments.distributed.campaign`.
     """
-    sampling = _coerce_sampling(sampling)
-    normalized: List[GridPoint] = []
-    for point in points:
-        point = GridPoint(*point)
-        if sampling is not None:
-            point = point._replace(sampling=sampling.key)
-        normalized.append(point)
     registry = MetricsRegistry() if metrics else None
     result = _campaign.run_campaign(
-        normalized,
+        [GridPoint(*point) for point in points],
         scheduler=scheduler,
         jobs=jobs,
         metrics=registry,
@@ -644,7 +607,6 @@ def trace(
     mode: str = "V",
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
-    sampling: SamplingLike = None,
     events: Optional[Iterable[str]] = None,
     capacity: int = 65_536,
     metrics: bool = False,
@@ -660,21 +622,10 @@ def trace(
     :func:`repro.observe.resolve_event_kinds`); None captures everything.
     """
     _check_benchmark(benchmark)
-    sampling = _coerce_sampling(sampling)
     observer = Observer.tracing(events=events, capacity=capacity, metrics=metrics)
     kinds = observer.bus.kinds
     config = _runner.point_config(width, ports, mode, block_on_scalar_operand)
-    instr_trace = _cached_trace(benchmark, scale)
-    if sampling is not None:
-        stats = run_sampled(
-            config,
-            instr_trace,
-            sampling,
-            checkpoint_scope={"benchmark": benchmark, "scale": scale, "seed": 0},
-            observer=observer,
-        )
-    else:
-        stats = Machine(config, instr_trace, observer=observer).run()
+    stats = Machine(config, _cached_trace(benchmark, scale), observer=observer).run()
     summary = observer.bus.summary()
     summary["kinds"] = sorted(kinds) if kinds is not None else None
     result = RunResult(
@@ -684,7 +635,6 @@ def trace(
         mode=mode,
         scale=scale,
         block_on_scalar_operand=block_on_scalar_operand,
-        sampling=sampling.key if sampling is not None else None,
         stats=stats,
         metrics=observer.metrics.to_dict() if observer.metrics else None,
     )
@@ -722,7 +672,6 @@ def figure(
     name: str,
     *,
     scale: int = EXPERIMENT_SCALE,
-    sampling: SamplingLike = None,
     jobs: Optional[int] = None,
     prebatched: bool = False,
     task_timeout: Optional[float] = None,
@@ -741,10 +690,9 @@ def figure(
     partial figures are worse than no figures.
     """
     spec = get_figure(name)
-    sampling = _coerce_sampling(sampling)
     report = None
     if not prebatched:
-        points = spec.points(scale, sampling)
+        points = spec.points(scale)
         if points:
             report = grid(
                 points, jobs=jobs,
@@ -756,13 +704,12 @@ def figure(
                 raise GridFailureError(report.accounting)
             if report.accounting.cancelled:
                 raise GridCancelled(report.accounting)
-    return FigureResult(spec=spec, rows=spec.rows(scale, sampling), grid=report)
+    return FigureResult(spec=spec, rows=spec.rows(scale), grid=report)
 
 
 def headline(
     *,
     scale: int = EXPERIMENT_SCALE,
-    sampling: SamplingLike = None,
     jobs: Optional[int] = None,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
@@ -776,9 +723,8 @@ def headline(
     Raises :class:`GridFailureError` when any underlying grid point
     failed after retries (the claims need the complete grid).
     """
-    sampling = _coerce_sampling(sampling)
     report = grid(
-        _figures.headline_points(scale, sampling), jobs=jobs,
+        _figures.headline_points(scale), jobs=jobs,
         task_timeout=task_timeout, max_retries=max_retries,
         scheduler=scheduler, on_result=on_result,
         cancel=cancel, progress=progress,
@@ -787,7 +733,7 @@ def headline(
         raise GridFailureError(report.accounting)
     if report.accounting.cancelled:
         raise GridCancelled(report.accounting)
-    return _figures.headline_claims(scale, sampling)
+    return _figures.headline_claims(scale)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +827,6 @@ __all__ = [
     "SCHEMA_SERVICE_METRICS",
     "SCHEMA_SERVICE_STATUS",
     "SCHEMA_TRACE",
-    "SamplingConfig",
     "TraceReport",
     "campaign",
     "campaign_resume",

@@ -137,20 +137,3 @@ class TableOfLoads:
     def storage_bytes(self) -> int:
         """Hardware cost per §4.1: ways * sets * 24 bytes per entry."""
         return self.table.ways * self.table.sets * 24
-
-    # ------------------------------------------------------------------
-    # serialization (sampled-simulation checkpoints)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> list:
-        return self.table.snapshot(
-            lambda e: [e.last_address, e.stride, e.confidence, e.failures]
-        )
-
-    def restore(self, payload: list) -> None:
-        self.table.restore(
-            payload,
-            lambda p: TLEntry(
-                last_address=p[0], stride=p[1], confidence=p[2], failures=p[3]
-            ),
-        )

@@ -94,26 +94,3 @@ class SetAssocTable(Generic[T]):
         for bucket in self._sets:
             for key, payload in bucket:
                 yield key, payload
-
-    # ------------------------------------------------------------------
-    # serialization (sampled-simulation checkpoints)
-    # ------------------------------------------------------------------
-
-    def snapshot(self, pack) -> List[List]:
-        """Serialize contents (and LRU order) as nested lists.
-
-        ``pack`` maps one payload to something JSON-safe; bucket order is
-        preserved MRU-first so replacement decisions replay identically
-        after :meth:`restore`.
-        """
-        return [[[pc, pack(payload)] for pc, payload in bucket] for bucket in self._sets]
-
-    def restore(self, snapshot: List[List], unpack) -> None:
-        """Install a :meth:`snapshot` (geometry must match; LRU preserved)."""
-        if len(snapshot) != self.sets:
-            raise ValueError(
-                f"snapshot has {len(snapshot)} sets, table has {self.sets}"
-            )
-        self._sets = [
-            [(pc, unpack(payload)) for pc, payload in bucket] for bucket in snapshot
-        ]

@@ -7,8 +7,7 @@ replayable: a (benchmark, scale, seed, machine-configuration) point plus
 the simulator sources determines its :class:`~repro.pipeline.stats.SimStats`
 bit for bit.  This module caches both layers on disk:
 
-* **stats/** — one JSON file per simulated grid point (exact or sampled;
-  sampled keys carry the sampling parameters);
+* **stats/** — one JSON file per simulated grid point;
 * **traces/** — one functional trace per (benchmark, scale, seed), in
   the binary columnar codec of :mod:`repro.functional.traceio` (the
   ``.jsonl`` suffix predates the codec);
@@ -16,10 +15,6 @@ bit for bit.  This module caches both layers on disk:
   each cached trace, in the same codec: warm runs attach it instead of
   re-scanning every entry, so repeated experiments skip the functional
   re-decode as well as the functional execution;
-* **checkpoints/** — warmed microarchitectural state (cache contents,
-  predictor tables, architectural memory) at sampled-window boundaries,
-  written by :mod:`repro.sampling` so re-runs and worker peers
-  fast-forward to a window instead of re-streaming the warmer;
 * **corpus/** — interesting fuzzing inputs kept by the differential
   fuzzer (:mod:`repro.verify.fuzzer`): program genomes plus the coverage
   signature that earned them a slot.  Content-keyed only (no source
@@ -78,8 +73,7 @@ from ..pipeline.stats import SimStats
 CACHE_FORMAT = 1
 
 #: source groups hashed into cache keys.  Trace results depend only on
-#: the functional subset; stats depend on everything; sampled results and
-#: checkpoints additionally depend on the sampling subsystem.
+#: the functional subset; stats depend on everything.
 _TRACE_SOURCE_PACKAGES = ("isa", "functional", "workloads")
 _STATS_SOURCE_PACKAGES = _TRACE_SOURCE_PACKAGES + (
     "frontend",
@@ -87,7 +81,6 @@ _STATS_SOURCE_PACKAGES = _TRACE_SOURCE_PACKAGES + (
     "core",
     "pipeline",
 )
-_SAMPLING_SOURCE_PACKAGES = _STATS_SOURCE_PACKAGES + ("sampling",)
 
 
 class CacheCounters:
@@ -99,9 +92,6 @@ class CacheCounters:
         "stats_stores",
         "trace_hits",
         "trace_misses",
-        "checkpoint_hits",
-        "checkpoint_misses",
-        "checkpoint_stores",
         "soa_hits",
         "soa_misses",
         "soa_stores",
@@ -116,9 +106,6 @@ class CacheCounters:
         self.stats_stores = 0
         self.trace_hits = 0
         self.trace_misses = 0
-        self.checkpoint_hits = 0
-        self.checkpoint_misses = 0
-        self.checkpoint_stores = 0
         self.soa_hits = 0
         self.soa_misses = 0
         self.soa_stores = 0
@@ -155,10 +142,6 @@ def _stats_dir() -> pathlib.Path:
 
 def _traces_dir() -> pathlib.Path:
     return cache_root() / "traces"
-
-
-def _checkpoints_dir() -> pathlib.Path:
-    return cache_root() / "checkpoints"
 
 
 def _soa_dir() -> pathlib.Path:
@@ -209,17 +192,12 @@ _DIGEST_MEMO: Dict[tuple, str] = {}
 
 
 def source_digest(kind: str = "stats") -> str:
-    """Digest of the sources feeding ``kind`` ("stats"/"trace"/"sampling").
+    """Digest of the sources feeding ``kind`` ("stats" or "trace").
 
     Computed once per process; editing any hashed file between processes
     changes the digest and thereby every cache key.
     """
-    if kind == "sampling":
-        packages = _SAMPLING_SOURCE_PACKAGES
-    elif kind == "stats":
-        packages = _STATS_SOURCE_PACKAGES
-    else:
-        packages = _TRACE_SOURCE_PACKAGES
+    packages = _STATS_SOURCE_PACKAGES if kind == "stats" else _TRACE_SOURCE_PACKAGES
     memo = _DIGEST_MEMO.get(packages)
     if memo is None:
         memo = _DIGEST_MEMO[packages] = _digest_packages(packages)
@@ -236,20 +214,8 @@ def config_fingerprint(config: MachineConfig) -> Dict:
     return dataclasses.asdict(config)
 
 
-def stats_key(
-    name: str,
-    scale: int,
-    seed: int,
-    config: MachineConfig,
-    sampling: Optional[Dict] = None,
-) -> str:
-    """Content-hash key for one simulated grid point.
-
-    ``sampling`` is None for an exact run, or the sampling-parameter
-    fingerprint (window/interval) for a sampled one — sampled and exact
-    results at the same coordinates never share an entry, and sampled
-    entries additionally hash the sampling subsystem's sources.
-    """
+def stats_key(name: str, scale: int, seed: int, config: MachineConfig) -> str:
+    """Content-hash key for one simulated grid point."""
     payload = {
         "format": CACHE_FORMAT,
         "kind": "stats",
@@ -257,8 +223,7 @@ def stats_key(
         "scale": scale,
         "seed": seed,
         "config": config_fingerprint(config),
-        "sampling": sampling,
-        "source": source_digest("sampling" if sampling else "stats"),
+        "source": source_digest("stats"),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -494,79 +459,6 @@ def store_soa(key: str, soa) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint entries (warmed state at sampled-window boundaries)
-# ---------------------------------------------------------------------------
-
-
-def checkpoint_key(
-    name: str,
-    scale: int,
-    seed: int,
-    position: int,
-    config: MachineConfig,
-    sampling: Dict,
-) -> str:
-    """Content-hash key for warmed state at trace position ``position``.
-
-    The state at a window boundary is a pure function of the trace
-    coordinates, the *full* machine configuration (earlier detailed
-    windows shape cache LRU order), the sampling parameters (they place
-    the earlier windows) and the simulator + sampling sources.
-    """
-    payload = {
-        "format": CACHE_FORMAT,
-        "kind": "checkpoint",
-        "benchmark": name,
-        "scale": scale,
-        "seed": seed,
-        "position": position,
-        "config": config_fingerprint(config),
-        "sampling": sampling,
-        "source": source_digest("sampling"),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def load_checkpoint(key: str) -> Optional[Dict]:
-    """The warmed-state payload for ``key``, or None on miss/corruption."""
-    if not cache_enabled():
-        return None
-    path = _checkpoints_dir() / f"{key}.ckpt"
-    try:
-        header_line, body_line = path.read_text().splitlines()[:2]
-        header = json.loads(header_line)
-        if header.get("format") != CACHE_FORMAT:
-            raise ValueError("format mismatch")
-        payload = traceio.unpack_json(body_line)
-        if not isinstance(payload, dict):
-            raise ValueError("checkpoint body is not an object")
-    except FileNotFoundError:
-        COUNTERS.checkpoint_misses += 1
-        return None
-    except (ValueError, KeyError, TypeError, OSError):
-        COUNTERS.checkpoint_misses += 1
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    COUNTERS.checkpoint_hits += 1
-    return payload
-
-
-def store_checkpoint(key: str, payload: Dict) -> None:
-    """Persist warmed state (compressed, atomic; no-op when disabled)."""
-    if not cache_enabled():
-        return
-    text = json.dumps({"format": CACHE_FORMAT}) + "\n" + traceio.pack_json(payload) + "\n"
-    path = _checkpoints_dir() / f"{key}.ckpt"
-    _atomic_write(path, text)
-    COUNTERS.checkpoint_stores += 1
-    _corrupt_fault("checkpoint", path)
-
-
-# ---------------------------------------------------------------------------
 # Corpus entries (fuzzing inputs; see repro.verify.fuzzer)
 # ---------------------------------------------------------------------------
 
@@ -673,12 +565,13 @@ def campaign_ids() -> list:
 # ---------------------------------------------------------------------------
 
 
-#: section name -> (directory fn, payload suffixes).
+#: section name -> (directory fn, payload suffixes).  The one list of
+#: sections: ``cache info`` labels each by its directory's name and
+#: ``cache clear --section`` accepts exactly these keys.
 _SECTIONS = {
     "stats": (_stats_dir, (".json",)),
     "trace": (_traces_dir, (".jsonl",)),
     "soa": (_soa_dir, (".soa",)),
-    "checkpoint": (_checkpoints_dir, (".ckpt",)),
     "corpus": (_corpus_dir, (".json",)),
     "campaign": (_campaigns_dir, (".json",)),
 }
@@ -687,8 +580,8 @@ _SECTIONS = {
 def cache_info() -> Dict:
     """Per-section entry counts and byte totals, for ``cache info``.
 
-    Flat ``<section>_entries`` / ``<section>_bytes`` keys per section
-    (stats / trace / checkpoint) plus grand totals.
+    Flat ``<section>_entries`` / ``<section>_bytes`` keys for every
+    section of :data:`_SECTIONS`, plus grand totals.
     """
     info = {
         "root": str(cache_root()),

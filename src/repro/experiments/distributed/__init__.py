@@ -16,7 +16,6 @@ from .campaign import (
     CampaignResult,
     campaign_id,
     load_manifest,
-    point_cache_key,
     resume_campaign,
     run_campaign,
 )
@@ -28,7 +27,6 @@ __all__ = [
     "DistributedScheduler",
     "campaign_id",
     "load_manifest",
-    "point_cache_key",
     "resume_campaign",
     "run_campaign",
 ]

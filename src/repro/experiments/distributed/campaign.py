@@ -35,7 +35,6 @@ from ...observe import MetricsRegistry
 from ...pipeline.stats import SimStats
 from .. import diskcache, parallel, runner
 from ..parallel import GridPoint, GridReport
-from . import protocol
 from .scheduler import DistributedScheduler
 
 #: manifest checkpoint cadence, in completed points.
@@ -44,26 +43,11 @@ DEFAULT_CHECKPOINT_EVERY = 8
 _STATES = ("pending", "done", "failed")
 
 
-def point_cache_key(point: GridPoint) -> str:
-    """The content-addressed stats key for one grid point."""
-    config = runner.point_config(
-        point.width, point.ports, point.mode, point.block_on_scalar_operand
-    )
-    sampling = runner.sampling_from_key(point.sampling)
-    return diskcache.stats_key(
-        point.name,
-        point.scale,
-        0,
-        config,
-        sampling.fingerprint() if sampling is not None else None,
-    )
-
-
 def campaign_id(points: Iterable[GridPoint]) -> str:
     """Content-hash identity: same points (any order) → same campaign."""
     digest = hashlib.sha256()
     digest.update(b"repro.campaign/v1\n")
-    for key in sorted(point_cache_key(GridPoint(*p)) for p in set(points)):
+    for key in sorted(runner.point_cache_key(p) for p in set(points)):
         digest.update(key.encode("ascii") + b"\n")
     return digest.hexdigest()[:16]
 
@@ -102,16 +86,14 @@ class CampaignManifest:
             "campaign_id": self.campaign_id,
             "created": self.created,
             "updated": self.updated,
-            "points": [protocol.point_to_wire(point) for point in self.points],
+            "points": [list(point) for point in self.points],
             "state": list(self.state),
             "failures": {str(i): err for i, err in self.failures.items()},
         }
 
     @classmethod
     def from_payload(cls, payload: Dict) -> "CampaignManifest":
-        points = [
-            GridPoint(*protocol.point_from_wire(wire)) for wire in payload["points"]
-        ]
+        points = [GridPoint(*wire) for wire in payload["points"]]
         state = [str(s) for s in payload["state"]]
         if len(state) != len(points) or any(s not in _STATES for s in state):
             raise ValueError("malformed campaign manifest state")

@@ -9,7 +9,7 @@ it runs over any reliable byte stream — today the stdin/stdout pipes of
 Frame types, parent → worker:
 
 * ``{"type": "task", "id": n, "point": [...], "metrics": bool}`` — one
-  grid point to compute (``point`` is the wire form of a
+  grid point to compute (``point`` is the field list of a
   :class:`~repro.experiments.parallel.GridPoint`);
 * ``{"type": "warm", "benchmarks": [...], "scale": n}`` — load those
   functional traces now (disk-cached, so peers share the work);
@@ -122,19 +122,3 @@ def transport_fault(data: bytes, **context) -> bytes:
             return data
         from ...verify import faults as module
     return module.mangle_bytes("transport.garbage", data, **context)
-
-
-def point_to_wire(point) -> list:
-    """A GridPoint as a JSON-stable list (tuples survive the round trip)."""
-    wire = list(point)
-    if wire[6] is not None:
-        wire[6] = list(wire[6])
-    return wire
-
-
-def point_from_wire(wire) -> tuple:
-    """Inverse of :func:`point_to_wire` (returns the GridPoint field tuple)."""
-    fields = list(wire)
-    if fields[6] is not None:
-        fields[6] = tuple(fields[6])
-    return tuple(fields)

@@ -645,7 +645,7 @@ class DistributedScheduler:
             sent = slot.peer.send({
                 "type": "task",
                 "id": self._task_id,
-                "point": protocol.point_to_wire(point),
+                "point": list(point),
                 "metrics": batch.want_metrics,
             })
             if not sent:

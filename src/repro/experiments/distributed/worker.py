@@ -112,7 +112,7 @@ def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> i
             if frame.get("type") != "task":
                 continue  # future-proofing: unknown parent frames are ignored
             task_id = frame.get("id")
-            point = GridPoint(*protocol.point_from_wire(frame["point"]))
+            point = GridPoint(*frame["point"])
             try:
                 _fire_fault(
                     "node.crash",

@@ -14,59 +14,35 @@ pull the results from the in-process memo.  Called directly (without a
 pre-warmed batch), the functions still compute correctly — point by
 point through :func:`run_point`.
 
-Every function takes an optional ``sampling``
-(:class:`~repro.sampling.SamplingConfig`): None (the default) runs
-exact simulations; a config switches the whole figure to sampled runs,
-which is how the grid scales to trace lengths the exact model cannot
-afford (``python -m repro figures --sampled --scale 120000``).
-
 The functions only *compute*; printing is left to the benchmark harness
 and examples.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..analysis.stride_profile import STRIDE_BUCKETS, stride_histogram
 from ..analysis.vectorizability import vectorizable_fraction
-from ..sampling import SamplingConfig
 from ..workloads.spec95 import ALL_BENCHMARKS, SPEC_FP, SPEC_INT, cached_trace
 from .parallel import GridPoint
 from .runner import EXPERIMENT_SCALE, MODES, PORT_COUNTS, label, run_point
 
 Rows = Dict[str, Dict[str, float]]
 Points = List[GridPoint]
-Sampling = Optional[SamplingConfig]
 
 
-def _skey(sampling: Sampling):
-    """The ``GridPoint.sampling`` coordinate for a figure's config."""
-    return sampling.key if sampling is not None else None
-
-
-def _suite_points(
-    scale: int,
-    width: int = 4,
-    ports: int = 1,
-    mode: str = "V",
-    sampling: Sampling = None,
-) -> Points:
+def _suite_points(scale: int, width: int = 4, ports: int = 1, mode: str = "V") -> Points:
     """One grid point per benchmark at a fixed configuration."""
-    return [
-        GridPoint(name, width, ports, mode, scale, True, _skey(sampling))
-        for name in ALL_BENCHMARKS
-    ]
+    return [GridPoint(name, width, ports, mode, scale) for name in ALL_BENCHMARKS]
 
 
-def fig01_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
+def fig01_points(scale: int = EXPERIMENT_SCALE) -> Points:
     """Trace analysis only — no timing simulations."""
     return []
 
 
-def fig01_stride_distribution(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig01_stride_distribution(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 1: stride distribution (element strides 0..9) per suite."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
@@ -75,14 +51,12 @@ def fig01_stride_distribution(
     return out
 
 
-def fig03_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
+def fig03_points(scale: int = EXPERIMENT_SCALE) -> Points:
     """Trace analysis only — no timing simulations."""
     return []
 
 
-def fig03_vectorizable(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig03_vectorizable(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 3: % vectorizable instructions with unbounded resources."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
@@ -95,125 +69,107 @@ def fig03_vectorizable(
     return out
 
 
-def fig07_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
+def fig07_points(scale: int = EXPERIMENT_SCALE) -> Points:
     return [
-        GridPoint(name, 4, 1, "V", scale, block, _skey(sampling))
+        GridPoint(name, 4, 1, "V", scale, block)
         for name in ALL_BENCHMARKS
         for block in (True, False)
     ]
 
 
-def fig07_scalar_blocking(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig07_scalar_blocking(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 7: IPC blocking (real) vs not blocking (ideal) on scalar
     operands, 4-way with 1 wide port and 128 vector registers."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        real = run_point(name, width=4, ports=1, mode="V", scale=scale, sampling=sampling)
+        real = run_point(name, width=4, ports=1, mode="V", scale=scale)
         ideal = run_point(
             name, width=4, ports=1, mode="V", scale=scale,
-            block_on_scalar_operand=False, sampling=sampling,
+            block_on_scalar_operand=False,
         )
         out[name] = {"real": real.ipc, "ideal": ideal.ipc}
     return out
 
 
-def fig09_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
-    return _suite_points(scale, width=8, sampling=sampling)
+def fig09_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _suite_points(scale, width=8)
 
 
-def fig09_offsets(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Rows:
+def fig09_offsets(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 9: % of vector instructions created with a nonzero source
     offset, 8-way processor with 128 vector registers."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale, sampling=sampling)
+        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
         frac = st.offset_instances / st.vector_instances if st.vector_instances else 0.0
         out[name] = {"offset_nonzero": frac}
     return out
 
 
-def fig10_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
-    return _suite_points(scale, sampling=sampling)
+def fig10_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _suite_points(scale)
 
 
-def fig10_control_independence(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig10_control_independence(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 10: % of the 100 instructions after a mispredicted branch
     whose work is reused from the vector datapath (4-way, 1 wide port)."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        st = run_point(name, width=4, ports=1, mode="V", scale=scale, sampling=sampling)
+        st = run_point(name, width=4, ports=1, mode="V", scale=scale)
         out[name] = {"reused": st.cfi_reuse_fraction}
     return out
 
 
-def fig11_points(
-    width: int, scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Points:
+def fig11_points(width: int, scale: int = EXPERIMENT_SCALE) -> Points:
     """The full {1,2,4} ports x {noIM,IM,V} grid at one width (Fig 11/12)."""
     return [
-        GridPoint(name, width, ports, mode, scale, True, _skey(sampling))
+        GridPoint(name, width, ports, mode, scale)
         for name in ALL_BENCHMARKS
         for ports in PORT_COUNTS
         for mode in MODES
     ]
 
 
-def fig11_ipc(
-    width: int, scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig11_ipc(width: int, scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 11: IPC for {1,2,4} ports x {noIM, IM, V} at one width."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
         row = {}
         for ports in PORT_COUNTS:
             for mode in MODES:
-                st = run_point(
-                    name, width=width, ports=ports, mode=mode, scale=scale,
-                    sampling=sampling,
-                )
+                st = run_point(name, width=width, ports=ports, mode=mode, scale=scale)
                 row[label(ports, mode)] = st.ipc
         out[name] = row
     return out
 
 
-def fig12_points(
-    width: int, scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Points:
-    return fig11_points(width, scale, sampling)
+def fig12_points(width: int, scale: int = EXPERIMENT_SCALE) -> Points:
+    return fig11_points(width, scale)
 
 
-def fig12_port_occupancy(
-    width: int, scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig12_port_occupancy(width: int, scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 12: L1 data-port occupancy over the same grid as Fig 11."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
         row = {}
         for ports in PORT_COUNTS:
             for mode in MODES:
-                st = run_point(
-                    name, width=width, ports=ports, mode=mode, scale=scale,
-                    sampling=sampling,
-                )
+                st = run_point(name, width=width, ports=ports, mode=mode, scale=scale)
                 row[label(ports, mode)] = st.port_occupancy
         out[name] = row
     return out
 
 
-def fig13_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
-    return _suite_points(scale, sampling=sampling)
+def fig13_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _suite_points(scale)
 
 
-def fig13_wide_bus(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Rows:
+def fig13_wide_bus(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 13: % of read lines contributing 1..4 useful words plus
     unused (speculative) accesses, 4-way with 1 wide port + vectorization."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        st = run_point(name, width=4, ports=1, mode="V", scale=scale, sampling=sampling)
+        st = run_point(name, width=4, ports=1, mode="V", scale=scale)
         hist = dict(st.usefulness)
         out[name] = {
             "1pos": hist.get("1", 0.0),
@@ -225,32 +181,30 @@ def fig13_wide_bus(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> 
     return out
 
 
-def fig14_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
-    return _suite_points(scale, width=8, sampling=sampling)
+def fig14_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _suite_points(scale, width=8)
 
 
-def fig14_validations(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Rows:
+def fig14_validations(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 14: % of instructions turned into validation operations,
     8-way superscalar with one wide bus."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale, sampling=sampling)
+        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
         out[name] = {"validations": st.validation_fraction}
     return out
 
 
-def fig15_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
-    return _suite_points(scale, width=8, sampling=sampling)
+def fig15_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _suite_points(scale, width=8)
 
 
-def fig15_prediction_accuracy(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Rows:
+def fig15_prediction_accuracy(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 15: average vector elements computed+used / computed-unused /
     not-computed per register, 8-way with 128 vector registers."""
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale, sampling=sampling)
+        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
         avg = st.avg_elements
         out[name] = {
             "comp_used": avg["computed_used"],
@@ -260,22 +214,19 @@ def fig15_prediction_accuracy(
     return out
 
 
-def headline_points(scale: int = EXPERIMENT_SCALE, sampling: Sampling = None) -> Points:
+def headline_points(scale: int = EXPERIMENT_SCALE) -> Points:
     """Every simulation behind the §1/§4/§6 scalar claims."""
-    skey = _skey(sampling)
     points = []
     for name in ALL_BENCHMARKS:
-        points.append(GridPoint(name, 4, 1, "V", scale, True, skey))
-        points.append(GridPoint(name, 4, 4, "noIM", scale, True, skey))
-        points.append(GridPoint(name, 8, 4, "noIM", scale, True, skey))
-        points.append(GridPoint(name, 4, 1, "IM", scale, True, skey))
-        points.append(GridPoint(name, 8, 1, "V", scale, True, skey))
+        points.append(GridPoint(name, 4, 1, "V", scale))
+        points.append(GridPoint(name, 4, 4, "noIM", scale))
+        points.append(GridPoint(name, 8, 4, "noIM", scale))
+        points.append(GridPoint(name, 4, 1, "IM", scale))
+        points.append(GridPoint(name, 8, 1, "V", scale))
     return points
 
 
-def headline_claims(
-    scale: int = EXPERIMENT_SCALE, sampling: Sampling = None
-) -> Dict[str, float]:
+def headline_claims(scale: int = EXPERIMENT_SCALE) -> Dict[str, float]:
     """The scalar claims of §1/§4/§6, measured on this reproduction.
 
     Keys:
@@ -292,17 +243,11 @@ def headline_claims(
       28% / 23% of instructions become validations (8-way, one wide bus).
     """
     def avg_ipc(names, width, ports, mode):
-        vals = [
-            run_point(n, width, ports, mode, scale, sampling=sampling).ipc
-            for n in names
-        ]
+        vals = [run_point(n, width, ports, mode, scale).ipc for n in names]
         return sum(vals) / len(vals)
 
     def total_mem(names, width, ports, mode):
-        return sum(
-            run_point(n, width, ports, mode, scale, sampling=sampling).memory_accesses
-            for n in names
-        )
+        return sum(run_point(n, width, ports, mode, scale).memory_accesses for n in names)
 
     all_v = avg_ipc(ALL_BENCHMARKS, 4, 1, "V")
     return {
@@ -313,11 +258,11 @@ def headline_claims(
         "int_mem_reduction": 1.0 - total_mem(SPEC_INT, 4, 1, "V") / total_mem(SPEC_INT, 4, 1, "IM"),
         "fp_mem_reduction": 1.0 - total_mem(SPEC_FP, 4, 1, "V") / total_mem(SPEC_FP, 4, 1, "IM"),
         "int_validation_fraction": sum(
-            run_point(n, 8, 1, "V", scale, sampling=sampling).validation_fraction
+            run_point(n, 8, 1, "V", scale).validation_fraction
             for n in SPEC_INT
         ) / len(SPEC_INT),
         "fp_validation_fraction": sum(
-            run_point(n, 8, 1, "V", scale, sampling=sampling).validation_fraction
+            run_point(n, 8, 1, "V", scale).validation_fraction
             for n in SPEC_FP
         ) / len(SPEC_FP),
     }

@@ -56,7 +56,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from ..observe import MetricsRegistry, Observer, record_sim_stats
 from ..pipeline.stats import SimStats
@@ -68,12 +68,8 @@ DEFAULT_MAX_RETRIES = 2
 
 
 class GridPoint(NamedTuple):
-    """One coordinate of the experiment grid (hashable, wire-encodable).
-
-    ``sampling`` is None for an exact run or a ``(window, interval)``
-    tuple for a sampled one — the same tail coordinate
-    :data:`runner.PointKey` carries.
-    """
+    """One coordinate of the experiment grid (hashable, wire-encodable):
+    the fields of :data:`runner.PointKey`, named."""
 
     name: str
     width: int = 4
@@ -81,7 +77,6 @@ class GridPoint(NamedTuple):
     mode: str = "V"
     scale: int = runner.EXPERIMENT_SCALE
     block_on_scalar_operand: bool = True
-    sampling: Optional[Tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -177,7 +172,6 @@ class TaskFailure:
                 "mode": self.point.mode,
                 "scale": self.point.scale,
                 "block_on_scalar_operand": self.point.block_on_scalar_operand,
-                "sampling": list(self.point.sampling) if self.point.sampling else None,
             },
             attempts=self.attempts,
         )
@@ -364,19 +358,7 @@ def run_grid(
     # Parent-side disk probe: a fully warm cache never spawns a worker.
     still_cold: List[GridPoint] = []
     for point in todo:
-        config = runner.point_config(
-            point.width, point.ports, point.mode, point.block_on_scalar_operand
-        )
-        sampling = runner.sampling_from_key(point.sampling)
-        entry = diskcache.load_stats_entry(
-            diskcache.stats_key(
-                point.name,
-                point.scale,
-                0,
-                config,
-                sampling.fingerprint() if sampling is not None else None,
-            )
-        )
+        entry = diskcache.load_stats_entry(runner.point_cache_key(point))
         if entry is not None:
             cached, persisted = entry
             runner.prime_memo(tuple(point), cached)

@@ -3,9 +3,9 @@
 Each entry is a :class:`FigureSpec` binding a figure's identity (name,
 title) to the two callables every driver needs:
 
-* ``rows(scale, sampling)`` — compute the figure's data as
+* ``rows(scale)`` — compute the figure's data as
   ``{benchmark: {column: value}}`` (see :mod:`repro.experiments.figures`);
-* ``points(scale, sampling)`` — enumerate the simulation grid points the
+* ``points(scale)`` — enumerate the simulation grid points the
   figure needs, so a driver can batch them through
   :func:`repro.experiments.parallel.run_grid` before rendering.
 
@@ -19,13 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Tuple
 
-from ..sampling import SamplingConfig
 from . import figures as _figures
 from .parallel import GridPoint
 
-Sampling = Optional[SamplingConfig]
 Rows = Dict[str, Dict[str, float]]
 RowsFn = Callable[..., Rows]
 PointsFn = Callable[..., List[GridPoint]]
@@ -35,7 +33,7 @@ PointsFn = Callable[..., List[GridPoint]]
 class FigureSpec:
     """One figure of the paper's evaluation, as the drivers see it.
 
-    ``rows`` and ``points`` take ``(scale, sampling)`` positionally —
+    ``rows`` and ``points`` take ``scale`` positionally —
     width-parametric figures are registered pre-bound.  ``analysis_only``
     marks figures computed purely from the instruction trace (their
     ``points`` enumerate no timing simulations).

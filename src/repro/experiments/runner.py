@@ -28,13 +28,12 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import replace
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..observe import MetricsRegistry, Observer, record_sim_stats
 from ..pipeline.config import MachineConfig, make_config
 from ..pipeline.machine import Machine
 from ..pipeline.stats import SimStats
-from ..sampling import SamplingConfig, run_sampled
 from ..workloads.spec95 import cached_trace
 from . import diskcache
 
@@ -47,11 +46,9 @@ EXPERIMENT_SCALE = 12_000
 PORT_COUNTS = (1, 2, 4)
 MODES = ("noIM", "IM", "V")
 
-#: grid coordinates -> master SimStats (the in-process memo layer).  The
-#: last coordinate is ``None`` for an exact run or a
-#: ``SamplingConfig.key`` tuple — ``(window, interval)`` — for a sampled
-#: one, so exact and sampled results never collide.
-PointKey = Tuple[str, int, int, str, int, bool, Optional[Tuple[int, int]]]
+#: grid coordinates -> master SimStats (the in-process memo layer):
+#: ``(benchmark, width, ports, mode, scale, block_on_scalar_operand)``.
+PointKey = Tuple[str, int, int, str, int, bool]
 _MEMO: Dict[PointKey, SimStats] = {}
 
 #: simulations actually executed by this process (memo/disk misses).
@@ -89,13 +86,16 @@ def _copy_stats(stats: SimStats) -> SimStats:
     return replace(stats, usefulness=dict(stats.usefulness))
 
 
-def sampling_from_key(
-    sampling_key: Optional[Tuple[int, int]]
-) -> Optional[SamplingConfig]:
-    """Rebuild the :class:`SamplingConfig` a :data:`PointKey` tail names."""
-    if sampling_key is None:
-        return None
-    return SamplingConfig(window=sampling_key[0], interval=sampling_key[1])
+def point_cache_key(point: PointKey) -> str:
+    """The disk cache's stats key for one grid point.
+
+    The one derivation of a point's content-hash identity: the entry
+    :func:`compute_point` writes, the grid's parent-side disk probe, the
+    campaign manifest id and the service's dedup key all name it here.
+    """
+    name, width, ports, mode, scale, block_on_scalar_operand = point
+    config = point_config(width, ports, mode, block_on_scalar_operand)
+    return diskcache.stats_key(name, scale, 0, config)
 
 
 def run_point(
@@ -105,17 +105,9 @@ def run_point(
     mode: str = "V",
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
-    sampling: Optional[SamplingConfig] = None,
-    sampled: bool = False,
     observer=None,
 ) -> SimStats:
     """Simulate benchmark ``name`` on one machine-configuration point.
-
-    ``sampled=True`` switches the point to sampled simulation under the
-    default :class:`SamplingConfig`; pass ``sampling`` explicitly to
-    control window/interval (either alone is enough).  Exact remains the
-    default and its results are untouched by sampled runs (separate
-    memo/disk keys).
 
     ``observer`` (a :class:`repro.observe.Observer`) threads tracing /
     metrics / profiling into the run.  An attached metrics registry is
@@ -128,17 +120,7 @@ def run_point(
     every call returns a fresh :class:`SimStats` copy, so mutating a
     returned object never affects other callers.
     """
-    if sampled and sampling is None:
-        sampling = SamplingConfig()
-    key = (
-        name,
-        width,
-        ports,
-        mode,
-        scale,
-        block_on_scalar_operand,
-        sampling.key if sampling is not None else None,
-    )
+    key = (name, width, ports, mode, scale, block_on_scalar_operand)
     stats = _MEMO.get(key)
     if stats is None:
         stats = _MEMO[key] = compute_point(key, observer)
@@ -164,14 +146,11 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
     grid is uniform.
     """
     global _SIMULATIONS_RUN
-    name, width, ports, mode, scale, block_on_scalar_operand, sampling_key = key
+    name, width, ports, mode, scale, block_on_scalar_operand = key
     _fire_fault(
         "grid.point", benchmark=name, width=width, ports=ports, mode=mode, scale=scale
     )
-    config = point_config(width, ports, mode, block_on_scalar_operand)
-    sampling = sampling_from_key(sampling_key)
-    fingerprint = sampling.fingerprint() if sampling is not None else None
-    disk_key = diskcache.stats_key(name, scale, 0, config, fingerprint)
+    disk_key = point_cache_key(key)
     want_metrics = observer is not None and observer.metrics is not None
     entry = diskcache.load_stats_entry(disk_key)
     if entry is not None:
@@ -191,17 +170,8 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
             metrics=MetricsRegistry(),
             profiler=observer.profiler,
         )
-    trace = cached_trace(name, scale)
-    if sampling is not None:
-        stats = run_sampled(
-            config,
-            trace,
-            sampling,
-            checkpoint_scope={"benchmark": name, "scale": scale, "seed": 0},
-            observer=local,
-        )
-    else:
-        stats = Machine(config, trace, observer=local).run()
+    config = point_config(width, ports, mode, block_on_scalar_operand)
+    stats = Machine(config, cached_trace(name, scale), observer=local).run()
     _SIMULATIONS_RUN += 1
     diskcache.store_stats(
         disk_key,
@@ -213,7 +183,6 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
             "mode": mode,
             "scale": scale,
             "block_on_scalar_operand": block_on_scalar_operand,
-            "sampling": fingerprint,
         },
         metrics=local.metrics.to_dict() if want_metrics else None,
     )

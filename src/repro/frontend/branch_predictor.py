@@ -74,37 +74,6 @@ class GsharePredictor:
             self.stats.cond_mispredicts += 1
         return correct
 
-    def warm(self, pc: int, taken: bool) -> None:
-        """Train on a branch outcome without predicting or counting stats.
-
-        The functional warmer between sampled detailed windows keeps the
-        counter table and global history exactly as hot as
-        :meth:`predict_and_update` would, minus the accounting — warmed
-        branches are not predictions.
-        """
-        index = (pc ^ self.history) & self.mask
-        counter = self.table[index]
-        if taken:
-            if counter < 3:
-                self.table[index] = counter + 1
-        else:
-            if counter > 0:
-                self.table[index] = counter - 1
-        self.history = ((self.history << 1) | (1 if taken else 0)) & self.history_mask
-
-    def snapshot(self) -> dict:
-        """JSON-serializable predictor state (table + history, no stats)."""
-        return {"table": list(self.table), "history": self.history}
-
-    def restore(self, snapshot: dict) -> None:
-        """Install a :meth:`snapshot` from an identically-sized predictor."""
-        table = snapshot["table"]
-        if len(table) != self.entries:
-            raise ValueError(
-                f"snapshot has {len(table)} entries, predictor has {self.entries}"
-            )
-        self.table = list(table)
-        self.history = snapshot["history"]
 
 
 class IndirectPredictor:
@@ -126,15 +95,3 @@ class IndirectPredictor:
         if not correct:
             self.stats.indirect_mispredicts += 1
         return correct
-
-    def warm(self, pc: int, target: int) -> None:
-        """Record a target without predicting or counting stats (warming)."""
-        self._table[pc % self.entries] = target
-
-    def snapshot(self) -> dict:
-        """JSON-serializable target table (no stats)."""
-        return {"table": {str(key): target for key, target in self._table.items()}}
-
-    def restore(self, snapshot: dict) -> None:
-        """Install a :meth:`snapshot`."""
-        self._table = {int(key): target for key, target in snapshot["table"].items()}

@@ -47,8 +47,6 @@ class FetchUnit:
         hierarchy: MemoryHierarchy,
         width: int,
         gshare_entries: int = 64 * 1024,
-        gshare: Optional[GsharePredictor] = None,
-        indirect: Optional[IndirectPredictor] = None,
     ) -> None:
         self.trace = trace
         self.hierarchy = hierarchy
@@ -58,11 +56,8 @@ class FetchUnit:
         # flat lists instead of touching TraceEntry objects.
         self._soa = trace.soa()
         self._n = len(trace.entries)
-        # Sampled simulation hands in pre-warmed predictors so a detailed
-        # window starts from the state functional warming left behind;
-        # default construction (cold predictors) is the exact-mode path.
-        self.gshare = gshare if gshare is not None else GsharePredictor(entries=gshare_entries)
-        self.indirect = indirect if indirect is not None else IndirectPredictor()
+        self.gshare = GsharePredictor(entries=gshare_entries)
+        self.indirect = IndirectPredictor()
         self._index = 0
         #: cycle before which no fetch may happen (I-cache miss or redirect).
         self._stalled_until = 0

@@ -10,7 +10,7 @@ from .interpreter import ExecutionError, Interpreter, run_program
 from .memory import MemoryImage, MisalignedAccess
 from .semantics import apply_alu, branch_taken, s64
 from .trace import Trace, TraceEntry
-from .traceio import TraceFormatError, dump_trace, dumps_trace, load_trace, loads_trace
+from .traceio import TraceFormatError
 
 __all__ = [
     "ExecutionError",
@@ -24,8 +24,4 @@ __all__ = [
     "Trace",
     "TraceEntry",
     "TraceFormatError",
-    "dump_trace",
-    "dumps_trace",
-    "load_trace",
-    "loads_trace",
 ]

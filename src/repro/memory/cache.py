@@ -137,26 +137,3 @@ class Cache:
         """Drop all contents (used between independent simulations)."""
         self._sets = [[] for _ in range(self.num_sets)]
         self._dirty.clear()
-
-    # ------------------------------------------------------------------
-    # contents snapshot (sampled-simulation checkpoints)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serializable contents snapshot: per-set LRU-ordered lines
-        plus the dirty-line set.  Hit/miss counters are *not* captured —
-        a checkpoint restores what the arrays hold, not their history."""
-        return {
-            "sets": [list(way) for way in self._sets],
-            "dirty": [line for line, d in self._dirty.items() if d],
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Install a :meth:`snapshot` taken from an identically-shaped cache."""
-        sets = snapshot["sets"]
-        if len(sets) != self.num_sets:
-            raise ValueError(
-                f"snapshot has {len(sets)} sets, cache {self.name!r} has {self.num_sets}"
-            )
-        self._sets = [list(way) for way in sets]
-        self._dirty = {line: True for line in snapshot["dirty"]}

@@ -134,69 +134,10 @@ class MemoryHierarchy:
     def record_metrics(self, registry, prefix: str = "mem.") -> None:
         """End-of-run cache counters as ``mem.<cache>.<stat>`` gauges.
 
-        Gauges (not counters) because the hierarchy may be shared across
-        sampled windows: its stats are cumulative, so the final write is
-        the whole-run total and last-write-wins merging is correct.
+        Gauges (not counters): the cache stats are whole-run totals, so
+        last-write-wins merging is correct.
         """
         for cache in (self.l1d, self.l1i, self.l2):
             tag = cache.name.lower()
             for stat, value in cache.stats.to_dict().items():
                 registry.gauge(f"{prefix}{tag}.{stat}").set(value)
-
-    # ------------------------------------------------------------------
-    # functional warming (sampled simulation)
-    # ------------------------------------------------------------------
-
-    def warm_data_access(self, addr: int, is_write: bool = False) -> None:
-        """Touch the D-side for ``addr`` without timing or MSHR bookkeeping.
-
-        The functional warmer streams trace entries between detailed
-        windows; it needs cache *contents* (tags, LRU order, dirty bits) to
-        evolve exactly as :meth:`data_access` would evolve them, but has no
-        clock — so misses fill immediately and MSHRs are not involved
-        (windows start with the miss queue drained; see
-        :meth:`drain_mshrs`).
-        """
-        if not self.l1d.access(addr, is_write):
-            if not self.l2.access(addr, is_write):
-                self.l2.fill(addr, dirty=False)
-            self.l1d.fill(addr, dirty=is_write)
-
-    def warm_inst_access(self, addr: int) -> None:
-        """Touch the I-side for ``addr`` without timing (fills on miss)."""
-        if not self.l1i.access(addr):
-            self.l1i.fill(addr)
-
-    def drain_mshrs(self) -> None:
-        """Forget outstanding miss fills (sampled-window boundaries).
-
-        MSHR ready times are expressed in a window's local clock; carrying
-        them into the next window (whose clock restarts at zero) would
-        merge new misses into stale fills.  The lines themselves were
-        already filled at access time, so only the timing residue is
-        dropped.
-        """
-        self._mshrs.clear()
-
-    # ------------------------------------------------------------------
-    # contents snapshot (sampled-simulation checkpoints)
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        """JSON-serializable snapshot of all three caches' contents.
-
-        Outstanding MSHRs are intentionally excluded — checkpoints are
-        taken at window boundaries, where the miss queue is drained.
-        """
-        return {
-            "l1d": self.l1d.snapshot(),
-            "l1i": self.l1i.snapshot(),
-            "l2": self.l2.snapshot(),
-        }
-
-    def restore(self, snapshot: dict) -> None:
-        """Install a :meth:`snapshot` (geometry must match this config)."""
-        self.l1d.restore(snapshot["l1d"])
-        self.l1i.restore(snapshot["l1i"])
-        self.l2.restore(snapshot["l2"])
-        self._mshrs.clear()

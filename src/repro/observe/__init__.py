@@ -38,7 +38,6 @@ from .events import (
     FETCH_REDIRECT,
     FLUSH_BRANCH,
     MSHR_MERGE,
-    SAMPLE_WINDOW,
     SQUASH_COHERENCE,
     TL_DEMOTE,
     TL_PROMOTE,
@@ -140,5 +139,4 @@ __all__ = [
     "CACHE_MISS",
     "MSHR_MERGE",
     "FETCH_REDIRECT",
-    "SAMPLE_WINDOW",
 ]

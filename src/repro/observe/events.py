@@ -60,8 +60,6 @@ CACHE_MISS = "cache.miss"
 MSHR_MERGE = "mshr.merge"
 #: The fetch unit was rewound/redirected to a trace position.
 FETCH_REDIRECT = "fetch.redirect"
-#: Sampled simulation: one detailed window completed.
-SAMPLE_WINDOW = "sample.window"
 
 EVENT_KINDS = frozenset(
     (
@@ -77,7 +75,6 @@ EVENT_KINDS = frozenset(
         CACHE_MISS,
         MSHR_MERGE,
         FETCH_REDIRECT,
-        SAMPLE_WINDOW,
     )
 )
 
@@ -90,7 +87,6 @@ EVENT_GROUPS: Dict[str, Tuple[str, ...]] = {
     "validation": (VALIDATE_PASS, VALIDATE_FAIL),
     "squash": (SQUASH_COHERENCE, FLUSH_BRANCH),
     "memory": (CACHE_MISS, MSHR_MERGE),
-    "sample": (SAMPLE_WINDOW,),
 }
 
 

@@ -11,8 +11,7 @@ is the structured replacement for bolting ever more ad-hoc counters onto
   shape for *labelled* counts such as per-PC validation failures
   (``histogram("validate.fail.pc").observe(pc)``);
 * **Series** — ``(x, value)`` samples, e.g. the port-occupancy time
-  series sampled during an observed run, or per-window IPC in sampled
-  mode.
+  series sampled during an observed run.
 
 All metric types **merge**: merging two registries adds counters and
 histogram buckets, concatenates series and keeps the later gauge — which
@@ -272,16 +271,15 @@ def record_sim_stats(registry: MetricsRegistry, stats, prefix: str = "sim.") -> 
     """Mirror every ``SimStats`` counter field into ``registry``.
 
     Numeric fields become ``<prefix><field>`` counters (so merging across
-    grid points *sums* them, matching how sampled-window aggregation
-    already treats them); the usefulness histogram becomes a gauge per
-    bucket; derived ratios are left to consumers (they do not merge).
+    grid points *sums* them); the port occupancy ratio and the usefulness
+    histogram become gauges; derived ratios are left to consumers (they
+    do not merge).
     """
-    ratio_fields = ("port_occupancy", "sampled_ipc_variance")
     for field in dataclasses.fields(stats):
         value = getattr(stats, field.name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             continue
-        if field.name in ratio_fields:
+        if field.name == "port_occupancy":
             registry.gauge(prefix + field.name).set(value)
         else:
             registry.counter(prefix + field.name).inc(value)

@@ -208,9 +208,6 @@ class Machine:
         self,
         config: MachineConfig,
         trace: Trace,
-        hierarchy: Optional[MemoryHierarchy] = None,
-        gshare=None,
-        indirect=None,
         observer=None,
     ) -> None:
         self.config = config
@@ -222,19 +219,10 @@ class Machine:
         self.observer = observer
         bus = observer.bus if observer is not None else None
         self._bus = bus
-        # Sampled simulation passes in a pre-warmed hierarchy and
-        # predictors (repro.sampling); exact mode builds them cold.
-        self.hierarchy = hierarchy if hierarchy is not None else MemoryHierarchy(config.hierarchy)
+        self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.hierarchy.bus = bus
         self.ports = DataPorts(config.ports, config.wide_bus)
-        self.fetch_unit = FetchUnit(
-            trace,
-            self.hierarchy,
-            config.width,
-            config.gshare_entries,
-            gshare=gshare,
-            indirect=indirect,
-        )
+        self.fetch_unit = FetchUnit(trace, self.hierarchy, config.width, config.gshare_entries)
         self.fetch_unit.bus = bus
         #: architectural memory as of the last committed store — the image
         #: speculative vector loads read from.
@@ -1371,11 +1359,8 @@ class Machine:
         """End-of-run machine-level gauges (cache and port accounting).
 
         Whole-run ``sim.*`` counters are recorded by the experiment layer
-        (:func:`repro.observe.metrics.record_sim_stats`) so sampled-mode
-        windows, which each run their own machine against a shared
-        observer, do not double-count.  Gauges are safe either way: the
-        last window's write wins, and the hierarchy's cumulative stats
-        make that the whole-run total.
+        (:func:`repro.observe.metrics.record_sim_stats`), which also
+        synthesizes them for cache hits.
         """
         self.hierarchy.record_metrics(registry)
         ports = self.ports

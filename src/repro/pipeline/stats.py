@@ -79,17 +79,6 @@ class SimStats:
     usefulness: Dict[str, float] = field(default_factory=dict)
     port_occupancy: float = 0.0
 
-    # -- sampled simulation (repro.sampling; all zero in exact mode) ------------
-    #: detailed windows aggregated into this result (0 = exact run).
-    sampled_windows: int = 0
-    #: trace entries streamed by the functional warmer (0 on full
-    #: checkpoint reuse — the "zero warming work" telemetry).
-    warmed_entries: int = 0
-    #: warm-state checkpoints restored from the disk cache.
-    checkpoint_restores: int = 0
-    #: population variance of per-window IPC (sampling-error estimate).
-    sampled_ipc_variance: float = 0.0
-
     # -- derived metrics -------------------------------------------------------
 
     @property
@@ -115,16 +104,6 @@ class SimStats:
         return self.cfi_reused / self.cfi_window_instructions
 
     @property
-    def sampled(self) -> bool:
-        """True when this result was aggregated from detailed windows."""
-        return self.sampled_windows > 0
-
-    @property
-    def sampled_ipc_stddev(self) -> float:
-        """Standard deviation of per-window IPC (0.0 for exact runs)."""
-        return self.sampled_ipc_variance ** 0.5
-
-    @property
     def avg_elements(self) -> Dict[str, float]:
         """Per-register average element fates (Fig 15's three stacks)."""
         n = self.registers_allocated
@@ -144,13 +123,6 @@ class SimStats:
             f"forwards={self.forwarded_loads} occupancy={self.port_occupancy:.1%}",
             f"branches: mispredicts={self.branch_mispredicts}",
         ]
-        if self.sampled_windows:
-            lines.append(
-                f"sampled: windows={self.sampled_windows} "
-                f"warmed={self.warmed_entries} "
-                f"checkpoint_restores={self.checkpoint_restores} "
-                f"ipc_stddev={self.sampled_ipc_stddev:.3f}"
-            )
         if self.vector_instances or self.validations_committed:
             lines.append(
                 f"vector: instances={self.vector_instances} "

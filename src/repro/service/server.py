@@ -172,7 +172,6 @@ class SimulationService:
                 mode=point.mode,
                 scale=point.scale,
                 block_on_scalar_operand=point.block_on_scalar_operand,
-                sampling=point.sampling,
                 events=params["events"],
                 capacity=params["capacity"] or 65_536,
             )
@@ -344,7 +343,6 @@ class SimulationService:
                 mode=point.mode,
                 scale=point.scale,
                 block_on_scalar_operand=point.block_on_scalar_operand,
-                sampling=point.sampling,
                 stats=diskcache.stats_from_dict(stats_dict),
             ).to_dict()
             job.emit("point.result", result=result)
@@ -385,7 +383,6 @@ class SimulationService:
             result = api.figure(
                 params["figure"],
                 scale=params["scale"],
-                sampling=params["sampling"],
                 **self._fabric(job),
             )
         except api.GridCancelled:
@@ -400,7 +397,6 @@ class SimulationService:
         try:
             claims = api.headline(
                 scale=params["scale"],
-                sampling=params["sampling"],
                 **self._fabric(job),
             )
         except api.GridCancelled:
@@ -414,7 +410,8 @@ class SimulationService:
             "ok": True,
             "error": None,
             "scale": params["scale"],
-            "sampled": params["sampling"] is not None,
+            # Kept for repro.headline/v1: simulation is always exact.
+            "sampled": False,
             "claims": claims,
         }
 

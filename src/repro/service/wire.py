@@ -7,8 +7,8 @@ Two jobs, both boundary work:
   :class:`WireError` the server maps to a ``400`` error envelope;
 * compute each request's **dedup key**.  The key is built from the same
   per-point content-hash identity the disk cache uses
-  (:func:`repro.experiments.diskcache.stats_key` — benchmark, scale,
-  resolved machine config, sampling fingerprint *and* source digest), so
+  (:func:`repro.experiments.runner.point_cache_key` — benchmark, scale,
+  resolved machine config *and* source digest), so
   two requests coalesce exactly when the cache would consider their
   results interchangeable; editing simulator sources changes every key.
 """
@@ -19,10 +19,9 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from ..experiments import diskcache, figures as _figures, runner
+from ..experiments import figures as _figures, runner
 from ..experiments.parallel import GridPoint
 from ..experiments.registry import FIGURES
-from ..sampling import SamplingConfig
 from ..workloads import ALL_BENCHMARKS
 
 _MODES = ("noIM", "IM", "V")
@@ -46,27 +45,28 @@ def _require(condition: bool, kind: str, message: str) -> None:
         raise WireError(kind, message)
 
 
-def _parse_sampling(value) -> Optional[Tuple[int, int]]:
-    if value is None:
-        return None
+def _reject_unknown(obj: Dict, known, what: str) -> None:
+    unknown = set(obj) - set(known)
+    _require(not unknown, "request.invalid", f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _parse_scale(body: Dict) -> int:
+    scale = body.get("scale", runner.EXPERIMENT_SCALE)
     _require(
-        isinstance(value, (list, tuple)) and len(value) == 2
-        and all(isinstance(v, int) and v > 0 for v in value),
-        "request.invalid",
-        f"sampling must be null or [window, interval], got {value!r}",
+        isinstance(scale, int) and scale > 0,
+        "request.invalid", f"scale must be a positive integer, got {scale!r}",
     )
-    return (value[0], value[1])
+    return scale
 
 
 def parse_point(obj) -> GridPoint:
     """One JSON grid-point object -> a validated :class:`GridPoint`."""
     _require(isinstance(obj, dict), "request.invalid", f"point must be an object, got {obj!r}")
-    known = {
-        "benchmark", "width", "ports", "mode", "scale",
-        "block_on_scalar_operand", "sampling",
-    }
-    unknown = set(obj) - known
-    _require(not unknown, "request.invalid", f"unknown point keys: {sorted(unknown)}")
+    _reject_unknown(
+        obj,
+        ("benchmark", "width", "ports", "mode", "scale", "block_on_scalar_operand"),
+        "point",
+    )
     benchmark = obj.get("benchmark")
     _require(
         benchmark in ALL_BENCHMARKS,
@@ -79,42 +79,20 @@ def parse_point(obj) -> GridPoint:
     _require(ports in _PORTS, "request.invalid", f"ports must be one of {_PORTS}, got {ports!r}")
     mode = obj.get("mode", "V")
     _require(mode in _MODES, "request.invalid", f"mode must be one of {_MODES}, got {mode!r}")
-    scale = obj.get("scale", runner.EXPERIMENT_SCALE)
-    _require(
-        isinstance(scale, int) and scale > 0,
-        "request.invalid", f"scale must be a positive integer, got {scale!r}",
-    )
+    scale = _parse_scale(obj)
     block = obj.get("block_on_scalar_operand", True)
     _require(
         isinstance(block, bool),
         "request.invalid", f"block_on_scalar_operand must be a bool, got {block!r}",
     )
-    return GridPoint(
-        benchmark, width, ports, mode, scale, block,
-        _parse_sampling(obj.get("sampling")),
-    )
-
-
-def point_cache_key(point: GridPoint) -> str:
-    """The disk cache's content-hash identity for one point."""
-    config = runner.point_config(
-        point.width, point.ports, point.mode, point.block_on_scalar_operand
-    )
-    sampling = runner.sampling_from_key(point.sampling)
-    return diskcache.stats_key(
-        point.name,
-        point.scale,
-        0,
-        config,
-        sampling.fingerprint() if sampling is not None else None,
-    )
+    return GridPoint(benchmark, width, ports, mode, scale, block)
 
 
 def request_key(kind: str, points: List[GridPoint], extra: Optional[Dict] = None) -> str:
     """The request's dedup identity: kind + per-point cache keys + extras."""
     payload = {
         "kind": kind,
-        "points": sorted(point_cache_key(point) for point in points),
+        "points": sorted(runner.point_cache_key(point) for point in points),
         "extra": extra or {},
     }
     blob = json.dumps(payload, sort_keys=True)
@@ -178,36 +156,26 @@ def parse_grid_request(body: Dict) -> Tuple[Dict, str]:
 
 
 def parse_figure_request(body: Dict) -> Tuple[Dict, str]:
-    """``POST /figure``: ``{"figure": name, "scale"?, "sampling"?}``."""
+    """``POST /figure``: ``{"figure": name, "scale"?}``."""
     _require(isinstance(body, dict), "request.invalid", "figure request must be an object")
+    _reject_unknown(body, ("figure", "scale"), "figure request")
     name = body.get("figure")
     _require(
         name in FIGURES,
         "figure.unknown",
         f"unknown figure {name!r}; known: {', '.join(FIGURES)}",
     )
-    scale = body.get("scale", runner.EXPERIMENT_SCALE)
-    _require(
-        isinstance(scale, int) and scale > 0,
-        "request.invalid", f"scale must be a positive integer, got {scale!r}",
-    )
-    sampling = _parse_sampling(body.get("sampling"))
-    config = SamplingConfig(*sampling) if sampling else None
-    points = [GridPoint(*p) for p in FIGURES[name].points(scale, config)]
-    params = {"figure": name, "scale": scale, "sampling": sampling}
+    scale = _parse_scale(body)
+    points = FIGURES[name].points(scale)
+    params = {"figure": name, "scale": scale}
     return params, request_key("figure", points, {"figure": name})
 
 
 def parse_headline_request(body: Dict) -> Tuple[Dict, str]:
-    """``POST /headline``: ``{"scale"?, "sampling"?}``."""
+    """``POST /headline``: ``{"scale"?}``."""
     _require(isinstance(body, dict), "request.invalid", "headline request must be an object")
-    scale = body.get("scale", runner.EXPERIMENT_SCALE)
-    _require(
-        isinstance(scale, int) and scale > 0,
-        "request.invalid", f"scale must be a positive integer, got {scale!r}",
-    )
-    sampling = _parse_sampling(body.get("sampling"))
-    config = SamplingConfig(*sampling) if sampling else None
-    points = [GridPoint(*p) for p in _figures.headline_points(scale, config)]
-    params = {"scale": scale, "sampling": sampling}
+    _reject_unknown(body, ("scale",), "headline request")
+    scale = _parse_scale(body)
+    points = _figures.headline_points(scale)
+    params = {"scale": scale}
     return params, request_key("headline", points, {"scale": scale})

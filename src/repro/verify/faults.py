@@ -20,7 +20,7 @@ degradation path on demand:
     (:func:`repro.verify.campaign.run_campaign`); context: ``index``;
   - ``cache.store`` — just *after* a disk-cache entry is written
     (:mod:`repro.experiments.diskcache`); context: ``section`` (one of
-    ``stats`` / ``trace`` / ``checkpoint`` / ``corpus`` / ``campaign``);
+    ``stats`` / ``trace`` / ``soa`` / ``corpus`` / ``campaign``);
   - ``node.crash`` — a distributed worker peer receiving one task
     (:mod:`repro.experiments.distributed.worker`); context: ``node``,
     ``generation``, ``benchmark``, ``width``, ``ports``, ``mode``.

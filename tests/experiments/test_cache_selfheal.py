@@ -5,8 +5,8 @@ miss — never an exception, never a wrong answer — and that the bad file
 is dropped so a clean rewrite takes its place.  The ``cache.store``
 fault site corrupts entries *as they are written*, which exercises the
 exact artifacts real torn writes leave behind (truncated JSON, foreign
-bytes, vanished files, orphaned ``*.tmp``) across all five sections:
-stats, traces, soa predecodes, checkpoints and the fuzz corpus.
+bytes, vanished files, orphaned ``*.tmp``) across four sections:
+stats, traces, soa predecodes and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -78,17 +78,6 @@ def _soa_case():
     )
 
 
-def _checkpoint_case():
-    key = "feedface" * 8
-    payload = {"position": 1200, "machine": {"cycles": 42}}
-    return (
-        key,
-        lambda: diskcache.store_checkpoint(key, payload),
-        lambda: diskcache.load_checkpoint(key),
-        lambda loaded: loaded == payload,
-    )
-
-
 def _corpus_case():
     payload = {"genome": {"loops": 2}, "coverage": {"vectorize": 3}}
     key = diskcache.corpus_key(payload)
@@ -104,7 +93,6 @@ CASES = {
     "stats": _stats_case,
     "trace": _trace_case,
     "soa": _soa_case,
-    "checkpoint": _checkpoint_case,
     "corpus": _corpus_case,
 }
 
@@ -113,7 +101,6 @@ LAYOUT = {
     "stats": ("stats", ".json"),
     "trace": ("traces", ".jsonl"),
     "soa": ("soa", ".soa"),
-    "checkpoint": ("checkpoints", ".ckpt"),
     "corpus": ("corpus", ".json"),
 }
 
@@ -165,7 +152,7 @@ def test_corrupted_stats_entry_heals_end_to_end(cache_dir):
     # The full path: a grid-point store is corrupted on disk, the next
     # fresh-process read misses, re-simulates bit-identically and
     # rewrites the entry.
-    point = ("li", 4, 1, "V", 1_500, True, None)
+    point = ("li", 4, 1, "V", 1_500, True)
     with _corrupting("stats", "truncate"):
         reference = dataclasses.asdict(runner.compute_point(point))
     runner.clear_memo()

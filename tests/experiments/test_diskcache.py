@@ -17,7 +17,7 @@ import pytest
 from repro.experiments import diskcache, runner
 
 SCALE = 1_500
-POINT = ("li", 4, 1, "V", SCALE, True, None)  # None = exact (not sampled)
+POINT = ("li", 4, 1, "V", SCALE, True)
 
 
 @pytest.fixture

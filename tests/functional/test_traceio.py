@@ -1,4 +1,4 @@
-"""Trace serialization round trips and timing-model equivalence."""
+"""Binary trace codec round trips and timing-model equivalence."""
 
 import dataclasses
 import marshal
@@ -12,10 +12,8 @@ from repro.functional.trace import TraceSoA
 from repro.functional.traceio import (
     TraceFormatError,
     dumps_soa,
-    dumps_trace,
     dumps_trace_binary,
     loads_soa,
-    loads_trace,
     loads_trace_binary,
 )
 from repro.pipeline import make_config
@@ -24,128 +22,8 @@ from repro.pipeline.machine import Machine
 from ..conftest import asm_trace
 
 
-def test_roundtrip_preserves_entries(sum_loop):
-    loaded = loads_trace(dumps_trace(sum_loop))
-    assert len(loaded.entries) == len(sum_loop.entries)
-    for a, b in zip(sum_loop.entries, loaded.entries):
-        assert (a.seq, a.pc, a.op, a.rd, a.addr, a.value, a.taken, a.next_pc) == (
-            b.seq,
-            b.pc,
-            b.op,
-            b.rd,
-            b.addr,
-            b.value,
-            b.taken,
-            b.next_pc,
-        )
-
-
-def test_roundtrip_preserves_boundary_state(sum_loop):
-    loaded = loads_trace(dumps_trace(sum_loop))
-    assert loaded.halted == sum_loop.halted
-    assert loaded.final_int_regs == sum_loop.final_int_regs
-    assert loaded.initial_memory == sum_loop.initial_memory
-    assert loaded.final_memory == sum_loop.final_memory
-
-
 def test_float_values_roundtrip():
-    trace = asm_trace(
-        """
-        .data
-        v: .word 2.5 0.1
-        .text
-        li r1, v
-        fld f1, 0(r1)
-        fld f2, 8(r1)
-        fadd f3, f1, f2
-        fst f3, 0(r1)
-        halt
-        """
-    )
-    loaded = loads_trace(dumps_trace(trace))
-    assert loaded.final_memory.load(0x1000) == 2.5 + 0.1
-
-
-def test_loaded_trace_simulates_identically(sum_loop):
-    """A serialized trace is a complete simulation input: cycles and all
-    vectorization statistics must match the original exactly."""
-    for loaded in (
-        loads_trace(dumps_trace(sum_loop)),
-        loads_trace_binary(dumps_trace_binary(sum_loop)),
-    ):
-        for mode in ("noIM", "IM", "V"):
-            a = Machine(make_config(4, 1, mode), sum_loop).run()
-            b = Machine(make_config(4, 1, mode), loaded).run()
-            assert a.cycles == b.cycles, mode
-            assert a.read_accesses == b.read_accesses
-            assert a.validations_committed == b.validations_committed
-            assert a.branch_mispredicts == b.branch_mispredicts
-
-
-def test_bad_header_rejected():
-    with pytest.raises(TraceFormatError):
-        loads_trace("not json\n")
-
-
-def test_wrong_version_rejected():
-    with pytest.raises(TraceFormatError):
-        loads_trace('{"format": 99, "entries": 0, "halted": true, "program_len": 1}\n{}\n{"int": [], "fp": []}\n')
-
-
-def test_bad_row_rejected(sum_loop):
-    text = dumps_trace(sum_loop, version=2)
-    lines = text.splitlines()
-    lines[3] = "[1, 2, 3]"  # malformed entry row
-    with pytest.raises(TraceFormatError):
-        loads_trace("\n".join(lines) + "\n")
-
-
-# ---------------------------------------------------------------------------
-# packed format 3 vs legacy formats
-# ---------------------------------------------------------------------------
-
-
-def test_default_format_is_packed(sum_loop):
-    text = dumps_trace(sum_loop)
-    header = text.splitlines()[0]
-    assert '"format": 3' in header
-    assert len(text.splitlines()) == 2  # header + one packed body line
-
-
-def test_packed_format_is_smaller(sum_loop):
-    packed = dumps_trace(sum_loop)
-    legacy = dumps_trace(sum_loop, version=2)
-    assert len(packed) < len(legacy) / 4
-
-
-def test_legacy_format2_still_loads(sum_loop):
-    """Files written before the packed format stay readable (fallback)."""
-    legacy = loads_trace(dumps_trace(sum_loop, version=2))
-    packed = loads_trace(dumps_trace(sum_loop))
-    assert len(legacy.entries) == len(packed.entries)
-    for a, b in zip(legacy.entries, packed.entries):
-        assert (a.seq, a.pc, a.op, a.s1, a.s2, a.value, a.addr, a.taken) == (
-            b.seq, b.pc, b.op, b.s1, b.s2, b.value, b.addr, b.taken,
-        )
-    assert legacy.final_int_regs == packed.final_int_regs
-    assert legacy.final_fp_regs == packed.final_fp_regs
-    assert legacy.initial_memory == packed.initial_memory
-
-
-def test_unwritable_version_rejected(sum_loop):
-    with pytest.raises(ValueError):
-        dumps_trace(sum_loop, version=1)
-
-
-def test_corrupt_packed_body_rejected(sum_loop):
-    text = dumps_trace(sum_loop)
-    header, body = text.splitlines()
-    for poison in ("", "!!!not-base85-at-all~~~", body[: len(body) // 2]):
-        with pytest.raises(TraceFormatError):
-            loads_trace(header + "\n" + poison + "\n")
-
-
-def test_packed_floats_roundtrip_exactly():
+    """Computed floats come back bit-exact (marshal keeps IEEE doubles)."""
     trace = asm_trace(
         """
         .data
@@ -159,23 +37,20 @@ def test_packed_floats_roundtrip_exactly():
         halt
         """
     )
-    loaded = loads_trace(dumps_trace(trace))
+    loaded = loads_trace_binary(dumps_trace_binary(trace))
+    assert loaded.final_memory.load(0x1000) == 0.1 + 2.5
     for a, b in zip(trace.entries, loaded.entries):
         assert a.s1 == b.s1 and a.s2 == b.s2 and a.value == b.value
 
 
-@pytest.mark.parametrize("header", ['{"format": 3}', "[3]", '{"format": 3, "entries": "7"}'])
-def test_malformed_header_rejected(sum_loop, header):
-    """A header that parses as JSON but lacks a field or has the wrong
-    shape is a format error, not a KeyError/AttributeError."""
-    body = dumps_trace(sum_loop).splitlines()[1]
-    with pytest.raises(TraceFormatError):
-        loads_trace(header + "\n" + body + "\n")
-
-
-# ---------------------------------------------------------------------------
-# binary columnar codec (the disk cache's traces/ and soa/ sections)
-# ---------------------------------------------------------------------------
+def test_loaded_trace_simulates_identically(sum_loop):
+    """A serialized trace is a complete simulation input: cycles and all
+    vectorization statistics must match the original exactly."""
+    loaded = loads_trace_binary(dumps_trace_binary(sum_loop))
+    for mode in ("noIM", "IM", "V"):
+        a = Machine(make_config(4, 1, mode), sum_loop).run()
+        b = Machine(make_config(4, 1, mode), loaded).run()
+        assert dataclasses.asdict(a) == dataclasses.asdict(b), mode
 
 
 def _same(a, b):
@@ -246,6 +121,23 @@ def test_binary_payload_shape_and_version_checked(sum_loop, codec, edit):
     data, loads = _codec(codec, sum_loop)
     with pytest.raises(TraceFormatError):
         loads(_repacked(data, edit))
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [None, (True, 3), (1, 3, [], {}, [], []), (True, 3, [7], {}, [], []),
+     (True, 3, [], {3: 1}, [], [])],
+    ids=["none", "short", "halted-type", "backward-range", "misaligned-memory"],
+)
+def test_malformed_trace_metadata_rejected(sum_loop, meta):
+    """Metadata of the wrong shape or content is a format error, not a
+    TypeError/IndexError from deep inside the decoder."""
+
+    def edit(payload):
+        payload[3] = meta
+
+    with pytest.raises(TraceFormatError):
+        loads_trace_binary(_repacked(dumps_trace_binary(sum_loop), edit))
 
 
 @pytest.mark.parametrize("codec", ["trace", "soa"])

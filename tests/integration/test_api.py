@@ -46,12 +46,6 @@ def test_simulate_with_metrics_attaches_registry_payload():
     assert result.metrics["sim.committed"]["data"] == SCALE
 
 
-def test_simulate_sampling_accepts_tuples():
-    result = api.simulate("li", scale=3_000, sampling=(200, 1_000))
-    assert result.sampling == (200, 1_000)
-    assert result.stats.sampled_windows > 0
-
-
 def test_grid_returns_report_with_runs_and_metrics():
     points = [("li", 4, 1, "V", SCALE), ("compress", 4, 1, "V", SCALE)]
     report = api.grid(points, jobs=1, metrics=True)
@@ -64,13 +58,6 @@ def test_grid_returns_report_with_runs_and_metrics():
     assert payload["accounting"]["requested"] == 2
     assert len(payload["runs"]) == 2
     json.dumps(payload)
-
-
-def test_grid_sampling_override_applies_to_every_point():
-    report = api.grid([("li", 4, 1, "V", 3_000)], jobs=1, sampling=(200, 1_000))
-    (run,) = report.runs
-    assert run.sampling == (200, 1_000)
-    assert run.stats.sampled_windows > 0
 
 
 def test_trace_captures_events_and_cross_checks():

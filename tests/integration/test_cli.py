@@ -1,10 +1,12 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import re
 
 import pytest
 
 from repro.__main__ import main
+from repro.experiments import diskcache
 
 
 def test_list(capsys):
@@ -39,28 +41,6 @@ def test_headline(capsys):
     assert main(["headline", "--scale", "2500"]) == 0
     out = capsys.readouterr().out
     assert "int_validation_fraction" in out
-
-
-def test_run_sampled(capsys):
-    args = ["run", "li", "--scale", "3000", "--sampled", "--interval", "1000",
-            "--window", "200"]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "IPC=" in out
-    assert "sampled: windows=" in out
-
-
-def test_window_interval_imply_sampled(capsys):
-    assert main(["run", "li", "--scale", "3000", "--interval", "1000"]) == 0
-    assert "sampled: windows=" in capsys.readouterr().out
-
-
-def test_figures_sampled(capsys):
-    args = ["figures", "--scale", "3000", "--only", "fig14", "--sampled",
-            "--interval", "1000", "--window", "200", "--jobs", "1"]
-    assert main(args) == 0
-    out = capsys.readouterr().out
-    assert "Figure 14" in out and "TOTAL" in out
 
 
 def test_run_json_emits_versioned_schema(capsys):
@@ -124,21 +104,37 @@ def test_trace_rejects_unknown_benchmark(capsys):
     assert main(["trace", "mcf", "--scale", "2500"]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--interval", "--window"])
-def test_zero_sampling_flags_are_rejected(flag, capsys):
-    # 0 used to fall through the falsy check into exact mode silently;
-    # argparse must reject it loudly instead.
+@pytest.mark.parametrize(
+    "args",
+    [["figures", "--jobs", "0"], ["trace", "li", "--limit", "0"]],
+    ids=["--jobs", "--limit"],
+)
+def test_zero_positive_flags_are_rejected(args, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["run", "li", "--scale", "3000", flag, "0"])
+        main(args)
     assert exc.value.code == 2
     assert "positive integer" in capsys.readouterr().err
 
 
-def test_cache_info_breaks_down_sections(capsys):
+def test_cache_info_breaks_down_sections(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["cache", "info"]) == 0
-    out = capsys.readouterr().out
-    for section in ("stats:", "traces:", "checkpoints:", "total:"):
-        assert section in out
+    labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+    assert labels == [
+        "root", "enabled", "stats", "traces", "soa", "corpus", "campaigns", "total",
+    ]
+
+
+def test_cache_section_choices_are_the_cache_sections(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    for section in diskcache._SECTIONS:
+        assert main(["cache", "clear", "--section", section]) == 0
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(["cache", "clear", "--section", "checkpoint"])
+    assert exc.value.code == 2
+    offered = capsys.readouterr().err.split("choose from", 1)[1]
+    assert re.findall(r"\w+", offered) == list(diskcache._SECTIONS)
 
 
 def test_requires_command():

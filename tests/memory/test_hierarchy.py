@@ -1,7 +1,5 @@
 """L1/L2/memory latency chain and MSHR behaviour."""
 
-import pytest
-
 from repro.memory import HierarchyConfig, MemoryHierarchy
 
 
@@ -117,58 +115,3 @@ def test_mshr_merge_write_joins_read_fill():
     # With the single MSHR busy, a same-line write merges rather than
     # being rejected.
     assert h.data_access(8, now=1, is_write=True) == first
-
-
-def test_drain_mshrs_clears_outstanding():
-    h = MemoryHierarchy()
-    h.data_access(0, now=0)
-    h.data_access(64, now=0)
-    assert h.outstanding_misses(0) == 2
-    h.drain_mshrs()
-    assert h.outstanding_misses(0) == 0
-    # Contents survive the drain: both lines were filled at access time.
-    assert h.l1d.probe(0) and h.l1d.probe(64)
-
-
-def test_warm_data_access_matches_timed_contents():
-    # The functional warmer must leave cache *contents* (tags, LRU order,
-    # dirty bits) exactly as the timed path would.  Timed accesses are
-    # spaced out so MSHR pressure never rejects one.
-    pattern = [(0, False), (32768, True), (65536, False), (0, False),
-               (98304, True), (32768, False), (131072, False), (8, True)]
-    timed = MemoryHierarchy()
-    warmed = MemoryHierarchy()
-    for i, (addr, is_write) in enumerate(pattern):
-        timed.data_access(addr, now=i * 1000, is_write=is_write)
-        warmed.warm_data_access(addr, is_write=is_write)
-    timed.drain_mshrs()
-    assert warmed.snapshot() == timed.snapshot()
-
-
-def test_warm_inst_access_matches_timed_contents():
-    timed = MemoryHierarchy()
-    warmed = MemoryHierarchy()
-    for i, addr in enumerate([0, 64, 128, 0, 4096, 64]):
-        timed.inst_access(addr, now=i * 10)
-        warmed.warm_inst_access(addr)
-    assert warmed.l1i.snapshot() == timed.l1i.snapshot()
-
-
-def test_snapshot_restore_roundtrip():
-    h = MemoryHierarchy()
-    for i, addr in enumerate([0, 32, 64, 32768, 8]):
-        h.data_access(addr, now=i * 1000, is_write=(i % 2 == 0))
-    h.inst_access(256, now=0)
-    snap = h.snapshot()
-    fresh = MemoryHierarchy()
-    fresh.restore(snap)
-    assert fresh.snapshot() == snap
-    # Restored contents behave: a hit on a restored line is 1 cycle.
-    assert fresh.data_access(0, now=10) == 11
-
-
-def test_restore_rejects_mismatched_geometry():
-    small = MemoryHierarchy(HierarchyConfig(l1d_size=32 * 1024))
-    big = MemoryHierarchy()
-    with pytest.raises(ValueError):
-        big.restore(small.snapshot())

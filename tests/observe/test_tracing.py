@@ -81,10 +81,11 @@ def test_event_cycles_are_monotonic(turb3d_trace):
 
 
 def test_unsubscribed_bus_emits_nothing(turb3d_trace):
-    # Subscribe to a kind this exact-mode run never produces: the bus
-    # must stay empty — instrumentation points filter before capture.
-    observer = Observer.tracing(events=["sample.window"])
-    _run(turb3d_trace, observer)
+    # Subscribe to the vector engine's kinds on a run without the engine
+    # (the V-mode run emits every kind): the bus must stay empty —
+    # instrumentation points filter before capture.
+    observer = Observer.tracing(events=["tl", "vrmt", "validation"])
+    Machine(make_config(8, 2, "noIM"), turb3d_trace, observer=observer).run()
     assert observer.bus.emitted == 0
     assert observer.bus.summary()["counts"] == {}
 

@@ -136,7 +136,7 @@ def test_real_api_payloads_validate():
     """Live ``to_dict()`` payloads (not synthetic minima) pass the shared
     validator: a tiny grid, its nested runs, and a trace."""
     report = api.grid(
-        [api.GridPoint("compress", 4, 1, "V", 2_610, True, None)]
+        [api.GridPoint("compress", 4, 1, "V", 2_610, True)]
     )
     grid_payload = report.to_dict()
     assert validate_envelope(grid_payload)["name"] == "repro.grid"

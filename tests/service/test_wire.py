@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments import runner
 from repro.service import wire
 
 
@@ -16,9 +17,7 @@ def _point(**overrides):
 class TestParsePoint:
     def test_defaults(self):
         point = wire.parse_point({"benchmark": "compress"})
-        assert (point.width, point.ports, point.mode) == (4, 1, "V")
-        assert point.block_on_scalar_operand is True
-        assert point.sampling is None
+        assert point == ("compress", 4, 1, "V", runner.EXPERIMENT_SCALE, True)
 
     @pytest.mark.parametrize(
         "overrides, kind",
@@ -67,10 +66,25 @@ class TestRequestKey:
             {"width": 8},
             {"ports": 2},
             {"block_on_scalar_operand": False},
-            {"sampling": [1_000, 10_000]},
         ):
             _, other = wire.parse_run_request(_point(**overrides))
             assert other != base, overrides
+
+    def test_run_dedups_under_the_stats_entry_compute_point_writes(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        params, _ = wire.parse_run_request(_point(scale=1_500))
+        point = params["point"]
+        runner.compute_point(point)
+        entries = [path.stem for path in (tmp_path / "stats").iterdir()]
+        assert entries == [runner.point_cache_key(point)]
+        # The dedup key is a function of that stats key alone: points
+        # naming one entry coalesce.
+        monkeypatch.setattr(runner, "point_cache_key", lambda point: "one entry")
+        _, key_a = wire.parse_run_request(_point(scale=1_500))
+        _, key_b = wire.parse_run_request(_point(benchmark="li"))
+        assert key_a == key_b
 
     def test_kind_partitions_the_key_space(self):
         """The same point as a run vs a one-point grid must not coalesce —
@@ -114,11 +128,25 @@ class TestRequestParsers:
 
     def test_figure_expands_to_registry_points(self):
         params, key = wire.parse_figure_request({"figure": "fig14", "scale": 2_000})
-        assert params == {"figure": "fig14", "scale": 2_000, "sampling": None}
+        assert params == {"figure": "fig14", "scale": 2_000}
         assert isinstance(key, str) and len(key) == 64
 
     def test_headline_scale_validated(self):
         with pytest.raises(wire.WireError):
             wire.parse_headline_request({"scale": -5})
         params, _ = wire.parse_headline_request({"scale": 2_000})
-        assert params == {"scale": 2_000, "sampling": None}
+        assert params == {"scale": 2_000}
+
+    @pytest.mark.parametrize(
+        "parse, body",
+        [
+            (wire.parse_figure_request, {"figure": "fig14", "sampling": [300, 1_500]}),
+            (wire.parse_figure_request, {"figure": "fig14", "typo_key": 1}),
+            (wire.parse_headline_request, {"sampling": [300, 1_500]}),
+            (wire.parse_headline_request, {"scale": 2_000, "typo_key": 1}),
+        ],
+    )
+    def test_figure_and_headline_reject_unknown_keys(self, parse, body):
+        with pytest.raises(wire.WireError) as excinfo:
+            parse(body)
+        assert excinfo.value.kind == "request.invalid"
