@@ -7,21 +7,13 @@ the engine that turns scalar instructions into vector instances and
 validations inside the out-of-order pipeline.
 """
 
-from .engine import (
-    DecodeKind,
-    Decision,
-    MisspeculationError,
-    VectorAluInstance,
-    VectorizationEngine,
-)
+from .engine import MisspeculationError, VectorAluInstance, VectorizationEngine
 from .table_of_loads import TableOfLoads, TLEntry
 from .tables import SetAssocTable
 from .vector_regfile import VectorRegister, VectorRegisterFile
 from .vrmt import VRMT, VRMTEntry
 
 __all__ = [
-    "DecodeKind",
-    "Decision",
     "MisspeculationError",
     "VectorAluInstance",
     "VectorizationEngine",

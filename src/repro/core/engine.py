@@ -33,15 +33,12 @@ silently inflating the speedup.
 
 from __future__ import annotations
 
-import enum
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple, Union
-
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
 
 from ..functional.semantics import alu_function
 from ..isa.opcodes import FU_LATENCY, Opcode, fu_class_of
+from ..isa.registers import NO_REG
 from ..observe.events import (
     SQUASH_COHERENCE,
     TL_DEMOTE,
@@ -57,16 +54,64 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with the pipeline
     from ..pipeline.config import MachineConfig
     from ..pipeline.stats import SimStats
 from .table_of_loads import TableOfLoads
-from .vector_regfile import VectorRegister, VectorRegisterFile
+from .vector_regfile import VectorRegister, VectorRegisterFile, wake_element
 from .vrmt import VRMT, VRMTEntry
 
 Number = Union[int, float]
 
-#: sentinel distinguishing "no scalar source seen" from a captured None.
-_NO_SCALAR = object()
+#: Decode outcomes: the first field of a decode tuple.  The two vector
+#: outcomes carry the machine's window-kind numbers.
+SCALAR = 0  # execute normally (the instruction still touched the VRMT)
+VALIDATION = 3  # check one vector element, no execution
+TRIGGER = 4  # created a vector instance; commits its start element
+
+#: A decode result: ``(kind, reg, elem, pred_addr, counts_as_validation,
+#: vrmt_rollback)``, or None for a plain scalar that touched no engine
+#: state.  ``counts_as_validation`` marks Fig 14's validation ops (a
+#: chained creation validates element 0 of its new register, so it is
+#: both a trigger and a validation).  ``vrmt_rollback`` is the squash
+#: rollback ``(pc, entry-or-None, offset)``: ``entry`` is the *original*
+#: :class:`VRMTEntry` object (only its ``offset`` ever mutates after
+#: creation, so reinstalling it with the saved offset restores the exact
+#: pre-decode state); None means there was no mapping to restore.
+Decoded = Optional[Tuple[int, Optional[VectorRegister], int, Optional[int], bool, Tuple]]
 
 #: the second ALU operand of a single-source opcode: broadcast constant 0.
 _ZERO_OPERAND = (None, 0, 0)
+
+#: single-source fp/convert forms whose missing rs2 is NOT an immediate.
+_NO_IMM_OPS = frozenset(
+    (Opcode.FNEG, Opcode.FABS, Opcode.FMOV, Opcode.FSQRT, Opcode.ITOF, Opcode.FTOI)
+)
+
+#: where an ALU opcode's second ISA operand comes from.
+_SRC2_NONE = 0
+_SRC2_REG = 1
+_SRC2_IMM = 2
+
+#: per-PC static ALU decode: (callable, FU class, latency, has rs1, rs2 form).
+AluLayout = Tuple[Callable, int, int, bool, int]
+
+
+def _alu_layout(entry) -> AluLayout:
+    """The static part of an arithmetic instruction's decode."""
+    op = entry.op
+    cls = fu_class_of(op)
+    if entry.rs2 != NO_REG:
+        form2 = _SRC2_REG
+    elif op in _NO_IMM_OPS:
+        form2 = _SRC2_NONE
+    else:  # immediate-operand forms carry the immediate as rs2
+        form2 = _SRC2_IMM
+    return alu_function(op), cls, FU_LATENCY[cls], entry.rs1 != NO_REG, form2
+
+
+def _operand(tok, start: int, value: Number) -> Tuple:
+    """One ALU operand as ``(reg, offset, value)`` for a vector token
+    ``(reg, elem)`` or, when ``tok`` is None, a broadcast scalar."""
+    if tok is None:
+        return (None, 0, value)
+    return (tok[0], tok[1] - start, 0)
 
 #: FAULT-INJECTION HOOK — test use only.  True disables the §3.6 store
 #: range coherence check entirely, re-creating the classic silent-
@@ -83,43 +128,6 @@ class MisspeculationError(AssertionError):
     the mechanism would have corrupted architectural state."""
 
 
-class DecodeKind(enum.Enum):
-    """What the decode stage turned a dynamic instruction into."""
-
-    SCALAR = "scalar"  # execute normally
-    VALIDATION = "validation"  # check one vector element, no execution
-    TRIGGER = "trigger"  # created a vector instance; commits its start element
-
-
-@dataclass(slots=True)
-class Decision:
-    """Decode-time outcome for one dynamic instruction."""
-
-    kind: DecodeKind
-    reg: Optional[VectorRegister] = None
-    elem: int = -1
-    pred_addr: Optional[int] = None
-    #: True when the dynamic instance is a validation op for Fig 14's count
-    #: (chained creations validate element 0 of the new register, so they
-    #: are both TRIGGER and a validation).
-    counts_as_validation: bool = False
-    #: VRMT rollback data for squashes: ``(pc, entry-or-None, offset)``,
-    #: or None when the decision did not touch the VRMT.  ``entry`` is the
-    #: *original* :class:`VRMTEntry` object (only its ``offset`` field
-    #: ever mutates after creation, so reinstalling it with the saved
-    #: offset restores the exact pre-decode state without allocating a
-    #: snapshot copy); None means there was no mapping to restore.
-    vrmt_rollback: Optional[Tuple[int, Optional[VRMTEntry], int]] = None
-
-
-#: Shared plain-scalar decision for the hottest decode outcome (no VRMT
-#: state touched, nothing to roll back).  Decode paths that later attach a
-#: ``vrmt_rollback`` must construct a fresh instance instead.
-_SCALAR_DECISION = Decision(DecodeKind.SCALAR)
-
-
-
-
 class VectorAluInstance:
     """A pending vector arithmetic operation (element-wise, pipelined).
 
@@ -130,7 +138,8 @@ class VectorAluInstance:
     ALU operand fields the datapath reads per element (``a_*`` and
     ``b_*``); a single-source opcode gets a constant 0 second operand.
     ``fn`` is the opcode's callable from the dispatch table
-    :func:`~repro.functional.semantics.apply_alu` uses.
+    :func:`~repro.functional.semantics.apply_alu` uses; it and the FU
+    class and latency come from the instruction's per-PC decode.
 
     Elements are scheduled individually as their source elements become
     available (sources may themselves trickle in when element fetching is
@@ -162,13 +171,13 @@ class VectorAluInstance:
     def __init__(
         self,
         dest: VectorRegister,
-        op: Opcode,
+        layout: AluLayout,
         operands: List[Tuple],
         start: int,
         alloc_cycle: int,
     ) -> None:
         self.dest = dest
-        self.fn = alu_function(op)
+        self.fn, self.fu_class, self.latency = layout[0], layout[1], layout[2]
         self.a_reg, self.a_off, self.a_val = operands[0]
         self.b_reg, self.b_off, self.b_val = (
             operands[1] if len(operands) > 1 else _ZERO_OPERAND
@@ -182,10 +191,6 @@ class VectorAluInstance:
         #: index of the vector FU this instance occupies (set lazily, when
         #: its first element is ready).
         self.fu_unit: Optional[int] = None
-        #: FU class / latency for ``op``, fixed per instance (set once here
-        #: so the per-cycle scheduler skips the per-call table lookups).
-        self.fu_class = fu_class_of(op)
-        self.latency = FU_LATENCY[self.fu_class]
 
     #: re-initialize a pooled record in place (same signature as __init__).
     reset = __init__
@@ -219,6 +224,10 @@ class VectorizationEngine:
         self.pending_fetches: Deque[Tuple[VectorRegister, int, int]] = deque()
         #: vector ALU work not yet scheduled onto a vector FU.
         self.pending_alu: List[VectorAluInstance] = []
+        #: the machine's park heap of ``(cycle, seq, instruction)``: every
+        #: element-time write here wakes the element's sleepers onto it
+        #: (the machine installs its own heap; see ``wake_element``).
+        self.parked: list = []
         #: vector FU pools (mirrors the scalar pool sizes, Table 1).
         self.vec_fu_free = {
             cls: [0] * count for cls, count in config.fu_pool_sizes().items()
@@ -227,43 +236,16 @@ class VectorizationEngine:
         self._cancel_dead = vc.cancel_dead_fetches
         self._fetch_ahead = vc.fetch_ahead
         self._check_invariants = config.check_invariants
-        #: single scratch Decision mutated in place by the decode paths:
-        #: dispatch copies every field out before the next decode call, so
-        #: one record serves the whole run (allocation-churn removal).
-        self._decision = Decision(DecodeKind.SCALAR)
         #: recycled VectorAluInstance records (see tick()).
         self._alu_pool: List[VectorAluInstance] = []
+        #: static ALU decode per PC, built at the PC's first ALU decode.
+        self._alu_layouts: Dict[int, AluLayout] = {}
 
     # ------------------------------------------------------------------
     # Decode-time decisions
     # ------------------------------------------------------------------
 
-    def _decide(
-        self,
-        kind: DecodeKind,
-        reg: Optional[VectorRegister] = None,
-        elem: int = -1,
-        pred_addr: Optional[int] = None,
-        counts_as_validation: bool = False,
-        vrmt_rollback: Optional[Tuple[int, Optional[VRMTEntry], int]] = None,
-    ) -> Decision:
-        """Fill and return the engine's scratch :class:`Decision`.
-
-        Valid only until the next decode call — the dispatch stage copies
-        the fields into its in-flight record immediately.  Paths that
-        never mutate the result may still return the shared
-        ``_SCALAR_DECISION`` instead.
-        """
-        d = self._decision
-        d.kind = kind
-        d.reg = reg
-        d.elem = elem
-        d.pred_addr = pred_addr
-        d.counts_as_validation = counts_as_validation
-        d.vrmt_rollback = vrmt_rollback
-        return d
-
-    def decode_load(self, entry, now: int, first_time: bool) -> Decision:
+    def decode_load(self, entry, now: int, first_time: bool) -> Decoded:
         """Classify a dynamic load: scalar, validation, or vector trigger.
 
         ``first_time`` is False when the instance is being re-decoded after
@@ -279,18 +261,17 @@ class VectorizationEngine:
 
         mapping = self.vrmt.lookup(pc)
         if mapping is not None:
-            return self._load_validation(pc, addr, mapping, now)
+            return self._load_validation(pc, mapping, now)
         if vectorizable and stride is not None:
             return self._new_load_instance(
-                pc, addr, stride, now, chained=False,
-                fp=entry.op is Opcode.FLD,
+                pc, addr, stride, now, None, entry.op is Opcode.FLD
             )
-        return _SCALAR_DECISION
+        return None
 
-    def _load_validation(self, pc: int, addr: int, mapping: VRMTEntry, now: int) -> Decision:
+    def _load_validation(self, pc: int, mapping: VRMTEntry, now: int) -> Decoded:
         """VRMT hit for a load: validate the next element (chaining at VL)."""
-        rollback = (pc, mapping, mapping.offset)
-        if mapping.offset >= self.vl:
+        elem = mapping.offset
+        if elem >= self.vl:
             # §3.2: offset reached the register length -> spawn the next
             # vector instance; this dynamic instance validates its elem 0.
             prev = mapping.reg
@@ -300,27 +281,11 @@ class VectorizationEngine:
                 else (self.tl.stride_of(pc) or 0)
             )
             base = prev.pred_addrs[-1] + stride
-            decision = self._new_load_instance(
-                pc, base, stride, now, chained=True, actual_addr=addr,
-                fp=prev.fp_load,
-            )
-            # Scalar outcome (pool empty): the mapping stays so a later
-            # instance can retry the chain; either way the pre-decode
-            # state is this mapping at its old offset.
-            decision.vrmt_rollback = rollback
-            return decision
-        elem = mapping.offset
-        mapping.offset += 1
+            return self._new_load_instance(pc, base, stride, now, mapping, prev.fp_load)
+        mapping.offset = elem + 1
         reg = mapping.reg
         reg.u_bits |= 1 << elem
-        return self._decide(
-            DecodeKind.VALIDATION,
-            reg=reg,
-            elem=elem,
-            pred_addr=reg.pred_addrs[elem],
-            counts_as_validation=True,
-            vrmt_rollback=rollback,
-        )
+        return (VALIDATION, reg, elem, reg.pred_addrs[elem], True, (pc, mapping, elem))
 
     def _new_load_instance(
         self,
@@ -328,29 +293,32 @@ class VectorizationEngine:
         base_addr: int,
         stride: int,
         now: int,
-        chained: bool,
-        actual_addr: Optional[int] = None,
-        fp: bool = False,
-    ) -> Decision:
-        """Allocate a register and launch element fetches for a load."""
-        prev_state = self.vrmt.table.peek(pc)
-        rollback = (pc, prev_state, prev_state.offset if prev_state is not None else 0)
+        prev: Optional[VRMTEntry],
+        fp: bool,
+    ) -> Decoded:
+        """Allocate a register and launch element fetches for a load.
+
+        ``prev`` is the live mapping a chained creation replaces (None for
+        a fresh one); either way it is the pre-decode VRMT state."""
+        rollback = (pc, None, 0) if prev is None else (pc, prev, prev.offset)
         reg = self.vrf.allocate(pc, is_load=True, start_offset=0, mrbb=self.gmrbb)
         if reg is None:
             self.stats.vreg_alloc_failures += 1
             self._sweep_frees(now)
-            # Scratch, not _SCALAR_DECISION: the caller may attach rollback.
-            return self._decide(DecodeKind.SCALAR)
+            # A chained creation keeps its mapping, so a later instance
+            # can retry the chain; a fresh one touched nothing.
+            return None if prev is None else (SCALAR, None, -1, None, False, rollback)
         reg.fp_load = fp
         reg.set_load_addresses(base_addr, stride)
         self.vrf.index_load(reg)
         ahead = self._fetch_ahead
         self._enqueue_load_fetches(reg, self.vl - 1 if ahead <= 0 else ahead)
-        self.vrmt.insert(pc, VRMTEntry(reg, offset=1))
+        self.vrmt.insert(pc, VRMTEntry(reg, 1))
         reg.u_bits |= 1
         self.stats.vector_instances += 1
         self.stats.vector_load_instances += 1
         self.stats.registers_allocated += 1
+        chained = prev is not None
         bus = self._bus
         if bus is not None:
             bus.emit(
@@ -358,177 +326,115 @@ class VectorizationEngine:
                 stride=stride, base=base_addr, chained=chained,
             )
             bus.emit(now, VRMT_MAP, pc=pc, slot=reg.slot, gen=reg.gen, load=True)
-        return self._decide(
-            DecodeKind.TRIGGER,
-            reg=reg,
-            elem=0,
-            pred_addr=reg.pred_addrs[0],
-            counts_as_validation=chained,
-            vrmt_rollback=rollback,
-        )
+        return (TRIGGER, reg, 0, reg.pred_addrs[0], chained, rollback)
 
     # ------------------------------------------------------------------
 
-    def decode_alu(
-        self,
-        entry,
-        src_descs: Tuple[Tuple, ...],
-        now: int,
-    ) -> Decision:
+    def decode_alu(self, entry, t1, t2, now: int) -> Decoded:
         """Classify a dynamic arithmetic instruction.
 
-        ``src_descs`` carries one descriptor per ISA source position:
-        ``("V", reg, elem)`` for a vector-mapped register (``elem`` is the
-        element index of the current iteration), ``("S", logical, value)``
-        for a scalar-mapped register with its architectural value, or
-        ``("imm", value)``.
+        ``t1`` / ``t2`` are the rename tokens of its ``rs1`` / ``rs2``
+        sources (None when absent or the zero register): a ``(reg, elem)``
+        tuple for a vector-mapped source — ``elem`` is the element of the
+        current iteration — and anything else for a scalar-mapped one,
+        whose value is ``entry.s1`` / ``entry.s2``.
         """
         pc = entry.pc
-        # One pass over the descriptors (decode hot path).
-        any_vector = False
-        scalar_value = first_scalar = _NO_SCALAR
-        for d in src_descs:
-            tag = d[0]
-            if tag == "V":
-                any_vector = True
-            elif tag == "S" and first_scalar is _NO_SCALAR:
-                first_scalar = d[2]
+        v1 = t1 if type(t1) is tuple else None
+        v2 = t2 if type(t2) is tuple else None
         mapping = self.vrmt.lookup(pc)
-        if mapping is None and not any_vector:
-            return _SCALAR_DECISION
+        if mapping is None and v1 is None and v2 is None:
+            return None
+        layout = self._alu_layouts.get(pc)
+        if layout is None:
+            layout = self._alu_layouts[pc] = _alu_layout(entry)
+        # §3.2's captured scalar value: the first scalar register source
+        # of a mixed instance (None when not mixed).
+        scalar_value = None
+        if v1 is None:
+            if v2 is not None and layout[3]:
+                scalar_value = entry.s1
+        elif v2 is None and layout[4] == _SRC2_REG:
+            scalar_value = entry.s2
 
-        # §3.2's captured scalar value: only mixed instances record one.
-        scalar_value = (
-            first_scalar if any_vector and first_scalar is not _NO_SCALAR else None
-        )
-
-        if mapping is not None:
-            rollback = (pc, mapping, mapping.offset)
-            if mapping.offset < self.vl:
-                matches = self._operands_match(mapping, src_descs, scalar_value)
-                if matches and self._source_elems_aligned(mapping, src_descs):
-                    elem = mapping.offset
-                    mapping.offset += 1
-                    reg = mapping.reg
-                    reg.u_bits |= 1 << elem
-                    return self._decide(
-                        DecodeKind.VALIDATION,
-                        reg=reg,
-                        elem=elem,
-                        counts_as_validation=True,
-                        vrmt_rollback=rollback,
-                    )
-            # Offset exhausted or operands changed: retire this mapping and
-            # (if still fed by vector operands) chain a new instance.
-            self.vrmt.invalidate(pc)
-            if self._bus is not None:
-                self._bus.emit(
-                    now, VRMT_INVALIDATE, pc=pc,
-                    reason="exhausted" if mapping.offset >= self.vl else "operands",
-                )
-            decision = (
-                self._new_alu_instance(entry, src_descs, scalar_value, now)
-                if any_vector
-                else self._decide(DecodeKind.SCALAR)
+        if mapping is None:
+            return self._new_alu_instance(
+                entry, layout, v1, v2, scalar_value, (pc, None, 0), now
             )
-            decision.vrmt_rollback = rollback
-            return decision
-
-        decision = self._new_alu_instance(entry, src_descs, scalar_value, now)
-        if decision.vrmt_rollback is None:
-            decision.vrmt_rollback = (pc, None, 0)
-        return decision
-
-    @staticmethod
-    def _operands_match(
-        mapping: VRMTEntry, src_descs: Tuple[Tuple, ...], scalar_value: Optional[Number]
-    ) -> bool:
-        """§3.2's operand check: the renamed sources must be the same
-        registers the instance was vectorized with (vector sources compare
-        by slot+generation; mixed instances also compare the captured
-        scalar *value*)."""
-        recorded = mapping.src_desc or ()
-        if len(recorded) != len(src_descs):
-            return False
-        for d, r in zip(src_descs, recorded):
-            if d[0] == "V":
-                if r[0] != "V" or r[1] != d[1].slot or r[2] != d[1].gen:
-                    return False
-            elif d[0] == "S":
-                if r != ("S", d[1]):
-                    return False
-            else:
-                if r != ("imm",):
-                    return False
-        if mapping.scalar_value is not None and mapping.scalar_value != scalar_value:
-            return False
-        return True
-
-    def _source_elems_aligned(
-        self, mapping: VRMTEntry, src_descs: Tuple[Tuple, ...]
-    ) -> bool:
-        """Check the rename-table offsets line up with the elements this
-        validation's dest element was computed from (§3.2's operand check
-        includes the offset field of the rename table, Fig 6)."""
-        dest_elem = mapping.offset
-        start = mapping.reg.start_offset
-        for desc, recorded in zip(src_descs, mapping.src_desc or ()):
-            if desc[0] != "V" or recorded[0] != "V":
-                continue
-            base = recorded[3] if len(recorded) > 3 else 0
-            if desc[2] != dest_elem - start + base:
-                return False
-        return True
+        offset = mapping.offset
+        rollback = (pc, mapping, offset)
+        if offset < self.vl and (
+            mapping.scalar_value is None or mapping.scalar_value == scalar_value
+        ):
+            # §3.2's operand check on the renamed sources: each must be
+            # scalar again, or the same vector register the instance was
+            # created from at the element this validation's dest element
+            # was computed from (the rename table's offset field, Fig 6).
+            # A PC's operand layout is static, so scalar and immediate
+            # positions always match.
+            shift = offset - mapping.reg.start_offset
+            r1 = mapping.src1
+            r2 = mapping.src2
+            if (
+                (r1 is None if v1 is None
+                 else r1 is not None and v1[0] is r1[0] and v1[1] == r1[1] + shift)
+                and (r2 is None if v2 is None
+                     else r2 is not None and v2[0] is r2[0] and v2[1] == r2[1] + shift)
+            ):
+                mapping.offset = offset + 1
+                reg = mapping.reg
+                reg.u_bits |= 1 << offset
+                return (VALIDATION, reg, offset, None, True, rollback)
+        # Offset exhausted or operands changed: retire this mapping and
+        # (if still fed by vector operands) chain a new instance.
+        self.vrmt.invalidate(pc)
+        if self._bus is not None:
+            self._bus.emit(
+                now, VRMT_INVALIDATE, pc=pc,
+                reason="exhausted" if offset >= self.vl else "operands",
+            )
+        if v1 is None and v2 is None:
+            return (SCALAR, None, -1, None, False, rollback)
+        return self._new_alu_instance(entry, layout, v1, v2, scalar_value, rollback, now)
 
     def _new_alu_instance(
         self,
         entry,
-        src_descs: Tuple[Tuple, ...],
+        layout: AluLayout,
+        v1: Optional[Tuple],
+        v2: Optional[Tuple],
         scalar_value: Optional[Number],
+        rollback: Tuple,
         now: int,
-    ) -> Decision:
-        """Allocate a register for a vector ALU instance (``src_descs``
-        holds at least one vector source; :meth:`decode_alu` checks)."""
+    ) -> Decoded:
+        """Allocate a register for a vector ALU instance (at least one of
+        the vector tokens ``v1`` / ``v2`` is set; :meth:`decode_alu`
+        checks)."""
         pc = entry.pc
-        start = 0
-        for d in src_descs:
-            if d[0] == "V" and d[2] > start:
-                start = d[2]
-        prev_state = self.vrmt.table.peek(pc)
-        rollback = (pc, prev_state, prev_state.offset if prev_state is not None else 0)
+        start = 0 if v1 is None else v1[1]
+        if v2 is not None and v2[1] > start:
+            start = v2[1]
         reg = self.vrf.allocate(pc, is_load=False, start_offset=start, mrbb=self.gmrbb)
         if reg is None:
             self.stats.vreg_alloc_failures += 1
             self._sweep_frees(now)
-            return self._decide(DecodeKind.SCALAR, vrmt_rollback=rollback)
+            return (SCALAR, None, -1, None, False, rollback)
         operands: List[Tuple] = []
-        recorded_desc = []
-        for d in src_descs:
-            if d[0] == "V":
-                operands.append((d[1], d[2] - start, 0))
-                recorded_desc.append(("V", d[1].slot, d[1].gen, d[2]))
-            elif d[0] == "S":
-                operands.append((None, 0, d[2]))
-                recorded_desc.append(("S", d[1]))
-            else:  # immediate
-                operands.append((None, 0, d[1]))
-                recorded_desc.append(("imm",))
+        if layout[3]:
+            operands.append(_operand(v1, start, entry.s1))
+        form2 = layout[4]
+        if form2 == _SRC2_REG:
+            operands.append(_operand(v2, start, entry.s2))
+        elif form2 == _SRC2_IMM:
+            operands.append((None, 0, entry.imm))
         pool = self._alu_pool
         if pool:
             instance = pool.pop()
-            instance.reset(reg, entry.op, operands, start, now)
+            instance.reset(reg, layout, operands, start, now)
         else:
-            instance = VectorAluInstance(reg, entry.op, operands, start, now)
+            instance = VectorAluInstance(reg, layout, operands, start, now)
         self.pending_alu.append(instance)
-        self.vrmt.insert(
-            pc,
-            VRMTEntry(
-                reg,
-                offset=start + 1,
-                src_desc=tuple(recorded_desc),
-                scalar_value=scalar_value,
-            ),
-        )
+        self.vrmt.insert(pc, VRMTEntry(reg, start + 1, v1, v2, scalar_value))
         reg.u_bits |= 1 << start
         self.stats.vector_instances += 1
         self.stats.vector_alu_instances += 1
@@ -540,12 +446,7 @@ class VectorizationEngine:
                 now, VRMT_MAP, pc=pc,
                 slot=reg.slot, gen=reg.gen, load=False, start=start,
             )
-        return self._decide(
-            DecodeKind.TRIGGER,
-            reg=reg,
-            elem=start,
-            vrmt_rollback=rollback,
-        )
+        return (TRIGGER, reg, start, None, False, rollback)
 
     # ------------------------------------------------------------------
     # The vector datapath
@@ -587,10 +488,13 @@ class VectorizationEngine:
                 # ever validate (complete them as garbage so freeing and
                 # dependent timing still resolve).
                 r_time = dest.r_time
+                sleepers = dest.sleepers
                 for j in range(k, length):
                     if r_time[j] is None:
                         r_time[j] = now
                         self.stats.fetches_cancelled += 1
+                        if sleepers is not None:
+                            wake_element(dest, j, now, self.parked)
                 pool.append(inst)
                 continue
             first = k
@@ -644,6 +548,9 @@ class VectorizationEngine:
                 if units[unit] <= prev:
                     units[unit] = prev + 1
                 inst.next_elem = k
+                if dest.sleepers is not None:
+                    for j in range(first, k):
+                        wake_element(dest, j, r_time[j], self.parked)
                 if k == length:
                     pool.append(inst)
                     continue
@@ -663,7 +570,7 @@ class VectorizationEngine:
             reg, elem, addr = self.pending_fetches.popleft()
             if reg.freed or reg.defunct:
                 if not reg.freed and reg.r_time[elem] is None:
-                    reg.r_time[elem] = 0
+                    self._complete_garbage(reg, elem)
                 continue
             if cancel_dead and self._register_is_dead(reg):
                 # Future-work extension (§4.3): nothing can ever validate
@@ -671,10 +578,17 @@ class VectorizationEngine:
                 # it instead of burning a port and a line fill.
                 self.stats.fetches_cancelled += 1
                 if reg.r_time[elem] is None:
-                    reg.r_time[elem] = 0
+                    self._complete_garbage(reg, elem)
                 continue
             out.append((reg, elem, addr))
         return out
+
+    def _complete_garbage(self, reg: VectorRegister, elem: int) -> None:
+        """Complete a dropped element fetch at cycle 0 with a garbage
+        value, so its dependents' timing resolves."""
+        reg.r_time[elem] = 0
+        if reg.sleepers is not None:
+            wake_element(reg, elem, 0, self.parked)
 
     def _enqueue_load_fetches(self, reg: VectorRegister, upto: int) -> None:
         """Queue element fetches for ``reg`` through element ``upto``.
@@ -888,10 +802,10 @@ class VectorizationEngine:
             self.gmrbb = pc
             self._sweep_frees(now)
 
-    def set_element_freed(self, reg: VectorRegister, gen: int, elem: int, now: int) -> None:
+    def set_element_freed(self, reg: VectorRegister, elem: int, now: int) -> None:
         """The next writer of the element's logical register committed: the
         element's F flag rises (machine calls this from commit)."""
-        if reg.freed or reg.gen != gen:
+        if reg.freed:
             return
         reg.f_bits |= 1 << elem
         # _maybe_free's first early-out, checked here to skip the call on
@@ -900,10 +814,18 @@ class VectorizationEngine:
             self._maybe_free(reg, now)
 
     def _maybe_free(self, reg: VectorRegister, now: int) -> None:
-        # Inlined reg.should_free(now, gmrbb): this runs on every commit-
-        # side event and the overwhelmingly common outcome is "not yet",
-        # so the §3.3 release rules are evaluated with plain loops here
-        # (no generator frames) and early returns.
+        """Release ``reg`` if one of §3.3's two rules holds at ``now``.
+
+        A register with a validation in flight (any U) stays.  A defunct
+        one goes as soon as none is.  Otherwise every element must be
+        computed (R: ``r_time <= now``; an abandoned register's never-
+        scheduled elements do not count) and either rule 1 holds — every
+        element freed (F) — or rule 2 — every validated element freed and
+        the allocating loop terminated (MRBB differs from GMRBB).
+
+        This runs on every commit-side event and the common outcome is
+        "not yet", hence the plain loops and early returns.
+        """
         if reg.freed or reg.u_bits:
             return
         if not reg.defunct:

@@ -31,7 +31,7 @@ from typing import Optional, Tuple
 from .tables import SetAssocTable
 
 
-@dataclass
+@dataclass(slots=True)
 class TLEntry:
     """One Table-of-Loads row (Fig 4: PC, last address, stride, confidence)."""
 
@@ -41,9 +41,9 @@ class TLEntry:
     #: misspeculation damping exponent (not in the paper's figure; see
     #: module docstring).
     failures: int = 0
-
-    def required_confidence(self, base_threshold: int) -> int:
-        return base_threshold << min(self.failures, 4)
+    #: the confidence the entry must reach to vectorize: the table's
+    #: threshold, damped by ``failures``.  Kept current by the table.
+    required: int = 0
 
 
 class TableOfLoads:
@@ -76,7 +76,9 @@ class TableOfLoads:
         """
         entry = self.table.lookup(pc)
         if entry is None:
-            self.table.insert(pc, TLEntry(last_address=addr))
+            self.table.insert(
+                pc, TLEntry(last_address=addr, required=self.confidence_threshold)
+            )
             return None, False
         new_stride = addr - entry.last_address
         if new_stride == entry.stride:
@@ -85,12 +87,7 @@ class TableOfLoads:
             entry.stride = new_stride
             entry.confidence = 0
         entry.last_address = addr
-        required = (
-            entry.required_confidence(self.confidence_threshold)
-            if self.damping
-            else self.confidence_threshold
-        )
-        return entry.stride, entry.confidence >= required
+        return entry.stride, entry.confidence >= entry.required
 
     def punish(self, pc: int) -> bool:
         """A misspeculation for this load: reset confidence, raise the bar.
@@ -104,6 +101,7 @@ class TableOfLoads:
         entry.confidence = 0
         if self.damping:
             entry.failures = min(entry.failures + 1, 4)
+            entry.required = self.confidence_threshold << entry.failures
         return True
 
     def reward(self, pc: int) -> None:
@@ -111,6 +109,7 @@ class TableOfLoads:
         entry = self.table.peek(pc)
         if entry is not None and entry.failures:
             entry.failures -= 1
+            entry.required = self.confidence_threshold << entry.failures
 
     def is_vectorizable(self, pc: int) -> Tuple[Optional[int], bool]:
         """Non-training probe: current ``(stride, qualifies)`` for ``pc``.
@@ -121,12 +120,7 @@ class TableOfLoads:
         entry = self.table.peek(pc)
         if entry is None:
             return None, False
-        required = (
-            entry.required_confidence(self.confidence_threshold)
-            if self.damping
-            else self.confidence_threshold
-        )
-        return entry.stride, entry.confidence >= required
+        return entry.stride, entry.confidence >= entry.required
 
     def stride_of(self, pc: int) -> Optional[int]:
         """Current believed stride for the load at ``pc`` (None if untracked)."""

@@ -24,6 +24,9 @@ Freeing (verbatim from §3.3): a register is released when
    and the register's MRBB differs from the global GMRBB (the loop that
    allocated it has terminated).
 
+The engine evaluates these rules in one place,
+:meth:`~repro.core.engine.VectorizationEngine._maybe_free`.
+
 Registers are Python objects handed out by slot; freeing bumps the slot
 generation so stale references (squashed consumers) can never alias a
 newly allocated register.
@@ -31,6 +34,7 @@ newly allocated register.
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import List, Optional, Tuple, Union
 
 from .kernel import pred_addrs, range_hits
@@ -64,6 +68,7 @@ class VectorRegister:
         "freed",
         "next_fetch",
         "abandoned",
+        "sleepers",
     )
 
     def __init__(
@@ -120,6 +125,10 @@ class VectorRegister:
         #: elements will never be fetched/computed (throttled-fetch
         #: extension); unscheduled elements then no longer block freeing.
         self.abandoned = False
+        #: per-element lists of window instructions blocked until the
+        #: element is scheduled (None until the first one sleeps; see
+        #: :func:`sleep_on_element`).
+        self.sleepers: Optional[List[Optional[list]]] = None
         for k in range(start_offset):
             self.r_time[k] = 0
 
@@ -136,47 +145,6 @@ class VectorRegister:
         else:
             self.first_addr = pa[-1]
             self.last_addr = pa[0]
-
-    def covers(self, addr: int) -> bool:
-        """True when ``addr`` lies in this load register's address range."""
-        return self.is_load and self.first_addr <= addr <= self.last_addr
-
-    def elem_scheduled(self, k: int) -> bool:
-        return self.r_time[k] is not None
-
-    def elem_done(self, k: int, now: int) -> bool:
-        t = self.r_time[k]
-        return t is not None and t <= now
-
-    def all_computed(self, now: int) -> bool:
-        if self.abandoned:
-            # Unscheduled elements of an abandoned register will never be
-            # written; they cannot block release.
-            return all(t is None or t <= now for t in self.r_time)
-        return all(t is not None and t <= now for t in self.r_time)
-
-    # ------------------------------------------------------------------
-
-    def should_free(self, now: int, gmrbb: int) -> bool:
-        """Evaluate the two §3.3 release conditions at cycle ``now``."""
-        if self.freed:
-            return False
-        if self.u_bits:
-            return False
-        if self.defunct:
-            # Invalidated register: nothing further will validate; release
-            # as soon as no validation is in flight.
-            return True
-        if not self.all_computed(now):
-            return False
-        # Rule 1: every element computed and freed.
-        if self.f_bits == self.full_mask:
-            return True
-        # Rule 2: every validated element freed, everything computed, no
-        # element in use, and the allocating loop has terminated.
-        if self.mrbb != gmrbb and not (self.v_bits & ~self.f_bits):
-            return True
-        return False
 
     def element_fates(self, now: int) -> Tuple[int, int, int]:
         """(computed&validated, computed&unvalidated, not computed) counts.
@@ -198,6 +166,35 @@ class VectorRegister:
             else:
                 not_computed += 1
         return used, unused, not_computed
+
+
+def sleep_on_element(reg: VectorRegister, k: int, fl) -> None:
+    """Block window instruction ``fl`` until element ``k`` of ``reg`` is
+    scheduled (its ``r_time`` is still None)."""
+    sleepers = reg.sleepers
+    if sleepers is None:
+        sleepers = reg.sleepers = [None] * reg.length
+    waiting = sleepers[k]
+    if waiting is None:
+        sleepers[k] = [fl]
+    else:
+        waiting.append(fl)
+
+
+def wake_element(reg: VectorRegister, k: int, t: int, parked: list) -> None:
+    """Element ``k`` of ``reg`` was just scheduled ready at cycle ``t``:
+    move its sleepers onto the machine's park heap (``(cycle, seq, fl)``
+    entries), where they rejoin the execute scan at cycle ``t`` — the
+    cycle a per-cycle rescan would first have got past the element.
+    Callers check ``reg.sleepers is not None``.  Sleepers squashed while
+    asleep are dropped (their re-fetched incarnations block anew)."""
+    sleepers = reg.sleepers
+    waiting = sleepers[k]
+    if waiting is not None:
+        sleepers[k] = None
+        for fl in waiting:
+            if not fl.squashed:
+                heappush(parked, (t, fl.seq, fl))
 
 
 class VectorRegisterFile:

@@ -4,8 +4,8 @@ Each entry remembers, for a vectorized static instruction:
 
 * the vector register currently holding its precomputed results,
 * the *offset* — the element the next dynamic instance will validate,
-* the source-operand descriptors the instance was vectorized with (so a
-  later instance whose renamed sources differ forces re-vectorization),
+* the renamed sources the instance was vectorized with (so a later
+  instance whose renamed sources differ forces re-vectorization),
 * for mixed vector/scalar instructions, the scalar register *value* that
   was captured when the instance was created.
 
@@ -13,10 +13,12 @@ The table is 4-way set-associative with 64 sets (Table 1); evicting an
 entry orphans its register, which then drains through the normal freeing
 rules.
 
-Source descriptors are tuples: ``("S", logical)`` for a scalar-mapped
-source register, ``("V", slot, gen)`` for a vector-mapped one, and
-``("imm",)`` for an immediate.  Loads store no descriptors — their
-validation compares predicted vs. actual *addresses* instead.
+The renamed sources are the creation-time rename tokens of ``rs1`` and
+``rs2``: the ``(reg, elem)`` tuple of a vector-mapped source, None for a
+scalar-mapped, immediate or absent one (an instruction's operand layout
+is static per PC, so those positions need no record).  Loads record no
+sources — their validation compares predicted vs. actual *addresses*
+instead.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from typing import Optional, Tuple, Union
 from .tables import SetAssocTable
 from .vector_regfile import VectorRegister
 
-SourceDesc = Tuple
 Number = Union[int, float]
 
 
@@ -37,16 +38,14 @@ class VRMTEntry:
 
     reg: VectorRegister
     offset: int
-    src_desc: Optional[Tuple[SourceDesc, ...]] = None
+    #: creation-time ``(reg, elem)`` tokens of vector-mapped rs1 / rs2.
+    src1: Optional[Tuple[VectorRegister, int]] = None
+    src2: Optional[Tuple[VectorRegister, int]] = None
     scalar_value: Optional[Number] = None
-
-    def snapshot(self) -> "VRMTEntry":
-        """A copy for squash-rollback (offsets rewind on flush)."""
-        return VRMTEntry(self.reg, self.offset, self.src_desc, self.scalar_value)
 
 
 class VRMT:
-    """The map table plus snapshot/rollback support for squashes."""
+    """The map table plus rollback support for squashes."""
 
     def __init__(self, ways: int = 4, sets: int = 64) -> None:
         self.table: SetAssocTable[VRMTEntry] = SetAssocTable(ways, sets)
@@ -82,15 +81,6 @@ class VRMT:
     def invalidate(self, pc: int) -> Optional[VRMTEntry]:
         """Remove the mapping for ``pc`` (store conflict / misspeculation)."""
         return self.table.invalidate(pc)
-
-    def restore(self, pc: int, snapshot: Optional[VRMTEntry]) -> None:
-        """Rollback for a squashed instruction: reinstate the pre-dispatch
-        state (None means there was no entry)."""
-        if snapshot is None:
-            self.table.invalidate(pc)
-        else:
-            self.pcs.add(pc)
-            self.table.insert(pc, snapshot)
 
     def __len__(self) -> int:
         """Live mappings currently installed (observability gauges)."""

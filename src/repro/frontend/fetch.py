@@ -19,23 +19,12 @@ coherence squash) — the entries from that point are simply re-fetched.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-from ..functional.trace import Trace, TraceEntry
+from ..functional.trace import Trace
 from ..memory.hierarchy import MemoryHierarchy
 from ..observe.events import FETCH_REDIRECT
 from .branch_predictor import GsharePredictor, IndirectPredictor
-
-
-class FetchedInstr:
-    """A fetched trace entry plus front-end metadata."""
-
-    __slots__ = ("entry", "mispredicted", "fetch_cycle")
-
-    def __init__(self, entry: TraceEntry, mispredicted: bool, fetch_cycle: int) -> None:
-        self.entry = entry
-        self.mispredicted = mispredicted
-        self.fetch_cycle = fetch_cycle
 
 
 class FetchUnit:
@@ -162,15 +151,3 @@ class FetchUnit:
         self._index = index
         self._last_line = last_line
         return fetched
-
-    def fetch_cycle_group(self, now: int, room: int) -> List[FetchedInstr]:
-        """Fetch up to ``min(width, room)`` instructions for cycle ``now``.
-
-        Compatibility wrapper around :meth:`fetch_into` returning
-        :class:`FetchedInstr` objects; the machine's hot loop uses
-        :meth:`fetch_into` directly.
-        """
-        packed: List[int] = []
-        self.fetch_into(now, packed, room)
-        entries = self.trace.entries
-        return [FetchedInstr(entries[p >> 1], bool(p & 1), now) for p in packed]

@@ -76,6 +76,18 @@ class DataPorts:
         self.speculative_words.append(0)
         return len(self.useful_words) - 1
 
+    def read_word(self) -> None:
+        """Take a port for one read transaction that serves one scalar
+        load: ``take`` + ``open_read`` + ``add_useful(txn, 1)`` in one
+        call (the serving paths that never group words)."""
+        if self._used_this_cycle >= self.n_ports:
+            raise RuntimeError("port over-subscription")
+        self._used_this_cycle += 1
+        self.busy_port_cycles += 1
+        self.read_transactions += 1
+        self.useful_words.append(1)
+        self.speculative_words.append(0)
+
     def open_write(self) -> None:
         """Record a write (store-commit) transaction; writes carry no
         usefulness accounting — Fig 13 is about read lines only."""

@@ -50,13 +50,14 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Deque, List, Optional, Tuple, Union
 
-from ..core.engine import DecodeKind, VectorizationEngine
+from ..core.engine import TRIGGER, VALIDATION, VectorizationEngine
+from ..core.vector_regfile import sleep_on_element, wake_element
 from ..frontend.fetch import FetchUnit
 from ..functional.memory import MemoryImage
 from ..functional.semantics import s64
 from ..functional.trace import Trace, TraceEntry
-from ..isa.opcodes import FU_LATENCY, FuClass, Opcode
-from ..isa.registers import NO_REG, NUM_LOGICAL_REGS, ZERO_REG
+from ..isa.opcodes import FU_LATENCY, FuClass
+from ..isa.registers import NO_REG, NUM_LOGICAL_REGS
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.ports import DataPorts
 from ..observe import profile as observe_profile
@@ -69,8 +70,8 @@ from .stats import SimStats
 K_SCALAR = 0  # ALU / control / nop-like, executes on a scalar FU
 K_LOAD = 1
 K_STORE = 2
-K_VALIDATION = 3  # checks one vector element, no FU, no memory port
-K_TRIGGER = 4  # created a vector instance; completes with its start element
+K_VALIDATION = VALIDATION  # checks one vector element, no FU, no memory port
+K_TRIGGER = TRIGGER  # created a vector instance; completes with its start element
 
 #: dependence token: None (ready), a producing InFlight, or (reg, elem).
 Dep = Union[None, "InFlight", Tuple]
@@ -88,11 +89,6 @@ _FU_BUSY = {
 }
 
 _FU_NONE = int(FuClass.NONE)
-
-#: single-source fp/convert forms whose missing rs2 is NOT an immediate.
-_NO_IMM_OPS = frozenset(
-    (Opcode.FNEG, Opcode.FABS, Opcode.FMOV, Opcode.FSQRT, Opcode.ITOF, Opcode.FTOI)
-)
 
 
 class InFlight:
@@ -159,6 +155,7 @@ class VecInFlight(InFlight):
     __slots__ = (
         "vreg",
         "velem",
+        "vtok",
         "pred_addr",
         "mismatch",
         "counts_as_validation",
@@ -186,6 +183,8 @@ class VecInFlight(InFlight):
         self.squashed = False
         self.vreg = None
         self.velem = -1
+        #: the ``(vreg, velem)`` rename token of the destination register.
+        self.vtok = None
         self.pred_addr: Optional[int] = None
         self.mismatch = False
         self.counts_as_validation = False
@@ -235,13 +234,21 @@ class Machine:
         self._entries = trace.entries
 
         self.rob: Deque[InFlight] = deque()
-        self.lsq: List[InFlight] = []
+        #: the in-flight scalar stores, oldest first: the only entries a
+        #: load's disambiguation walk needs.  ``lsq_count`` is the load/
+        #: store queue's occupancy (scalar loads and stores in the window).
+        self.lsq: Deque[InFlight] = deque()
+        self.lsq_count = 0
         self.waiting: List[InFlight] = []
         #: instructions whose first blocking time is *known* and in the
         #: future, parked off the per-cycle scan until that cycle.
         #: Min-heap of (wake_cycle, seq, InFlight) — see the execute stage
         #: in _cycles for the exactness argument.
         self._parked: List[Tuple[int, int, InFlight]] = []
+        if self.engine is not None:
+            # Element-time writers inside the engine wake sleepers onto
+            # this heap, so a squash filters it in place.
+            self.engine.parked = self._parked
         #: recycled validation/trigger records (see VecInFlight.reset).
         self._vec_pool: List[VecInFlight] = []
         self.mem_queue: List[InFlight] = []
@@ -251,7 +258,8 @@ class Machine:
         #: flat rename map indexed by logical register: None = architectural
         #: (ready), an InFlight = scalar producer, (vreg, elem) = vector.
         self.rename: List = [None] * NUM_LOGICAL_REGS
-        #: committed vector mappings per logical register: (reg, gen, elem).
+        #: committed vector mappings per logical register: the (reg, elem)
+        #: rename token of its last committed vector writer.
         self.committed_vec_map: List[Optional[Tuple]] = [None] * NUM_LOGICAL_REGS
         self.committed_count = 0
         self._max_dispatched_seq = -1
@@ -315,9 +323,13 @@ class Machine:
         capacity.  Pending reads are grouped by line; one access serves up
         to four.  Group members mix scalar loads (InFlight objects) and
         vector element fetches (3-tuples) — the member's type is its tag.
+        Groups are served in creation order, at most one per free port,
+        so no group past that count is built: a read that would open one
+        waits, exactly as it would in an unserved group.
         The scalar-bus case is served inline in :meth:`_cycles`."""
         ports = self.ports
-        if ports.available() == 0:
+        avail = ports.available()
+        if avail == 0:
             return
         engine = self.engine
         line_bytes = self._line_bytes
@@ -330,22 +342,21 @@ class Machine:
             g = index.get(line)
             if g is not None and len(g) < 4:
                 g.append(fl)
-            else:
+            elif len(groups) < avail:
                 g = [fl]
                 index[line] = g
                 groups.append((line, g))
         taken_fetches = []
         if engine is not None:
             # Up to one line group per free port, four elements per group.
-            budget = 4 * ports.available()
-            taken_fetches = engine.take_fetches(budget)
+            taken_fetches = engine.take_fetches(4 * avail)
             for item in taken_fetches:
                 addr = item[2]
                 line = addr - (addr % line_bytes)
                 g = index.get(line)
                 if g is not None and len(g) < 4:
                     g.append(item)
-                else:
+                elif len(groups) < avail:
                     g = [item]
                     index[line] = g
                     groups.append((line, g))
@@ -384,6 +395,8 @@ class Machine:
                         float(word) if reg.fp_load else s64(int(word))
                     )
                     reg.r_time[elem] = ready
+                    if reg.sleepers is not None:
+                        wake_element(reg, elem, ready, self._parked)
                     reg.txn_ids[elem] = txn
                     spec_words += 1
                     vector_served = True
@@ -449,33 +462,6 @@ class Machine:
                     return True
         return False
 
-    def _src_descs(self, entry: TraceEntry) -> List[Tuple]:
-        """Source descriptors for the engine's ALU decode (see decode_alu).
-
-        Returns a list (not a tuple): the engine only iterates it, and the
-        decode path runs once per arithmetic instruction."""
-        rename = self.rename
-        descs: List[Tuple] = []
-        src = entry.rs1
-        if src != NO_REG:
-            tok = rename[src] if src != ZERO_REG else None
-            if type(tok) is tuple:
-                descs.append(("V", tok[0], tok[1]))
-            else:
-                descs.append(("S", src, entry.s1))
-        src = entry.rs2
-        if src == NO_REG:
-            # Immediate-operand forms carry the immediate as the final operand.
-            if entry.op not in _NO_IMM_OPS:
-                descs.append(("imm", entry.imm))
-        else:
-            tok = rename[src] if src != ZERO_REG else None
-            if type(tok) is tuple:
-                descs.append(("V", tok[0], tok[1]))
-            else:
-                descs.append(("S", src, entry.s2))
-        return descs
-
     # ==================================================================
     # squash
     # ==================================================================
@@ -487,8 +473,11 @@ class Machine:
         engine = self.engine
         rename = self.rename
         rob = self.rob
+        lsq = self.lsq
         while rob and rob[-1].seq >= from_seq:
             fl = rob.pop()
+            if fl.kind == K_LOAD or fl.kind == K_STORE:
+                self.lsq_count -= 1
             # A squashed entry may still sit on a surviving producer's
             # waiters list; the flag keeps it from being re-woken.
             fl.squashed = True
@@ -502,11 +491,13 @@ class Machine:
                 # (no rollback data, no U flag); only VecInFlight ones need
                 # the engine-side rewind.
                 engine.on_flush_entry(fl, now)
-        self.lsq = [fl for fl in self.lsq if fl.seq < from_seq]
+        while lsq and lsq[-1].seq >= from_seq:
+            lsq.pop()
         self.waiting = [fl for fl in self.waiting if fl.seq < from_seq]
-        if self._parked:
-            self._parked = [e for e in self._parked if e[1] < from_seq]
-            heapify(self._parked)
+        parked = self._parked
+        if parked:
+            parked[:] = [e for e in parked if e[1] < from_seq]
+            heapify(parked)
         self.mem_queue = [fl for fl in self.mem_queue if fl.seq < from_seq]
         self.fetch_queue.clear()
         self.fetch_unit.redirect(from_seq, resume_cycle)
@@ -568,8 +559,8 @@ class Machine:
         condition, so elided and executed cycles are indistinguishable.
 
         Every loop-invariant object is hoisted to a local once per call.
-        Structures a squash rebinds (``waiting``, ``lsq``, ``mem_queue``,
-        ``_parked``) are re-read from ``self`` at each stage; everything
+        Structures a squash rebinds (``waiting``, ``mem_queue``) are
+        re-read from ``self`` at each stage; everything
         hoisted is only ever mutated in place, and the cross-cycle locals
         (``committed_count``, the occupancy-sample baseline) are written
         back before returning, so a run split into :meth:`step` calls is
@@ -587,6 +578,8 @@ class Machine:
         ports = self.ports
         engine = self.engine
         rob = self.rob
+        lsq = self.lsq
+        parked = self._parked
         stats = self.stats
         fetch_queue = self.fetch_queue
         rename = self.rename
@@ -614,14 +607,13 @@ class Machine:
         fetch_unit = self.fetch_unit
         fetch_into = fetch_unit.fetch_into
         blocked_on_scalar = self._blocked_on_scalar_operand
-        src_descs_of = self._src_descs
         fu_free = self.fu_free
         fu_busy = _FU_BUSY
         ports_available = ports.available
         ports_take = ports.take
-        ports_open_read = ports.open_read
+        ports_read_word = ports.read_word
         ports_open_write = ports.open_write
-        ports_add_useful = ports.add_useful
+        n_ports = ports.n_ports
         width = self._width
         commit_width = self._commit_width
         rob_size = self._rob_size
@@ -716,12 +708,11 @@ class Machine:
                         # dropping it keeps the committed writers from
                         # chaining the whole run's history together.
                         fl.saved_tok = None
-                        if kind == K_LOAD or kind == K_STORE:
-                            lsq = self.lsq
-                            if lsq[0] is fl:
-                                del lsq[0]
-                            else:
-                                lsq.remove(fl)
+                        if kind == K_STORE:
+                            lsq.popleft()  # stores commit in order
+                            self.lsq_count -= 1
+                        elif kind == K_LOAD:
+                            self.lsq_count -= 1
                         committed += 1
                         stats.committed += 1
                         if cfi_windows:
@@ -758,17 +749,15 @@ class Machine:
                             if rd > 0:
                                 old = vec_map[rd]
                                 if old is not None:
-                                    set_element_freed(old[0], old[1], old[2], now)
-                                if kind >= K_VALIDATION:
-                                    vec_map[rd] = (fl.vreg, fl.vreg.gen, fl.velem)
-                                else:
-                                    vec_map[rd] = None
+                                    set_element_freed(old[0], old[1], now)
+                                vec_map[rd] = fl.vtok if kind >= K_VALIDATION else None
                             if is_backward[entry.pc] and bkinds[fl.seq]:
                                 on_backward_branch_commit(entry.pc, now)
                             if kind >= K_VALIDATION:
                                 # Commit is the last reference to a
-                                # validation/trigger record (never in lsq,
-                                # rename, or a waiters list): recycle it.
+                                # validation/trigger record (never in lsq or
+                                # rename, and off every waiters and sleepers
+                                # list once it could run): recycle it.
                                 vec_pool.append(fl)
                         if conflict:
                             # §3.6: squash everything younger than the store.
@@ -801,13 +790,12 @@ class Machine:
             # * a validation failure at seq F only flushes instructions with
             #   seq >= F; phases 3-4 gate on F, and instructions older than
             #   F are unaffected by the failure's vector-side writes.
-            if self.waiting or self._parked:
+            if self.waiting or parked:
                 issues_left = width
                 # Parked instructions whose wake cycle has arrived rejoin
                 # the scan.  Both lists are seq-sorted, so extend+sort is a
                 # cheap two-run merge and the scan order matches the
                 # never-parked order.
-                parked = self._parked
                 if parked and parked[0][0] <= now:
                     waiting = self.waiting
                     while parked and parked[0][0] <= now:
@@ -828,20 +816,21 @@ class Machine:
                     # blocked instruction leaves the scan instead of being
                     # rescanned every cycle: when the blocking token's time
                     # is known it parks on the timed heap until that cycle;
-                    # when the producer has not issued yet (done_at None) it
-                    # sleeps on the producer's ``waiters`` list and moves to
-                    # the heap the moment that completion time is set.
+                    # when it is not known yet — a producer that has not
+                    # issued (done_at None) or a vector element not yet
+                    # scheduled (r_time None) — it sleeps on the producer's
+                    # ``waiters`` list or the element's ``sleepers`` list
+                    # and moves to the heap the moment that time is set.
                     # Either way it rejoins the scan — in seq order — at the
                     # first cycle an every-cycle rescan could have advanced
                     # past that token, so the elided rescans are
-                    # unobservable.  (An unscheduled vector element has no
-                    # wake hook: that instruction is simply rescanned.)
+                    # unobservable.
                     dep = fl.dep1
                     if dep is not None:
                         if type(dep) is tuple:
                             t = dep[0].r_time[dep[1]]
                             if t is None:
-                                keep(fl)
+                                sleep_on_element(dep[0], dep[1], fl)
                                 continue
                             if t > now:
                                 heappush(parked, (t, fl.seq, fl))
@@ -864,7 +853,7 @@ class Machine:
                         if type(dep) is tuple:
                             t = dep[0].r_time[dep[1]]
                             if t is None:
-                                keep(fl)
+                                sleep_on_element(dep[0], dep[1], fl)
                                 continue
                             if t > now:
                                 heappush(parked, (t, fl.seq, fl))
@@ -927,6 +916,7 @@ class Machine:
                             # the rest of the group is younger, so flushed.
                             on_validation_failure(fl, now)
                             flush_seq = fl.seq
+                            failed_reg = vreg
                             break
                         t = vreg.r_time[fl.velem]
                         if t is not None:
@@ -941,10 +931,11 @@ class Machine:
                                 # coherence conflict flushes everything
                                 # younger than the committing store, and a
                                 # validation failure drains the park heap
-                                # below.  Parking is therefore exact.
+                                # and the register's sleepers below.
+                                # Parking is therefore exact.
                                 heappush(parked, (t, fl.seq, fl))
                         else:
-                            keep(fl)
+                            sleep_on_element(vreg, fl.velem, fl)
                 # ---- phase 3: zero-latency completions -------------------
                 if rf is not None:
                     for fl in rf:
@@ -975,27 +966,25 @@ class Machine:
                                 continue
                             # Disambiguation: every older store must know its
                             # address.  ``res`` ends as None (issued: queued
-                            # to memory or forwarded), -1 (blocked on an
-                            # unscheduled vector element: rescan), a cycle
-                            # to park until, or the blocking producer to
-                            # sleep on (completion time still unknown).
+                            # to memory or forwarded), a cycle to park
+                            # until, or the blocking token to sleep on (a
+                            # producer or an unscheduled vector element:
+                            # completion time still unknown).
                             # Store-address waits rejoin at t + 1, the first
                             # cycle a per-cycle rescan would pass the store.
                             my_addr = fl.addr
                             my_seq = fl.seq
                             forwarding_store = None
                             res = None
-                            for other in self.lsq:
+                            for other in lsq:
                                 if other.seq >= my_seq:
                                     break
-                                if other.kind != K_STORE:
-                                    continue
                                 dep = other.base_dep
                                 if dep is not None:
                                     if type(dep) is tuple:
                                         t = dep[0].r_time[dep[1]]
                                         if t is None:
-                                            res = -1
+                                            res = dep
                                             break
                                         if t + 1 > now:
                                             res = t + 1
@@ -1020,7 +1009,7 @@ class Machine:
                                     if type(dep) is tuple:
                                         t = dep[0].r_time[dep[1]]
                                         if t is None:
-                                            res = -1
+                                            res = dep
                                         elif t > now:
                                             res = t
                                     else:
@@ -1040,10 +1029,9 @@ class Machine:
                                     issues_left -= 1
                                     continue
                             if type(res) is int:
-                                if res < 0:
-                                    keep(fl)
-                                else:
-                                    heappush(parked, (res, fl.seq, fl))
+                                heappush(parked, (res, fl.seq, fl))
+                            elif type(res) is tuple:
+                                sleep_on_element(res[0], res[1], fl)
                             else:
                                 w = res.waiters
                                 if w is None:
@@ -1088,13 +1076,23 @@ class Machine:
                             if fl.mispredicted and not fl.redirected:
                                 resolve_mispredict(fl, now)
 
-                if flush_seq is not None and parked:
+                if flush_seq is not None:
                     # The failure defuncted a register; any parked op — in
                     # particular an *older* validation of the same register
                     # — must be rescanned so it notices the flip next cycle,
-                    # as an unparked entry would.  (Younger ones are flushed.)
-                    still_waiting.extend(e[2] for e in parked)
-                    del parked[:]
+                    # as an unparked entry would.  So must the register's
+                    # element sleepers.  (Younger ones are flushed.)
+                    if parked:
+                        still_waiting.extend(e[2] for e in parked)
+                        del parked[:]
+                    sleepers = failed_reg.sleepers
+                    if sleepers is not None:
+                        failed_reg.sleepers = None
+                        for group in sleepers:
+                            if group is not None:
+                                still_waiting.extend(
+                                    c for c in group if not c.squashed
+                                )
                 if len(still_waiting) > 1:
                     # Each phase keeps in seq order, so this is a cheap
                     # merge of a few sorted runs, restoring the seq-sorted
@@ -1126,14 +1124,11 @@ class Machine:
                         addr = fl.addr
                         ready = data_access(addr - (addr % line_bytes), now)
                         if ready is not None:
-                            ports_take()
-                            txn = ports_open_read()
-                            ports_add_useful(txn, 1)
+                            ports_read_word()
                             stats.read_accesses += 1
                             stats.scalar_loads_to_memory += 1
                             fl.done_at = ready
                             if fl.waiters is not None:
-                                parked = self._parked
                                 for c in fl.waiters:
                                     if not c.squashed:
                                         heappush(parked, (ready, c.seq, c))
@@ -1141,27 +1136,27 @@ class Machine:
                             self.mem_queue = []
                     else:
                         schedule_memory(now)
-                elif self.mem_queue and ports_available() != 0:
+                elif self.mem_queue:
                     # Scalar buses: one word per port per transaction
-                    # (vector element fetches need the wide bus).
+                    # (vector element fetches need the wide bus).  Only
+                    # this loop takes read ports, so the free count is
+                    # read once.
                     queue = self.mem_queue
                     nq = len(queue)
+                    free = n_ports - ports._used_this_cycle
+                    if nq > free:
+                        nq = free
                     served = 0
                     while served < nq:
                         fl = queue[served]
-                        if ports_available() == 0:
-                            break
                         ready = data_access(fl.addr, now)
                         if ready is None:  # MSHR full; retry next cycle
                             break
-                        ports_take()
-                        txn = ports_open_read()
-                        ports_add_useful(txn, 1)
+                        ports_read_word()
                         stats.read_accesses += 1
                         stats.scalar_loads_to_memory += 1
                         fl.done_at = ready
                         if fl.waiters is not None:
-                            parked = self._parked
                             for c in fl.waiters:
                                 if not c.squashed:
                                     heappush(parked, (ready, c.seq, c))
@@ -1180,7 +1175,7 @@ class Machine:
             # trace SoA arrays, indexed by the packed seq from the queue.
             if fetch_queue:
                 dispatched = 0
-                lsq = self.lsq
+                lsq_count = self.lsq_count
                 waiting = self.waiting
                 max_seq = self._max_dispatched_seq
                 ready_at = now + 1
@@ -1191,7 +1186,7 @@ class Machine:
                     packed = fetch_queue[0]
                     seq = packed >> 1
                     kind = kinds[seq]
-                    if kind != K_SCALAR and len(lsq) >= lsq_size:
+                    if kind != K_SCALAR and lsq_count >= lsq_size:
                         break
                     entry = entries[seq]
                     is_valu = valus[seq]
@@ -1206,16 +1201,15 @@ class Machine:
                     # executed decodes are indistinguishable.
                     vec_probe = False
                     if is_valu and vpcs is not None:
-                        if pcs_soa[seq] in vpcs:
-                            vec_probe = True
-                        else:
-                            r = d1s[seq]
-                            if r >= 0 and type(rename[r]) is tuple:
-                                vec_probe = True
-                            else:
-                                r = d2s[seq]
-                                if r >= 0 and type(rename[r]) is tuple:
-                                    vec_probe = True
+                        r = d1s[seq]
+                        t1 = rename[r] if r >= 0 else None
+                        r = d2s[seq]
+                        t2 = rename[r] if r >= 0 else None
+                        vec_probe = (
+                            type(t1) is tuple
+                            or type(t2) is tuple
+                            or pcs_soa[seq] in vpcs
+                        )
                     if (
                         block_scalar
                         and vec_probe
@@ -1232,57 +1226,51 @@ class Machine:
                         max_seq = seq
                         self._max_dispatched_seq = seq
 
-                    decision = None
+                    decoded = None
                     if engine is not None:
                         if kind == K_LOAD:
-                            decision = decode_load(entry, now, first_time)
+                            decoded = decode_load(entry, now, first_time)
                         elif vec_probe and entry.rd != NO_REG:
-                            decision = decode_alu(entry, src_descs_of(entry), now)
+                            decoded = decode_alu(entry, t1, t2, now)
 
-                    if decision is not None and decision.kind is not DecodeKind.SCALAR:
-                        vkind = (
-                            K_VALIDATION
-                            if decision.kind is DecodeKind.VALIDATION
-                            else K_TRIGGER
-                        )
-                        if vec_pool:
-                            fl = vec_pool.pop()
-                            fl.reset(seq, entry, vkind, addrs[seq])
-                        else:
-                            fl = VecInFlight(seq, entry, vkind, addrs[seq])
-                        fl.vreg = decision.reg
-                        fl.velem = decision.elem
-                        p = decision.pred_addr
-                        fl.pred_addr = p
-                        # Both compare operands are fixed at decode, so the
-                        # validation verdict is precomputed here.
-                        if p is not None and p != entry.addr:
-                            fl.mismatch = True
-                        fl.counts_as_validation = decision.counts_as_validation
-                        fl.vrmt_rollback = decision.vrmt_rollback
-                        fl.static_ready = ready_at
-                        if kind == K_LOAD:
-                            # The address check needs the base register.
-                            r = d1s[seq]
-                            if r >= 0:
-                                fl.dep1 = rename[r]
-                        rd = rds[seq]
-                        if rd > 0:
-                            fl.saved_rd = rd
-                            fl.saved_tok = rename[rd]
-                            rename[rd] = (decision.reg, decision.elem)
-                        rob.append(fl)
-                        waiting.append(fl)
-                        continue
-
-                    # A scalar decision may still have touched the VRMT;
-                    # only then does the record need the vector-capable
-                    # class for its rollback slot.
-                    if decision is not None and decision.vrmt_rollback is not None:
-                        fl = VecInFlight(seq, entry, kind, addrs[seq])
-                        fl.vrmt_rollback = decision.vrmt_rollback
-                    else:
+                    if decoded is None:
                         fl = InFlight(seq, entry, kind, addrs[seq])
+                    else:
+                        vkind, vreg, velem, p, counts, rollback = decoded
+                        if not vkind:
+                            # A scalar that touched the VRMT: only the
+                            # vector-capable class has the rollback slot.
+                            fl = VecInFlight(seq, entry, kind, addrs[seq])
+                            fl.vrmt_rollback = rollback
+                        else:
+                            if vec_pool:
+                                fl = vec_pool.pop()
+                                fl.reset(seq, entry, vkind, addrs[seq])
+                            else:
+                                fl = VecInFlight(seq, entry, vkind, addrs[seq])
+                            fl.vreg = vreg
+                            fl.velem = velem
+                            fl.pred_addr = p
+                            # Both compare operands are fixed at decode, so
+                            # the validation verdict is precomputed here.
+                            if p is not None and p != entry.addr:
+                                fl.mismatch = True
+                            fl.counts_as_validation = counts
+                            fl.vrmt_rollback = rollback
+                            fl.static_ready = ready_at
+                            if kind == K_LOAD:
+                                # The address check needs the base register.
+                                r = d1s[seq]
+                                if r >= 0:
+                                    fl.dep1 = rename[r]
+                            rd = rds[seq]
+                            if rd > 0:
+                                fl.saved_rd = rd
+                                fl.saved_tok = rename[rd]
+                                rename[rd] = fl.vtok = (vreg, velem)
+                            rob.append(fl)
+                            waiting.append(fl)
+                            continue
                     if kind == K_LOAD:
                         r = d1s[seq]
                         if r >= 0:
@@ -1292,7 +1280,7 @@ class Machine:
                             fl.saved_rd = rd
                             fl.saved_tok = rename[rd]
                             rename[rd] = fl
-                        lsq.append(fl)
+                        lsq_count += 1
                     elif kind == K_STORE:
                         r = d1s[seq]
                         base = rename[r] if r >= 0 else None
@@ -1303,6 +1291,7 @@ class Machine:
                         fl.dep1 = base
                         fl.dep2 = data
                         lsq.append(fl)
+                        lsq_count += 1
                     else:
                         fl.cls = clss[seq]
                         fl.lat = lats[seq]
@@ -1322,6 +1311,7 @@ class Machine:
                         fl.mispredicted = True
                     rob.append(fl)
                     waiting.append(fl)
+                self.lsq_count = lsq_count
                 stats.fetched += dispatched
                 if prof is not None:
                     tp = clock()

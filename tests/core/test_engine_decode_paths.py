@@ -1,8 +1,13 @@
-"""White-box coverage of the engine's decode decision paths."""
+"""White-box coverage of the engine's decode decision paths.
 
-import dataclasses
+Decode returns None for a plain scalar, else the tuple ``(kind, reg,
+elem, pred_addr, counts_as_validation, vrmt_rollback)``.  ALU decode
+takes the rename tokens of rs1 / rs2: a ``(reg, elem)`` tuple for a
+vector-mapped source, None for a scalar one (its value is the entry's
+``s1`` / ``s2``).
+"""
 
-from repro.core.engine import DecodeKind, VectorizationEngine
+from repro.core.engine import SCALAR, TRIGGER, VALIDATION, VectorizationEngine
 from repro.pipeline.config import make_config
 from repro.pipeline.stats import SimStats
 
@@ -25,7 +30,9 @@ class FakeLoadEntry:
 
 
 class FakeAluEntry:
-    def __init__(self, seq, pc, op):
+    """``rs2=-1`` makes an immediate form whose immediate is ``imm``."""
+
+    def __init__(self, seq, pc, op, s1=0, s2=0, rs2=3, imm=0):
         from repro.isa import Opcode
 
         self.seq = seq
@@ -33,11 +40,15 @@ class FakeAluEntry:
         self.op = getattr(Opcode, op)
         self.rd = 2
         self.rs1 = 2
-        self.rs2 = 3
-        self.imm = 0
-        self.s1 = 0
-        self.s2 = 0
+        self.rs2 = rs2
+        self.imm = imm
+        self.s1 = s1
+        self.s2 = s2
         self.value = 0
+
+
+def kind(decoded):
+    return SCALAR if decoded is None else decoded[0]
 
 
 def make_engine(**vector_overrides):
@@ -51,28 +62,21 @@ def drive_load(engine, pc, addrs, start_seq=0):
     decisions = []
     for i, addr in enumerate(addrs):
         entry = FakeLoadEntry(start_seq + i, pc, addr)
-        # The engine reuses one scratch Decision across decode calls (the
-        # dispatch stage copies fields out immediately); snapshot it so the
-        # accumulated list stays meaningful.
-        decisions.append(dataclasses.replace(engine.decode_load(entry, now=i, first_time=True)))
+        decisions.append(engine.decode_load(entry, now=i, first_time=True))
     return decisions
 
 
 def test_load_decision_sequence():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(9)])
-    kinds = [d.kind for d in decisions]
-    assert kinds[:4] == [
-        DecodeKind.SCALAR,
-        DecodeKind.SCALAR,
-        DecodeKind.SCALAR,
-        DecodeKind.TRIGGER,
-    ]
+    kinds = [kind(d) for d in decisions]
+    assert decisions[:3] == [None] * 3  # training: no engine state touched
+    assert kinds[:4] == [SCALAR, SCALAR, SCALAR, TRIGGER]
     # Instances 5..7 validate elements 1..3; instance 8 chains.
-    assert kinds[4:7] == [DecodeKind.VALIDATION] * 3
-    assert decisions[4].elem == 1 and decisions[6].elem == 3
-    assert decisions[7].kind is DecodeKind.TRIGGER
-    assert decisions[7].counts_as_validation  # chained creations validate elem 0
+    assert kinds[4:7] == [VALIDATION] * 3
+    assert decisions[4][2] == 1 and decisions[6][2] == 3
+    assert decisions[7][0] == TRIGGER
+    assert decisions[7][4]  # chained creations validate elem 0
 
 
 def test_trigger_prefetches_whole_register_when_eager():
@@ -92,41 +96,36 @@ def test_pool_exhaustion_returns_scalar():
     drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     # Second strided load cannot allocate.
     decisions = drive_load(engine, pc=20, addrs=[0x2000 + 8 * i for i in range(4)], start_seq=10)
-    assert decisions[3].kind is DecodeKind.SCALAR
+    assert kind(decisions[3]) == SCALAR
     assert engine.stats.vreg_alloc_failures >= 1
 
 
 def test_alu_decode_requires_vector_source():
     engine = make_engine()
-    entry = FakeAluEntry(0, 50, "ADD")
-    decision = engine.decode_alu(entry, (("S", 2, 5), ("S", 3, 7)), now=0)
-    assert decision.kind is DecodeKind.SCALAR
+    entry = FakeAluEntry(0, 50, "ADD", s1=5, s2=7)
+    assert engine.decode_alu(entry, None, None, now=0) is None
 
 
 def test_alu_decode_vectorizes_and_validates():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
-    reg = decisions[3].reg
-    entry = FakeAluEntry(4, 50, "ADD")
-    first = engine.decode_alu(entry, (("V", reg, 0), ("S", 3, 7)), now=4)
-    assert first.kind is DecodeKind.TRIGGER
-    second = engine.decode_alu(
-        FakeAluEntry(5, 50, "ADD"), (("V", reg, 1), ("S", 3, 7)), now=5
-    )
-    assert second.kind is DecodeKind.VALIDATION
-    assert second.elem == 1
+    reg = decisions[3][1]
+    entry = FakeAluEntry(4, 50, "ADD", s2=7)
+    first = engine.decode_alu(entry, (reg, 0), None, now=4)
+    assert first[0] == TRIGGER
+    second = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=7), (reg, 1), None, now=5)
+    assert second[0] == VALIDATION
+    assert second[2] == 1
 
 
 def test_alu_scalar_value_change_forces_new_instance():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
-    reg = decisions[3].reg
-    engine.decode_alu(FakeAluEntry(4, 50, "ADD"), (("V", reg, 0), ("S", 3, 7)), now=4)
+    reg = decisions[3][1]
+    engine.decode_alu(FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
     # Same registers, different scalar value -> operand check must fail.
-    redo = engine.decode_alu(
-        FakeAluEntry(5, 50, "ADD"), (("V", reg, 1), ("S", 3, 99)), now=5
-    )
-    assert redo.kind is DecodeKind.TRIGGER
+    redo = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=99), (reg, 1), None, now=5)
+    assert redo[0] == TRIGGER
     assert engine.stats.vector_alu_instances == 2
 
 
@@ -134,46 +133,40 @@ def test_alu_source_register_change_forces_new_instance():
     engine = make_engine()
     d1 = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     d2 = drive_load(engine, pc=20, addrs=[0x4000 + 8 * i for i in range(4)], start_seq=10)
-    reg1, reg2 = d1[3].reg, d2[3].reg
-    engine.decode_alu(FakeAluEntry(20, 50, "ADD"), (("V", reg1, 0), ("S", 3, 7)), now=20)
-    redo = engine.decode_alu(
-        FakeAluEntry(21, 50, "ADD"), (("V", reg2, 0), ("S", 3, 7)), now=21
-    )
-    assert redo.kind is DecodeKind.TRIGGER
+    reg1, reg2 = d1[3][1], d2[3][1]
+    engine.decode_alu(FakeAluEntry(20, 50, "ADD", s2=7), (reg1, 0), None, now=20)
+    redo = engine.decode_alu(FakeAluEntry(21, 50, "ADD", s2=7), (reg2, 0), None, now=21)
+    assert redo[0] == TRIGGER
 
 
 def test_alu_misaligned_source_offset_forces_new_instance():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
-    reg = decisions[3].reg
-    engine.decode_alu(FakeAluEntry(4, 50, "ADD"), (("V", reg, 0), ("S", 3, 7)), now=4)
+    reg = decisions[3][1]
+    engine.decode_alu(FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
     # The source element skips from 0 to 2 (control divergence): the
     # rename-offset part of the §3.2 check must reject the validation.
-    redo = engine.decode_alu(
-        FakeAluEntry(5, 50, "ADD"), (("V", reg, 2), ("S", 3, 7)), now=5
-    )
-    assert redo.kind is DecodeKind.TRIGGER
+    redo = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=7), (reg, 2), None, now=5)
+    assert redo[0] == TRIGGER
 
 
 def test_alu_two_vector_sources_with_different_offsets():
     engine = make_engine()
     d1 = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     d2 = drive_load(engine, pc=20, addrs=[0x4000 + 8 * i for i in range(6)], start_seq=10)
-    reg1 = d1[3].reg
-    reg2 = d2[3].reg
+    reg1 = d1[3][1]
+    reg2 = d2[3][1]
     # reg1 at element 0, reg2 already at element 2 -> start offset 2 (§3.4).
-    decision = engine.decode_alu(
-        FakeAluEntry(20, 60, "SUB"), (("V", reg1, 0), ("V", reg2, 2)), now=20
-    )
-    assert decision.kind is DecodeKind.TRIGGER
-    assert decision.elem == 2
+    decision = engine.decode_alu(FakeAluEntry(20, 60, "SUB"), (reg1, 0), (reg2, 2), now=20)
+    assert decision[0] == TRIGGER
+    assert decision[2] == 2
     assert engine.stats.offset_instances == 1
 
 
 def test_store_conflict_marks_only_speculative_registers():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
-    reg = decisions[3].reg
+    reg = decisions[3][1]
     # The register covers the trigger address (0x1018) plus three strides.
     # Element 1 (0x1020) is still unvalidated -> a store there conflicts.
     assert engine.on_store_commit(0x1020, now=10)

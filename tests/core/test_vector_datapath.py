@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.core.engine import DecodeKind, MisspeculationError
+from repro.core.engine import TRIGGER, MisspeculationError
 from repro.functional.semantics import apply_alu
 from repro.isa.opcodes import FU_LATENCY, Opcode, fu_class_of
 from repro.memory import DataPorts
@@ -20,7 +20,7 @@ from .test_engine_decode_paths import FakeAluEntry, drive_load, make_engine
 def _load_register(engine, pc, base, values, fetched):
     """A vector load register whose elements ``fetched`` hold ``values``
     (what the memory stage writes when it serves an element fetch)."""
-    reg = drive_load(engine, pc=pc, addrs=[base + 8 * i for i in range(4)])[3].reg
+    reg = drive_load(engine, pc=pc, addrs=[base + 8 * i for i in range(4)])[3][1]
     for k in fetched:
         reg.values[k] = values[k]
         reg.r_time[k] = 10 + k
@@ -39,12 +39,12 @@ def test_tick_writes_each_scheduled_element_value():
     x = _load_register(engine, 10, 0x1000, [2**62, -7, 11, 3], fetched=(0, 1, 2))
     y = _load_register(engine, 20, 0x4000, [5, 6, -9, 4], fetched=(0, 1, 2, 3))
     # dest[k] = x[k - 2] * y[k]: x is two elements behind (start offset 2).
-    mul = engine.decode_alu(FakeAluEntry(30, 60, "MUL"), (("V", x, 0), ("V", y, 2)), now=30)
-    assert mul.kind is DecodeKind.TRIGGER and mul.elem == 2
-    prod = mul.reg
+    mul = engine.decode_alu(FakeAluEntry(30, 60, "MUL"), (x, 0), (y, 2), now=30)
+    assert mul[0] == TRIGGER and mul[2] == 2
+    prod = mul[1]
     # dest[k] = prod[k] + 9 (an ALU instance fed by another ALU instance).
-    add = engine.decode_alu(FakeAluEntry(31, 70, "ADDI"), (("V", prod, 2), ("imm", 9)), now=31)
-    total = add.reg
+    addi = FakeAluEntry(31, 70, "ADDI", rs2=-1, imm=9)
+    total = engine.decode_alu(addi, (prod, 2), None, now=31)[1]
     engine.tick(40)
     assert prod.r_time[2] is not None and prod.r_time[3] is not None
     _assert_scheduled_values(prod, Opcode.MUL, lambda k: x.values[k - 2], lambda k: y.values[k], 2)
@@ -57,8 +57,8 @@ def test_tick_stops_at_an_unfetched_source_and_resumes():
     engine = make_engine()
     loaded = [1.5, -2.25, 8.0, 0.5]
     x = _load_register(engine, 10, 0x1000, loaded, fetched=(0, 1))
-    sub = engine.decode_alu(FakeAluEntry(5, 60, "FSUB"), (("V", x, 0), ("S", 3, 0.75)), now=5)
-    dest = sub.reg
+    sub = engine.decode_alu(FakeAluEntry(5, 60, "FSUB", s2=0.75), (x, 0), None, now=5)
+    dest = sub[1]
     latency = FU_LATENCY[fu_class_of(Opcode.FSUB)]
     engine.tick(20)
     # The FU opens at cycle 20; one element per cycle through the pipe.
@@ -78,8 +78,8 @@ def test_tick_stops_at_an_unfetched_source_and_resumes():
 def test_corrupted_element_fails_the_commit_time_check():
     engine = make_engine()
     x = _load_register(engine, 10, 0x1000, [4, 5, 6, 7], fetched=(0, 1, 2, 3))
-    decision = engine.decode_alu(FakeAluEntry(5, 60, "ADD"), (("V", x, 0), ("S", 3, 10)), now=5)
-    dest = decision.reg
+    decision = engine.decode_alu(FakeAluEntry(5, 60, "ADD", s2=10), (x, 0), None, now=5)
+    dest = decision[1]
     engine.tick(20)
     ports = DataPorts(1, wide=True)
 

@@ -1,12 +1,33 @@
-"""Vector register file: element flags, the two freeing rules, generations."""
+"""Vector register file: element flags, the two freeing rules, generations.
 
-from repro.core import VectorRegisterFile
+The §3.3 release rules live in one place, the engine's ``_maybe_free``;
+the rule tests drive it on a register of the engine's own file.
+"""
+
+from repro.core import VectorizationEngine, VectorRegisterFile
+from repro.pipeline.config import make_config
+from repro.pipeline.stats import SimStats
 
 
 def fresh(vl=4, regs=8):
     vrf = VectorRegisterFile(num_registers=regs, vector_length=vl)
     reg = vrf.allocate(pc=10, is_load=True, start_offset=0, mrbb=100)
     return vrf, reg
+
+
+def fresh_engine(start_offset=0, mrbb=100):
+    """An engine plus one register allocated in its file inside loop
+    ``mrbb``."""
+    engine = VectorizationEngine(make_config(4, 1, "V"), SimStats())
+    reg = engine.vrf.allocate(pc=10, is_load=False, start_offset=start_offset, mrbb=mrbb)
+    return engine, reg
+
+
+def frees(engine, reg, now=10, gmrbb=100):
+    """Evaluate the release rules at ``now`` with GMRBB ``gmrbb``."""
+    engine.gmrbb = gmrbb
+    engine._maybe_free(reg, now)
+    return reg.freed
 
 
 def complete_all(reg, now=5):
@@ -42,84 +63,119 @@ def test_free_is_idempotent():
 def test_load_address_range():
     vrf, reg = fresh()
     reg.set_load_addresses(0x1000, 8)
+    vrf.index_load(reg)
     assert reg.pred_addrs == [0x1000, 0x1008, 0x1010, 0x1018]
-    assert reg.covers(0x1008)
-    assert not reg.covers(0x0FF8)
-    assert not reg.covers(0x1020)
+    assert vrf.coherence_candidates(0x1008) == [reg]
+    assert vrf.coherence_candidates(0x0FF8) == []
+    assert vrf.coherence_candidates(0x1020) == []
 
 
 def test_negative_stride_range():
     vrf, reg = fresh()
     reg.set_load_addresses(0x1000, -8)
+    vrf.index_load(reg)
     assert reg.first_addr == 0x1000 - 24
-    assert reg.covers(0x1000 - 16)
+    assert vrf.coherence_candidates(0x1000 - 16) == [reg]
 
 
 def test_elem_done_needs_time_passed():
-    vrf, reg = fresh()
+    # An element is R at cycle t once its r_time <= t; unscheduled (None)
+    # is never R.
+    engine, reg = fresh_engine()
+    complete_all(reg)
+    reg.f_bits = reg.full_mask
     reg.r_time[0] = 7
-    assert not reg.elem_done(0, 6)
-    assert reg.elem_done(0, 7)
-    assert not reg.elem_scheduled(1)
+    reg.r_time[1] = None
+    assert not frees(engine, reg, now=7)
+    reg.r_time[1] = 5
+    assert not frees(engine, reg, now=6)
+    assert frees(engine, reg, now=7)
 
 
 def test_rule1_all_computed_and_freed():
     """§3.3 rule 1: every element has R and F set."""
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     complete_all(reg)
-    assert not reg.should_free(10, gmrbb=100)
+    assert not frees(engine, reg, gmrbb=100)
     reg.f_bits = reg.full_mask
-    assert reg.should_free(10, gmrbb=100)  # even with MRBB == GMRBB
+    assert frees(engine, reg, gmrbb=100)  # even with MRBB == GMRBB
+    assert engine.stats.registers_freed == 1
 
 
 def test_rule2_needs_loop_exit():
     """§3.3 rule 2: validated elements freed, all R, no U, MRBB != GMRBB."""
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     complete_all(reg)
     reg.v_bits |= 1 << 0
     reg.f_bits |= 1 << 0  # the only validated element is freed
-    assert not reg.should_free(10, gmrbb=100)  # same loop -> keep
-    assert reg.should_free(10, gmrbb=200)  # loop terminated -> release
+    assert not frees(engine, reg, gmrbb=100)  # same loop -> keep
+    assert frees(engine, reg, gmrbb=200)  # loop terminated -> release
 
 
 def test_rule2_blocked_by_in_flight_validation():
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     complete_all(reg)
     reg.u_bits |= 1 << 2
-    assert not reg.should_free(10, gmrbb=200)
+    assert not frees(engine, reg, gmrbb=200)
     reg.u_bits &= ~(1 << 2)
-    assert reg.should_free(10, gmrbb=200)
+    assert frees(engine, reg, gmrbb=200)
 
 
 def test_rule2_blocked_by_uncomputed_element():
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     complete_all(reg)
     reg.r_time[3] = None
-    assert not reg.should_free(10, gmrbb=200)
+    assert not frees(engine, reg, gmrbb=200)
+
+
+def test_abandoned_register_ignores_unscheduled_elements():
+    # An abandoned register's never-scheduled elements cannot block its
+    # release; its scheduled ones still must be R.
+    engine, reg = fresh_engine()
+    complete_all(reg)
+    reg.r_time[3] = None
+    reg.r_time[2] = 20
+    reg.abandoned = True
+    assert not frees(engine, reg, now=10, gmrbb=200)
+    assert frees(engine, reg, now=20, gmrbb=200)
 
 
 def test_rule2_blocked_by_unfreed_validated_element():
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     complete_all(reg)
     reg.v_bits |= 1 << 1  # validated but F not yet set
-    assert not reg.should_free(10, gmrbb=200)
+    assert not frees(engine, reg, gmrbb=200)
 
 
 def test_defunct_frees_once_validations_drain():
-    vrf, reg = fresh()
+    engine, reg = fresh_engine()
     reg.defunct = True
     reg.u_bits |= 1 << 0
-    assert not reg.should_free(10, gmrbb=100)
+    assert not frees(engine, reg, gmrbb=100)
     reg.u_bits &= ~(1 << 0)
-    assert reg.should_free(10, gmrbb=100)
+    assert frees(engine, reg, gmrbb=100)  # nothing computed, still released
+
+
+def test_flush_rollback_releases_a_drained_register():
+    # Squashing the last in-flight validation clears its U bit and
+    # re-evaluates the release rules (on_flush_entry).
+    from types import SimpleNamespace
+
+    engine, reg = fresh_engine()
+    complete_all(reg)
+    reg.f_bits = reg.full_mask
+    reg.u_bits |= 1 << 1
+    assert not frees(engine, reg)
+    fl = SimpleNamespace(vrmt_rollback=None, vreg=reg, velem=1)
+    engine.on_flush_entry(fl, 10)
+    assert reg.freed and not reg.u_bits
 
 
 def test_start_offset_elements_vacuously_complete():
-    vrf = VectorRegisterFile(num_registers=4, vector_length=4)
-    reg = vrf.allocate(1, False, start_offset=2, mrbb=-1)
-    assert reg.elem_done(0, 0) and (reg.f_bits & 1)
+    engine, reg = fresh_engine(start_offset=2, mrbb=-1)
+    assert reg.r_time[:2] == [0, 0] and (reg.f_bits & 1)
     reg.r_time[2] = reg.r_time[3] = 1
-    assert reg.should_free(5, gmrbb=99)  # rule 2 with nothing validated
+    assert frees(engine, reg, now=5, gmrbb=99)  # rule 2 with nothing validated
 
 
 def test_element_fates_accounting():

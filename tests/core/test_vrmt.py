@@ -1,6 +1,10 @@
 """Vector Register Map Table semantics."""
 
-from repro.core import VectorRegisterFile, VRMT, VRMTEntry
+from types import SimpleNamespace
+
+from repro.core import VectorizationEngine, VectorRegisterFile, VRMT, VRMTEntry
+from repro.pipeline.config import make_config
+from repro.pipeline.stats import SimStats
 
 
 def make_reg(vrf=None, pc=1):
@@ -42,22 +46,29 @@ def test_invalidate():
     assert table.lookup(10) is None
 
 
+def squash(engine, rollback):
+    """Roll back one squashed instruction's decode-time VRMT effect."""
+    engine.on_flush_entry(SimpleNamespace(vrmt_rollback=rollback, vreg=None), now=0)
+
+
 def test_snapshot_restore_rolls_back_offset():
-    vrf, reg = make_reg()
-    table = VRMT()
-    table.insert(10, VRMTEntry(reg, offset=1))
-    snap = table.lookup(10).snapshot()
-    table.lookup(10).offset = 3
-    table.restore(10, snap)
-    assert table.lookup(10).offset == 1
+    engine = VectorizationEngine(make_config(4, 1, "V"), SimStats())
+    _, reg = make_reg(engine.vrf)
+    entry = VRMTEntry(reg, offset=1)
+    engine.vrmt.insert(10, entry)
+    engine.vrmt.lookup(10).offset = 3  # two validations decoded
+    engine.vrmt.invalidate(10)  # ... then the mapping was retired
+    squash(engine, (10, entry, 1))
+    assert engine.vrmt.lookup(10) is entry
+    assert entry.offset == 1
 
 
 def test_restore_none_invalidates():
-    vrf, reg = make_reg()
-    table = VRMT()
-    table.insert(10, VRMTEntry(reg, offset=1))
-    table.restore(10, None)
-    assert table.lookup(10) is None
+    engine = VectorizationEngine(make_config(4, 1, "V"), SimStats())
+    _, reg = make_reg(engine.vrf)
+    engine.vrmt.insert(10, VRMTEntry(reg, offset=1))
+    squash(engine, (10, None, 0))
+    assert engine.vrmt.lookup(10) is None
 
 
 def test_eviction_counts_orphans():
@@ -70,12 +81,16 @@ def test_eviction_counts_orphans():
     assert table.orphaned_registers == 1
 
 
-def test_src_desc_and_scalar_value_fields():
+def test_source_tokens_and_scalar_value_fields():
     vrf, reg = make_reg()
-    entry = VRMTEntry(reg, offset=0, src_desc=(("V", 0, 1, 0), ("S", 5)), scalar_value=2.5)
-    snap = entry.snapshot()
-    assert snap.src_desc == entry.src_desc
-    assert snap.scalar_value == 2.5
+    table = VRMT()
+    entry = VRMTEntry(reg, offset=0, src1=(reg, 1), scalar_value=2.5)
+    table.reinstall(10, entry)
+    assert table.orphaned_registers == 0
+    got = table.lookup(10)
+    assert got is entry
+    assert got.src1 == (reg, 1) and got.src2 is None
+    assert got.scalar_value == 2.5
 
 
 def test_storage_bytes_matches_paper():

@@ -133,3 +133,20 @@ def test_word_counts_cap_and_validate_on_the_flat_lists():
     assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
     hist = ports.usefulness_histogram()
     assert hist["4"] == 0.5 and hist["1"] == 0.5
+
+
+def test_read_word_is_one_single_word_read():
+    # read_word == take + open_read + add_useful(txn, 1), port check included.
+    fused = DataPorts(2, wide=False)
+    split = DataPorts(2, wide=False)
+    for ports in (fused, split):
+        ports.begin_cycle()
+    fused.read_word()
+    split.take()
+    split.add_useful(split.open_read(), 1)
+    for attr in ("busy_port_cycles", "read_transactions", "useful_words", "speculative_words"):
+        assert getattr(fused, attr) == getattr(split, attr)
+    assert fused.available() == split.available() == 1
+    fused.read_word()
+    with pytest.raises(RuntimeError):
+        fused.read_word()

@@ -72,11 +72,45 @@ def test_rob_capacity_respected():
     assert max_seen <= machine.config.rob_size
 
 
+SPILL_LOOP = """
+    .data
+    x: .word 0
+    .text
+        li r1, x
+        li r4, 0
+    loop:
+        ld r2, 0(r1)
+        addi r2, r2, 1
+        st r2, 0(r1)
+        addi r4, r4, 1
+        slti r5, r4, 20
+        bne r5, r0, loop
+        halt
+"""
+
+
 def test_lsq_capacity_respected():
-    machine, _ = make_machine(STRIDED, mode="noIM")
-    for now in range(200):
-        machine.step(now)
-        assert len(machine.lsq) <= machine.config.lsq_size
+    # The disambiguation walk reads ``machine.lsq``, which holds only the
+    # in-flight stores, oldest first, so it never visits a load.  The
+    # queue's occupancy (scalar loads and stores in the window) is
+    # ``lsq_count``, bounded by lsq_size every cycle — squashes included
+    # (the V spill loop's store-coherence conflicts flush).
+    for text, mode in ((STRIDED, "noIM"), (SPILL_LOOP, "noIM"), (SPILL_LOOP, "V")):
+        machine, trace = make_machine(text, mode=mode)
+        now = 0
+        while machine.committed_count < len(trace.entries):
+            machine.step(now)
+            now += 1
+            assert now < 10_000, "run wedged"
+            assert all(fl.kind == K_STORE for fl in machine.lsq)
+            seqs = [fl.seq for fl in machine.lsq]
+            assert seqs == sorted(seqs)
+            in_window = [fl for fl in machine.rob if fl.kind in (K_LOAD, K_STORE)]
+            assert machine.lsq_count == len(in_window) <= machine.config.lsq_size
+            assert list(machine.lsq) == [fl for fl in in_window if fl.kind == K_STORE]
+        assert machine.lsq_count == 0
+        if mode == "V":
+            assert machine.stats.store_conflicts > 0
 
 
 def test_kinds_assigned():
@@ -96,28 +130,12 @@ def test_rename_map_restored_after_flush():
     # A store-conflict squash exercises _flush_from; the rename map must
     # roll back exactly (checked indirectly: the run completes soundly and
     # results keep committing in order).
-    machine, trace = make_machine(
-        """
-        .data
-        x: .word 0
-        .text
-            li r1, x
-            li r4, 0
-        loop:
-            ld r2, 0(r1)
-            addi r2, r2, 1
-            st r2, 0(r1)
-            addi r4, r4, 1
-            slti r5, r4, 20
-            bne r5, r0, loop
-            halt
-        """,
-        mode="V",
-    )
+    machine, trace = make_machine(SPILL_LOOP, mode="V")
     stats = machine.run()
     assert stats.store_conflicts > 0  # the squash path really ran
     assert stats.committed == len(trace.entries)
     assert not machine.rob and not machine.lsq and not machine.waiting
+    assert machine.lsq_count == 0
 
 
 def test_commit_memory_tracks_committed_stores_only():

@@ -4,7 +4,7 @@ The pipeline has one run loop (``Machine._cycles``); plain runs, observed
 runs (metrics and stage profiling are hooks inside that loop) and runs
 driven one cycle at a time through ``step()`` all execute it.  Every
 SimStats field must match bit-for-bit across those drivers, and the
-whole 60-point grid (12 benchmarks x 5 configurations) must equal the
+whole 84-point grid (12 benchmarks x 7 configurations) must equal the
 pinned seed fingerprints.
 """
 
@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro.experiments.runner import point_config
 from repro.functional import run_program
 from repro.observe import MetricsRegistry, Observer, StageProfiler
 from repro.pipeline.config import make_config
@@ -22,8 +23,19 @@ from repro.pipeline.machine import Machine
 from repro.verify.fuzzer import generate_genome, synthesize
 from repro.workloads.spec95 import ALL_BENCHMARKS, cached_trace
 
-#: the fingerprint grid: every benchmark under five machine shapes.
-GRID_CONFIGS = ((4, 1, "noIM"), (4, 1, "IM"), (4, 1, "V"), (8, 1, "V"), (4, 4, "V"))
+#: the fingerprint grid: every benchmark under seven machine shapes,
+#: ``(width, ports, mode, block_on_scalar_operand)``.  The last two pin
+#: V shapes the figures use: fig07's non-blocking scalar-operand policy
+#: and a 2-port V machine.
+GRID_CONFIGS = (
+    (4, 1, "noIM", True),
+    (4, 1, "IM", True),
+    (4, 1, "V", True),
+    (8, 1, "V", True),
+    (4, 4, "V", True),
+    (4, 1, "V", False),
+    (4, 2, "V", True),
+)
 GRID_SCALE = 1500
 
 #: SimStats fingerprints of the whole grid, captured before the
@@ -35,9 +47,14 @@ _FINGERPRINTS = json.loads(
 )
 
 
-def _stats(trace, width, ports, mode, observer=None):
-    machine = Machine(make_config(width, ports, mode), trace, observer=observer)
+def _stats(trace, width, ports, mode, observer=None, block=True):
+    config = point_config(width, ports, mode, block)
+    machine = Machine(config, trace, observer=observer)
     return dataclasses.asdict(machine.run())
+
+
+def _grid_key(name, width, ports, mode, block):
+    return f"{name}/{width}w{ports}p/{mode}" + ("" if block else "-noblock")
 
 
 def _stepped_stats(trace, width, ports, mode):
@@ -51,17 +68,17 @@ def _stepped_stats(trace, width, ports, mode):
     return dataclasses.asdict(machine._finish(now))
 
 
-def test_kernel_parity_60_point_grid():
-    """Bit-identical SimStats on all 60 grid points against the pinned
+def test_kernel_parity_grid():
+    """Bit-identical SimStats on all 84 grid points against the pinned
     seed fingerprints."""
     assert _FINGERPRINTS["scale"] == GRID_SCALE
     points = _FINGERPRINTS["points"]
     for name in ALL_BENCHMARKS:
         trace = cached_trace(name, GRID_SCALE)
-        for width, ports, mode in GRID_CONFIGS:
-            got = _stats(trace, width, ports, mode)
-            pinned = points[f"{name}/{width}w{ports}p/{mode}"]
-            assert got == pinned, f"seed-semantics drift at {name}/{width}w{ports}p{mode}"
+        for width, ports, mode, block in GRID_CONFIGS:
+            got = _stats(trace, width, ports, mode, block=block)
+            key = _grid_key(name, width, ports, mode, block)
+            assert got == points[key], f"seed-semantics drift at {key}"
 
 
 @pytest.mark.parametrize(
