@@ -3,21 +3,17 @@
 A thin shell over the stable :mod:`repro.api` facade.  Commands:
 
 * ``figures [--scale N] [--only figNN ...] [--jobs J]
-  [--campaign] [--point-budget N] [--task-timeout S] [--max-retries N]
-  [--json]`` — regenerate the paper's figures; the grid points behind
-  the selected figures are collected up front and computed in-process
-  (``--jobs 1``) or fanned out over ``J`` fault-tolerant worker peers
-  (see :mod:`repro.experiments.parallel`,
-  :mod:`repro.experiments.distributed` and ``docs/PERFORMANCE.md`` §5)
-  — the command exits 1 when any grid point remains failed after
-  retries; ``--campaign`` persists a resumable manifest (kill it, then
-  ``resume <id>``);
+  [--task-timeout S] [--max-retries N] [--json]`` — regenerate the
+  paper's figures; the grid points behind the selected figures are
+  collected up front and computed in-process (``--jobs 1``) or fanned
+  out over ``J`` fault-tolerant worker peers (see
+  :mod:`repro.experiments.parallel`, :mod:`repro.experiments.distributed`
+  and ``docs/PERFORMANCE.md`` §5) — the command exits 1 when any grid
+  point remains failed after retries; a killed run is resumed by
+  running the same command again (finished points are disk-cache hits);
 * ``headline [--scale N] [--jobs J] [--task-timeout S]
   [--max-retries N] [--json]`` — measure the paper's headline claims,
   same batched execution and failure semantics;
-* ``resume CAMPAIGN_ID [--jobs J] [--point-budget N] [--json]`` —
-  resume a persisted campaign: done points are recovered from the disk
-  cache, only missing or quarantined points recompute;
 * ``worker --node N --generation G [--heartbeat S]`` — internal: one
   worker peer speaking the framed JSON task protocol on stdin/stdout
   (spawned by the scheduler, not meant for hand use);
@@ -43,7 +39,7 @@ A thin shell over the stable :mod:`repro.api` facade.  Commands:
   worker peers, request deduplication, async jobs and backpressure
   (:mod:`repro.service`, ``docs/SERVICE.md``);
 * ``cache {info,clear}`` — inspect or drop the persistent result cache
-  (the fuzz corpus and campaign manifests are sections of it);
+  (the fuzz corpus is a section of it);
 * ``list`` — list the available benchmarks.
 
 All JSON output — success or failure — carries the v2 envelope
@@ -127,42 +123,21 @@ def cmd_figures(args: argparse.Namespace) -> int:
     points = []
     for name in names:
         points.extend(api.get_figure(name).points(args.scale))
-    outcome = None
-    if args.campaign:
-        # Resumable path: persist a per-point manifest keyed by the
-        # points' content hash; a killed/budgeted invocation leaves a
-        # campaign id behind that ``resume`` picks back up.
-        outcome = api.campaign(
-            points,
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            point_budget=args.point_budget,
-        )
-        print(f"campaign {outcome.campaign_id}", file=sys.stderr)
-        batch_ok = outcome.ok
-        accounting = outcome.accounting
-    else:
-        batch = api.grid(
-            points,
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-        )
-        batch_ok = batch.ok
-        accounting = batch.accounting
-    if not batch_ok:
+    batch = api.grid(
+        points,
+        jobs=args.jobs,
+        task_timeout=args.task_timeout,
+        max_retries=args.max_retries,
+    )
+    if not batch.ok:
         # Quarantined points leave holes the figure tables cannot paper
         # over; report the failures and exit nonzero instead of raising
         # a KeyError from deep inside a rows() function.
         if args.json:
-            if outcome is not None:
-                payload = outcome.to_dict()
-            else:
-                payload = api.wrap_error(api.GridFailureError(accounting).to_error())
-            print(json.dumps(payload, sort_keys=True))
+            error = api.GridFailureError(batch.accounting).to_error()
+            print(json.dumps(api.wrap_error(error), sort_keys=True))
         else:
-            _print_grid_failures(accounting)
+            _print_grid_failures(batch.accounting)
         return 1
     results = [
         api.figure(name, scale=args.scale, prebatched=True)
@@ -173,16 +148,12 @@ def cmd_figures(args: argparse.Namespace) -> int:
             "schema": api.SCHEMA_FIGURE_SET,
             "ok": True,
             "error": None,
-            "grid": (outcome.to_dict() if outcome is not None else batch.to_dict())[
-                "accounting"
-            ],
+            "grid": batch.to_dict()["accounting"],
             "figures": {result.spec.name: result.to_dict() for result in results},
         }
-        if outcome is not None:
-            payload["campaign"] = outcome.to_dict()
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(accounting.summary())
+    print(batch.accounting.summary())
     for result in results:
         _print_rows(result.spec.title, result.rows)
     return 0
@@ -217,32 +188,6 @@ def cmd_headline(args: argparse.Namespace) -> int:
     rows = [[key, f"{value:+.1%}"] for key, value in claims.items()]
     print(format_table(["claim", "measured"], rows))
     return 0
-
-
-def cmd_resume(args: argparse.Namespace) -> int:
-    try:
-        outcome = api.campaign_resume(
-            args.campaign_id,
-            jobs=args.jobs,
-            task_timeout=args.task_timeout,
-            max_retries=args.max_retries,
-            point_budget=args.point_budget,
-        )
-    except KeyError:
-        message = f"unknown campaign {args.campaign_id!r} (see `cache info`)"
-        if args.json:
-            print(json.dumps(api.error_envelope("campaign.unknown", message), sort_keys=True))
-        else:
-            print(message, file=sys.stderr)
-        return 2
-    if args.json:
-        print(json.dumps(outcome.to_dict(), sort_keys=True))
-    else:
-        print(f"campaign {outcome.campaign_id}", file=sys.stderr)
-        print(outcome.summary())
-        for failure in outcome.accounting.failed:
-            print(f"grid point FAILED: {failure.describe()}", file=sys.stderr)
-    return 0 if outcome.ok else 1
 
 
 def cmd_worker(args: argparse.Namespace) -> int:
@@ -492,21 +437,6 @@ def main(argv=None) -> int:
     p = sub.add_parser("figures", help="regenerate the paper's figures")
     p.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
     p.add_argument("--only", nargs="*", metavar="FIG", help="subset, e.g. fig14")
-    p.add_argument(
-        "--campaign",
-        action="store_true",
-        help=(
-            "persist a resumable per-point manifest; the campaign id is "
-            "printed to stderr and `resume` continues a killed run"
-        ),
-    )
-    p.add_argument(
-        "--point-budget",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="with --campaign: compute at most N cold points this invocation",
-    )
     _add_jobs_argument(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
@@ -518,20 +448,6 @@ def main(argv=None) -> int:
     _add_fault_arguments(p)
     _add_json_argument(p)
     p.set_defaults(fn=cmd_headline)
-
-    p = sub.add_parser("resume", help="resume a persisted grid campaign by id")
-    p.add_argument("campaign_id", help="content-hash id printed by --campaign")
-    p.add_argument(
-        "--point-budget",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="compute at most N cold points this invocation",
-    )
-    _add_jobs_argument(p)
-    _add_fault_arguments(p)
-    _add_json_argument(p)
-    p.set_defaults(fn=cmd_resume)
 
     p = sub.add_parser(
         "worker",

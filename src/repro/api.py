@@ -12,10 +12,6 @@ Entry points:
   :class:`RunResult`;
 * :func:`grid` — a batch of :class:`GridPoint` coordinates fanned out
   over worker peers (:class:`DistributedScheduler`) → :class:`GridReport`;
-* :func:`campaign` / :func:`campaign_resume` — resumable sweeps: the
-  same batch with a persisted per-point manifest
-  (:mod:`repro.experiments.distributed`), so a killed run restarts and
-  recomputes only missing/quarantined points;
 * :func:`trace` — one instrumented, cache-bypassing run capturing typed
   events → :class:`TraceReport` (JSONL-exportable);
 * :func:`figure` / :func:`headline` — the paper's evaluation artifacts,
@@ -39,8 +35,7 @@ implemented in :mod:`repro.schemas` and re-exported here);
 :func:`validate_envelope` is the shared check the service, the CLI and
 the test suites all run, and :func:`error_dict` /
 :func:`error_envelope` build the error shapes.  Registered schemas:
-``repro.run/v1``, ``repro.grid/v1``, ``repro.campaign/v1``,
-``repro.trace/v1``,
+``repro.run/v1``, ``repro.grid/v1``, ``repro.trace/v1``,
 ``repro.figure/v1`` (one figure), ``repro.figure.set/v1`` (the CLI's
 multi-figure payload), ``repro.headline/v1``,
 ``repro.fuzz/v1``, ``repro.fuzz.oracle/v1``, ``repro.fuzz.repro/v1``,
@@ -60,8 +55,7 @@ from .experiments import diskcache
 from .experiments import figures as _figures
 from .experiments import parallel as _parallel
 from .experiments import runner as _runner
-from .experiments.distributed import CampaignResult, DistributedScheduler
-from .experiments.distributed import campaign as _campaign
+from .experiments.distributed import DistributedScheduler
 from .experiments.parallel import GridPoint
 from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
 from .observe import (
@@ -80,7 +74,6 @@ from .pipeline.stats import SimStats
 from .schemas import (
     EnvelopeError,
     SCHEMAS,
-    SCHEMA_CAMPAIGN,
     SCHEMA_ERROR,
     SCHEMA_FIGURE,
     SCHEMA_FIGURE_SET,
@@ -280,8 +273,8 @@ def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
     """The wire form of fabric accounting.
 
     Worker-peer fields (``nodes_lost`` / ``points_reassigned`` /
-    ``resume_skipped`` / ``nodes``) appear only when nonzero/nonempty,
-    so in-process payloads carry only the core counters.
+    ``nodes``) appear only when nonzero/nonempty, so in-process payloads
+    carry only the core counters.
     """
     out = {
         "requested": accounting.requested,
@@ -298,8 +291,6 @@ def _accounting_dict(accounting: _parallel.GridReport) -> Dict:
         out["nodes_lost"] = accounting.nodes_lost
     if accounting.points_reassigned:
         out["points_reassigned"] = accounting.points_reassigned
-    if accounting.resume_skipped:
-        out["resume_skipped"] = accounting.resume_skipped
     if accounting.nodes:
         out["nodes"] = accounting.nodes
     return out
@@ -408,132 +399,6 @@ def grid(
         for point, stats in results.items()
     ]
     return GridReport(runs=runs, accounting=accounting, metrics=registry)
-
-
-# ---------------------------------------------------------------------------
-# campaign (resumable sweeps; see repro.experiments.distributed)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CampaignOutcome:
-    """One campaign invocation, envelope-ready (``repro.campaign/v1``)."""
-
-    result: CampaignResult
-    metrics: Optional[MetricsRegistry] = None
-
-    @property
-    def ok(self) -> bool:
-        return self.result.ok
-
-    @property
-    def campaign_id(self) -> str:
-        return self.result.campaign_id
-
-    @property
-    def accounting(self) -> _parallel.GridReport:
-        return self.result.report
-
-    def stats(self) -> Dict[GridPoint, SimStats]:
-        return dict(self.result.results)
-
-    def summary(self) -> str:
-        return self.result.summary()
-
-    def to_dict(self) -> Dict:
-        report = self.result.report
-        manifest = self.result.manifest
-        error = None
-        if report.failed:
-            error = error_dict(
-                "campaign.failure",
-                f"{len(report.failed)} point(s) failed after retries "
-                f"(resume retries them with a fresh budget)",
-                retriable=True,
-                failures=[failure.to_dict() for failure in report.failed],
-            )
-        elif not self.ok:
-            error = error_dict(
-                "campaign.incomplete",
-                "campaign has pending points (budgeted slice; resume to finish)",
-                retriable=True,
-            )
-        return {
-            "schema": SCHEMA_CAMPAIGN,
-            "ok": self.ok,
-            "error": error,
-            "campaign": {
-                "id": self.result.campaign_id,
-                "created": manifest.created,
-                "updated": manifest.updated,
-                **manifest.counts(),
-            },
-            "resume": {
-                "skipped": report.resume_skipped,
-                "recomputed": report.simulated,
-            },
-            "accounting": _accounting_dict(report),
-            "failures": [failure.to_dict() for failure in report.failed],
-            "metrics": self.metrics.to_dict() if self.metrics else None,
-        }
-
-
-def campaign(
-    points: Iterable[Union[GridPoint, Sequence]],
-    *,
-    scheduler: Optional[DistributedScheduler] = None,
-    jobs: Optional[int] = None,
-    metrics: bool = False,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    point_budget: Optional[int] = None,
-) -> CampaignOutcome:
-    """Run — or transparently resume — the resumable campaign on ``points``.
-
-    A campaign is a grid batch with a persisted per-point manifest keyed
-    by the content hash of the points themselves: run it again (same
-    points, any order) after a kill and only missing/quarantined points
-    recompute — previously-done ones are recovered from the disk cache
-    and counted in ``accounting.resume_skipped`` / the
-    ``dist.resume_skipped`` metric.  ``point_budget`` bounds this
-    invocation to that many fresh points (huge sweeps in slices).  See
-    :mod:`repro.experiments.distributed.campaign`.
-    """
-    registry = MetricsRegistry() if metrics else None
-    result = _campaign.run_campaign(
-        [GridPoint(*point) for point in points],
-        scheduler=scheduler,
-        jobs=jobs,
-        metrics=registry,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        point_budget=point_budget,
-    )
-    return CampaignOutcome(result=result, metrics=registry)
-
-
-def campaign_resume(
-    campaign_id: str,
-    *,
-    scheduler: Optional[DistributedScheduler] = None,
-    jobs: Optional[int] = None,
-    metrics: bool = False,
-    task_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    point_budget: Optional[int] = None,
-) -> CampaignOutcome:
-    """Resume a persisted campaign by id (raises ``KeyError`` if unknown)."""
-    registry = MetricsRegistry() if metrics else None
-    result = _campaign.resume_campaign(
-        campaign_id,
-        scheduler=scheduler,
-        jobs=jobs,
-        metrics=registry,
-        task_timeout=task_timeout,
-        max_retries=max_retries,
-        point_budget=point_budget,
-    )
-    return CampaignOutcome(result=result, metrics=registry)
 
 
 # ---------------------------------------------------------------------------
@@ -794,9 +659,7 @@ def fuzz_replay(path) -> Dict:
 
 __all__ = [
     "ALL_BENCHMARKS",
-    "CampaignOutcome",
     "CampaignReport",
-    "CampaignResult",
     "DistributedScheduler",
     "EXPERIMENT_SCALE",
     "EnvelopeError",
@@ -810,7 +673,6 @@ __all__ = [
     "OracleConfig",
     "RunResult",
     "SCHEMAS",
-    "SCHEMA_CAMPAIGN",
     "SCHEMA_ERROR",
     "SCHEMA_FIGURE",
     "SCHEMA_FIGURE_SET",
@@ -828,8 +690,6 @@ __all__ = [
     "SCHEMA_SERVICE_STATUS",
     "SCHEMA_TRACE",
     "TraceReport",
-    "campaign",
-    "campaign_resume",
     "error_dict",
     "error_envelope",
     "figure",

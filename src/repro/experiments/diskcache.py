@@ -18,13 +18,11 @@ bit for bit.  This module caches both layers on disk:
 * **corpus/** — interesting fuzzing inputs kept by the differential
   fuzzer (:mod:`repro.verify.fuzzer`): program genomes plus the coverage
   signature that earned them a slot.  Content-keyed only (no source
-  digest — inputs outlive simulator edits);
-* **campaigns/** — resumable-campaign manifests
-  (:mod:`repro.experiments.distributed.campaign`): per-point state for
-  one content-hash-identified grid sweep.  Like the corpus, keyed by
-  identity rather than result (the per-point *results* live in
-  ``stats/`` and carry the source digest; a manifest whose points went
-  stale simply resolves to recomputation).
+  digest — inputs outlive simulator edits).
+
+Each ``stats/`` entry is written the moment its point finishes, so a
+sweep killed mid-grid is resumed by running it again: every finished
+point comes back as a disk hit and only the rest is simulated.
 
 Keying — entries self-invalidate when anything that could change the
 result changes:
@@ -150,10 +148,6 @@ def _soa_dir() -> pathlib.Path:
 
 def _corpus_dir() -> pathlib.Path:
     return cache_root() / "corpus"
-
-
-def _campaigns_dir() -> pathlib.Path:
-    return cache_root() / "campaigns"
 
 
 def corpus_dir() -> pathlib.Path:
@@ -513,54 +507,6 @@ def corpus_keys() -> list:
 
 
 # ---------------------------------------------------------------------------
-# Campaign manifests (resumable sweeps; see experiments.distributed.campaign)
-# ---------------------------------------------------------------------------
-
-
-def store_campaign(campaign_id: str, payload: Dict) -> bool:
-    """Persist one campaign manifest (atomic); False when persistence is off.
-
-    Without a persistent cache there is nothing to resume *from*, so the
-    campaign layer treats a False return as "run everything, remember
-    nothing" — correct, just not resumable.
-    """
-    if not cache_enabled():
-        return False
-    path = _campaigns_dir() / f"{campaign_id}.json"
-    _atomic_write(path, json.dumps(payload, sort_keys=True))
-    _corrupt_fault("campaign", path)
-    return True
-
-
-def load_campaign(campaign_id: str) -> Optional[Dict]:
-    """One campaign manifest by id, or None on miss/corruption (dropped)."""
-    if not cache_enabled():
-        return None
-    path = _campaigns_dir() / f"{campaign_id}.json"
-    try:
-        payload = json.loads(path.read_text())
-        if not isinstance(payload, dict):
-            raise ValueError("campaign manifest is not an object")
-    except FileNotFoundError:
-        return None
-    except (ValueError, OSError):
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    return payload
-
-
-def campaign_ids() -> list:
-    """Sorted ids of every persisted campaign manifest."""
-    directory = _campaigns_dir()
-    if not cache_enabled() or not directory.is_dir():
-        return []
-    return sorted(p.stem for p in directory.iterdir() if p.suffix == ".json")
-
-
-# ---------------------------------------------------------------------------
 # Maintenance (the ``python -m repro cache`` subcommand)
 # ---------------------------------------------------------------------------
 
@@ -573,7 +519,6 @@ _SECTIONS = {
     "trace": (_traces_dir, (".jsonl",)),
     "soa": (_soa_dir, (".soa",)),
     "corpus": (_corpus_dir, (".json",)),
-    "campaign": (_campaigns_dir, (".json",)),
 }
 
 

@@ -2,7 +2,7 @@
 
 This is the one execution fabric for cache-cold grid points that leave
 the calling process: ``run_grid(jobs=N)`` spawns and closes one per
-call, and long-lived callers (the service daemon, campaigns, tests) own
+call, and long-lived callers (the service daemon, tests) own
 one and pass it in.  It charges *points* with attempts and quarantines
 the poisoned ones, and charges *nodes* with strikes:
 

@@ -196,7 +196,6 @@ class GridReport:
     #: worker-peer accounting (all zero/empty on the in-process path).
     nodes_lost: int = 0
     points_reassigned: int = 0
-    resume_skipped: int = 0
     nodes: List[Dict] = field(default_factory=list)
 
     @property
@@ -216,8 +215,6 @@ class GridReport:
             text += f", {self.nodes_lost} nodes lost"
         if self.points_reassigned:
             text += f", {self.points_reassigned} points reassigned"
-        if self.resume_skipped:
-            text += f", {self.resume_skipped} resumed from cache"
         if self.cancelled:
             text += ", CANCELLED early"
         if self.failed:

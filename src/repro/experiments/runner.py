@@ -90,8 +90,8 @@ def point_cache_key(point: PointKey) -> str:
     """The disk cache's stats key for one grid point.
 
     The one derivation of a point's content-hash identity: the entry
-    :func:`compute_point` writes, the grid's parent-side disk probe, the
-    campaign manifest id and the service's dedup key all name it here.
+    :func:`compute_point` writes, the grid's parent-side disk probe and
+    the service's dedup key all name it here.
     """
     name, width, ports, mode, scale, block_on_scalar_operand = point
     config = point_config(width, ports, mode, block_on_scalar_operand)

@@ -38,8 +38,10 @@ instead (the canonical re-export site is :mod:`repro.api`).
 
 Retired spellings are rejected: the multi-figure payload is
 ``repro.figure.set/v1`` (the old ``repro.figures/v1`` alias served its one
-release), and jobs are ``repro.service.job/v2`` (v1, which lacked the
-``cancelled`` state, is no longer accepted).
+release), jobs are ``repro.service.job/v2`` (v1, which lacked the
+``cancelled`` state, is no longer accepted), and ``repro.campaign/v1``
+went with the resumable-campaign manifests (a killed sweep is resumed
+by rerunning it; the disk cache recovers every finished point).
 
 This module is deliberately stdlib-only and dependency-free so every
 layer (``repro.verify``, ``repro.service``, the CLI) can import it
@@ -57,7 +59,6 @@ from typing import Callable, Dict, Optional, Tuple
 
 SCHEMA_RUN = "repro.run/v1"
 SCHEMA_GRID = "repro.grid/v1"
-SCHEMA_CAMPAIGN = "repro.campaign/v1"
 SCHEMA_TRACE = "repro.trace/v1"
 SCHEMA_FIGURE = "repro.figure/v1"
 SCHEMA_FIGURE_SET = "repro.figure.set/v1"
@@ -213,7 +214,6 @@ def _check_job_schema(*states: str) -> Validator:
 SCHEMAS: Dict[str, Dict[int, Validator]] = {
     "repro.run": {1: _required_keys("point", "stats", "derived")},
     "repro.grid": {1: _required_keys("accounting", "failures", "runs")},
-    "repro.campaign": {1: _required_keys("campaign", "resume", "accounting", "failures")},
     "repro.trace": {1: _required_keys("run", "capture", "crosscheck", "events")},
     "repro.figure": {1: _required_keys("figure", "rows")},
     "repro.figure.set": {1: _required_keys("grid", "figures")},
@@ -282,7 +282,6 @@ __all__ = [
     "ERROR_REQUIRED_KEYS",
     "EnvelopeError",
     "SCHEMAS",
-    "SCHEMA_CAMPAIGN",
     "SCHEMA_ERROR",
     "SCHEMA_FIGURE",
     "SCHEMA_FIGURE_SET",

@@ -116,12 +116,25 @@ def test_zero_positive_flags_are_rejected(args, capsys):
     assert "positive integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["resume", "0123456789abcdef"], ["figures", "--campaign"]],
+    ids=["resume", "--campaign"],
+)
+def test_campaign_verbs_are_gone(args, capsys):
+    """A killed sweep is resumed by rerunning it; there is no second verb."""
+    with pytest.raises(SystemExit) as exc:
+        main(args)
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cache_info_breaks_down_sections(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     assert main(["cache", "info"]) == 0
     labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert labels == [
-        "root", "enabled", "stats", "traces", "soa", "corpus", "campaigns", "total",
+        "root", "enabled", "stats", "traces", "soa", "corpus", "total",
     ]
 
 
@@ -130,11 +143,12 @@ def test_cache_section_choices_are_the_cache_sections(tmp_path, monkeypatch, cap
     for section in diskcache._SECTIONS:
         assert main(["cache", "clear", "--section", section]) == 0
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main(["cache", "clear", "--section", "checkpoint"])
-    assert exc.value.code == 2
-    offered = capsys.readouterr().err.split("choose from", 1)[1]
-    assert re.findall(r"\w+", offered) == list(diskcache._SECTIONS)
+    for retired in ("checkpoint", "campaign"):
+        with pytest.raises(SystemExit) as exc:
+            main(["cache", "clear", "--section", retired])
+        assert exc.value.code == 2
+        offered = capsys.readouterr().err.split("choose from", 1)[1]
+        assert re.findall(r"\w+", offered) == list(diskcache._SECTIONS)
 
 
 def test_requires_command():

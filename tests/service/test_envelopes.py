@@ -1,6 +1,7 @@
 """The v2 envelope contract: every registered schema round-trips through
 ``validate_envelope``, the ok/error coupling is enforced, and the retired
-``repro.figures/v1`` and ``repro.service.job/v1`` spellings are rejected."""
+``repro.figures/v1``, ``repro.service.job/v1`` and ``repro.campaign/v1``
+spellings are rejected."""
 
 from __future__ import annotations
 
@@ -26,9 +27,6 @@ from repro.schemas import (
 MINIMAL = {
     "repro.run/v1": envelope("repro.run/v1", point={}, stats={}, derived={}),
     "repro.grid/v1": envelope("repro.grid/v1", accounting={}, failures=[], runs=[]),
-    "repro.campaign/v1": envelope(
-        "repro.campaign/v1", campaign={}, resume={}, accounting={}, failures=[]
-    ),
     "repro.trace/v1": envelope(
         "repro.trace/v1", run={}, capture={}, crosscheck={}, events=[]
     ),
@@ -130,6 +128,17 @@ def test_figures_alias_accepted_one_release_only():
     assert "repro.figures" not in SCHEMAS
     assert "repro.figures/v1" not in schema_names()
     assert SCHEMA_FIGURE_SET in schema_names()
+
+
+def test_campaign_schema_is_retired():
+    """Resumable-campaign manifests are gone (a killed sweep is resumed
+    by rerunning it), and their envelope went with them."""
+    payload = envelope(
+        "repro.campaign/v1", campaign={}, resume={}, accounting={}, failures=[]
+    )
+    with pytest.raises(EnvelopeError, match="unknown schema"):
+        validate_envelope(payload)
+    assert "repro.campaign" not in SCHEMAS
 
 
 def test_real_api_payloads_validate():
