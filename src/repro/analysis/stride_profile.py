@@ -10,7 +10,7 @@ non-word strides), normalised over all stride samples.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Union
+from typing import Dict, Iterable
 
 from ..functional.trace import Trace
 from ..isa.program import WORD_SIZE

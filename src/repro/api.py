@@ -91,7 +91,6 @@ from .schemas import (
     SCHEMA_SERVICE_STATUS,
     SCHEMA_TRACE,
     schema_names,
-    envelope as _envelope,
     error_dict,
     error_envelope,
     validate_envelope,

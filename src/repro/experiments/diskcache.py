@@ -56,6 +56,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import operator
 import os
 import pathlib
 import sys
@@ -210,13 +211,23 @@ def config_fingerprint(config: MachineConfig) -> Dict:
 
 def stats_key(name: str, scale: int, seed: int, config: MachineConfig) -> str:
     """Content-hash key for one simulated grid point."""
+    return fingerprint_stats_key(name, scale, seed, config_fingerprint(config))
+
+
+def fingerprint_stats_key(name: str, scale: int, seed: int, fingerprint: Dict) -> str:
+    """:func:`stats_key` from an already-derived :func:`config_fingerprint`.
+
+    Lets a caller that sees the same config over and over (the runner,
+    once per grid shape) skip re-rendering it; the source digest is still
+    read on every call, so a source edit still moves every key.
+    """
     payload = {
         "format": CACHE_FORMAT,
         "kind": "stats",
         "benchmark": name,
         "scale": scale,
         "seed": seed,
-        "config": config_fingerprint(config),
+        "config": fingerprint,
         "source": source_digest("stats"),
     }
     blob = json.dumps(payload, sort_keys=True, default=str)
@@ -242,14 +253,27 @@ def trace_key(name: str, scale: int, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: SimStats field names in declaration order (the order ``asdict`` emits).
+_STATS_FIELDS = tuple(f.name for f in dataclasses.fields(SimStats))
+_STATS_FIELD_SET = frozenset(_STATS_FIELDS)
+_stats_values = operator.attrgetter(*_STATS_FIELDS)
+
+
 def stats_to_dict(stats: SimStats) -> Dict:
-    """Counter fields only — derived metrics are recomputed properties."""
-    return dataclasses.asdict(stats)
+    """Counter fields only — derived metrics are recomputed properties.
+
+    Equal to ``dataclasses.asdict(stats)``, key order included, without
+    its recursive deep copy: every field is an immutable number except
+    ``usefulness``, a flat ``str -> float`` dict, which gets a fresh copy
+    so the payload shares no mutable state with ``stats``.
+    """
+    payload = dict(zip(_STATS_FIELDS, _stats_values(stats)))
+    payload["usefulness"] = dict(stats.usefulness)
+    return payload
 
 
 def stats_from_dict(payload: Dict) -> SimStats:
-    field_names = {f.name for f in dataclasses.fields(SimStats)}
-    if set(payload) != field_names:
+    if set(payload) != _STATS_FIELD_SET:
         raise ValueError("stats payload fields do not match SimStats")
     return SimStats(**payload)
 

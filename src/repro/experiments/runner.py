@@ -28,6 +28,7 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from typing import Dict, Tuple
 
 from ..observe import MetricsRegistry, Observer, record_sim_stats
@@ -86,16 +87,34 @@ def _copy_stats(stats: SimStats) -> SimStats:
     return replace(stats, usefulness=dict(stats.usefulness))
 
 
+@lru_cache(maxsize=64, typed=True)
+def _shape_fingerprint(
+    width: int, ports: int, mode: str, block_on_scalar_operand: bool
+) -> Dict:
+    """The config fingerprint of one grid shape, derived once per shape.
+
+    A point's config depends only on these four coordinates — 36 shapes
+    on the paper's grid — so the memo is bounded by the config domain,
+    not by request input such as ``scale``.  ``typed`` keeps ``1`` and
+    ``True`` apart: they hash alike but render differently in the key's
+    JSON.  Callers must not mutate the shared result.
+    """
+    return diskcache.config_fingerprint(
+        point_config(width, ports, mode, block_on_scalar_operand)
+    )
+
+
 def point_cache_key(point: PointKey) -> str:
     """The disk cache's stats key for one grid point.
 
     The one derivation of a point's content-hash identity: the entry
     :func:`compute_point` writes, the grid's parent-side disk probe and
-    the service's dedup key all name it here.
+    the service's dedup key all name it here.  Byte-identical to
+    ``diskcache.stats_key(name, scale, 0, point_config(...))``.
     """
     name, width, ports, mode, scale, block_on_scalar_operand = point
-    config = point_config(width, ports, mode, block_on_scalar_operand)
-    return diskcache.stats_key(name, scale, 0, config)
+    fingerprint = _shape_fingerprint(width, ports, mode, block_on_scalar_operand)
+    return diskcache.fingerprint_stats_key(name, scale, 0, fingerprint)
 
 
 def run_point(

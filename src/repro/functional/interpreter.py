@@ -9,8 +9,6 @@ and the property-based tests compare everything back to it.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..isa.instruction import Instruction
 from ..isa.opcodes import (
     BRANCH_OPS,
@@ -18,7 +16,7 @@ from ..isa.opcodes import (
     INT_RR_OPS,
     Opcode,
 )
-from ..isa.program import Program, WORD_SIZE
+from ..isa.program import Program
 from ..isa.registers import FP_BASE, NO_REG, NUM_FP_REGS, NUM_INT_REGS, ZERO_REG
 from .memory import MemoryImage
 from .semantics import apply_alu, branch_taken, s64

@@ -36,7 +36,7 @@ from typing import Dict, List, Tuple, Union
 from .instruction import Instruction
 from .opcodes import Opcode
 from .program import Program, ProgramError, WORD_SIZE
-from .registers import NO_REG, parse_reg
+from .registers import parse_reg
 
 #: Byte address where the assembler places the first ``.data`` word.
 DATA_BASE = 0x1000

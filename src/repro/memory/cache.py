@@ -12,7 +12,7 @@ Geometry defaults follow Table 1 of the paper (64KB 2-way 32B-line L1D,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 

@@ -33,7 +33,7 @@ import threading
 import time
 import uuid
 from collections import OrderedDict, deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..observe import TraceBus
 from ..schemas import SCHEMA_JOB, SCHEMA_SERVICE_EVENT, error_dict, error_envelope

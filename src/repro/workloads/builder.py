@@ -24,7 +24,7 @@ from ..isa.assembler import DATA_BASE
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.program import Program, WORD_SIZE
-from ..isa.registers import NUM_FP_REGS, NUM_INT_REGS, fp_reg, int_reg
+from ..isa.registers import NUM_INT_REGS, fp_reg, int_reg
 
 Number = Union[int, float]
 

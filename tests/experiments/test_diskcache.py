@@ -10,6 +10,7 @@ wrong answer.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import pytest
@@ -64,6 +65,44 @@ def test_key_depends_on_config_scale_and_sources(monkeypatch):
         diskcache._DIGEST_MEMO, diskcache._STATS_SOURCE_PACKAGES, "tampered"
     )
     assert diskcache.stats_key(name, scale, seed, config) != base
+
+
+def test_point_cache_key_matches_unmemoized_key(monkeypatch):
+    """The per-shape fingerprint memo never changes a key: every grid
+    shape's key equals the one derived from a fresh config, on first
+    sight and once memoized, so entries written before the memo still
+    hit."""
+    name = "li"
+    shapes = itertools.product((4, 8), runner.PORT_COUNTS, runner.MODES, (True, False))
+    for width, ports, mode, block in shapes:
+        point = (name, width, ports, mode, SCALE, block)
+        fresh = diskcache.stats_key(
+            name, SCALE, 0, runner.point_config(width, ports, mode, block)
+        )
+        assert runner.point_cache_key(point) == fresh
+        assert runner.point_cache_key(point) == fresh  # memoized shape
+
+    # The source digest is still read per call: a source edit moves the
+    # key of a shape whose fingerprint is already memoized.
+    point = (name, 4, 1, "V", SCALE, True)
+    before = runner.point_cache_key(point)
+    monkeypatch.setitem(
+        diskcache._DIGEST_MEMO, diskcache._STATS_SOURCE_PACKAGES, "tampered"
+    )
+    assert runner.point_cache_key(point) != before
+
+
+def test_stats_to_dict_equals_asdict_and_shares_nothing(cache_dir):
+    stats = runner.compute_point(POINT)
+    assert stats.usefulness, "a V point should report bus usefulness"
+    payload = diskcache.stats_to_dict(stats)
+    reference = dataclasses.asdict(stats)
+    assert payload == reference
+    assert list(payload) == list(reference)  # same key order
+
+    payload["usefulness"]["tampered"] = 1.0
+    payload["cycles"] += 1
+    assert dataclasses.asdict(stats) == reference
 
 
 def test_corrupted_entry_is_a_miss_and_heals(cache_dir):

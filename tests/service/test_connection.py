@@ -21,15 +21,16 @@ POINT = {"benchmark": "compress", "mode": "V", "scale": 2_100}
 
 
 def _exchange(conn, method, path, body=None):
-    """One request/response on an already-open connection."""
+    """One request/response on an already-open connection: the response,
+    its parsed JSON body and the raw body bytes."""
     conn.request(
         method, path,
         json.dumps(body) if body is not None else None,
         {"Content-Type": "application/json"} if body is not None else {},
     )
     response = conn.getresponse()
-    payload = json.loads(response.read())
-    return response, payload
+    raw = response.read()
+    return response, json.loads(raw), raw
 
 
 class TestKeepAlive:
@@ -40,6 +41,7 @@ class TestKeepAlive:
         conn = http.client.HTTPConnection(client.host, client.port, timeout=60)
         try:
             sockets = []
+            run_bodies = []
             exchanges = [
                 ("GET", "/status", None, 200),
                 ("POST", "/run", POINT, 200),
@@ -48,7 +50,7 @@ class TestKeepAlive:
                 ("POST", "/run", POINT, 200),            # memo hit after error
             ]
             for method, path, body, want in exchanges:
-                response, payload = _exchange(conn, method, path, body)
+                response, payload, raw = _exchange(conn, method, path, body)
                 assert response.status == want, payload
                 assert response.version == 11
                 validate_envelope(payload)
@@ -56,11 +58,16 @@ class TestKeepAlive:
                 assert response.getheader("Content-Length") is not None
                 assert (response.getheader("Connection") or "").lower() != "close"
                 sockets.append(conn.sock)
+                if path == "/run":
+                    run_bodies.append(raw)
             # http.client only reuses the socket if the server kept it
             # open — a close would make it reconnect (new socket object).
             assert all(sock is sockets[0] for sock in sockets), (
                 "connection was re-established mid-sequence"
             )
+            # The memo hit answers with exactly the bytes of the first run.
+            first, hit = run_bodies
+            assert hit == first
         finally:
             conn.close()
 
@@ -70,13 +77,13 @@ class TestKeepAlive:
         _, client = daemon()
         conn = http.client.HTTPConnection(client.host, client.port, timeout=60)
         try:
-            response, payload = _exchange(
+            response, payload, _ = _exchange(
                 conn, "POST", "/no/such/route", {"filler": "x" * 2048}
             )
             assert response.status == 404
             assert payload["error"]["kind"] == "http.not_found"
             sock = conn.sock
-            response, payload = _exchange(conn, "GET", "/status", None)
+            response, payload, _ = _exchange(conn, "GET", "/status", None)
             assert response.status == 200
             assert conn.sock is sock
         finally:
