@@ -61,6 +61,7 @@ from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
 from .observe import (
     MetricsRegistry,
     Observer,
+    record_sim_stats,
     SQUASH_COHERENCE,
     TL_PROMOTE,
     TraceEvent,
@@ -225,32 +226,19 @@ def simulate(
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
     metrics: bool = False,
-    observer: Optional[Observer] = None,
 ) -> RunResult:
     """Simulate ``benchmark`` on one machine configuration.
 
     Results come through the two-layer cache (in-process memo + disk), so
-    repeated calls are cheap and deterministic.  ``metrics=True`` attaches
-    a fresh :class:`MetricsRegistry` and returns its serialized contents
-    in ``RunResult.metrics``; pass ``observer`` instead for full control
-    (tracing/profiling) — but note cache hits skip simulation, so an
-    event-capture run should use :func:`trace`.
+    repeated calls are cheap and deterministic.  ``metrics=True`` puts
+    the ``sim.*`` metrics derived from the stats in ``RunResult.metrics``
+    — the same payload whichever cache layer answered.  Machine-level
+    metrics need a fresh observed run: use :func:`trace`.
     """
     _check_benchmark(benchmark)
-    if metrics and observer is None:
-        observer = Observer.measuring()
     stats = _runner.run_point(
-        benchmark,
-        width,
-        ports,
-        mode,
-        scale,
-        block_on_scalar_operand,
-        observer=observer,
+        benchmark, width, ports, mode, scale, block_on_scalar_operand
     )
-    payload = None
-    if observer is not None and observer.metrics is not None:
-        payload = observer.metrics.to_dict()
     return RunResult(
         benchmark=benchmark,
         width=width,
@@ -259,8 +247,20 @@ def simulate(
         scale=scale,
         block_on_scalar_operand=block_on_scalar_operand,
         stats=stats,
-        metrics=payload,
+        metrics=_stats_metrics([stats]).to_dict() if metrics else None,
     )
+
+
+def _stats_metrics(stats_list: Iterable[SimStats]) -> MetricsRegistry:
+    """The ``sim.*`` metrics of ``stats_list``, recorded in its order.
+
+    Order matters: gauges are last-write-wins, so callers pass results
+    in request order.
+    """
+    registry = MetricsRegistry()
+    for stats in stats_list:
+        record_sim_stats(registry, stats)
+    return registry
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +350,11 @@ def grid(
     """Compute a batch of grid points, fanning misses over worker peers.
 
     ``points`` may be :class:`GridPoint` instances or plain tuples in
-    GridPoint order.  ``metrics=True`` aggregates every point's metrics — whether it came
-    from a worker, the disk cache, or the memo — into one registry on the
-    returned report.  ``scheduler``, when given, is a caller-owned
+    GridPoint order; ``report.runs`` follows that order, without
+    duplicates.  ``metrics=True`` derives the ``sim.*`` metrics of every
+    run into one registry on the returned report, so it is the same
+    whether a point came from a worker, the disk cache or the memo.
+    ``scheduler``, when given, is a caller-owned
     :class:`DistributedScheduler` whose warm peers run every cold point
     instead of peers spawned for this call (the service daemon's
     amortization lever); without it ``jobs=1`` runs in-process.
@@ -371,13 +373,11 @@ def grid(
     ``report.accounting.cancelled`` set, keeping (and caching) whatever
     completed first.  See :func:`repro.experiments.parallel.run_grid`.
     """
-    registry = MetricsRegistry() if metrics else None
     accounting = _parallel.GridReport()
     results = _parallel.run_grid(
         [GridPoint(*point) for point in points],
         jobs=jobs,
         report=accounting,
-        metrics=registry,
         task_timeout=task_timeout,
         max_retries=max_retries,
         scheduler=scheduler,
@@ -397,6 +397,7 @@ def grid(
         )
         for point, stats in results.items()
     ]
+    registry = _stats_metrics(run.stats for run in runs) if metrics else None
     return GridReport(runs=runs, accounting=accounting, metrics=registry)
 
 
@@ -484,12 +485,17 @@ def trace(
 
     ``events`` filters by kind, group alias, or subsystem prefix (see
     :func:`repro.observe.resolve_event_kinds`); None captures everything.
+    ``metrics=True`` records the run's machine-level metrics (``engine.*``,
+    ``mem.*``, ``ports.*``, ...) plus the ``sim.*`` metrics that
+    :func:`simulate` derives, so its payload is a superset of theirs.
     """
     _check_benchmark(benchmark)
     observer = Observer.tracing(events=events, capacity=capacity, metrics=metrics)
     kinds = observer.bus.kinds
     config = _runner.point_config(width, ports, mode, block_on_scalar_operand)
     stats = Machine(config, _cached_trace(benchmark, scale), observer=observer).run()
+    if observer.metrics is not None:
+        record_sim_stats(observer.metrics, stats)
     summary = observer.bus.summary()
     summary["kinds"] = sorted(kinds) if kinds is not None else None
     result = RunResult(

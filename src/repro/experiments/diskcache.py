@@ -61,7 +61,7 @@ import os
 import pathlib
 import sys
 import tempfile
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..functional import traceio
 from ..functional.trace import Trace
@@ -316,14 +316,11 @@ def _atomic_write(path: pathlib.Path, data) -> None:
 # ---------------------------------------------------------------------------
 
 
-def load_stats_entry(key: str) -> Optional[Tuple[SimStats, Optional[Dict]]]:
-    """The cached ``(stats, metrics-payload)`` for ``key``, or None.
+def load_stats_entry(key: str) -> Optional[SimStats]:
+    """The cached stats for ``key``, or None on miss/corruption.
 
-    The second element is the serialized
-    :class:`~repro.observe.metrics.MetricsRegistry` persisted alongside
-    the stats by an observed run, or None for entries written without
-    metrics (older entries, unobserved runs) — stats entries stay
-    readable either way.
+    Any other field of the entry is ignored: entries written before
+    metrics were derived from stats may still carry a ``metrics`` object.
     """
     if not cache_enabled():
         return None
@@ -333,9 +330,6 @@ def load_stats_entry(key: str) -> Optional[Tuple[SimStats, Optional[Dict]]]:
         if payload.get("format") != CACHE_FORMAT:
             raise ValueError("format mismatch")
         stats = stats_from_dict(payload["stats"])
-        metrics = payload.get("metrics")
-        if metrics is not None and not isinstance(metrics, dict):
-            raise ValueError("metrics payload is not an object")
     except FileNotFoundError:
         COUNTERS.stats_misses += 1
         return None
@@ -349,34 +343,18 @@ def load_stats_entry(key: str) -> Optional[Tuple[SimStats, Optional[Dict]]]:
             pass
         return None
     COUNTERS.stats_hits += 1
-    return stats, metrics
-
-
-def load_stats(key: str) -> Optional[SimStats]:
-    """The cached stats for ``key``, or None on miss/corruption."""
-    entry = load_stats_entry(key)
-    return entry[0] if entry is not None else None
+    return stats
 
 
 def store_stats(
-    key: str,
-    stats: SimStats,
-    describe: Optional[Dict] = None,
-    metrics: Optional[Dict] = None,
+    key: str, stats: SimStats, describe: Optional[Dict] = None
 ) -> None:
-    """Persist ``stats`` under ``key`` (atomic; no-op when disabled).
-
-    ``metrics`` (a ``MetricsRegistry.to_dict()`` payload) rides along in
-    the same entry so later processes can aggregate an observed grid
-    without re-simulating; readers that only want stats ignore it.
-    """
+    """Persist ``stats`` under ``key`` (atomic; no-op when disabled)."""
     if not cache_enabled():
         return
     payload = {"format": CACHE_FORMAT, "stats": stats_to_dict(stats)}
     if describe:
         payload["point"] = describe
-    if metrics:
-        payload["metrics"] = metrics
     path = _stats_dir() / f"{key}.json"
     _atomic_write(path, json.dumps(payload))
     COUNTERS.stats_stores += 1

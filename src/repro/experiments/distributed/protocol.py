@@ -8,8 +8,8 @@ it runs over any reliable byte stream — today the stdin/stdout pipes of
 
 Frame types, parent → worker:
 
-* ``{"type": "task", "id": n, "point": [...], "metrics": bool}`` — one
-  grid point to compute (``point`` is the field list of a
+* ``{"type": "task", "id": n, "point": [...]}`` — one grid point to
+  compute (``point`` is the field list of a
   :class:`~repro.experiments.parallel.GridPoint`);
 * ``{"type": "warm", "benchmarks": [...], "scale": n}`` — load those
   functional traces now (disk-cached, so peers share the work);
@@ -21,9 +21,10 @@ Worker → parent:
   once at startup;
 * ``{"type": "heartbeat", "node": i, "generation": g}`` — periodic
   liveness beacon, sent from a daemon thread even mid-simulation;
-* ``{"type": "result", "id": n, "stats": {...}, "simulated": bool,
-  "metrics": {...}|null}`` — one completed task (stats in the disk
-  cache's dict form, so the payload is transport- and version-stable);
+* ``{"type": "result", "id": n, "stats": {...}, "simulated": bool}`` —
+  one completed task (stats in the disk cache's dict form, so the
+  payload is transport- and version-stable; the parent derives any
+  metrics from them);
 * ``{"type": "task.error", "id": n, "error": "..."}`` — the task raised;
   the peer itself is still healthy;
 * ``{"type": "warmed", "pid": p}`` — the traces of a ``warm`` frame are

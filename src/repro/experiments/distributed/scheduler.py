@@ -185,8 +185,7 @@ class _Slot:
 class _Batch:
     """One :meth:`DistributedScheduler.execute` call's share of the work."""
 
-    def __init__(self, points, policy, report, want_metrics, on_result, cancel,
-                 progress) -> None:
+    def __init__(self, points, policy, report, on_result, cancel, progress) -> None:
         self.pending = deque(points)
         self.attempts: Dict[GridPoint, int] = {point: 0 for point in points}
         #: slot index -> peers lost while running this batch's points.
@@ -196,7 +195,6 @@ class _Batch:
         self.running = 0
         self.policy = policy
         self.report = report
-        self.want_metrics = want_metrics
         self.on_result = on_result
         self.cancel = cancel
         self.progress = progress
@@ -264,13 +262,12 @@ class DistributedScheduler:
         *,
         policy: FaultPolicy,
         report: GridReport,
-        want_metrics: bool = False,
         on_result=None,
         cancel=None,
         progress=None,
     ) -> List[tuple]:
         """Run one batch; returns worker-outcome tuples
-        ``(point, stats_dict, simulated, metrics)``.
+        ``(point, stats_dict, simulated)``.
 
         Blocks until every point completed or quarantined into
         ``report.failed``.  Safe to call from several threads at once.
@@ -285,9 +282,7 @@ class DistributedScheduler:
         each result to the shared disk cache before framing it back, so
         even abandoned in-flight points may survive for the next batch.
         """
-        batch = _Batch(
-            points, policy, report, want_metrics, on_result, cancel, progress
-        )
+        batch = _Batch(points, policy, report, on_result, cancel, progress)
         self._submit("batch", batch)
         batch.done.wait()
         if batch.error is not None:
@@ -570,9 +565,7 @@ class DistributedScheduler:
         batch.running -= 1
         if ftype == "result":
             slot.completed += 1
-            batch.outcomes.append(
-                (point, stats, bool(frame.get("simulated")), frame.get("metrics"))
-            )
+            batch.outcomes.append((point, stats, bool(frame.get("simulated"))))
             parallel._notify_result(batch.on_result, point, stats)
             self._emit("point.done", batch, point=point.name, node=slot.index)
         else:
@@ -646,7 +639,6 @@ class DistributedScheduler:
                 "type": "task",
                 "id": self._task_id,
                 "point": list(point),
-                "metrics": batch.want_metrics,
             })
             if not sent:
                 batch.pending.appendleft(point)

@@ -123,9 +123,7 @@ def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> i
                     ports=point.ports,
                     mode=point.mode,
                 )
-                _, stats, simulated, metrics = _worker_run_point(
-                    point, want_metrics=bool(frame.get("metrics"))
-                )
+                _, stats, simulated = _worker_run_point(point)
             except Exception as exc:
                 writer.send(
                     {
@@ -141,7 +139,6 @@ def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> i
                         "id": task_id,
                         "stats": stats,
                         "simulated": simulated,
-                        "metrics": metrics,
                     }
                 )
     except protocol.FrameError:

@@ -23,7 +23,9 @@ Determinism is the contract: a grid point's result is a pure function of
 its coordinates and the simulator sources, so serial, parallel and
 cache-hit paths produce identical :class:`~repro.pipeline.stats.SimStats`
 — the equivalence tests in ``tests/experiments/test_parallel.py`` and
-``tests/experiments/test_backend_parity.py`` pin this.
+``tests/experiments/test_backend_parity.py`` pin this.  Stats are the
+only thing a point carries between layers; metrics are derived from them
+by the caller (:func:`repro.api.grid`).
 
 Fault tolerance is the other contract: one bad point must never cost the
 rest of the grid.  Every point is driven under a :class:`FaultPolicy`:
@@ -38,11 +40,10 @@ rest of the grid.  Every point is driven under a :class:`FaultPolicy`:
   quarantine).
 
 Failures are reported per point (:class:`TaskFailure`: kind, error,
-attempt count) through :class:`GridReport`, surfaced as
-``grid.task_retries`` / ``grid.tasks_failed`` / ``dist.nodes_lost``
-metrics when a registry is attached, and propagated by the CLI as a
-nonzero exit.  The deterministic fault injector
-(:mod:`repro.verify.faults`) drives every one of these paths in
+attempt count) through :class:`GridReport` — whose retry, failure and
+node-loss counts are the ``accounting`` of a ``repro.grid/v1`` payload —
+and propagated by the CLI as a nonzero exit.  The deterministic fault
+injector (:mod:`repro.verify.faults`) drives every one of these paths in
 ``tests/experiments/test_fault_tolerance.py`` and
 ``tests/experiments/test_distributed_faults.py``.
 
@@ -58,7 +59,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
-from ..observe import MetricsRegistry, Observer, record_sim_stats
 from ..pipeline.stats import SimStats
 from ..schemas import error_dict
 from . import diskcache, runner
@@ -242,28 +242,22 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def _worker_run_point(key: GridPoint, want_metrics: bool = False):
+def _worker_run_point(key: GridPoint):
     """Compute one grid point, in-process or on a worker peer.
 
-    Returns ``(key, stats-as-dict, simulated_flag, metrics-payload)``;
-    the dict forms keep the wire payload decoupled from object
-    identity.  ``metrics-payload`` is None unless ``want_metrics`` — it
-    then carries the point's full serialized registry (``sim.*``
-    counters plus machine-level extras) ready to merge parent-side.
+    Returns ``(key, stats-as-dict, simulated_flag)``; the dict form keeps
+    the wire payload decoupled from object identity.
     """
     before = runner.simulations_run()
-    observer = Observer(metrics=MetricsRegistry()) if want_metrics else None
-    stats = runner.compute_point(tuple(key), observer)
+    stats = runner.compute_point(tuple(key))
     simulated = runner.simulations_run() > before
-    metrics = observer.metrics.to_dict() if want_metrics else None
-    return key, diskcache.stats_to_dict(stats), simulated, metrics
+    return key, diskcache.stats_to_dict(stats), simulated
 
 
 def run_grid(
     points: Iterable[GridPoint],
     jobs: Optional[int] = None,
     report: Optional[GridReport] = None,
-    metrics: Optional[MetricsRegistry] = None,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     scheduler=None,
@@ -273,17 +267,11 @@ def run_grid(
 ) -> Dict[GridPoint, SimStats]:
     """Compute every grid point, fanning misses out over worker peers.
 
-    Returns ``{point: master SimStats}`` — treat the values as immutable
-    (they are the memo's master copies; :func:`runner.run_point` hands out
-    private copies and becomes a memo hit for every point computed here).
+    Returns ``{point: master SimStats}`` in request order, without
+    duplicates or failed points.  Treat the values as immutable (they are
+    the memo's master copies; :func:`runner.run_point` hands out private
+    copies and becomes a memo hit for every point computed here).
     ``report``, when given, is filled with hit/miss accounting.
-
-    ``metrics``, when given, aggregates every point's metrics into one
-    registry: worker peers ship their per-point registries back in the
-    result frame, cached points replay their persisted payloads, and
-    memo hits synthesize ``sim.*`` from the cached stats — so the
-    counters sum over the whole grid regardless of where each point came
-    from.
 
     Failures do not propagate: a point that keeps failing (or hanging,
     under ``task_timeout``) is quarantined into ``report.failed`` after
@@ -335,7 +323,6 @@ def run_grid(
             ordered.append(point)
     report.unique = len(ordered)
 
-    want_metrics = metrics is not None
     results: Dict[GridPoint, SimStats] = {}
     todo: List[GridPoint] = []
     for point in ordered:
@@ -343,8 +330,6 @@ def run_grid(
         if runner.memo_contains(key):
             results[point] = runner.memo_get(key)
             report.memo_hits += 1
-            if want_metrics:
-                record_sim_stats(metrics, results[point])
             if on_result is not None:
                 _notify_result(
                     on_result, point, diskcache.stats_to_dict(results[point])
@@ -355,16 +340,11 @@ def run_grid(
     # Parent-side disk probe: a fully warm cache never spawns a worker.
     still_cold: List[GridPoint] = []
     for point in todo:
-        entry = diskcache.load_stats_entry(runner.point_cache_key(point))
-        if entry is not None:
-            cached, persisted = entry
+        cached = diskcache.load_stats_entry(runner.point_cache_key(point))
+        if cached is not None:
             runner.prime_memo(tuple(point), cached)
             results[point] = cached
             report.disk_hits += 1
-            if want_metrics:
-                if persisted:
-                    metrics.merge(persisted)
-                record_sim_stats(metrics, cached)
             if on_result is not None:
                 _notify_result(on_result, point, diskcache.stats_to_dict(cached))
         else:
@@ -381,16 +361,13 @@ def run_grid(
 
             scheduler = owned = DistributedScheduler(min(jobs, len(still_cold)))
         if scheduler is None:
-            computed = _execute_serial(
-                still_cold, want_metrics, policy, report, on_result, cancel
-            )
+            computed = _execute_serial(still_cold, policy, report, on_result, cancel)
         else:
             try:
                 computed = scheduler.execute(
                     still_cold,
                     policy=policy,
                     report=report,
-                    want_metrics=want_metrics,
                     on_result=on_result,
                     cancel=cancel,
                     progress=progress,
@@ -398,38 +375,17 @@ def run_grid(
             finally:
                 if owned is not None:
                     owned.close()
-        # Merge in request order, not completion order: gauges merge
-        # last-write-wins, so completion order would make the aggregate
-        # depend on which worker finished last.
-        order = {point: i for i, point in enumerate(still_cold)}
-        computed = sorted(
-            computed, key=lambda outcome: order.get(outcome[0], len(order))
-        )
-        for point, payload, simulated, point_metrics in computed:
-            stats = diskcache.stats_from_dict(payload)
-            runner.prime_memo(tuple(point), stats)
+        for point, payload, simulated in computed:
+            runner.prime_memo(tuple(point), diskcache.stats_from_dict(payload))
             results[point] = runner.memo_get(tuple(point))
             if simulated:
                 report.simulated += 1
             else:
                 report.disk_hits += 1
-            if want_metrics and point_metrics:
-                # The worker-side registry already includes the sim.* shim.
-                metrics.merge(point_metrics)
 
-    if want_metrics:
-        # Fabric-health counters: only materialized when nonzero, so a
-        # clean run's registry stays bit-identical to the pre-fault era.
-        if report.retries:
-            metrics.counter("grid.task_retries").inc(report.retries)
-        if report.failed:
-            metrics.counter("grid.tasks_failed").inc(len(report.failed))
-        if report.nodes_lost:
-            metrics.counter("dist.nodes_lost").inc(report.nodes_lost)
-        if report.points_reassigned:
-            metrics.counter("dist.points_reassigned").inc(report.points_reassigned)
-
-    return results
+    # Request order, whichever layer answered each point and in whatever
+    # order the peers finished.
+    return {point: results[point] for point in ordered if point in results}
 
 
 def _notify_result(on_result, point, payload) -> None:
@@ -447,7 +403,7 @@ def _notify_result(on_result, point, payload) -> None:
 
 
 def _execute_serial(
-    points, want_metrics, policy, report, on_result=None, cancel=None
+    points, policy, report, on_result=None, cancel=None
 ) -> List[tuple]:
     """In-process execution with the same retry/quarantine semantics.
 
@@ -462,7 +418,7 @@ def _execute_serial(
         attempts = 0
         while True:
             try:
-                outcome = _worker_run_point(point, want_metrics)
+                outcome = _worker_run_point(point)
                 outcomes.append(outcome)
                 _notify_result(on_result, point, outcome[1])
                 break

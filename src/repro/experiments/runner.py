@@ -19,6 +19,10 @@ may freely mutate the result (e.g. normalize counters in place) without
 corrupting what later callers — or other figures sharing the same grid
 point — observe.
 
+Both layers hold stats only.  Runs here are unobserved; metrics are
+derived from the stats by :mod:`repro.api`, which is why they never
+depend on which layer answered.
+
 For whole-grid fan-out over worker peers, see
 :mod:`repro.experiments.parallel`.
 """
@@ -31,7 +35,6 @@ from dataclasses import replace
 from functools import lru_cache
 from typing import Dict, Tuple
 
-from ..observe import MetricsRegistry, Observer, record_sim_stats
 from ..pipeline.config import MachineConfig, make_config
 from ..pipeline.machine import Machine
 from ..pipeline.stats import SimStats
@@ -124,16 +127,8 @@ def run_point(
     mode: str = "V",
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
-    observer=None,
 ) -> SimStats:
     """Simulate benchmark ``name`` on one machine-configuration point.
-
-    ``observer`` (a :class:`repro.observe.Observer`) threads tracing /
-    metrics / profiling into the run.  An attached metrics registry is
-    fed on every path: a memo hit synthesizes the ``sim.*`` counters
-    from the cached stats, a disk hit additionally merges any persisted
-    machine-level metrics, and a fresh simulation records everything.
-    Stats are bit-identical with or without an observer.
 
     Results are memoized in-process and persisted to the on-disk cache;
     every call returns a fresh :class:`SimStats` copy, so mutating a
@@ -142,27 +137,15 @@ def run_point(
     key = (name, width, ports, mode, scale, block_on_scalar_operand)
     stats = _MEMO.get(key)
     if stats is None:
-        stats = _MEMO[key] = compute_point(key, observer)
-    elif observer is not None and observer.metrics is not None:
-        # Memo hit: the run is not repeated, but the aggregate registry
-        # still receives this point's sim.* counters (machine-level
-        # extras only exist where a simulation or disk entry carried them).
-        record_sim_stats(observer.metrics, stats)
+        stats = _MEMO[key] = compute_point(key)
     return _copy_stats(stats)
 
 
-def compute_point(key: PointKey, observer=None) -> SimStats:
+def compute_point(key: PointKey) -> SimStats:
     """Disk-cache lookup + (on miss) one simulation for one grid point.
 
     Shared by :func:`run_point` and the grid's worker peers; bypasses the
     in-process memo on purpose (the callers own that layer).
-
-    When ``observer`` carries a metrics registry, the point's metrics are
-    folded into it whichever path produced the stats: fresh simulations
-    record into a per-point registry (persisted to the disk entry, then
-    merged), disk hits merge the entry's persisted payload, and both
-    paths finish with the ``sim.*`` counter shim so aggregation across a
-    grid is uniform.
     """
     global _SIMULATIONS_RUN
     name, width, ports, mode, scale, block_on_scalar_operand = key
@@ -170,27 +153,11 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
         "grid.point", benchmark=name, width=width, ports=ports, mode=mode, scale=scale
     )
     disk_key = point_cache_key(key)
-    want_metrics = observer is not None and observer.metrics is not None
-    entry = diskcache.load_stats_entry(disk_key)
-    if entry is not None:
-        stats, persisted = entry
-        if want_metrics:
-            if persisted:
-                observer.metrics.merge(persisted)
-            record_sim_stats(observer.metrics, stats)
+    stats = diskcache.load_stats_entry(disk_key)
+    if stats is not None:
         return stats
-    # Simulate.  Metrics go through a per-point registry so the disk entry
-    # captures exactly this point's machine-level metrics; the bus and
-    # profiler (cross-run by design) are shared directly.
-    local = observer
-    if want_metrics:
-        local = Observer(
-            bus=observer.bus,
-            metrics=MetricsRegistry(),
-            profiler=observer.profiler,
-        )
     config = point_config(width, ports, mode, block_on_scalar_operand)
-    stats = Machine(config, cached_trace(name, scale), observer=local).run()
+    stats = Machine(config, cached_trace(name, scale)).run()
     _SIMULATIONS_RUN += 1
     diskcache.store_stats(
         disk_key,
@@ -203,11 +170,7 @@ def compute_point(key: PointKey, observer=None) -> SimStats:
             "scale": scale,
             "block_on_scalar_operand": block_on_scalar_operand,
         },
-        metrics=local.metrics.to_dict() if want_metrics else None,
     )
-    if want_metrics:
-        observer.metrics.merge(local.metrics)
-        record_sim_stats(observer.metrics, stats)
     return stats
 
 

@@ -10,8 +10,9 @@ Three cooperating pieces, all **zero-overhead when off**:
   per-kind counts that cross-check against ``SimStats``, JSONL export
   (``python -m repro trace``).
 * :mod:`~repro.observe.metrics` — a :class:`MetricsRegistry` of
-  counters/gauges/histograms/series that merges across grid worker
-  peers and serializes into the disk cache alongside results.
+  counters/gauges/histograms/series that an observed run fills with
+  machine-level metrics, and that :func:`record_sim_stats` fills with
+  the ``sim.*`` counters of any ``SimStats``.
 * :mod:`~repro.observe.profile` — a :class:`StageProfiler` attributing
   simulated cycles and simulator wall-clock to pipeline stages
   (``BENCH_perf.json``'s ``profile`` section).
@@ -99,16 +100,6 @@ class Observer:
             bus=TraceBus(capacity=capacity, kinds=resolve_event_kinds(events)),
             metrics=MetricsRegistry() if metrics else None,
         )
-
-    @classmethod
-    def measuring(cls) -> "Observer":
-        """An observer collecting metrics only (no event capture)."""
-        return cls(metrics=MetricsRegistry())
-
-    @classmethod
-    def profiling(cls) -> "Observer":
-        """An observer with a stage profiler (and metrics to land it in)."""
-        return cls(metrics=MetricsRegistry(), profiler=StageProfiler())
 
 
 __all__ = [

@@ -14,12 +14,8 @@ is the structured replacement for bolting ever more ad-hoc counters onto
   series sampled during an observed run.
 
 All metric types **merge**: merging two registries adds counters and
-histogram buckets, concatenates series and keeps the later gauge — which
-is exactly what aggregating per-point metrics across the grid's worker
-peers needs (:func:`repro.experiments.parallel.run_grid`).  The whole
-registry serializes to/from plain JSON-safe dicts so worker peers can
-ship it in their result frames and the disk cache can persist it
-alongside the stats payload.
+histogram buckets, concatenates series and keeps the later gauge.  The
+whole registry serializes to/from plain JSON-safe dicts.
 
 :func:`record_sim_stats` is the thin recording shim between the legacy
 ``SimStats`` counters and the registry: it mirrors every counter field
@@ -27,7 +23,10 @@ into namespaced ``sim.*`` metrics, so registry consumers read one format
 whether a number originated in a hot-loop ``stats.x += 1`` or a labelled
 ``metrics`` call.  (The hot loops keep their direct increments — a
 pure-Python simulator cannot afford an indirection per event — the shim
-runs once per completed run.)
+runs once per completed run.)  It is the only way ``sim.*`` metrics are
+made: a grid or a single run derives them from its stats
+(:func:`repro.api.grid`, :func:`repro.api.simulate`), so they depend on
+the stats alone, never on which cache layer answered.
 """
 
 from __future__ import annotations

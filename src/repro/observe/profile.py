@@ -88,17 +88,6 @@ class StageProfiler:
             },
         }
 
-    def record_metrics(self, registry) -> None:
-        """Mirror the attribution into a metrics registry (``profile.*``)."""
-        registry.counter("profile.cycles").inc(self.cycles)
-        for stage in STAGES:
-            registry.counter(f"profile.stage_cycles.{stage}").inc(
-                self.stage_cycles[stage]
-            )
-            registry.counter(f"profile.stage_seconds.{stage}").inc(
-                self.stage_seconds[stage]
-            )
-
 
 #: the clock the profiled loop reads (monkeypatchable in tests).
 perf_counter = time.perf_counter

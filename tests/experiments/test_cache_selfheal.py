@@ -50,7 +50,7 @@ def _stats_case():
     return (
         key,
         lambda: diskcache.store_stats(key, stats),
-        lambda: diskcache.load_stats(key),
+        lambda: diskcache.load_stats_entry(key),
         lambda loaded: dataclasses.asdict(loaded) == dataclasses.asdict(stats),
     )
 

@@ -120,6 +120,29 @@ def test_corrupted_entry_is_a_miss_and_heals(cache_dir):
         assert json.loads(entry.read_text())["format"] == diskcache.CACHE_FORMAT
 
 
+def test_entry_with_persisted_metrics_still_hits(cache_dir):
+    """Entries written while observed runs persisted their registry carry
+    a ``metrics`` object next to the stats; the reader ignores it."""
+    reference = dataclasses.asdict(runner.compute_point(POINT))
+    (entry,) = _stats_files(cache_dir)
+    payload = json.loads(entry.read_text())
+    assert "metrics" not in payload
+    payload["metrics"] = {
+        "engine.vrmt.orphaned_registers": {"kind": "gauge", "data": 3},
+        "sim.committed": {"kind": "counter", "data": SCALE},
+    }
+    entry.write_text(json.dumps(payload))
+
+    hits = diskcache.COUNTERS.stats_hits
+    before = runner.simulations_run()
+    loaded = diskcache.load_stats_entry(runner.point_cache_key(POINT))
+    assert diskcache.COUNTERS.stats_hits == hits + 1
+    assert dataclasses.asdict(loaded) == reference
+    assert runner.compute_point(POINT) == loaded
+    assert runner.simulations_run() == before
+    assert entry.exists()
+
+
 def test_disabled_cache_writes_nothing(cache_dir, monkeypatch):
     monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
     runner.compute_point(POINT)

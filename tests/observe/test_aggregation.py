@@ -1,26 +1,29 @@
-"""Metrics aggregation across the experiment fabric.
+"""Metrics of a grid or a single run are a pure function of its stats.
 
-One registry handed to :func:`run_grid` (or threaded through
-:func:`run_point`) must end up with the same aggregate totals whichever
-path produced each point — fresh pool-worker simulation, parent disk-cache
-hit, or in-process memo hit — because ``sim.*`` counters are synthesized
-uniformly from the cached stats and machine-level extras ride the
-persisted disk payloads.
+:func:`repro.api.grid` and :func:`repro.api.simulate` derive their
+``sim.*`` registry from the returned stats, in request order, so the
+whole registry — not just one counter — is identical whichever path
+produced each point: a fresh simulation in-process or on worker peers,
+an in-process memo hit, or a disk-cache hit, and whatever process wrote
+the disk entry.
 """
 
 from __future__ import annotations
 
+import os
+import shutil
+
 import pytest
 
+from repro import api
 from repro.experiments import runner
-from repro.experiments.parallel import GridPoint, GridReport, run_grid
-from repro.observe import MetricsRegistry, Observer
+from repro.observe import MetricsRegistry, record_sim_stats
 
 SCALE = 1_500
 
 POINTS = [
-    GridPoint("li", 4, 1, "V", SCALE),
-    GridPoint("compress", 4, 1, "V", SCALE),
+    api.GridPoint("li", 4, 1, "V", SCALE),
+    api.GridPoint("compress", 4, 1, "V", SCALE),
 ]
 
 
@@ -30,73 +33,100 @@ def fresh_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     runner.clear_memo()
-    yield
+    yield tmp_path
     runner.clear_memo()
 
 
-def _committed_total(results):
-    return sum(stats.committed for stats in results.values())
+def _expected(report) -> dict:
+    registry = MetricsRegistry()
+    for point in POINTS:
+        record_sim_stats(registry, report.stats()[point])
+    return registry.to_dict()
 
 
-def test_grid_aggregates_identically_across_all_paths(fresh_state):
-    # Path 1: cold — every point simulated (in pool workers).
-    cold = MetricsRegistry()
-    cold_report = GridReport()
-    results = run_grid(POINTS, jobs=2, report=cold_report, metrics=cold)
-    assert cold_report.simulated == len(POINTS)
-    expected = _committed_total(results)
-    assert cold.counter("sim.committed").value == expected
-    # machine-level extras shipped back across the pickle boundary
-    assert any(name.startswith("engine.") for name in cold.names())
-    assert any(name.startswith("mem.") for name in cold.names())
+def test_grid_aggregates_identically_across_all_paths(fresh_state, monkeypatch):
+    # Cold, in-process.
+    cold1 = api.grid(POINTS, jobs=1, metrics=True)
+    assert cold1.accounting.simulated == len(POINTS)
+    expected = cold1.metrics.to_dict()
+    assert expected == _expected(cold1)
+    assert expected["sim.committed"]["data"] == sum(
+        run.stats.committed for run in cold1.runs
+    )
 
-    # Path 2: memo-warm — nothing simulated, sim.* synthesized from memo.
-    warm = MetricsRegistry()
-    warm_report = GridReport()
-    run_grid(POINTS, jobs=2, report=warm_report, metrics=warm)
-    assert warm_report.memo_hits == len(POINTS)
-    assert warm.counter("sim.committed").value == expected
-
-    # Path 3: disk-warm — persisted payloads replayed in the parent.
+    # Cold, on two worker peers (a second, empty cache).
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_state / "cache2"))
     runner.clear_memo()
-    disk = MetricsRegistry()
-    disk_report = GridReport()
-    run_grid(POINTS, jobs=2, report=disk_report, metrics=disk)
-    assert disk_report.disk_hits == len(POINTS)
-    assert disk.counter("sim.committed").value == expected
-    assert any(name.startswith("engine.") for name in disk.names())
-    # full machine-level agreement between the cold and disk aggregates
-    assert disk.to_dict() == cold.to_dict()
+    cold2 = api.grid(POINTS, jobs=2, metrics=True)
+    assert cold2.accounting.simulated == len(POINTS)
+    assert cold2.metrics.to_dict() == expected
+
+    # Memo-warm: nothing simulated, nothing read from disk.
+    memo = api.grid(POINTS, jobs=2, metrics=True)
+    assert memo.accounting.memo_hits == len(POINTS)
+    assert memo.metrics.to_dict() == expected
+
+    # Disk-warm: every point read back in the parent.
+    runner.clear_memo()
+    disk = api.grid(POINTS, jobs=2, metrics=True)
+    assert disk.accounting.disk_hits == len(POINTS)
+    assert disk.metrics.to_dict() == expected
+
+    # Machine-level metrics come from a fresh observed run only.
+    assert not any(name.startswith(("engine.", "mem.")) for name in expected)
 
 
 def test_grid_without_registry_records_nothing(fresh_state):
-    report = GridReport()
-    run_grid(POINTS, jobs=1, report=report)
-    assert report.requested == len(POINTS)  # plain path still works
+    report = api.grid(POINTS, jobs=1)
+    assert report.metrics is None
+    assert report.to_dict()["metrics"] is None
 
 
-def test_run_point_feeds_attached_registry_on_every_path(fresh_state):
-    observer = Observer.measuring()
-    stats = runner.run_point("li", 4, 1, "V", SCALE, observer=observer)
-    first = observer.metrics.counter("sim.committed").value
-    assert first == stats.committed
-    # memo hit: the same registry keeps summing
-    runner.run_point("li", 4, 1, "V", SCALE, observer=observer)
-    assert observer.metrics.counter("sim.committed").value == 2 * first
-    # disk hit (fresh memo): machine-level extras come from the payload
+def test_grid_runs_follow_request_order_across_mixed_layers(fresh_state):
+    # li is a memo hit, compress is cold: the report still lists (and
+    # records) the points in the order they were requested.
+    api.simulate("li", scale=SCALE)
+    report = api.grid(list(reversed(POINTS)) + POINTS, jobs=1, metrics=True)
+    assert report.accounting.memo_hits == 1
+    assert [run.point() for run in report.runs] == list(reversed(POINTS))
+
+
+def _simulate_metrics_from_disk() -> dict:
     runner.clear_memo()
-    fresh = Observer.measuring()
-    runner.run_point("li", 4, 1, "V", SCALE, observer=fresh)
-    assert fresh.metrics.counter("sim.committed").value == first
-    assert any(name.startswith("engine.") for name in fresh.metrics.names())
+    return api.simulate("li", scale=SCALE, metrics=True).metrics
+
+
+def test_simulate_metrics_do_not_depend_on_who_wrote_the_entry(
+    fresh_state, monkeypatch
+):
+    # Cache A: the entry is written by a run that asked for metrics.
+    cold = api.simulate("li", scale=SCALE, metrics=True).metrics
+    written_observed = _simulate_metrics_from_disk()
+    # Cache B: the entry is written by a plain run.
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(fresh_state / "cache2"))
+    runner.clear_memo()
+    api.simulate("li", scale=SCALE)
+    written_plain = _simulate_metrics_from_disk()
+    memo = api.simulate("li", scale=SCALE, metrics=True).metrics
+
+    assert written_observed == cold
+    assert written_plain == cold
+    assert memo == cold
+    assert all(name.startswith("sim.") for name in cold)
+
+
+def test_trace_metrics_are_a_superset_of_simulate_metrics(fresh_state):
+    plain = api.simulate("li", scale=SCALE, metrics=True).metrics
+    traced = api.trace("li", scale=SCALE, events=["validation"], metrics=True)
+    full = traced.result.metrics
+    assert {name: full[name] for name in plain} == plain
+    assert any(name.startswith("engine.") for name in full)
+    assert any(name.startswith("mem.") for name in full)
 
 
 def test_observer_does_not_change_grid_results(fresh_state):
-    plain = run_grid(POINTS, jobs=1)
+    plain = api.grid(POINTS, jobs=1)
     runner.clear_memo()
-    import shutil, os
-
     shutil.rmtree(os.environ["REPRO_CACHE_DIR"], ignore_errors=True)
-    observed = run_grid(POINTS, jobs=1, metrics=MetricsRegistry())
-    for point in POINTS:
-        assert observed[point] == plain[point]
+    observed = api.grid(POINTS, jobs=1, metrics=True)
+    assert observed.stats() == plain.stats()

@@ -20,6 +20,7 @@ import pytest
 
 from repro.observe import (
     FLUSH_BRANCH,
+    MetricsRegistry,
     Observer,
     SQUASH_COHERENCE,
     StageProfiler,
@@ -113,7 +114,7 @@ def test_profiler_attributes_the_whole_run(turb3d_trace):
 
 
 def test_metrics_only_observer_populates_machine_gauges(turb3d_trace):
-    observer = Observer.measuring()
+    observer = Observer(metrics=MetricsRegistry())
     stats = _run(turb3d_trace, observer)
     reg = observer.metrics
     assert reg.gauge("ports.read_transactions").value == stats.read_accesses
