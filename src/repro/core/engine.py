@@ -802,17 +802,6 @@ class VectorizationEngine:
             self.gmrbb = pc
             self._sweep_frees(now)
 
-    def set_element_freed(self, reg: VectorRegister, elem: int, now: int) -> None:
-        """The next writer of the element's logical register committed: the
-        element's F flag rises (machine calls this from commit)."""
-        if reg.freed:
-            return
-        reg.f_bits |= 1 << elem
-        # _maybe_free's first early-out, checked here to skip the call on
-        # the overwhelmingly common path (a validation still in flight).
-        if not reg.u_bits:
-            self._maybe_free(reg, now)
-
     def _maybe_free(self, reg: VectorRegister, now: int) -> None:
         """Release ``reg`` if one of §3.3's two rules holds at ``now``.
 
@@ -823,11 +812,13 @@ class VectorizationEngine:
         element freed (F) — or rule 2 — every validated element freed and
         the allocating loop terminated (MRBB differs from GMRBB).
 
-        This runs on every commit-side event and the common outcome is
+        This runs on every commit-side event (the machine's commit stage
+        raises F flags and calls it directly) and the common outcome is
         "not yet", hence the plain loops and early returns.
         """
         if reg.freed or reg.u_bits:
             return
+        computed = False
         if not reg.defunct:
             r_time = reg.r_time
             if reg.abandoned:
@@ -838,6 +829,7 @@ class VectorizationEngine:
                 for t in r_time:
                     if t is None or t > now:
                         return
+                computed = True
             if reg.f_bits != reg.full_mask:
                 # Rule 1 failed; rule 2 needs a terminated loop and every
                 # validated element freed.
@@ -845,11 +837,21 @@ class VectorizationEngine:
                     return
                 if reg.v_bits & ~reg.f_bits:
                     return
-        used, unused, not_computed = reg.element_fates(now)
-        self.stats.elements_computed_used += used
-        self.stats.elements_computed_unused += unused
-        self.stats.elements_not_computed += not_computed
-        self.stats.registers_freed += 1
+        stats = self.stats
+        if computed:
+            # Every element is computed: Fig 15's fates in closed form
+            # (what element_fates counts, one element at a time).
+            start = reg.start_offset
+            used = (reg.v_bits >> start).bit_count()
+            stats.elements_computed_used += used
+            stats.elements_computed_unused += reg.length - start - used
+            stats.elements_not_computed += start
+        else:
+            used, unused, not_computed = reg.element_fates(now)
+            stats.elements_computed_used += used
+            stats.elements_computed_unused += unused
+            stats.elements_not_computed += not_computed
+        stats.registers_freed += 1
         self.vrf.free(reg)
 
     def _sweep_frees(self, now: int) -> None:

@@ -204,9 +204,14 @@ def source_digest(kind: str = "stats") -> str:
 # ---------------------------------------------------------------------------
 
 
-def config_fingerprint(config: MachineConfig) -> Dict:
-    """A JSON-safe rendering of every field of a resolved config."""
-    return dataclasses.asdict(config)
+#: ``json.dumps(..., sort_keys=True, default=str)``, built once.
+_KEY_JSON = json.JSONEncoder(sort_keys=True, default=str).encode
+
+
+def config_fingerprint(config: MachineConfig) -> str:
+    """Every field of a resolved config as JSON text (sorted keys), as a
+    stats key renders it."""
+    return _KEY_JSON(dataclasses.asdict(config))
 
 
 def stats_key(name: str, scale: int, seed: int, config: MachineConfig) -> str:
@@ -214,23 +219,24 @@ def stats_key(name: str, scale: int, seed: int, config: MachineConfig) -> str:
     return fingerprint_stats_key(name, scale, seed, config_fingerprint(config))
 
 
-def fingerprint_stats_key(name: str, scale: int, seed: int, fingerprint: Dict) -> str:
-    """:func:`stats_key` from an already-derived :func:`config_fingerprint`.
+def fingerprint_stats_key(name: str, scale: int, seed: int, fingerprint: str) -> str:
+    """:func:`stats_key` from an already-rendered :func:`config_fingerprint`.
 
-    Lets a caller that sees the same config over and over (the runner,
-    once per grid shape) skip re-rendering it; the source digest is still
-    read on every call, so a source edit still moves every key.
+    The key hashes ``json.dumps(payload, sort_keys=True, default=str)``
+    of the payload ``{"format", "kind", "benchmark", "scale", "seed",
+    "config", "source"}``.  With sorted keys the config object sits second
+    and renders exactly as on its own, so the text is assembled around the
+    pre-rendered fingerprint: a caller that sees the same config over and
+    over (the runner, once per grid shape) renders its ~60 fields once.
+    The source digest is still read on every call, so a source edit still
+    moves every key.
     """
-    payload = {
-        "format": CACHE_FORMAT,
-        "kind": "stats",
-        "benchmark": name,
-        "scale": scale,
-        "seed": seed,
-        "config": fingerprint,
-        "source": source_digest("stats"),
-    }
-    blob = json.dumps(payload, sort_keys=True, default=str)
+    blob = (
+        f'{{"benchmark": {_KEY_JSON(name)}, "config": {fingerprint}, '
+        f'"format": {_KEY_JSON(CACHE_FORMAT)}, "kind": "stats", '
+        f'"scale": {_KEY_JSON(scale)}, "seed": {_KEY_JSON(seed)}, '
+        f'"source": {_KEY_JSON(source_digest("stats"))}}}'
+    )
     return hashlib.sha256(blob.encode()).hexdigest()
 
 

@@ -93,14 +93,15 @@ def _copy_stats(stats: SimStats) -> SimStats:
 @lru_cache(maxsize=64, typed=True)
 def _shape_fingerprint(
     width: int, ports: int, mode: str, block_on_scalar_operand: bool
-) -> Dict:
-    """The config fingerprint of one grid shape, derived once per shape.
+) -> str:
+    """The rendered config fingerprint of one grid shape, derived once
+    per shape.
 
     A point's config depends only on these four coordinates — 36 shapes
     on the paper's grid — so the memo is bounded by the config domain,
     not by request input such as ``scale``.  ``typed`` keeps ``1`` and
     ``True`` apart: they hash alike but render differently in the key's
-    JSON.  Callers must not mutate the shared result.
+    JSON.
     """
     return diskcache.config_fingerprint(
         point_config(width, ports, mode, block_on_scalar_operand)

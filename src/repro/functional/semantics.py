@@ -25,14 +25,17 @@ from ..isa.opcodes import Opcode
 
 Number = Union[int, float]
 
-_U64 = 1 << 64
-_S64_MAX = (1 << 63) - 1
+#: 64-bit two's complement wrap constants (also inlined by the pipeline's
+#: memory stage).
+U64 = 1 << 64
+U64_MASK = U64 - 1
+S64_MAX = (1 << 63) - 1
 
 
 def s64(value: int) -> int:
     """Wrap an integer to signed 64-bit two's complement."""
-    value &= _U64 - 1
-    return value - _U64 if value > _S64_MAX else value
+    value &= U64_MASK
+    return value - U64 if value > S64_MAX else value
 
 
 def _idiv(a: int, b: int) -> int:
@@ -67,7 +70,7 @@ _INT_RR: Dict[Opcode, Callable[[int, int], int]] = {
     Opcode.OR: lambda a, b: s64(a | b),
     Opcode.XOR: lambda a, b: s64(a ^ b),
     Opcode.SLL: lambda a, b: s64(a << (b & 63)),
-    Opcode.SRL: lambda a, b: s64((a & (_U64 - 1)) >> (b & 63)),
+    Opcode.SRL: lambda a, b: s64((a & U64_MASK) >> (b & 63)),
     Opcode.SRA: lambda a, b: s64(a >> (b & 63)),
     Opcode.SLT: lambda a, b: 1 if a < b else 0,
 }

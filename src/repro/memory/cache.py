@@ -60,9 +60,12 @@ class Cache:
         self.line_bytes = line_bytes
         self.name = name
         self.num_sets = size_bytes // (assoc * line_bytes)
-        # Per-set: list of line addresses in LRU order (index 0 = MRU) and
-        # a parallel dirty-bit map.
-        self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
+        # Per-set: list of line addresses in LRU order (index 0 = MRU),
+        # created when the set is first filled (None until then: a run
+        # touches a fraction of the sets, and an empty list per set up
+        # front would be most of a machine's construction time); and a
+        # dirty-bit map.
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
         self._dirty: Dict[int, bool] = {}
         self.stats = CacheStats()
 
@@ -80,7 +83,8 @@ class Cache:
     def probe(self, addr: int) -> bool:
         """Non-destructive presence check (no LRU update, no stats)."""
         line = self.line_addr(addr)
-        return line in self._sets[self._set_index(line)]
+        way = self._sets[self._set_index(line)]
+        return way is not None and line in way
 
     def access(self, addr: int, is_write: bool = False) -> bool:
         """Look up ``addr``; returns True on hit.
@@ -93,20 +97,21 @@ class Cache:
         line_bytes = self.line_bytes
         line = addr - (addr % line_bytes)
         way = self._sets[(line // line_bytes) % self.num_sets]
-        # MRU fast path: most accesses re-touch the most recent line of the
-        # set, where the LRU order is already correct.
-        if way and way[0] == line:
-            if is_write:
-                self._dirty[line] = True
-            self.stats.hits += 1
-            return True
-        if line in way:
-            way.remove(line)
-            way.insert(0, line)
-            if is_write:
-                self._dirty[line] = True
-            self.stats.hits += 1
-            return True
+        if way:
+            # MRU fast path: most accesses re-touch the most recent line of
+            # the set, where the LRU order is already correct.
+            if way[0] == line:
+                if is_write:
+                    self._dirty[line] = True
+                self.stats.hits += 1
+                return True
+            if line in way:
+                way.remove(line)
+                way.insert(0, line)
+                if is_write:
+                    self._dirty[line] = True
+                self.stats.hits += 1
+                return True
         self.stats.misses += 1
         return False
 
@@ -120,6 +125,8 @@ class Cache:
         line = self.line_addr(addr)
         index = self._set_index(line)
         way = self._sets[index]
+        if way is None:
+            way = self._sets[index] = []
         victim = None
         if line in way:
             way.remove(line)
@@ -135,5 +142,5 @@ class Cache:
 
     def invalidate_all(self) -> None:
         """Drop all contents (used between independent simulations)."""
-        self._sets = [[] for _ in range(self.num_sets)]
+        self._sets = [None] * self.num_sets
         self._dirty.clear()

@@ -23,6 +23,9 @@ from typing import Dict, Optional
 from ..observe.events import CACHE_MISS, MSHR_MERGE
 from .cache import Cache
 
+#: ``_first_fill`` with no miss outstanding.
+_NO_FILL = float("inf")
+
 
 @dataclass
 class HierarchyConfig:
@@ -59,6 +62,10 @@ class MemoryHierarchy:
         self.l2 = Cache(c.l2_size, c.l2_assoc, c.l2_line, "L2")
         #: line address -> cycle at which the outstanding fill completes.
         self._mshrs: Dict[int, int] = {}
+        #: the earliest of those cycles: before it a reap frees nothing,
+        #: so accesses skip it.
+        self._first_fill = _NO_FILL
+        self._l1d_line = c.l1d_line
         #: optional trace bus (set by the machine when tracing is on);
         #: hit paths never touch it — only miss/merge branches test it.
         self.bus = None
@@ -66,10 +73,10 @@ class MemoryHierarchy:
     # ------------------------------------------------------------------
 
     def _reap_mshrs(self, now: int) -> None:
-        if self._mshrs:
-            done = [line for line, ready in self._mshrs.items() if ready <= now]
-            for line in done:
-                del self._mshrs[line]
+        mshrs = self._mshrs
+        for line in [line for line, ready in mshrs.items() if ready <= now]:
+            del mshrs[line]
+        self._first_fill = min(mshrs.values(), default=_NO_FILL)
 
     def outstanding_misses(self, now: int) -> int:
         """Number of in-flight L1D miss fills at ``now``."""
@@ -86,17 +93,20 @@ class MemoryHierarchy:
         cycle (the port is *not* considered consumed in that case).
         """
         c = self.config
-        self._reap_mshrs(now)
-        line = self.l1d.line_addr(addr)
-        if line in self._mshrs:
+        if now >= self._first_fill:
+            self._reap_mshrs(now)
+        mshrs = self._mshrs
+        line = addr - addr % self._l1d_line
+        ready = mshrs.get(line)
+        if ready is not None:
             # Merge with the in-flight fill for the same line.
             if self.bus is not None:
                 self.bus.emit(now, MSHR_MERGE, line=line, write=is_write)
-            return self._mshrs[line]
+            return ready
         if self.l1d.access(addr, is_write):
             return now + c.l1d_hit_latency
         # L1 miss: need an MSHR.
-        if len(self._mshrs) >= c.max_outstanding_misses:
+        if len(mshrs) >= c.max_outstanding_misses:
             # Undo the pessimistic miss count? No: a structural retry is a
             # real extra probe in hardware too; keep the statistics simple
             # by counting each attempt once at L1 only when it proceeds.
@@ -109,7 +119,9 @@ class MemoryHierarchy:
             self.l2.fill(addr, dirty=False)
         ready = now + latency
         self.l1d.fill(addr, dirty=is_write)
-        self._mshrs[line] = ready
+        mshrs[line] = ready
+        if ready < self._first_fill:
+            self._first_fill = ready
         if self.bus is not None:
             self.bus.emit(
                 now, CACHE_MISS,

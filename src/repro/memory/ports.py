@@ -67,19 +67,33 @@ class DataPorts:
         self._used_this_cycle += 1
         self.busy_port_cycles += 1
 
-    # -- usefulness accounting ---------------------------------------------------
+    # -- read / write transactions ----------------------------------------------
 
-    def open_read(self) -> int:
-        """Start a read transaction; returns its id for later attribution."""
+    def serve_line(self, useful: int, speculative: int) -> None:
+        """Take a port for one read transaction and record its word counts:
+        ``useful`` words serve scalar loads, ``speculative`` ones vector
+        elements pending validation.  The counts are clamped to the line
+        size: more loads than words can only mean duplicates to the same
+        word, so the overflow comes out of the speculative words first.
+        The transaction's id (what :meth:`element_validated` takes) is its
+        index in :attr:`useful_words`, i.e. ``len(useful_words)`` before
+        the call."""
+        if self._used_this_cycle >= self.n_ports:
+            raise RuntimeError("port over-subscription")
+        self._used_this_cycle += 1
+        self.busy_port_cycles += 1
         self.read_transactions += 1
-        self.useful_words.append(0)
-        self.speculative_words.append(0)
-        return len(self.useful_words) - 1
+        overflow = useful + speculative - WORDS_PER_LINE
+        if overflow > 0:
+            take = min(overflow, speculative)
+            speculative -= take
+            useful -= overflow - take
+        self.useful_words.append(useful)
+        self.speculative_words.append(speculative)
 
     def read_word(self) -> None:
-        """Take a port for one read transaction that serves one scalar
-        load: ``take`` + ``open_read`` + ``add_useful(txn, 1)`` in one
-        call (the serving paths that never group words)."""
+        """``serve_line(1, 0)``: a read transaction that serves one scalar
+        load (the serving paths that never group words)."""
         if self._used_this_cycle >= self.n_ports:
             raise RuntimeError("port over-subscription")
         self._used_this_cycle += 1
@@ -93,29 +107,7 @@ class DataPorts:
         usefulness accounting — Fig 13 is about read lines only."""
         self.write_transactions += 1
 
-    def _set_capped(self, txn: int, useful: int, speculative: int) -> None:
-        """Store ``txn``'s word counts clamped to the physical line size:
-        more loads than words can only mean duplicates to the same word,
-        so the overflow comes out of the speculative words first."""
-        overflow = useful + speculative - WORDS_PER_LINE
-        if overflow > 0:
-            take = min(overflow, speculative)
-            speculative -= take
-            useful -= overflow - take
-        self.useful_words[txn] = useful
-        self.speculative_words[txn] = speculative
-
-    def add_useful(self, txn: int, words: int = 1) -> None:
-        """Words of the transaction consumed by committed-path scalar loads."""
-        self._set_capped(
-            txn, self.useful_words[txn] + words, self.speculative_words[txn]
-        )
-
-    def add_speculative(self, txn: int, words: int = 1) -> None:
-        """Words fetched for vector elements, pending validation."""
-        self._set_capped(
-            txn, self.useful_words[txn], self.speculative_words[txn] + words
-        )
+    # -- usefulness accounting ---------------------------------------------------
 
     def element_validated(self, txn: int) -> None:
         """A vector element fetched by ``txn`` was validated: its word
@@ -140,13 +132,13 @@ class DataPorts:
         words) and ``"unused"`` (reads whose words were all speculative
         and never validated).  Fractions sum to 1 over read transactions.
         """
-        counts = {"1": 0, "2": 0, "3": 0, "4": 0, "unused": 0}
-        for useful in self.useful_words:
-            if useful == 0:
-                counts["unused"] += 1
-            else:
-                counts[str(min(WORDS_PER_LINE, useful))] += 1
-        total = len(self.useful_words)
+        words = self.useful_words
+        total = len(words)
         if not total:
-            return {k: 0.0 for k in counts}
+            return {"1": 0.0, "2": 0.0, "3": 0.0, "4": 0.0, "unused": 0.0}
+        counts = {str(n): words.count(n) for n in range(1, WORDS_PER_LINE)}
+        unused = words.count(0)
+        # Counts are never negative; anything past 3 is a full line.
+        counts["4"] = total - unused - sum(counts.values())
+        counts["unused"] = unused
         return {k: v / total for k, v in counts.items()}

@@ -13,9 +13,10 @@ is the structured replacement for bolting ever more ad-hoc counters onto
 * **Series** — ``(x, value)`` samples, e.g. the port-occupancy time
   series sampled during an observed run.
 
-All metric types **merge**: merging two registries adds counters and
-histogram buckets, concatenates series and keeps the later gauge.  The
-whole registry serializes to/from plain JSON-safe dicts.
+The whole registry renders to a plain JSON-safe dict
+(:meth:`MetricsRegistry.to_dict`).  Registries are never merged: each
+one is filled by a single run or derived from a set of stats in one
+place (see below).
 
 :func:`record_sim_stats` is the thin recording shim between the legacy
 ``SimStats`` counters and the registry: it mirrors every counter field
@@ -50,15 +51,8 @@ class Counter:
     def inc(self, amount: Number = 1) -> None:
         self.value += amount
 
-    def merge(self, other: "Counter") -> None:
-        self.value += other.value
-
     def to_payload(self) -> Number:
         return self.value
-
-    @classmethod
-    def from_payload(cls, payload: Number) -> "Counter":
-        return cls(payload)
 
 
 class Gauge:
@@ -73,22 +67,15 @@ class Gauge:
     def set(self, value: Number) -> None:
         self.value = value
 
-    def merge(self, other: "Gauge") -> None:
-        self.value = other.value
-
     def to_payload(self) -> Number:
         return self.value
-
-    @classmethod
-    def from_payload(cls, payload: Number) -> "Gauge":
-        return cls(payload)
 
 
 class Histogram:
     """A value -> count map (labelled counts / discrete distributions).
 
     Keys may be ints (PCs, element counts) or strings (labels); float
-    observations are allowed but merged by exact value — quantize first
+    observations are allowed but counted by exact value — quantize first
     if you need buckets.
     """
 
@@ -108,10 +95,6 @@ class Histogram:
     def top(self, n: int = 10) -> List[Tuple]:
         """The ``n`` most frequent values, most frequent first."""
         return sorted(self.counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:n]
-
-    def merge(self, other: "Histogram") -> None:
-        for value, count in other.counts.items():
-            self.counts[value] = self.counts.get(value, 0) + count
 
     def quantile(self, q: float) -> Optional[Number]:
         """The smallest numeric key at or above the ``q`` quantile.
@@ -141,13 +124,6 @@ class Histogram:
         # JSON object keys are strings; keep the original type in-band.
         return {str(k): [("i" if isinstance(k, int) else "s"), v] for k, v in self.counts.items()}
 
-    @classmethod
-    def from_payload(cls, payload: Dict) -> "Histogram":
-        counts: Dict = {}
-        for key, (tag, count) in payload.items():
-            counts[int(key) if tag == "i" else key] = count
-        return cls(counts)
-
 
 class Series:
     """An append-only list of ``(x, value)`` samples (x: cycle, position, ...)."""
@@ -161,18 +137,8 @@ class Series:
     def append(self, x: Number, value: Number) -> None:
         self.samples.append((x, value))
 
-    def merge(self, other: "Series") -> None:
-        self.samples.extend(other.samples)
-
     def to_payload(self) -> List:
         return [list(sample) for sample in self.samples]
-
-    @classmethod
-    def from_payload(cls, payload: List) -> "Series":
-        return cls([tuple(sample) for sample in payload])
-
-
-_METRIC_TYPES = {cls.kind: cls for cls in (Counter, Gauge, Histogram, Series)}
 
 
 class MetricsRegistry:
@@ -225,23 +191,7 @@ class MetricsRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._metrics
 
-    # -- aggregation / serialization ---------------------------------------
-
-    def merge(self, other: Union["MetricsRegistry", Dict]) -> None:
-        """Fold another registry (or its serialized dict) into this one."""
-        if isinstance(other, dict):
-            other = MetricsRegistry.from_dict(other)
-        for name, metric in other._metrics.items():
-            mine = self._metrics.get(name)
-            if mine is None:
-                self._metrics[name] = type(metric).from_payload(metric.to_payload())
-            else:
-                if type(mine) is not type(metric):
-                    raise TypeError(
-                        f"cannot merge {type(metric).kind} into "
-                        f"{type(mine).kind} metric {name!r}"
-                    )
-                mine.merge(metric)
+    # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> Dict:
         """JSON-safe rendering: ``{name: {"kind": ..., "data": ...}}``."""
@@ -249,16 +199,6 @@ class MetricsRegistry:
             name: {"kind": metric.kind, "data": metric.to_payload()}
             for name, metric in sorted(self._metrics.items())
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict) -> "MetricsRegistry":
-        registry = cls()
-        for name, entry in payload.items():
-            metric_cls = _METRIC_TYPES.get(entry.get("kind"))
-            if metric_cls is None:
-                raise ValueError(f"unknown metric kind in entry {name!r}: {entry!r}")
-            registry._metrics[name] = metric_cls.from_payload(entry["data"])
-        return registry
 
 
 # ---------------------------------------------------------------------------
@@ -269,10 +209,10 @@ class MetricsRegistry:
 def record_sim_stats(registry: MetricsRegistry, stats, prefix: str = "sim.") -> None:
     """Mirror every ``SimStats`` counter field into ``registry``.
 
-    Numeric fields become ``<prefix><field>`` counters (so merging across
-    grid points *sums* them); the port occupancy ratio and the usefulness
-    histogram become gauges; derived ratios are left to consumers (they
-    do not merge).
+    Numeric fields become ``<prefix><field>`` counters (so recording
+    several grid points into one registry *sums* them); the port
+    occupancy ratio and the usefulness histogram become gauges; derived
+    ratios are left to consumers (they do not sum).
     """
     for field in dataclasses.fields(stats):
         value = getattr(stats, field.name)

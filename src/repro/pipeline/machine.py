@@ -54,7 +54,7 @@ from ..core.engine import TRIGGER, VALIDATION, VectorizationEngine
 from ..core.vector_regfile import sleep_on_element, wake_element
 from ..frontend.fetch import FetchUnit
 from ..functional.memory import MemoryImage
-from ..functional.semantics import s64
+from ..functional.semantics import S64_MAX, U64, U64_MASK
 from ..functional.trace import Trace, TraceEntry
 from ..isa.opcodes import FU_LATENCY, FuClass
 from ..isa.registers import NO_REG, NUM_LOGICAL_REGS
@@ -89,6 +89,9 @@ _FU_BUSY = {
 }
 
 _FU_NONE = int(FuClass.NONE)
+
+#: Fig 10's window: the instructions after a mispredicted branch.
+CFI_WINDOW = 100
 
 
 class InFlight:
@@ -221,7 +224,7 @@ class Machine:
         self.hierarchy = MemoryHierarchy(config.hierarchy)
         self.hierarchy.bus = bus
         self.ports = DataPorts(config.ports, config.wide_bus)
-        self.fetch_unit = FetchUnit(trace, self.hierarchy, config.width, config.gshare_entries)
+        self.fetch_unit = FetchUnit(trace, config.gshare_entries)
         self.fetch_unit.bus = bus
         #: architectural memory as of the last committed store — the image
         #: speculative vector loads read from.
@@ -253,7 +256,7 @@ class Machine:
         self._vec_pool: List[VecInFlight] = []
         self.mem_queue: List[InFlight] = []
         #: fetched-but-undispatched instructions as packed ints:
-        #: (seq << 1) | mispredicted  (see FetchUnit.fetch_into).
+        #: (seq << 1) | mispredicted  (see the fetch stage in _cycles).
         self.fetch_queue: Deque[int] = deque()
         #: flat rename map indexed by logical register: None = architectural
         #: (ready), an InFlight = scalar producer, (vreg, elem) = vector.
@@ -267,7 +270,8 @@ class Machine:
         self.fu_free = {
             int(cls): [0] * count for cls, count in config.fu_pool_sizes().items()
         }
-        #: (branch_seq, resolved_cycle) windows for Fig 10 accounting.
+        #: (branch_seq, resolved_cycle) windows for Fig 10's reuse
+        #: accounting (V mode only; see _resolve_mispredict).
         self.cfi_windows: Deque[Tuple[int, int]] = deque()
         #: per-pc backward-branch flags for GMRBB tracking.
         program = trace.program
@@ -282,6 +286,8 @@ class Machine:
         self._mispredict_penalty = config.mispredict_penalty
         self._wide_bus = config.wide_bus
         self._line_bytes = config.hierarchy.l1d_line
+        self._l1i_line = config.hierarchy.l1i_line
+        self._l1i_hit_latency = config.hierarchy.l1i_hit_latency
         self._max_store_commit = config.vector.max_store_commit
         self._block_scalar = (
             self.engine is not None and config.vector.block_on_scalar_operand
@@ -294,16 +300,32 @@ class Machine:
     # ==================================================================
 
     def _resolve_mispredict(self, fl: InFlight, now: int) -> None:
-        """Branch resolution: start the fetch-redirect/refill epilogue."""
+        """Branch resolution: start the fetch-redirect/refill epilogue.
+
+        Fig 10 counts the committed instructions among the ``CFI_WINDOW``
+        after each mispredicted branch.  That count is known here: every
+        younger instruction commits exactly once, in order, and only after
+        this branch commits, which is after this resolution.  So the window
+        adds ``min(CFI_WINDOW, n - 1 - seq)`` at once (a squashed and
+        re-fetched branch that mispredicts again opens a second window,
+        which counts again, as a per-commit scan of both would).  Which of
+        those commits reuse pre-flush vector work is only known at their
+        commit, so V mode keeps the window for the committing validations.
+        """
         fl.redirected = True
-        self.stats.branch_mispredicts += 1
+        stats = self.stats
+        stats.branch_mispredicts += 1
         resolve = fl.done_at
+        seq = fl.seq
         if self._bus is not None:
             self._bus.emit(
-                now, FLUSH_BRANCH, pc=fl.entry.pc, seq=fl.seq, resolve=resolve
+                now, FLUSH_BRANCH, pc=fl.entry.pc, seq=seq, resolve=resolve
             )
-        self.fetch_unit.redirect(fl.seq + 1, resolve + self._mispredict_penalty)
-        self.cfi_windows.append((fl.seq, resolve))
+        self.fetch_unit.redirect(seq + 1, resolve + self._mispredict_penalty)
+        after = len(self._entries) - 1 - seq
+        stats.cfi_window_instructions += CFI_WINDOW if after > CFI_WINDOW else after
+        if self.engine is not None:
+            self.cfi_windows.append((seq, resolve))
 
     def _wake_waiters(self, fl: InFlight) -> None:
         """``fl``'s completion time just became known: move its sleepers to
@@ -365,20 +387,21 @@ class Machine:
         # non-None), so the retain filters below need no served-id sets.
         scalar_served = False
         vector_served = False
-        blocked = False
         bus = self._bus
         stats = self.stats
         data_access = self.hierarchy.data_access
         commit_load = self.commit_memory.load
+        serve_line = ports.serve_line
+        # A read transaction's id is its index in the per-read word-count
+        # lists, so the id serve_line is about to open is known up front.
+        useful_words = ports.useful_words
         for line, members in groups:
-            if blocked or ports.available() == 0:
+            if ports._used_this_cycle >= ports.n_ports:
                 break
             ready = data_access(line, now)
             if ready is None:  # MSHR full: stop issuing this cycle
-                blocked = True
                 break
-            ports.take()
-            txn = ports.open_read()
+            txn = len(useful_words)
             stats.read_accesses += 1
             scalar_words = None
             spec_words = 0
@@ -391,9 +414,12 @@ class Machine:
                     # float re-read by LD — and downstream vector ALU
                     # instances must see what a scalar consumer would.
                     word = commit_load(addr)
-                    reg.values[elem] = (
-                        float(word) if reg.fp_load else s64(int(word))
-                    )
+                    if reg.fp_load:
+                        reg.values[elem] = float(word)
+                    else:
+                        # s64(int(word)), inlined.
+                        word = int(word) & U64_MASK
+                        reg.values[elem] = word - U64 if word > S64_MAX else word
                     reg.r_time[elem] = ready
                     if reg.sleepers is not None:
                         wake_element(reg, elem, ready, self._parked)
@@ -415,10 +441,7 @@ class Machine:
                         scalar_words.add(m.addr)
                     scalar_served = True
                     stats.scalar_loads_to_memory += 1
-            if scalar_words:
-                ports.add_useful(txn, len(scalar_words))
-            if spec_words:
-                ports.add_speculative(txn, spec_words)
+            serve_line(len(scalar_words) if scalar_words else 0, spec_words)
 
         if scalar_served:
             self.mem_queue = [fl for fl in mem_queue if fl.done_at is None]
@@ -605,7 +628,14 @@ class Machine:
         flush_from = self._flush_from
         schedule_memory = self._schedule_memory
         fetch_unit = self.fetch_unit
-        fetch_into = fetch_unit.fetch_into
+        gshare_predict = fetch_unit.gshare.predict_and_update
+        indirect_predict = fetch_unit.indirect.predict_and_update
+        inst_access = self.hierarchy.inst_access
+        pc_bytes = soa.pc_bytes
+        takens = soa.taken
+        next_pcs = soa.next_pc
+        l1i_line = self._l1i_line
+        l1i_hit_latency = self._l1i_hit_latency
         blocked_on_scalar = self._blocked_on_scalar_operand
         fu_free = self.fu_free
         fu_busy = _FU_BUSY
@@ -632,7 +662,7 @@ class Machine:
             on_store_commit = engine.on_store_commit
             on_validation_commit = engine.on_validation_commit
             on_validation_failure = engine.on_validation_failure
-            set_element_freed = engine.set_element_freed
+            maybe_free = engine._maybe_free
             on_backward_branch_commit = engine.on_backward_branch_commit
         else:
             vpcs = None
@@ -714,43 +744,50 @@ class Machine:
                         elif kind == K_LOAD:
                             self.lsq_count -= 1
                         committed += 1
-                        stats.committed += 1
-                        if cfi_windows:
-                            # Fig 10: count committed instructions in the
-                            # 100 after each mispredicted branch, and which
-                            # of them reuse pre-flush vector work.
-                            cseq = fl.seq
-                            while cfi_windows and cseq > cfi_windows[0][0] + 100:
-                                cfi_windows.popleft()
-                            if cfi_windows:
-                                is_validation = (
-                                    kind >= K_VALIDATION and fl.counts_as_validation
-                                )
-                                for bseq, resolved in cfi_windows:
-                                    if bseq < cseq <= bseq + 100:
-                                        stats.cfi_window_instructions += 1
-                                        if (
-                                            is_validation
-                                            and fl.vreg is not None
-                                            and fl.velem >= 0
-                                        ):
-                                            # Needed no execution: it validated
-                                            # vector state that survived the flush.
-                                            stats.cfi_reused += 1
-                                            rt = fl.vreg.r_time[fl.velem]
-                                            if rt is not None and rt <= resolved:
-                                                stats.cfi_precomputed += 1
                         if engine is not None:
                             # Vector-side commit state, which does not
                             # exist in the scalar (noIM/IM) machines.
                             if kind >= K_VALIDATION:  # validation or trigger
+                                if cfi_windows and fl.counts_as_validation:
+                                    # Fig 10: a validation in the window after
+                                    # a mispredicted branch needed no
+                                    # execution: it validated vector state
+                                    # that survived the flush.  (The window
+                                    # population itself was counted at the
+                                    # branch's resolution.)  Commits run in
+                                    # seq order, so a window this one is past
+                                    # is past for good.
+                                    cseq = fl.seq
+                                    while (
+                                        cfi_windows
+                                        and cseq > cfi_windows[0][0] + CFI_WINDOW
+                                    ):
+                                        cfi_windows.popleft()
+                                    vreg = fl.vreg
+                                    if vreg is not None and fl.velem >= 0:
+                                        for bseq, resolved in cfi_windows:
+                                            if bseq < cseq <= bseq + CFI_WINDOW:
+                                                stats.cfi_reused += 1
+                                                rt = vreg.r_time[fl.velem]
+                                                if rt is not None and rt <= resolved:
+                                                    stats.cfi_precomputed += 1
                                 on_validation_commit(fl, now, ports)
                             rd = entry.rd
                             if rd > 0:
                                 old = vec_map[rd]
                                 if old is not None:
-                                    set_element_freed(old[0], old[1], now)
-                                vec_map[rd] = fl.vtok if kind >= K_VALIDATION else None
+                                    # The next writer committed: the old
+                                    # element's F flag rises (§3.3).
+                                    vreg = old[0]
+                                    if not vreg.freed:
+                                        vreg.f_bits |= 1 << old[1]
+                                        if not vreg.u_bits:
+                                            maybe_free(vreg, now)
+                                    vec_map[rd] = (
+                                        fl.vtok if kind >= K_VALIDATION else None
+                                    )
+                                elif kind >= K_VALIDATION:
+                                    vec_map[rd] = fl.vtok
                             if is_backward[entry.pc] and bkinds[fl.seq]:
                                 on_backward_branch_commit(entry.pc, now)
                             if kind >= K_VALIDATION:
@@ -764,6 +801,7 @@ class Machine:
                             flush_from(fl.seq + 1, now + 1 + mispredict_penalty, now)
                             break
                     committed_count += committed
+                    stats.committed += committed
                     if prof is not None:
                         tp = clock()
                         account("commit", tp - t0)
@@ -1044,6 +1082,13 @@ class Machine:
                             continue
                         # Grab a scalar FU: simple units are pipelined,
                         # mul/div units stay busy for the whole op (_FU_BUSY).
+                        # With every unit of the class busy, the instruction
+                        # parks until the first one frees: unit free times
+                        # only grow, so it cannot issue earlier, and while it
+                        # waits it takes no width and no unit, so leaving
+                        # the scan changes nothing for its neighbours.  (A
+                        # unit free next cycle, the pipelined case, is
+                        # waited for on the scan: parking costs more.)
                         cls = fl.cls
                         pool = fu_free.get(cls)
                         if pool is not None:
@@ -1052,7 +1097,11 @@ class Machine:
                                     pool[ui] = now + fu_busy[cls]
                                     break
                             else:
-                                keep(fl)
+                                free_at = min(pool)
+                                if free_at > done1:
+                                    heappush(parked, (free_at, fl.seq, fl))
+                                else:
+                                    keep(fl)
                                 continue
                         issues_left -= 1
                         group = by_cls.get(cls)
@@ -1224,7 +1273,6 @@ class Machine:
                     first_time = seq > max_seq
                     if first_time:
                         max_seq = seq
-                        self._max_dispatched_seq = seq
 
                     decoded = None
                     if engine is not None:
@@ -1312,6 +1360,7 @@ class Machine:
                     rob.append(fl)
                     waiting.append(fl)
                 self.lsq_count = lsq_count
+                self._max_dispatched_seq = max_seq
                 stats.fetched += dispatched
                 if prof is not None:
                     tp = clock()
@@ -1319,16 +1368,68 @@ class Machine:
                     t0 = tp
 
             # ---- fetch ---------------------------------------------------
-            # fetch_into's own early-outs, checked here to skip the call
-            # during mispredict bubbles and after the trace runs dry.
+            # Up to ``width`` instructions, as far as the fetch queue has
+            # room, each queued as a packed ``(seq << 1) | mispredicted``
+            # int.  Nothing is fetched in a mispredict bubble, during an
+            # I-cache miss or once the trace runs dry.
             if (
                 fq_size > len(fetch_queue)
                 and not fetch_unit._blocked
                 and now >= fetch_unit._stalled_until
             ):
-                fetched = fetch_into(now, fetch_queue, fq_size - len(fetch_queue))
+                index = start = fetch_unit._index
+                if index < total:
+                    budget = fq_size - len(fetch_queue)
+                    if width < budget:
+                        budget = width
+                    last_line = fetch_unit._last_line
+                    hit_bound = now + l1i_hit_latency
+                    push = fetch_queue.append
+                    while budget > 0 and index < total:
+                        pcb = pc_bytes[index]
+                        # I-cache: probe when the group crosses into a new
+                        # line.
+                        line = pcb // l1i_line
+                        if line != last_line:
+                            ready = inst_access(pcb, now)
+                            last_line = line
+                            if ready > hit_bound:
+                                # Miss: this group ends; retry once the
+                                # line arrives.  (The group formed so far
+                                # still issues this cycle.)
+                                fetch_unit._stalled_until = ready
+                                break
+                        bkind = bkinds[index]
+                        if bkind == 0:
+                            push(index << 1)
+                            index += 1
+                            budget -= 1
+                            continue
+                        taken = takens[index]
+                        if bkind == 1:  # conditional branch
+                            mispredicted = not gshare_predict(pcs_soa[index], taken)
+                        elif bkind == 2:  # indirect jump
+                            mispredicted = not indirect_predict(
+                                pcs_soa[index], next_pcs[index]
+                            )
+                        else:  # direct J/JAL: perfect BTB, never mispredicted
+                            mispredicted = False
+                        push((index << 1) | mispredicted)
+                        index += 1
+                        budget -= 1
+                        if mispredicted:
+                            # Fetch goes down the wrong path; starve until
+                            # the branch resolves.
+                            fetch_unit._blocked = True
+                            break
+                        if taken:
+                            # At most one taken control transfer per cycle.
+                            last_line = None
+                            break
+                    fetch_unit._index = index
+                    fetch_unit._last_line = last_line
                 if prof is not None:
-                    account("fetch", clock() - t0, fetched > 0)
+                    account("fetch", clock() - t0, index > start)
 
             now += 1
             if series is not None and not (now & 0x0FFF):
@@ -1348,9 +1449,10 @@ class Machine:
     def _record_metrics(self, registry) -> None:
         """End-of-run machine-level gauges (cache and port accounting).
 
-        Whole-run ``sim.*`` counters are recorded by the experiment layer
-        (:func:`repro.observe.metrics.record_sim_stats`), which also
-        synthesizes them for cache hits.
+        The whole-run ``sim.*`` counters are not recorded here:
+        :mod:`repro.api` derives them from the returned stats
+        (:func:`repro.observe.metrics.record_sim_stats`), whichever cache
+        layer answered.
         """
         self.hierarchy.record_metrics(registry)
         ports = self.ports

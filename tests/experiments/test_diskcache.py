@@ -10,6 +10,7 @@ wrong answer.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import json
 
@@ -65,6 +66,29 @@ def test_key_depends_on_config_scale_and_sources(monkeypatch):
         diskcache._DIGEST_MEMO, diskcache._STATS_SOURCE_PACKAGES, "tampered"
     )
     assert diskcache.stats_key(name, scale, seed, config) != base
+
+
+def test_stats_key_hashes_the_sorted_payload():
+    """The key text is assembled around a pre-rendered fingerprint; it
+    must stay the sorted-keys JSON of the whole payload, byte for byte,
+    so entries written by earlier versions still hit."""
+    for name, scale, seed, shape in (
+        ("li", SCALE, 0, (4, 1, "V", True)),
+        ("tomcatv", 12_000, 3, (8, 4, "noIM", False)),
+    ):
+        config = runner.point_config(*shape)
+        payload = {
+            "format": diskcache.CACHE_FORMAT,
+            "kind": "stats",
+            "benchmark": name,
+            "scale": scale,
+            "seed": seed,
+            "config": dataclasses.asdict(config),
+            "source": diskcache.source_digest("stats"),
+        }
+        blob = json.dumps(payload, sort_keys=True, default=str)
+        expected = hashlib.sha256(blob.encode()).hexdigest()
+        assert diskcache.stats_key(name, scale, seed, config) == expected
 
 
 def test_point_cache_key_matches_unmemoized_key(monkeypatch):

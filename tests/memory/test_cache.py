@@ -1,5 +1,7 @@
 """Set-associative cache contents model."""
 
+import random
+
 import pytest
 
 from repro.memory import Cache
@@ -95,3 +97,86 @@ def test_refill_same_line_does_not_evict():
     cache.fill(32)
     cache.fill(0)  # already present
     assert cache.probe(32)
+
+
+class EagerLRU:
+    """Reference model: every set is an LRU list from the start."""
+
+    def __init__(self, size_bytes, assoc, line_bytes):
+        self.assoc = assoc
+        self.line_bytes = line_bytes
+        self.num_sets = size_bytes // (assoc * line_bytes)
+        self.invalidate_all()
+        self.hits = self.misses = self.writebacks = 0
+
+    def invalidate_all(self):
+        self.sets = [[] for _ in range(self.num_sets)]
+        self.dirty = set()
+
+    def _way(self, addr):
+        line = addr - addr % self.line_bytes
+        return line, self.sets[(line // self.line_bytes) % self.num_sets]
+
+    def probe(self, addr):
+        line, way = self._way(addr)
+        return line in way
+
+    def access(self, addr, is_write=False):
+        line, way = self._way(addr)
+        if line not in way:
+            self.misses += 1
+            return False
+        way.remove(line)
+        way.insert(0, line)
+        if is_write:
+            self.dirty.add(line)
+        self.hits += 1
+        return True
+
+    def fill(self, addr, dirty=False):
+        line, way = self._way(addr)
+        victim = None
+        if line in way:
+            way.remove(line)
+        elif len(way) >= self.assoc:
+            old = way.pop()
+            if old in self.dirty:
+                self.dirty.discard(old)
+                self.writebacks += 1
+                victim = old
+        way.insert(0, line)
+        if dirty:
+            self.dirty.add(line)
+        return victim
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lazy_sets_match_eager_sets(seed):
+    """Sets are created on first fill; a random mix of probes, accesses,
+    fills and invalidations must see the same hits, misses, LRU victims
+    and writebacks as a cache whose sets all exist from the start."""
+    rng = random.Random(seed)
+    geometry = dict(size_bytes=2 * 32 * 8, assoc=2, line_bytes=32)
+    lazy, eager = Cache(**geometry), EagerLRU(**geometry)
+    # Addresses over six times the capacity: conflicts in every set.  A
+    # set is probed and accessed before its first fill, and again after
+    # each invalidation.
+    addrs = [rng.randrange(0, 32 * 8 * 6) for _ in range(64)]
+    for step in range(3000):
+        addr = rng.choice(addrs)
+        roll = rng.random()
+        if roll < 0.3:
+            assert lazy.probe(addr) == eager.probe(addr), step
+        elif roll < 0.65:
+            is_write = rng.random() < 0.3
+            assert lazy.access(addr, is_write) == eager.access(addr, is_write), step
+        elif roll < 0.995:
+            dirty = rng.random() < 0.3
+            assert lazy.fill(addr, dirty) == eager.fill(addr, dirty), step
+        else:
+            lazy.invalidate_all()
+            eager.invalidate_all()
+        assert (lazy.stats.hits, lazy.stats.misses, lazy.stats.writebacks) == (
+            eager.hits, eager.misses, eager.writebacks
+        ), step
+    assert eager.writebacks > 0 and eager.hits > 0 and eager.misses > 0

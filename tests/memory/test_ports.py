@@ -45,8 +45,7 @@ def test_zero_ports_rejected():
 def test_usefulness_scalar_words():
     ports = DataPorts(1, wide=True)
     ports.begin_cycle()
-    txn = ports.open_read()
-    ports.add_useful(txn, 3)
+    ports.serve_line(3, 0)
     hist = ports.usefulness_histogram()
     assert hist["3"] == 1.0
 
@@ -54,16 +53,16 @@ def test_usefulness_scalar_words():
 def test_usefulness_unused_speculative():
     ports = DataPorts(1, wide=True)
     ports.begin_cycle()
-    txn = ports.open_read()
-    ports.add_speculative(txn, 2)
+    ports.serve_line(0, 2)
     hist = ports.usefulness_histogram()
     assert hist["unused"] == 1.0
 
 
 def test_element_validation_migrates_words():
     ports = DataPorts(1, wide=True)
-    txn = ports.open_read()
-    ports.add_speculative(txn, 2)
+    ports.begin_cycle()
+    ports.serve_line(0, 2)
+    txn = 0
     ports.element_validated(txn)
     hist = ports.usefulness_histogram()
     assert hist["1"] == 1.0  # one word became useful
@@ -73,29 +72,27 @@ def test_element_validation_migrates_words():
 
 def test_extra_validations_are_capped():
     ports = DataPorts(1, wide=True)
-    txn = ports.open_read()
-    ports.add_speculative(txn, 1)
-    ports.element_validated(txn)
-    ports.element_validated(txn)  # no speculative words left
+    ports.begin_cycle()
+    ports.serve_line(0, 1)
+    ports.element_validated(0)
+    ports.element_validated(0)  # no speculative words left
     assert ports.usefulness_histogram()["1"] == 1.0
 
 
 def test_word_count_capped_at_line_size():
     ports = DataPorts(1, wide=True)
-    txn = ports.open_read()
-    ports.add_useful(txn, 3)
-    ports.add_speculative(txn, 3)  # 6 > 4: clamp
+    ports.begin_cycle()
+    ports.serve_line(3, 3)  # 6 > 4: clamp
     hist = ports.usefulness_histogram()
     assert hist["3"] == 1.0  # useful words kept, speculative clamped
 
 
 def test_histogram_fractions_sum_to_one():
-    ports = DataPorts(1, wide=True)
+    ports = DataPorts(4, wide=True)
+    ports.begin_cycle()
     for words in (1, 2, 4):
-        txn = ports.open_read()
-        ports.add_useful(txn, words)
-    txn = ports.open_read()
-    ports.add_speculative(txn, 1)
+        ports.serve_line(words, 0)
+    ports.serve_line(0, 1)
     hist = ports.usefulness_histogram()
     assert sum(hist.values()) == pytest.approx(1.0)
 
@@ -116,37 +113,48 @@ def test_word_counts_cap_and_validate_on_the_flat_lists():
     # Per-read word counts live in two parallel int lists indexed by
     # transaction id; the line-size cap takes overflow out of the
     # speculative words first, then the useful ones.
-    ports = DataPorts(1, wide=True)
-    a = ports.open_read()
-    b = ports.open_read()
-    assert (a, b) == (0, 1)
-    ports.add_speculative(a, 3)
-    ports.add_useful(a, 2)  # 5 words on a 4-word line: one speculative goes
+    ports = DataPorts(4, wide=True)
+    ports.begin_cycle()
+    ports.serve_line(2, 3)  # 5 words on a 4-word line: one speculative goes
+    ports.serve_line(5, 2)  # 7 words: both speculative go, then one useful
+    ports.serve_line(0, 2)
+    a, b, c = range(3)
     assert (ports.useful_words[a], ports.speculative_words[a]) == (2, 2)
-    ports.add_useful(a, 3)  # 7 words: both speculative go, then one useful
-    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
-    ports.element_validated(a)  # nothing speculative left: no change
-    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
-    ports.add_speculative(b, 2)
-    ports.element_validated(b)
-    assert (ports.useful_words[b], ports.speculative_words[b]) == (1, 1)
-    assert (ports.useful_words[a], ports.speculative_words[a]) == (4, 0)
+    assert (ports.useful_words[b], ports.speculative_words[b]) == (4, 0)
+    ports.element_validated(b)  # nothing speculative left: no change
+    assert (ports.useful_words[b], ports.speculative_words[b]) == (4, 0)
+    ports.element_validated(c)
+    assert (ports.useful_words[c], ports.speculative_words[c]) == (1, 1)
+    assert (ports.useful_words[a], ports.speculative_words[a]) == (2, 2)
     hist = ports.usefulness_histogram()
-    assert hist["4"] == 0.5 and hist["1"] == 0.5
+    assert hist["4"] == hist["2"] == hist["1"] == pytest.approx(1 / 3)
 
 
 def test_read_word_is_one_single_word_read():
-    # read_word == take + open_read + add_useful(txn, 1), port check included.
+    # read_word == serve_line(1, 0), port check included.
     fused = DataPorts(2, wide=False)
     split = DataPorts(2, wide=False)
     for ports in (fused, split):
         ports.begin_cycle()
     fused.read_word()
-    split.take()
-    split.add_useful(split.open_read(), 1)
+    split.serve_line(1, 0)
     for attr in ("busy_port_cycles", "read_transactions", "useful_words", "speculative_words"):
         assert getattr(fused, attr) == getattr(split, attr)
     assert fused.available() == split.available() == 1
     fused.read_word()
+    split.serve_line(0, 4)
     with pytest.raises(RuntimeError):
         fused.read_word()
+    with pytest.raises(RuntimeError):
+        split.serve_line(1, 0)
+
+
+def test_histogram_counts_every_word_count():
+    # One read per useful-word count, 0 (unused) to 4.
+    ports = DataPorts(4, wide=True)
+    for useful in (0, 1, 2, 3, 4, 4, 0, 2):
+        ports.begin_cycle()
+        ports.serve_line(useful, 4 - useful)
+    hist = ports.usefulness_histogram()
+    assert list(hist) == ["1", "2", "3", "4", "unused"]
+    assert hist == {"1": 1 / 8, "2": 2 / 8, "3": 1 / 8, "4": 2 / 8, "unused": 2 / 8}

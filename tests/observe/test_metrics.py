@@ -1,4 +1,4 @@
-"""Unit tests for the metrics registry: types, merge, serialization."""
+"""Unit tests for the metrics registry: types, serialization, the stats shim."""
 
 from __future__ import annotations
 
@@ -24,44 +24,7 @@ def test_lazy_creation_and_type_checking():
         reg.gauge("a")
 
 
-def test_merge_semantics_per_type():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("c").inc(2)
-    b.counter("c").inc(5)
-    a.gauge("g").set(1)
-    b.gauge("g").set(9)
-    a.histogram("h").observe(4)
-    b.histogram("h").observe(4)
-    b.histogram("h").observe(7)
-    a.series("s").append(0, 0.5)
-    b.series("s").append(10, 0.7)
-    b.counter("only_b").inc(1)
-
-    a.merge(b)
-    assert a.counter("c").value == 7  # counters add
-    assert a.gauge("g").value == 9  # gauges last-write-win
-    assert a.histogram("h").counts == {4: 2, 7: 1}  # buckets add
-    assert a.series("s").samples == [(0, 0.5), (10, 0.7)]  # concatenate
-    assert a.counter("only_b").value == 1  # new names copy over
-
-
-def test_merge_copies_do_not_alias():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    b.counter("c").inc(1)
-    a.merge(b)
-    b.counter("c").inc(10)
-    assert a.counter("c").value == 1
-
-
-def test_merge_rejects_kind_mismatch():
-    a, b = MetricsRegistry(), MetricsRegistry()
-    a.counter("x").inc()
-    b.gauge("x").set(1)
-    with pytest.raises(TypeError, match="cannot merge"):
-        a.merge(b)
-
-
-def test_dict_round_trip_preserves_types_and_values():
+def test_to_dict_renders_every_kind():
     reg = MetricsRegistry()
     reg.counter("c").inc(4)
     reg.gauge("g").set(0.25)
@@ -69,23 +32,16 @@ def test_dict_round_trip_preserves_types_and_values():
     reg.histogram("h").observe("label", count=3)
     reg.series("s").append(4096, 0.5)
 
-    back = MetricsRegistry.from_dict(reg.to_dict())
-    assert type(back.get("c")) is Counter and back.counter("c").value == 4
-    assert type(back.get("g")) is Gauge and back.gauge("g").value == 0.25
-    # int and str histogram keys survive JSON's string-keyed objects
-    assert type(back.get("h")) is Histogram
-    assert back.histogram("h").counts == {12: 1, "label": 3}
-    assert type(back.get("s")) is Series
-    assert back.series("s").samples == [(4096, 0.5)]
-    # merging a serialized dict works too (the pool-worker path)
-    again = MetricsRegistry()
-    again.merge(reg.to_dict())
-    assert again.counter("c").value == 4
-
-
-def test_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError, match="unknown metric kind"):
-        MetricsRegistry.from_dict({"x": {"kind": "exotic", "data": 1}})
+    assert reg.to_dict() == {
+        "c": {"kind": "counter", "data": 4},
+        "g": {"kind": "gauge", "data": 0.25},
+        # int and str histogram keys stay apart in JSON's string keys
+        "h": {"kind": "histogram", "data": {"12": ["i", 1], "label": ["s", 3]}},
+        "s": {"kind": "series", "data": [[4096, 0.5]]},
+    }
+    assert [type(reg.get(name)) for name in reg.names()] == [
+        Counter, Gauge, Histogram, Series
+    ]
 
 
 def test_histogram_top():
