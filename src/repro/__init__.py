@@ -44,8 +44,10 @@ Quickstart::
     events = repro.api.trace("turb3d", width=8, ports=2,
                              events=["validation", "squash"]).events
 
-The lower layers remain importable directly (the quickstart of earlier
-releases still works)::
+Every package root is lazy (:mod:`repro._lazy`): a name is imported on
+first access, so ``import repro`` loads no subsystem and a command pays
+only for the modules it runs.  The lower layers remain importable
+directly (the quickstart of earlier releases still works)::
 
     from repro.isa import assemble
     from repro.functional import run_program
@@ -57,57 +59,36 @@ releases still works)::
     print(stats.summary())
 """
 
-from . import (
-    analysis,
-    api,
-    core,
-    experiments,
-    frontend,
-    functional,
-    isa,
-    memory,
-    observe,
-    pipeline,
-    verify,
-    workloads,
-)
-from .api import (
-    GridCancelled,
-    GridFailureError,
-    GridPoint,
-    GridReport,
-    RunResult,
-    TraceReport,
-    fuzz,
-    grid,
-    simulate,
-    trace,
-)
+from ._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
-__all__ = [
-    "analysis",
-    "api",
-    "core",
-    "experiments",
-    "frontend",
-    "functional",
-    "isa",
-    "memory",
-    "observe",
-    "pipeline",
-    "verify",
-    "workloads",
-    "GridCancelled",
-    "GridFailureError",
-    "GridPoint",
-    "GridReport",
-    "RunResult",
-    "TraceReport",
-    "fuzz",
-    "grid",
-    "simulate",
-    "trace",
-    "__version__",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": (
+        "analysis",
+        "api",
+        "core",
+        "experiments",
+        "frontend",
+        "functional",
+        "isa",
+        "memory",
+        "observe",
+        "pipeline",
+        "verify",
+        "workloads",
+    ),
+    ".api": (
+        "GridCancelled",
+        "GridFailureError",
+        "GridPoint",
+        "GridReport",
+        "RunResult",
+        "TraceReport",
+        "fuzz",
+        "grid",
+        "simulate",
+        "trace",
+    ),
+})
+__all__.append("__version__")

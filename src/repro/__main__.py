@@ -57,14 +57,15 @@ import argparse
 import json
 import sys
 
-from . import api
-from .analysis import format_table, suite_rows
-from .experiments import diskcache
-from .observe import EVENT_GROUPS, EVENT_KINDS
-from .workloads import ALL_BENCHMARKS, SPEC_FP, SPEC_INT
+# Each command imports the subsystem it runs, so a launch loads only what
+# its command needs: ``--help`` no simulator code, a warm ``run`` no
+# fuzzer, service or worker fabric (tests/test_import_pins.py).
 
 
 def _print_rows(title: str, rows) -> None:
+    from .analysis.reports import format_table, suite_rows
+    from .workloads.suite import SPEC_FP, SPEC_INT
+
     first = next(iter(rows.values()))
     headers = ["benchmark"] + list(first.keys())
     print(f"\n{title}")
@@ -112,6 +113,8 @@ def _print_grid_failures(accounting) -> None:
 
 
 def cmd_figures(args: argparse.Namespace) -> int:
+    from . import api
+
     names = args.only or api.figure_names()
     for name in names:
         if name not in api.FIGURES:
@@ -160,6 +163,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def cmd_headline(args: argparse.Namespace) -> int:
+    from . import api
+
     try:
         claims = api.headline(
             scale=args.scale,
@@ -185,6 +190,8 @@ def cmd_headline(args: argparse.Namespace) -> int:
         }
         print(json.dumps(payload, sort_keys=True))
         return 0
+    from .analysis.reports import format_table
+
     rows = [[key, f"{value:+.1%}"] for key, value in claims.items()]
     print(format_table(["claim", "measured"], rows))
     return 0
@@ -201,6 +208,9 @@ def cmd_worker(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import api
+    from .workloads.suite import ALL_BENCHMARKS
+
     if args.benchmark not in ALL_BENCHMARKS:
         message = f"unknown benchmark {args.benchmark!r}; try: {', '.join(ALL_BENCHMARKS)}"
         if args.json:
@@ -224,6 +234,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
+    from . import api
+    from .workloads.suite import ALL_BENCHMARKS
+
     if args.benchmark not in ALL_BENCHMARKS:
         print(f"unknown benchmark {args.benchmark!r}; try: {', '.join(ALL_BENCHMARKS)}")
         return 2
@@ -268,6 +281,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    from . import api
+
     if args.action == "run":
         report = api.fuzz(
             seed=args.seed,
@@ -313,7 +328,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             print("bit-for-bit match" if result["matches"] else "REPORTS DIFFER")
         return 0 if result["matches"] else 1
     # corpus
-    from .verify import Corpus
+    from .verify.fuzzer import Corpus
 
     info = Corpus().info()
     if args.json:
@@ -350,6 +365,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
+    from .experiments import diskcache
+
     if args.action == "info":
         info = diskcache.cache_info()
         print(f"root:    {info['root']}")
@@ -372,6 +389,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
 
 
 def cmd_list(_args: argparse.Namespace) -> int:
+    from .workloads.suite import SPEC_FP, SPEC_INT
+
     print("SpecInt95-like:", ", ".join(SPEC_INT))
     print("SpecFP95-like: ", ", ".join(SPEC_FP))
     return 0
@@ -419,15 +438,48 @@ def _add_json_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _CacheSections:
+    """The ``cache --section`` choices: the sections of the disk cache.
+
+    Read from :mod:`repro.experiments.diskcache` only when argparse checks
+    a value or reports a bad one (the argument's ``metavar`` keeps argparse
+    from listing them while it builds the parser), so a launch that is not
+    a ``cache`` command imports no cache code.
+    """
+
+    @staticmethod
+    def _names() -> tuple:
+        from .experiments.diskcache import _SECTIONS
+
+        return tuple(_SECTIONS)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
+
+
+def _add_scale_argument(parser: argparse.ArgumentParser) -> None:
+    # Resolved in main() after parsing, so building the parser loads no
+    # simulator module.
+    parser.add_argument(
+        "--scale", type=int, default=None,
+        help="dynamic instructions per benchmark (default: the experiment scale)",
+    )
+
+
 def _add_point_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("benchmark")
     parser.add_argument("--width", type=int, default=4, choices=(4, 8))
     parser.add_argument("--ports", type=int, default=1, choices=(1, 2, 4))
     parser.add_argument("--mode", default="V", choices=("noIM", "IM", "V"))
-    parser.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
+    _add_scale_argument(parser)
 
 
 def main(argv=None) -> int:
+    from .observe.events import EVENT_GROUPS, EVENT_KINDS
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="Speculative Dynamic Vectorization (ISCA 2002) reproduction",
@@ -435,7 +487,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("figures", help="regenerate the paper's figures")
-    p.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
+    _add_scale_argument(p)
     p.add_argument("--only", nargs="*", metavar="FIG", help="subset, e.g. fig14")
     _add_jobs_argument(p)
     _add_fault_arguments(p)
@@ -443,7 +495,7 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_figures)
 
     p = sub.add_parser("headline", help="measure the paper's headline claims")
-    p.add_argument("--scale", type=int, default=api.EXPERIMENT_SCALE)
+    _add_scale_argument(p)
     _add_jobs_argument(p)
     _add_fault_arguments(p)
     _add_json_argument(p)
@@ -595,9 +647,10 @@ def main(argv=None) -> int:
     p.add_argument("action", choices=("info", "clear"))
     p.add_argument(
         "--section",
-        choices=tuple(diskcache._SECTIONS),
+        choices=_CacheSections(),
         default=None,
-        help="clear only one cache section (default: all)",
+        metavar="SECTION",
+        help="clear only one cache section, as `cache info` names them (default: all)",
     )
     p.set_defaults(fn=cmd_cache)
 
@@ -605,6 +658,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=cmd_list)
 
     args = parser.parse_args(argv)
+    # Commands without --scale have no ``scale`` attribute at all.
+    if getattr(args, "scale", 0) is None:
+        from .experiments.runner import EXPERIMENT_SCALE
+
+        args.scale = EXPERIMENT_SCALE
     return args.fn(args)
 
 

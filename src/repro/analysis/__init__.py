@@ -1,26 +1,26 @@
 """Trace analyses (Figures 1 and 3) and report formatting."""
 
-from .reports import format_table, mean, percent, suite_rows
-from .stride_profile import (
-    STRIDE_BUCKETS,
-    merge_histograms,
-    small_stride_fraction,
-    stride_histogram,
-)
-from .vector_length import VectorLengthResult, average_vector_length
-from .vectorizability import VectorizabilityResult, vectorizable_fraction
+from .._lazy import lazy_exports
 
-__all__ = [
-    "format_table",
-    "mean",
-    "percent",
-    "suite_rows",
-    "STRIDE_BUCKETS",
-    "merge_histograms",
-    "small_stride_fraction",
-    "stride_histogram",
-    "VectorizabilityResult",
-    "vectorizable_fraction",
-    "VectorLengthResult",
-    "average_vector_length",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".reports": (
+        "format_table",
+        "mean",
+        "percent",
+        "suite_rows",
+    ),
+    ".stride_profile": (
+        "STRIDE_BUCKETS",
+        "merge_histograms",
+        "small_stride_fraction",
+        "stride_histogram",
+    ),
+    ".vectorizability": (
+        "VectorizabilityResult",
+        "vectorizable_fraction",
+    ),
+    ".vector_length": (
+        "VectorLengthResult",
+        "average_vector_length",
+    ),
+})

@@ -49,28 +49,20 @@ deprecated — import the ``SCHEMA_*`` constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Union
 
+from ._lazy import lazy_exports
 from .experiments import diskcache
-from .experiments import figures as _figures
-from .experiments import parallel as _parallel
 from .experiments import runner as _runner
-from .experiments.distributed import DistributedScheduler
-from .experiments.parallel import GridPoint
-from .experiments.registry import FIGURES, FigureSpec, figure_names, get_figure
-from .observe import (
-    MetricsRegistry,
-    Observer,
-    record_sim_stats,
+from .observe.events import (
+    FLUSH_BRANCH,
     SQUASH_COHERENCE,
     TL_PROMOTE,
     TraceEvent,
     VALIDATE_FAIL,
     VALIDATE_PASS,
-    FLUSH_BRANCH,
 )
-from . import verify as _verify
-from .pipeline.machine import Machine
+from .observe.metrics import MetricsRegistry, record_sim_stats
 from .pipeline.stats import SimStats
 from .schemas import (
     EnvelopeError,
@@ -97,9 +89,26 @@ from .schemas import (
     validate_envelope,
     wrap_error,
 )
-from .verify import CampaignReport, OracleConfig
-from .workloads.spec95 import ALL_BENCHMARKS
-from .workloads.spec95 import cached_trace as _cached_trace
+from .workloads.suite import ALL_BENCHMARKS
+
+if TYPE_CHECKING:
+    from .experiments import parallel as _parallel
+    from .experiments.distributed.scheduler import DistributedScheduler
+    from .experiments.parallel import GridPoint
+    from .experiments.registry import FigureSpec
+    from .verify.campaign import CampaignReport
+
+# Facade names whose modules one simulation never runs: the grid, the
+# figure registry, the fuzzer and the worker fabric load on first use
+# (``grid``, ``figure``, ``fuzz``, a grid with ``jobs > 1``), not with
+# this module.
+_, __getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.parallel": ("GridPoint",),
+    "repro.experiments.registry": ("FIGURES", "FigureSpec", "figure_names", "get_figure"),
+    "repro.verify.campaign": ("CampaignReport",),
+    "repro.verify.oracle": ("OracleConfig",),
+    "repro.experiments.distributed.scheduler": ("DistributedScheduler",),
+})
 
 EXPERIMENT_SCALE = _runner.EXPERIMENT_SCALE
 
@@ -184,6 +193,8 @@ class RunResult:
 
     def point(self) -> GridPoint:
         """The grid coordinate this result answers."""
+        from .experiments.parallel import GridPoint
+
         return GridPoint(
             self.benchmark,
             self.width,
@@ -373,6 +384,9 @@ def grid(
     ``report.accounting.cancelled`` set, keeping (and caching) whatever
     completed first.  See :func:`repro.experiments.parallel.run_grid`.
     """
+    from .experiments import parallel as _parallel
+    from .experiments.parallel import GridPoint
+
     accounting = _parallel.GridReport()
     results = _parallel.run_grid(
         [GridPoint(*point) for point in points],
@@ -489,11 +503,15 @@ def trace(
     ``mem.*``, ``ports.*``, ...) plus the ``sim.*`` metrics that
     :func:`simulate` derives, so its payload is a superset of theirs.
     """
+    from .observe import Observer
+    from .pipeline.machine import Machine
+    from .workloads.spec95 import cached_trace
+
     _check_benchmark(benchmark)
     observer = Observer.tracing(events=events, capacity=capacity, metrics=metrics)
     kinds = observer.bus.kinds
     config = _runner.point_config(width, ports, mode, block_on_scalar_operand)
-    stats = Machine(config, _cached_trace(benchmark, scale), observer=observer).run()
+    stats = Machine(config, cached_trace(benchmark, scale), observer=observer).run()
     if observer.metrics is not None:
         record_sim_stats(observer.metrics, stats)
     summary = observer.bus.summary()
@@ -559,6 +577,8 @@ def figure(
     :class:`GridFailureError` if any batched point failed after retries —
     partial figures are worse than no figures.
     """
+    from .experiments.registry import get_figure
+
     spec = get_figure(name)
     report = None
     if not prebatched:
@@ -593,6 +613,8 @@ def headline(
     Raises :class:`GridFailureError` when any underlying grid point
     failed after retries (the claims need the complete grid).
     """
+    from .experiments import figures as _figures
+
     report = grid(
         _figures.headline_points(scale), jobs=jobs,
         task_timeout=task_timeout, max_retries=max_retries,
@@ -624,7 +646,7 @@ def fuzz(
     use_corpus: bool = True,
     minimize: bool = True,
     log=None,
-) -> "_verify.CampaignReport":
+) -> CampaignReport:
     """Run a differential fuzz campaign (interpreter vs scalar vs V-mode).
 
     Generates seeded random programs (mutating the persistent corpus once
@@ -634,13 +656,16 @@ def fuzz(
     :class:`repro.verify.CampaignReport` serializes to the versioned
     ``repro.fuzz/v1`` schema; ``report.ok`` is the CI gate.
     """
-    oracle = _verify.OracleConfig(
+    from .verify.campaign import run_campaign
+    from .verify.oracle import OracleConfig
+
+    oracle = OracleConfig(
         width=width,
         ports=ports,
         scalar_mode=scalar_mode,
         max_instructions=max_instructions,
     )
-    return _verify.run_campaign(
+    return run_campaign(
         seed=seed,
         max_programs=max_programs,
         budget_seconds=budget_seconds,
@@ -659,7 +684,9 @@ def fuzz_replay(path) -> Dict:
     oracle report, the freshly replayed one, and ``matches`` (bit-for-bit
     equality of the two).
     """
-    return _verify.replay_artifact(path)
+    from .verify.minimize import replay_artifact
+
+    return replay_artifact(path)
 
 
 __all__ = [

@@ -7,21 +7,27 @@ the engine that turns scalar instructions into vector instances and
 validations inside the out-of-order pipeline.
 """
 
-from .engine import MisspeculationError, VectorAluInstance, VectorizationEngine
-from .table_of_loads import TableOfLoads, TLEntry
-from .tables import SetAssocTable
-from .vector_regfile import VectorRegister, VectorRegisterFile
-from .vrmt import VRMT, VRMTEntry
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MisspeculationError",
-    "VectorAluInstance",
-    "VectorizationEngine",
-    "TableOfLoads",
-    "TLEntry",
-    "SetAssocTable",
-    "VectorRegister",
-    "VectorRegisterFile",
-    "VRMT",
-    "VRMTEntry",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".engine": (
+        "MisspeculationError",
+        "VectorAluInstance",
+        "VectorizationEngine",
+    ),
+    ".table_of_loads": (
+        "TableOfLoads",
+        "TLEntry",
+    ),
+    ".tables": (
+        "SetAssocTable",
+    ),
+    ".vector_regfile": (
+        "VectorRegister",
+        "VectorRegisterFile",
+    ),
+    ".vrmt": (
+        "VRMT",
+        "VRMTEntry",
+    ),
+})

@@ -820,6 +820,14 @@ class VectorizationEngine:
             return
         computed = False
         if not reg.defunct:
+            if reg.f_bits != reg.full_mask:
+                # Rule 1 failed; rule 2 needs a terminated loop and every
+                # validated element freed.  Both tests are O(1), so they
+                # go before the per-element scan below.
+                if reg.mrbb == self.gmrbb:
+                    return
+                if reg.v_bits & ~reg.f_bits:
+                    return
             r_time = reg.r_time
             if reg.abandoned:
                 for t in r_time:
@@ -830,13 +838,6 @@ class VectorizationEngine:
                     if t is None or t > now:
                         return
                 computed = True
-            if reg.f_bits != reg.full_mask:
-                # Rule 1 failed; rule 2 needs a terminated loop and every
-                # validated element freed.
-                if reg.mrbb == self.gmrbb:
-                    return
-                if reg.v_bits & ~reg.f_bits:
-                    return
         stats = self.stats
         if computed:
             # Every element is computed: Fig 15's fates in closed form

@@ -15,6 +15,9 @@ bit for bit.  This module caches both layers on disk:
   each cached trace, in the same codec: warm runs attach it instead of
   re-scanning every entry, so repeated experiments skip the functional
   re-decode as well as the functional execution;
+* **analysis/** — the per-benchmark trace analyses behind Figs 1 and 3
+  (:mod:`repro.analysis`): one small JSON result per (analysis,
+  benchmark, scale, seed), so a warm ``figures`` run decodes no trace;
 * **corpus/** — interesting fuzzing inputs kept by the differential
   fuzzer (:mod:`repro.verify.fuzzer`): program genomes plus the coverage
   signature that earned them a slot.  Content-keyed only (no source
@@ -35,7 +38,8 @@ result changes:
   core, pipeline).  Editing the simulator orphans old entries rather than
   serving stale results.  Trace entries hash only the trace-relevant
   subset (isa + functional + workloads), so a timing-model edit keeps
-  functional traces warm.
+  functional traces warm; analysis entries hash that subset plus
+  ``analysis``.
 
 Location: ``$REPRO_CACHE_DIR`` if set, else ``$XDG_CACHE_HOME/repro``,
 else ``~/.cache/repro``.  Set ``REPRO_CACHE_DIR=`` (empty) or
@@ -61,12 +65,13 @@ import os
 import pathlib
 import sys
 import tempfile
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
-from ..functional import traceio
-from ..functional.trace import Trace
-from ..pipeline.config import MachineConfig
 from ..pipeline.stats import SimStats
+
+if TYPE_CHECKING:
+    from ..functional.trace import Trace
+    from ..pipeline.config import MachineConfig
 
 #: bumped whenever the on-disk layout or serialization changes.
 CACHE_FORMAT = 1
@@ -80,6 +85,12 @@ _STATS_SOURCE_PACKAGES = _TRACE_SOURCE_PACKAGES + (
     "core",
     "pipeline",
 )
+_ANALYSIS_SOURCE_PACKAGES = _TRACE_SOURCE_PACKAGES + ("analysis",)
+_SOURCE_PACKAGES = {
+    "stats": _STATS_SOURCE_PACKAGES,
+    "trace": _TRACE_SOURCE_PACKAGES,
+    "analysis": _ANALYSIS_SOURCE_PACKAGES,
+}
 
 
 class CacheCounters:
@@ -94,6 +105,8 @@ class CacheCounters:
         "soa_hits",
         "soa_misses",
         "soa_stores",
+        "analysis_hits",
+        "analysis_misses",
     )
 
     def __init__(self) -> None:
@@ -108,6 +121,8 @@ class CacheCounters:
         self.soa_hits = 0
         self.soa_misses = 0
         self.soa_stores = 0
+        self.analysis_hits = 0
+        self.analysis_misses = 0
 
 
 COUNTERS = CacheCounters()
@@ -145,6 +160,10 @@ def _traces_dir() -> pathlib.Path:
 
 def _soa_dir() -> pathlib.Path:
     return cache_root() / "soa"
+
+
+def _analysis_dir() -> pathlib.Path:
+    return cache_root() / "analysis"
 
 
 def _corpus_dir() -> pathlib.Path:
@@ -187,12 +206,13 @@ _DIGEST_MEMO: Dict[tuple, str] = {}
 
 
 def source_digest(kind: str = "stats") -> str:
-    """Digest of the sources feeding ``kind`` ("stats" or "trace").
+    """Digest of the sources feeding ``kind`` ("stats", "trace" or
+    "analysis").
 
     Computed once per process; editing any hashed file between processes
     changes the digest and thereby every cache key.
     """
-    packages = _STATS_SOURCE_PACKAGES if kind == "stats" else _TRACE_SOURCE_PACKAGES
+    packages = _SOURCE_PACKAGES[kind]
     memo = _DIGEST_MEMO.get(packages)
     if memo is None:
         memo = _DIGEST_MEMO[packages] = _digest_packages(packages)
@@ -374,6 +394,8 @@ def store_stats(
 
 def load_cached_trace(key: str) -> Optional[Trace]:
     """The cached functional trace for ``key``, or None."""
+    from ..functional import traceio
+
     if not cache_enabled():
         return None
     path = _traces_dir() / f"{key}.jsonl"
@@ -395,6 +417,8 @@ def load_cached_trace(key: str) -> Optional[Trace]:
 
 def store_trace(key: str, trace: Trace) -> None:
     """Persist a functional trace (atomic; no-op when disabled)."""
+    from ..functional import traceio
+
     if not cache_enabled():
         return
     path = _traces_dir() / f"{key}.jsonl"
@@ -416,6 +440,8 @@ def soa_key(name: str, scale: int, seed: int) -> str:
     SoA layout version, so a column-format bump orphans old entries
     without touching the trace section.
     """
+    from ..functional import traceio
+
     payload = {
         "format": CACHE_FORMAT,
         "kind": "soa",
@@ -431,6 +457,8 @@ def soa_key(name: str, scale: int, seed: int) -> str:
 
 def load_soa(key: str):
     """The cached predecode for ``key``, or None on miss/corruption."""
+    from ..functional import traceio
+
     if not cache_enabled():
         return None
     path = _soa_dir() / f"{key}.soa"
@@ -452,12 +480,74 @@ def load_soa(key: str):
 
 def store_soa(key: str, soa) -> None:
     """Persist a predecode (atomic; no-op when disabled)."""
+    from ..functional import traceio
+
     if not cache_enabled():
         return
     path = _soa_dir() / f"{key}.soa"
     _atomic_write(path, traceio.dumps_soa(soa))
     COUNTERS.soa_stores += 1
     _corrupt_fault("soa", path)
+
+
+# ---------------------------------------------------------------------------
+# Analysis entries (the Fig 1 / Fig 3 trace analyses)
+# ---------------------------------------------------------------------------
+
+
+def analysis_key(analysis: str, name: str, scale: int, seed: int) -> str:
+    """Content-hash key for one trace analysis of one benchmark.
+
+    The determinants of :func:`trace_key` (the analysed trace) plus the
+    analysis name and the ``analysis`` sources, so editing an analysis
+    orphans its results without touching the trace section.
+    """
+    payload = {
+        "format": CACHE_FORMAT,
+        "kind": "analysis",
+        "analysis": analysis,
+        "benchmark": name,
+        "scale": scale,
+        "seed": seed,
+        "source": source_digest("analysis"),
+    }
+    blob = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def load_analysis(key: str) -> Optional[Dict]:
+    """The cached analysis result for ``key``, or None on miss/corruption."""
+    if not cache_enabled():
+        return None
+    path = _analysis_dir() / f"{key}.json"
+    try:
+        payload = json.loads(path.read_text())
+        if payload.get("format") != CACHE_FORMAT:
+            raise ValueError("format mismatch")
+        result = payload["result"]
+        if not isinstance(result, dict):
+            raise ValueError("analysis result is not an object")
+    except FileNotFoundError:
+        COUNTERS.analysis_misses += 1
+        return None
+    except (ValueError, KeyError, TypeError, AttributeError, OSError):
+        COUNTERS.analysis_misses += 1
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+    COUNTERS.analysis_hits += 1
+    return result
+
+
+def store_analysis(key: str, result: Dict) -> None:
+    """Persist one analysis result (atomic; no-op when disabled)."""
+    if not cache_enabled():
+        return
+    path = _analysis_dir() / f"{key}.json"
+    _atomic_write(path, json.dumps({"format": CACHE_FORMAT, "result": result}))
+    _corrupt_fault("analysis", path)
 
 
 # ---------------------------------------------------------------------------
@@ -526,6 +616,7 @@ _SECTIONS = {
     "stats": (_stats_dir, (".json",)),
     "trace": (_traces_dir, (".jsonl",)),
     "soa": (_soa_dir, (".soa",)),
+    "analysis": (_analysis_dir, (".json",)),
     "corpus": (_corpus_dir, (".json",)),
 }
 

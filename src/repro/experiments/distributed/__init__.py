@@ -12,6 +12,10 @@ See :mod:`.scheduler` (node-loss semantics, concurrent batches) and
 §5 is the prose version.
 """
 
-from .scheduler import DistributedScheduler
+from ..._lazy import lazy_exports
 
-__all__ = ["DistributedScheduler"]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".scheduler": (
+        "DistributedScheduler",
+    ),
+})

@@ -36,7 +36,7 @@ import threading
 from typing import Dict
 
 from ..parallel import GridPoint, _worker_run_point
-from ..runner import _fire_fault
+from ..runner import _fire_fault, simulator
 from . import protocol
 
 
@@ -75,9 +75,9 @@ def _heartbeat_loop(writer: _FrameWriter, node, generation, interval, stop) -> N
 
 
 def _warm(frame: Dict) -> Dict:
-    """Load the traces a ``warm`` frame names; the ``warmed`` answer."""
-    from ...workloads.spec95 import cached_trace
-
+    """Load the simulator and the traces a ``warm`` frame names; the
+    ``warmed`` answer.  After it, no task this peer runs pays an import."""
+    _, cached_trace = simulator()
     answer = {"type": "warmed", "pid": os.getpid()}
     try:
         for name in frame.get("benchmarks", ()):

@@ -20,11 +20,10 @@ and examples.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List
 
-from ..analysis.stride_profile import STRIDE_BUCKETS, stride_histogram
-from ..analysis.vectorizability import vectorizable_fraction
-from ..workloads.spec95 import ALL_BENCHMARKS, SPEC_FP, SPEC_INT, cached_trace
+from ..workloads.suite import ALL_BENCHMARKS, SPEC_FP, SPEC_INT
+from . import diskcache
 from .parallel import GridPoint
 from .runner import EXPERIMENT_SCALE, MODES, PORT_COUNTS, label, run_point
 
@@ -42,13 +41,49 @@ def fig01_points(scale: int = EXPERIMENT_SCALE) -> Points:
     return []
 
 
+def _trace_analysis(
+    analysis: str, name: str, scale: int, compute: Callable[..., Dict]
+) -> Dict:
+    """``compute(trace)`` for benchmark ``name``, through the disk cache.
+
+    The result is a pure function of the trace and the ``analysis``
+    sources (:func:`diskcache.analysis_key`), so a warm run reads one
+    small JSON file instead of decoding and re-scanning the trace.
+    """
+    key = diskcache.analysis_key(analysis, name, scale, 0)
+    result = diskcache.load_analysis(key)
+    if result is None:
+        from ..workloads.spec95 import cached_trace
+
+        result = compute(cached_trace(name, scale))
+        diskcache.store_analysis(key, result)
+    return result
+
+
+def _stride_histogram(trace) -> Dict[str, float]:
+    from ..analysis.stride_profile import STRIDE_BUCKETS, stride_histogram
+
+    hist = stride_histogram(trace)
+    return {bucket: hist[bucket] for bucket in STRIDE_BUCKETS}
+
+
+def _vectorizability(trace) -> Dict[str, int]:
+    from ..analysis.vectorizability import vectorizable_fraction
+
+    result = vectorizable_fraction(trace)
+    return {
+        "total": result.total,
+        "vector_loads": result.vector_loads,
+        "vector_alu": result.vector_alu,
+    }
+
+
 def fig01_stride_distribution(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 1: stride distribution (element strides 0..9) per suite."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        hist = stride_histogram(cached_trace(name, scale))
-        out[name] = {bucket: hist[bucket] for bucket in STRIDE_BUCKETS}
-    return out
+    return {
+        name: _trace_analysis("stride_histogram", name, scale, _stride_histogram)
+        for name in ALL_BENCHMARKS
+    }
 
 
 def fig03_points(scale: int = EXPERIMENT_SCALE) -> Points:
@@ -58,9 +93,13 @@ def fig03_points(scale: int = EXPERIMENT_SCALE) -> Points:
 
 def fig03_vectorizable(scale: int = EXPERIMENT_SCALE) -> Rows:
     """Figure 3: % vectorizable instructions with unbounded resources."""
+    from ..analysis.vectorizability import VectorizabilityResult
+
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        result = vectorizable_fraction(cached_trace(name, scale))
+        result = VectorizabilityResult(
+            **_trace_analysis("vectorizability", name, scale, _vectorizability)
+        )
         out[name] = {
             "vectorizable": result.fraction,
             "loads": result.vector_loads / result.total if result.total else 0.0,

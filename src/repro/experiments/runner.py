@@ -36,9 +36,7 @@ from functools import lru_cache
 from typing import Dict, Tuple
 
 from ..pipeline.config import MachineConfig, make_config
-from ..pipeline.machine import Machine
 from ..pipeline.stats import SimStats
-from ..workloads.spec95 import cached_trace
 from . import diskcache
 
 #: default dynamic instruction budget per benchmark for experiments; large
@@ -74,6 +72,20 @@ def _fire_fault(site: str, **context) -> None:
             return
         from ..verify import faults as module
     module.fire(site, **context)
+
+
+def simulator():
+    """``(Machine, cached_trace)``: what a cache miss runs.
+
+    Imported on first need, so a process whose points are all cache hits
+    never loads the cycle model or the workload generators.  Long-lived
+    processes call it up front (a worker peer while it warms), so no
+    request they serve pays the import.
+    """
+    from ..pipeline.machine import Machine
+    from ..workloads.spec95 import cached_trace
+
+    return Machine, cached_trace
 
 
 def point_config(
@@ -157,6 +169,7 @@ def compute_point(key: PointKey) -> SimStats:
     stats = diskcache.load_stats_entry(disk_key)
     if stats is not None:
         return stats
+    Machine, cached_trace = simulator()
     config = point_config(width, ports, mode, block_on_scalar_operand)
     stats = Machine(config, cached_trace(name, scale)).run()
     _SIMULATIONS_RUN += 1

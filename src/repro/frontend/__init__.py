@@ -1,11 +1,14 @@
 """Front end: branch prediction and trace-driven fetch."""
 
-from .branch_predictor import GsharePredictor, IndirectPredictor, PredictorStats
-from .fetch import FetchUnit
+from .._lazy import lazy_exports
 
-__all__ = [
-    "GsharePredictor",
-    "IndirectPredictor",
-    "PredictorStats",
-    "FetchUnit",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".branch_predictor": (
+        "GsharePredictor",
+        "IndirectPredictor",
+        "PredictorStats",
+    ),
+    ".fetch": (
+        "FetchUnit",
+    ),
+})

@@ -6,22 +6,28 @@ structures, and the vectorization engine (:mod:`repro.core`) validates its
 speculative results against the trace's architectural values.
 """
 
-from .interpreter import ExecutionError, Interpreter, run_program
-from .memory import MemoryImage, MisalignedAccess
-from .semantics import apply_alu, branch_taken, s64
-from .trace import Trace, TraceEntry
-from .traceio import TraceFormatError
+from .._lazy import lazy_exports
 
-__all__ = [
-    "ExecutionError",
-    "Interpreter",
-    "run_program",
-    "MemoryImage",
-    "MisalignedAccess",
-    "apply_alu",
-    "branch_taken",
-    "s64",
-    "Trace",
-    "TraceEntry",
-    "TraceFormatError",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".interpreter": (
+        "ExecutionError",
+        "Interpreter",
+        "run_program",
+    ),
+    ".memory": (
+        "MemoryImage",
+        "MisalignedAccess",
+    ),
+    ".semantics": (
+        "apply_alu",
+        "branch_taken",
+        "s64",
+    ),
+    ".trace": (
+        "Trace",
+        "TraceEntry",
+    ),
+    ".traceio": (
+        "TraceFormatError",
+    ),
+})

@@ -1,14 +1,18 @@
 """Memory system: caches, the L1/L2/memory chain, and data-cache ports."""
 
-from .cache import Cache, CacheStats
-from .hierarchy import HierarchyConfig, MemoryHierarchy
-from .ports import DataPorts, WORDS_PER_LINE
+from .._lazy import lazy_exports
 
-__all__ = [
-    "Cache",
-    "CacheStats",
-    "HierarchyConfig",
-    "MemoryHierarchy",
-    "DataPorts",
-    "WORDS_PER_LINE",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".cache": (
+        "Cache",
+        "CacheStats",
+    ),
+    ".hierarchy": (
+        "HierarchyConfig",
+        "MemoryHierarchy",
+    ),
+    ".ports": (
+        "DataPorts",
+        "WORDS_PER_LINE",
+    ),
+})

@@ -29,37 +29,14 @@ cost one ``is not None`` test) or an observer with any subset attached::
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
-from .events import (
-    CACHE_MISS,
-    coverage_signature,
-    EVENT_GROUPS,
-    EVENT_KINDS,
-    FETCH_REDIRECT,
-    FLUSH_BRANCH,
-    MSHR_MERGE,
-    SQUASH_COHERENCE,
-    TL_DEMOTE,
-    TL_PROMOTE,
-    TraceBus,
-    TraceEvent,
-    VALIDATE_FAIL,
-    VALIDATE_PASS,
-    VFETCH_ISSUE,
-    VRMT_INVALIDATE,
-    VRMT_MAP,
-    resolve_event_kinds,
-)
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Series,
-    record_sim_stats,
-)
-from .profile import STAGES, StageProfiler
+from .._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from .events import TraceBus
+    from .metrics import MetricsRegistry
+    from .profile import StageProfiler
 
 
 class Observer:
@@ -96,38 +73,47 @@ class Observer:
         :func:`~repro.observe.events.resolve_event_kinds`); None
         subscribes to everything.
         """
+        from .events import TraceBus, resolve_event_kinds
+        from .metrics import MetricsRegistry
+
         return cls(
             bus=TraceBus(capacity=capacity, kinds=resolve_event_kinds(events)),
             metrics=MetricsRegistry() if metrics else None,
         )
 
 
-__all__ = [
-    "Observer",
-    "TraceBus",
-    "TraceEvent",
-    "MetricsRegistry",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Series",
-    "StageProfiler",
-    "STAGES",
-    "record_sim_stats",
-    "resolve_event_kinds",
-    "coverage_signature",
-    "EVENT_KINDS",
-    "EVENT_GROUPS",
-    "TL_PROMOTE",
-    "TL_DEMOTE",
-    "VRMT_MAP",
-    "VRMT_INVALIDATE",
-    "VFETCH_ISSUE",
-    "VALIDATE_PASS",
-    "VALIDATE_FAIL",
-    "SQUASH_COHERENCE",
-    "FLUSH_BRANCH",
-    "CACHE_MISS",
-    "MSHR_MERGE",
-    "FETCH_REDIRECT",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".events": (
+        "TraceBus",
+        "TraceEvent",
+        "resolve_event_kinds",
+        "coverage_signature",
+        "EVENT_KINDS",
+        "EVENT_GROUPS",
+        "TL_PROMOTE",
+        "TL_DEMOTE",
+        "VRMT_MAP",
+        "VRMT_INVALIDATE",
+        "VFETCH_ISSUE",
+        "VALIDATE_PASS",
+        "VALIDATE_FAIL",
+        "SQUASH_COHERENCE",
+        "FLUSH_BRANCH",
+        "CACHE_MISS",
+        "MSHR_MERGE",
+        "FETCH_REDIRECT",
+    ),
+    ".metrics": (
+        "MetricsRegistry",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "Series",
+        "record_sim_stats",
+    ),
+    ".profile": (
+        "StageProfiler",
+        "STAGES",
+    ),
+})
+__all__.insert(0, "Observer")

@@ -1,26 +1,22 @@
 """Cycle-level out-of-order superscalar timing model."""
 
-from .config import (
-    MachineConfig,
-    VectorConfig,
-    config_name,
-    eight_way,
-    four_way,
-    make_config,
-    with_mode,
-)
-from .machine import Machine, simulate
-from .stats import SimStats
+from .._lazy import lazy_exports
 
-__all__ = [
-    "MachineConfig",
-    "VectorConfig",
-    "config_name",
-    "eight_way",
-    "four_way",
-    "make_config",
-    "with_mode",
-    "Machine",
-    "simulate",
-    "SimStats",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".config": (
+        "MachineConfig",
+        "VectorConfig",
+        "config_name",
+        "eight_way",
+        "four_way",
+        "make_config",
+        "with_mode",
+    ),
+    ".machine": (
+        "Machine",
+        "simulate",
+    ),
+    ".stats": (
+        "SimStats",
+    ),
+})

@@ -100,6 +100,11 @@ class InFlight:
     An instruction reads at most two renamed sources (``dep1``/``dep2``;
     None = ready) and writes at most one destination, so the squash-time
     rename rollback is a single (``saved_rd``, ``saved_tok``) pair.
+
+    Dispatch builds each record once, with its final values: ``cls`` and
+    ``lat`` are set for K_SCALAR records only, ``base_dep``/``data_dep``
+    for stores only, and ``saved_tok`` only where ``saved_rd`` names a
+    register — no reader looks at them elsewhere.
     """
 
     __slots__ = (
@@ -108,7 +113,6 @@ class InFlight:
         "kind",
         "cls",
         "lat",
-        "static_ready",
         "dep1",
         "dep2",
         "base_dep",
@@ -123,22 +127,27 @@ class InFlight:
         "squashed",
     )
 
-    def __init__(self, seq: int, entry: TraceEntry, kind: int, addr: int) -> None:
+    def __init__(
+        self,
+        seq: int,
+        entry: TraceEntry,
+        kind: int,
+        addr: int,
+        dep1: Dep,
+        dep2: Dep,
+        mispredicted: int,
+    ) -> None:
         self.seq = seq
         self.entry = entry
         self.kind = kind
-        # cls/lat are only set (by dispatch) for K_SCALAR instructions.
-        self.static_ready = 0
-        self.dep1: Dep = None
-        self.dep2: Dep = None
-        self.base_dep: Dep = None
-        self.data_dep: Dep = None
+        self.dep1 = dep1
+        self.dep2 = dep2
         self.done_at: Optional[int] = None
         self.addr = addr
-        self.mispredicted = False
+        #: nonzero for a branch fetched down the wrong path.
+        self.mispredicted = mispredicted
         self.redirected = False
         self.saved_rd = -1
-        self.saved_tok = None
         #: instructions sleeping until this one's completion time is known
         #: (lazily created; see the dependence check in Machine._cycles).
         self.waiters: Optional[List["InFlight"]] = None
@@ -153,7 +162,8 @@ class VecInFlight(InFlight):
     Only instructions whose decode decision touched the engine use this
     class — validations, triggers, and scalars with VRMT rollback data.
     Plain scalars stay :class:`InFlight` even in V mode; the flush hook
-    keys off the class to skip the engine rollback for them."""
+    keys off the class to skip the engine rollback for them.  ``vtok``
+    is set only on a validation/trigger that writes a register."""
 
     __slots__ = (
         "vreg",
@@ -165,39 +175,82 @@ class VecInFlight(InFlight):
         "vrmt_rollback",
     )
 
-    def __init__(self, seq: int, entry: TraceEntry, kind: int, addr: int) -> None:
+    def __init__(
+        self,
+        seq: int,
+        entry: TraceEntry,
+        kind: int,
+        addr: int,
+        dep1: Dep,
+        dep2: Dep,
+        mispredicted: int,
+        rollback,
+    ) -> None:
+        """A scalar that touched the VRMT at decode: ``rollback`` undoes it."""
         # InFlight.__init__'s body, flattened: one constructor frame per
-        # decode-touched instruction instead of two (V-mode dispatch path).
+        # record instead of two.
         self.seq = seq
         self.entry = entry
         self.kind = kind
-        self.static_ready = 0
-        self.dep1 = None
-        self.dep2 = None
-        self.base_dep = None
-        self.data_dep = None
+        self.dep1 = dep1
+        self.dep2 = dep2
         self.done_at = None
         self.addr = addr
-        self.mispredicted = False
+        self.mispredicted = mispredicted
         self.redirected = False
         self.saved_rd = -1
-        self.saved_tok = None
         self.waiters = None
         self.squashed = False
         self.vreg = None
         self.velem = -1
-        #: the ``(vreg, velem)`` rename token of the destination register.
-        self.vtok = None
         self.pred_addr: Optional[int] = None
         self.mismatch = False
         self.counts_as_validation = False
-        self.vrmt_rollback = None
+        self.vrmt_rollback = rollback
 
-    # Validation/trigger records are only ever referenced by the ROB and
-    # the scheduler lists (rename holds a (reg, elem) tuple, never the
-    # record itself), so commit recycles them through a free pool; reset
-    # re-runs the full constructor.
-    reset = __init__
+    def reset(
+        self,
+        seq: int,
+        entry: TraceEntry,
+        kind: int,
+        addr: int,
+        dep1: Dep,
+        vreg,
+        velem: int,
+        pred_addr: Optional[int],
+        counts_as_validation: bool,
+        rollback,
+    ) -> "VecInFlight":
+        """(Re)build this record as a validation/trigger of ``vreg[velem]``.
+
+        Validation/trigger records are only ever referenced by the ROB
+        and the scheduler lists (rename holds a ``(reg, elem)`` tuple,
+        never the record itself), so commit recycles them through a free
+        pool and dispatch rebuilds one here; a fresh one comes from
+        ``VecInFlight.__new__``.  None is a branch, so none is
+        mispredicted.
+        """
+        self.seq = seq
+        self.entry = entry
+        self.kind = kind
+        self.dep1 = dep1
+        self.dep2 = None
+        self.done_at = None
+        self.addr = addr
+        self.mispredicted = 0
+        self.redirected = False
+        self.saved_rd = -1
+        self.waiters = None
+        self.squashed = False
+        self.vreg = vreg
+        self.velem = velem
+        self.pred_addr = pred_addr
+        # Both compare operands are fixed at decode, so the validation
+        # verdict is precomputed here.
+        self.mismatch = pred_addr is not None and pred_addr != entry.addr
+        self.counts_as_validation = counts_as_validation
+        self.vrmt_rollback = rollback
+        return self
 
 
 _SEQ_KEY = attrgetter("seq")
@@ -909,9 +962,6 @@ class Machine:
                                 heappush(parked, (t, fl.seq, fl))
                                 continue
                         fl.dep2 = None
-                    if fl.static_ready > now:
-                        keep(fl)
-                        continue
                     kind = fl.kind
                     if kind == K_SCALAR:
                         if fl.cls == _FU_NONE:
@@ -1227,7 +1277,6 @@ class Machine:
                 lsq_count = self.lsq_count
                 waiting = self.waiting
                 max_seq = self._max_dispatched_seq
-                ready_at = now + 1
                 rob_room = rob_size - len(rob)
                 while fetch_queue and dispatched < width:
                     if rob_room <= 0:
@@ -1281,82 +1330,62 @@ class Machine:
                         elif vec_probe and entry.rd != NO_REG:
                             decoded = decode_alu(entry, t1, t2, now)
 
-                    if decoded is None:
-                        fl = InFlight(seq, entry, kind, addrs[seq])
-                    else:
+                    if decoded is not None and decoded[0]:
+                        # A validation/trigger: recycled when possible.
                         vkind, vreg, velem, p, counts, rollback = decoded
-                        if not vkind:
-                            # A scalar that touched the VRMT: only the
-                            # vector-capable class has the rollback slot.
-                            fl = VecInFlight(seq, entry, kind, addrs[seq])
-                            fl.vrmt_rollback = rollback
-                        else:
-                            if vec_pool:
-                                fl = vec_pool.pop()
-                                fl.reset(seq, entry, vkind, addrs[seq])
-                            else:
-                                fl = VecInFlight(seq, entry, vkind, addrs[seq])
-                            fl.vreg = vreg
-                            fl.velem = velem
-                            fl.pred_addr = p
-                            # Both compare operands are fixed at decode, so
-                            # the validation verdict is precomputed here.
-                            if p is not None and p != entry.addr:
-                                fl.mismatch = True
-                            fl.counts_as_validation = counts
-                            fl.vrmt_rollback = rollback
-                            fl.static_ready = ready_at
-                            if kind == K_LOAD:
-                                # The address check needs the base register.
-                                r = d1s[seq]
-                                if r >= 0:
-                                    fl.dep1 = rename[r]
-                            rd = rds[seq]
-                            if rd > 0:
-                                fl.saved_rd = rd
-                                fl.saved_tok = rename[rd]
-                                rename[rd] = fl.vtok = (vreg, velem)
-                            rob.append(fl)
-                            waiting.append(fl)
-                            continue
-                    if kind == K_LOAD:
-                        r = d1s[seq]
-                        if r >= 0:
-                            fl.dep1 = rename[r]
+                        fl = vec_pool.pop() if vec_pool else VecInFlight.__new__(VecInFlight)
+                        # Only a load's address check has a source: its base.
+                        r = d1s[seq] if kind == K_LOAD else -1
+                        fl.reset(
+                            seq, entry, vkind, addrs[seq],
+                            rename[r] if r >= 0 else None,
+                            vreg, velem, p, counts, rollback,
+                        )
                         rd = rds[seq]
                         if rd > 0:
                             fl.saved_rd = rd
                             fl.saved_tok = rename[rd]
-                            rename[rd] = fl
-                        lsq_count += 1
-                    elif kind == K_STORE:
-                        r = d1s[seq]
-                        base = rename[r] if r >= 0 else None
+                            rename[rd] = fl.vtok = (vreg, velem)
+                        rob.append(fl)
+                        waiting.append(fl)
+                        continue
+                    # A scalar record.  Its sources are read before its
+                    # destination is renamed (``add r1, r1, r2`` reads
+                    # the old r1); a load reads only its base.
+                    r = d1s[seq]
+                    dep1 = rename[r] if r >= 0 else None
+                    if kind == K_LOAD:
+                        dep2 = None
+                    else:
                         r = d2s[seq]
-                        data = rename[r] if r >= 0 else None
-                        fl.base_dep = base
-                        fl.data_dep = data
-                        fl.dep1 = base
-                        fl.dep2 = data
+                        dep2 = rename[r] if r >= 0 else None
+                    if decoded is None:
+                        fl = InFlight(
+                            seq, entry, kind, addrs[seq], dep1, dep2, packed & 1
+                        )
+                    else:
+                        # A scalar that touched the VRMT: only the
+                        # vector-capable class has the rollback slot.
+                        fl = VecInFlight(
+                            seq, entry, kind, addrs[seq], dep1, dep2,
+                            packed & 1, decoded[5],
+                        )
+                    if kind == K_STORE:
+                        fl.base_dep = dep1
+                        fl.data_dep = dep2
                         lsq.append(fl)
                         lsq_count += 1
                     else:
-                        fl.cls = clss[seq]
-                        fl.lat = lats[seq]
-                        r = d1s[seq]
-                        if r >= 0:
-                            fl.dep1 = rename[r]
-                        r = d2s[seq]
-                        if r >= 0:
-                            fl.dep2 = rename[r]
+                        if kind == K_LOAD:
+                            lsq_count += 1
+                        else:
+                            fl.cls = clss[seq]
+                            fl.lat = lats[seq]
                         rd = rds[seq]
                         if rd > 0:
                             fl.saved_rd = rd
                             fl.saved_tok = rename[rd]
                             rename[rd] = fl
-                    fl.static_ready = ready_at
-                    if packed & 1:
-                        fl.mispredicted = True
                     rob.append(fl)
                     waiting.append(fl)
                 self.lsq_count = lsq_count

@@ -31,21 +31,24 @@ Module map: :mod:`~repro.service.wire` (request parsing + dedup keys),
 :mod:`~repro.service.server` (HTTP front + ``ServiceConfig``).
 """
 
-from __future__ import annotations
+from .._lazy import lazy_exports
 
-from .dedup import InflightRegistry
-from .jobs import Job, JobManager, JobQueueFull
-from .server import ServiceConfig, SimulationService, serve
-from .wire import WireError, request_key
-
-__all__ = [
-    "InflightRegistry",
-    "Job",
-    "JobManager",
-    "JobQueueFull",
-    "ServiceConfig",
-    "SimulationService",
-    "WireError",
-    "request_key",
-    "serve",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".dedup": (
+        "InflightRegistry",
+    ),
+    ".jobs": (
+        "Job",
+        "JobManager",
+        "JobQueueFull",
+    ),
+    ".server": (
+        "ServiceConfig",
+        "SimulationService",
+        "serve",
+    ),
+    ".wire": (
+        "WireError",
+        "request_key",
+    ),
+})

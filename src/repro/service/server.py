@@ -38,6 +38,7 @@ from the saturated layer itself, not a constant; a request that outlives
 
 from __future__ import annotations
 
+import importlib
 import json
 import sys
 import threading
@@ -63,6 +64,18 @@ from ..schemas import (
 from . import wire
 from .dedup import InflightRegistry
 from .jobs import Job, JobCancelled, JobManager, JobQueueFull
+
+
+#: modules a route imports on first use beyond what this module loads:
+#: the in-process ``/trace`` run and the Fig 1 / Fig 3 analyses behind
+#: ``/figure``.  The service loads them before its first answer, so no
+#: request pays an import.
+_REQUEST_PATH = (
+    "repro.pipeline.machine",
+    "repro.workloads.spec95",
+    "repro.analysis.stride_profile",
+    "repro.analysis.vectorizability",
+)
 
 
 def _default_jobs() -> int:
@@ -112,6 +125,8 @@ class SimulationService:
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
         self.config = config or ServiceConfig()
+        for module in _REQUEST_PATH:
+            importlib.import_module(module)
         self.started = time.time()
         self.scheduler = api.DistributedScheduler(
             self.config.jobs or _default_jobs()

@@ -30,67 +30,48 @@ audits it adversarially and continuously:
 See ``docs/TESTING.md`` for the test pyramid and triage workflow.
 """
 
-from . import faults
-from .campaign import CampaignReport, DivergenceRecord, run_campaign
-from .faults import FaultSpec, InjectedFault
-from .fuzzer import (
-    Corpus,
-    Genome,
-    LoopSpec,
-    generate_genome,
-    mutate_genome,
-    synthesize,
-)
-from .minimize import (
-    ARTIFACT_SCHEMA,
-    instruction_count,
-    load_artifact,
-    minimize_program,
-    program_from_dict,
-    program_to_dict,
-    replay_artifact,
-    save_artifact,
-)
-from .oracle import (
-    AGREE,
-    DIVERGE,
-    INVALID,
-    Divergence,
-    OracleConfig,
-    OracleReport,
-    crash_report,
-    diff_memory,
-    run_oracle,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "AGREE",
-    "ARTIFACT_SCHEMA",
-    "CampaignReport",
-    "Corpus",
-    "DIVERGE",
-    "Divergence",
-    "DivergenceRecord",
-    "FaultSpec",
-    "Genome",
-    "INVALID",
-    "InjectedFault",
-    "LoopSpec",
-    "OracleConfig",
-    "OracleReport",
-    "crash_report",
-    "diff_memory",
-    "faults",
-    "generate_genome",
-    "instruction_count",
-    "load_artifact",
-    "minimize_program",
-    "mutate_genome",
-    "program_from_dict",
-    "program_to_dict",
-    "replay_artifact",
-    "run_campaign",
-    "run_oracle",
-    "save_artifact",
-    "synthesize",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": (
+        "faults",
+    ),
+    ".campaign": (
+        "CampaignReport",
+        "DivergenceRecord",
+        "run_campaign",
+    ),
+    ".faults": (
+        "FaultSpec",
+        "InjectedFault",
+    ),
+    ".fuzzer": (
+        "Corpus",
+        "Genome",
+        "LoopSpec",
+        "generate_genome",
+        "mutate_genome",
+        "synthesize",
+    ),
+    ".minimize": (
+        "ARTIFACT_SCHEMA",
+        "instruction_count",
+        "load_artifact",
+        "minimize_program",
+        "program_from_dict",
+        "program_to_dict",
+        "replay_artifact",
+        "save_artifact",
+    ),
+    ".oracle": (
+        "AGREE",
+        "DIVERGE",
+        "INVALID",
+        "Divergence",
+        "OracleConfig",
+        "OracleReport",
+        "crash_report",
+        "diff_memory",
+        "run_oracle",
+    ),
+})

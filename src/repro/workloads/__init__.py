@@ -1,27 +1,24 @@
 """Workload construction: builder DSL, kernels, SPEC95-like benchmarks."""
 
-from .builder import BuilderError, ProgramBuilder
-from .spec95 import (
-    ALL_BENCHMARKS,
-    DEFAULT_SCALE,
-    SPEC_FP,
-    SPEC_INT,
-    build,
-    cached_trace,
-    is_fp_benchmark,
-)
+from .._lazy import lazy_exports
 
-__all__ = [
-    "BuilderError",
-    "ProgramBuilder",
-    "ALL_BENCHMARKS",
-    "DEFAULT_SCALE",
-    "SPEC_FP",
-    "SPEC_INT",
-    "build",
-    "cached_trace",
-    "is_fp_benchmark",
-    "kernels",
-]
-
-from . import kernels  # noqa: E402  (re-exported as a namespace)
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    ".": (
+        "kernels",
+    ),
+    ".builder": (
+        "BuilderError",
+        "ProgramBuilder",
+    ),
+    ".suite": (
+        "ALL_BENCHMARKS",
+        "SPEC_FP",
+        "SPEC_INT",
+        "is_fp_benchmark",
+    ),
+    ".spec95": (
+        "DEFAULT_SCALE",
+        "build",
+        "cached_trace",
+    ),
+})

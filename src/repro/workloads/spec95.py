@@ -24,29 +24,27 @@ from __future__ import annotations
 
 import random
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict
 
 from ..functional.interpreter import run_program
 from ..functional.trace import Trace
 from ..isa.program import Program
 from .builder import ProgramBuilder
+from .suite import ALL_BENCHMARKS, SPEC_FP, SPEC_INT, is_fp_benchmark
 from . import kernels
+
+__all__ = [
+    "ALL_BENCHMARKS",
+    "DEFAULT_SCALE",
+    "SPEC_FP",
+    "SPEC_INT",
+    "build",
+    "cached_trace",
+    "is_fp_benchmark",
+]
 
 #: Default approximate dynamic instruction count for one benchmark run.
 DEFAULT_SCALE = 30_000
-
-SPEC_INT: Tuple[str, ...] = (
-    "go",
-    "m88ksim",
-    "gcc",
-    "compress",
-    "li",
-    "ijpeg",
-    "perl",
-    "vortex",
-)
-SPEC_FP: Tuple[str, ...] = ("swim", "applu", "turb3d", "fpppp")
-ALL_BENCHMARKS: Tuple[str, ...] = SPEC_INT + SPEC_FP
 
 
 def _reps(scale: int, pass_cost: int) -> int:
@@ -296,8 +294,3 @@ def cached_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Trace:
     else:
         diskcache.store_soa(soa_key, trace.soa())
     return trace
-
-
-def is_fp_benchmark(name: str) -> bool:
-    """True for the SpecFP95 members."""
-    return name in SPEC_FP

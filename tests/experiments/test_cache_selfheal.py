@@ -5,8 +5,8 @@ miss — never an exception, never a wrong answer — and that the bad file
 is dropped so a clean rewrite takes its place.  The ``cache.store``
 fault site corrupts entries *as they are written*, which exercises the
 exact artifacts real torn writes leave behind (truncated JSON, foreign
-bytes, vanished files, orphaned ``*.tmp``) across four sections:
-stats, traces, soa predecodes and the fuzz corpus.
+bytes, vanished files, orphaned ``*.tmp``) across five sections:
+stats, traces, soa predecodes, trace analyses and the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -78,6 +78,17 @@ def _soa_case():
     )
 
 
+def _analysis_case():
+    key = diskcache.analysis_key("stride_histogram", "li", 1_500, 0)
+    result = {"0": 0.25, "1": 0.75}
+    return (
+        key,
+        lambda: diskcache.store_analysis(key, result),
+        lambda: diskcache.load_analysis(key),
+        lambda loaded: loaded == result,
+    )
+
+
 def _corpus_case():
     payload = {"genome": {"loops": 2}, "coverage": {"vectorize": 3}}
     key = diskcache.corpus_key(payload)
@@ -93,6 +104,7 @@ CASES = {
     "stats": _stats_case,
     "trace": _trace_case,
     "soa": _soa_case,
+    "analysis": _analysis_case,
     "corpus": _corpus_case,
 }
 
@@ -101,6 +113,7 @@ LAYOUT = {
     "stats": ("stats", ".json"),
     "trace": ("traces", ".jsonl"),
     "soa": ("soa", ".soa"),
+    "analysis": ("analysis", ".json"),
     "corpus": ("corpus", ".json"),
 }
 

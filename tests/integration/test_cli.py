@@ -134,7 +134,7 @@ def test_cache_info_breaks_down_sections(tmp_path, monkeypatch, capsys):
     assert main(["cache", "info"]) == 0
     labels = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
     assert labels == [
-        "root", "enabled", "stats", "traces", "soa", "corpus", "total",
+        "root", "enabled", "stats", "traces", "soa", "analysis", "corpus", "total",
     ]
 
 
