@@ -353,6 +353,8 @@ def load_stats_entry(key: str) -> Optional[SimStats]:
     path = _stats_dir() / f"{key}.json"
     try:
         payload = json.loads(path.read_text())
+        if not isinstance(payload, dict):
+            raise ValueError("stats entry is not an object")
         if payload.get("format") != CACHE_FORMAT:
             raise ValueError("format mismatch")
         stats = stats_from_dict(payload["stats"])

@@ -47,7 +47,7 @@ import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple, Union
 
 from .. import api
 from ..experiments import diskcache
@@ -76,6 +76,15 @@ _REQUEST_PATH = (
     "repro.analysis.stride_profile",
     "repro.analysis.vectorizability",
 )
+
+
+#: a response body: an envelope, or one already encoded by :func:`_encode`.
+Payload = Union[Dict, bytes]
+
+
+def _encode(payload: Dict) -> bytes:
+    """The wire bytes of one JSON envelope."""
+    return json.dumps(payload, sort_keys=True).encode()
 
 
 def _default_jobs() -> int:
@@ -133,6 +142,9 @@ class SimulationService:
         )
         self.metrics = MetricsRegistry()
         self.inflight = InflightRegistry()
+        #: ``/run`` point -> the encoded body of its first ``200`` answer.
+        self._answers: Dict[wire.GridPoint, bytes] = {}
+        self._answer_hits = self.metrics.counter("service.answer_hits")
         self._sync_slots = threading.BoundedSemaphore(self.config.sync_limit)
         self.jobs = JobManager(
             executors={
@@ -162,16 +174,32 @@ class SimulationService:
 
     # -- sync endpoints ----------------------------------------------------
 
-    def run(self, body: Dict) -> Tuple[Dict, int]:
+    def run(self, body: Dict) -> Tuple[Payload, int]:
         """``POST /run``: one point, synchronously, on a worker peer.
 
         Routed through :func:`api.grid` (not :func:`api.simulate`) so the
         simulation runs in a peer *process*: a crash or hang is the
         fabric's problem — quarantined into an error envelope — never the
         daemon's.
+
+        A point answered ``200`` before is answered again with the bytes
+        of that first answer: the validated point is a canonical key
+        (:func:`wire.parse_point`), so the simulation, its request key,
+        coalescing and the encoding are all skipped, and the answer is
+        byte-identical by construction.  Only ``200`` answers are kept;
+        a failed point is recomputed on every request.
         """
-        params, key = wire.parse_run_request(body)
-        return self._coalesced(key, lambda: self._run_once(params["point"]))
+        point = wire.parse_point(body)
+        answer = self._answers.get(point)
+        if answer is None:
+            return self._coalesced(
+                wire.request_key("run", [point]), lambda: self._run_once(point)
+            )
+        if not self._sync_slots.acquire(blocking=False):
+            return self._saturated()
+        self._sync_slots.release()
+        self._answer_hits.inc()
+        return answer, 200
 
     def trace(self, body: Dict) -> Tuple[Dict, int]:
         """``POST /trace``: instrumented run, in-process (events cannot
@@ -197,15 +225,16 @@ class SimulationService:
 
         return self._coalesced(key, compute)
 
-    def _run_once(self, point) -> Tuple[Dict, int]:
+    def _run_once(self, point) -> Tuple[Payload, int]:
         report = self._grid_report([point])
         if report.ok:
-            return report.runs[0].to_dict(), 200
+            answer = self._answers[point] = _encode(report.runs[0].to_dict())
+            return answer, 200
         failure = report.accounting.failed[0]
         status = 504 if failure.kind == "timeout" else 500
         return wrap_error(failure.to_dict()), status
 
-    def _coalesced(self, key: str, compute) -> Tuple[Dict, int]:
+    def _coalesced(self, key: str, compute) -> Tuple[Payload, int]:
         """Single-leader execution of one sync request under admission
         control; followers ride the leader's future (dedup hits)."""
         future, leader = self.inflight.join(key)
@@ -223,16 +252,7 @@ class SimulationService:
                     504,
                 )
         if not self._sync_slots.acquire(blocking=False):
-            result = (
-                error_envelope(
-                    "saturated",
-                    f"more than {self.config.sync_limit} synchronous "
-                    "requests in flight",
-                    retriable=True,
-                    retry_after=self._saturation_retry_after(),
-                ),
-                503,
-            )
+            result = self._saturated()
             self.inflight.resolve(key, future, result)
             return result
         try:
@@ -250,15 +270,25 @@ class SimulationService:
         self.inflight.resolve(key, future, result)
         return result
 
-    def _saturation_retry_after(self) -> float:
-        """A saturation-derived ``Retry-After`` hint for sync-slot 503s.
+    def _saturated(self) -> Tuple[Dict, int]:
+        """The ``503`` for a sync request past ``sync_limit``.
 
-        Draining one sync slot takes roughly one median request, so the
+        Its ``Retry-After`` hint comes from the saturation itself:
+        draining one sync slot takes roughly one median request, so the
         observed p50 latency is the honest advice — floored at 1s (the
         header is integer-seconds anyway, and a cold histogram reads 0).
         """
         p50 = self.metrics.histogram("service.latency_ms").quantile(0.5) or 0.0
-        return max(1.0, round(p50 / 1000.0, 3))
+        return (
+            error_envelope(
+                "saturated",
+                f"more than {self.config.sync_limit} synchronous "
+                "requests in flight",
+                retriable=True,
+                retry_after=max(1.0, round(p50 / 1000.0, 3)),
+            ),
+            503,
+        )
 
     # -- async job submission ---------------------------------------------
 
@@ -525,18 +555,33 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- plumbing ----------------------------------------------------------
 
-    def _send_json(self, status: int, payload: Dict, retry_after: Optional[float] = None) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
+    def _send_json(
+        self, status: int, payload: Payload, retry_after: Optional[float] = None
+    ) -> None:
+        body = payload if isinstance(payload, bytes) else _encode(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", str(max(1, int(retry_after))))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
+    def _content_length(self) -> int:
+        """The request body's length; a value that is not a non-negative
+        integer loses the framing, so it answers 400 and closes."""
+        value = (self.headers.get("Content-Length") or "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            self.close_connection = True
+            raise wire.WireError(
+                "request.malformed", f"invalid Content-Length {value!r}"
+            )
+        return int(value)
+
     def _read_body(self) -> Dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise wire.WireError("request.malformed", "empty request body")
@@ -555,7 +600,7 @@ class _Handler(BaseHTTPRequestHandler):
         parsed as the next request's start line and poison every later
         exchange on the connection.
         """
-        length = int(self.headers.get("Content-Length") or 0)
+        length = self._content_length()
         while length > 0:
             chunk = self.rfile.read(min(length, 65_536))
             if not chunk:
@@ -624,13 +669,12 @@ class _Handler(BaseHTTPRequestHandler):
         }
         fn = routes.get(path)
         if fn is None:
-            self._drain_body()  # keep-alive: never leave body bytes unread
-            return self._dispatch(
-                "not_found",
-                lambda: (
-                    error_envelope("http.not_found", f"no route {self.path!r}"), 404,
-                ),
-            )
+
+            def not_found() -> Tuple[Dict, int]:
+                self._drain_body()  # keep-alive: never leave body bytes unread
+                return error_envelope("http.not_found", f"no route {self.path!r}"), 404
+
+            return self._dispatch("not_found", not_found)
         self._dispatch(path.strip("/"), fn)
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
@@ -690,7 +734,7 @@ class _Handler(BaseHTTPRequestHandler):
                 timeout=service.config.request_timeout,
                 include_results=results,
             ):
-                self.wfile.write(json.dumps(envelope, sort_keys=True).encode() + b"\n")
+                self.wfile.write(_encode(envelope) + b"\n")
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             status = 499

@@ -50,17 +50,27 @@ def _reject_unknown(obj: Dict, known, what: str) -> None:
     _require(not unknown, "request.invalid", f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``true`` and ``4.0`` are not, though they compare
+    (and hash) equal to ``1`` and ``4``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_scale(body: Dict) -> int:
     scale = body.get("scale", runner.EXPERIMENT_SCALE)
     _require(
-        isinstance(scale, int) and scale > 0,
+        _is_int(scale) and scale > 0,
         "request.invalid", f"scale must be a positive integer, got {scale!r}",
     )
     return scale
 
 
 def parse_point(obj) -> GridPoint:
-    """One JSON grid-point object -> a validated :class:`GridPoint`."""
+    """One JSON grid-point object -> a validated :class:`GridPoint`.
+
+    Every field has one type, so two bodies give equal points exactly
+    when they ask for the same simulation: the point is a canonical key.
+    """
     _require(isinstance(obj, dict), "request.invalid", f"point must be an object, got {obj!r}")
     _reject_unknown(
         obj,
@@ -74,9 +84,9 @@ def parse_point(obj) -> GridPoint:
         f"unknown benchmark {benchmark!r}; known: {', '.join(ALL_BENCHMARKS)}",
     )
     width = obj.get("width", 4)
-    _require(width in _WIDTHS, "request.invalid", f"width must be one of {_WIDTHS}, got {width!r}")
+    _require(_is_int(width) and width in _WIDTHS, "request.invalid", f"width must be one of {_WIDTHS}, got {width!r}")
     ports = obj.get("ports", 1)
-    _require(ports in _PORTS, "request.invalid", f"ports must be one of {_PORTS}, got {ports!r}")
+    _require(_is_int(ports) and ports in _PORTS, "request.invalid", f"ports must be one of {_PORTS}, got {ports!r}")
     mode = obj.get("mode", "V")
     _require(mode in _MODES, "request.invalid", f"mode must be one of {_MODES}, got {mode!r}")
     scale = _parse_scale(obj)
@@ -104,12 +114,6 @@ def request_key(kind: str, points: List[GridPoint], extra: Optional[Dict] = None
 # ---------------------------------------------------------------------------
 
 
-def parse_run_request(body: Dict) -> Tuple[Dict, str]:
-    """``POST /run``: one grid-point object."""
-    point = parse_point(body)
-    return {"point": point}, request_key("run", [point])
-
-
 def parse_trace_request(body: Dict) -> Tuple[Dict, str]:
     """``POST /trace``: a grid-point object plus capture controls.
 
@@ -130,12 +134,12 @@ def parse_trace_request(body: Dict) -> Tuple[Dict, str]:
         )
     limit = extras["limit"]
     _require(
-        limit is None or (isinstance(limit, int) and limit > 0),
+        limit is None or (_is_int(limit) and limit > 0),
         "request.invalid", f"limit must be a positive integer, got {limit!r}",
     )
     capacity = extras["capacity"]
     _require(
-        capacity is None or (isinstance(capacity, int) and capacity > 0),
+        capacity is None or (_is_int(capacity) and capacity > 0),
         "request.invalid", f"capacity must be a positive integer, got {capacity!r}",
     )
     params = {"point": point, "events": events, "limit": limit, "capacity": capacity}

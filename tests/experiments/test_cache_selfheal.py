@@ -12,6 +12,7 @@ stats, traces, soa predecodes, trace analyses and the fuzz corpus.
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
@@ -161,6 +162,18 @@ def test_orphaned_tmp_files_are_inert_and_swept(cache_dir, section):
     assert load() is None
 
 
+@pytest.mark.parametrize("section", ["stats", "analysis", "corpus"])
+@pytest.mark.parametrize("content", ["[]", "7", '"entry"', "null"])
+def test_json_entry_that_is_not_an_object_reads_as_miss(cache_dir, section, content):
+    key, store, load, matches = CASES[section]()
+    subdir, suffix = LAYOUT[section]
+    entry = cache_dir / subdir / f"{key}{suffix}"
+    store()
+    entry.write_text(content)
+    assert load() is None
+    assert not entry.exists()
+
+
 def test_corrupted_stats_entry_heals_end_to_end(cache_dir):
     # The full path: a grid-point store is corrupted on disk, the next
     # fresh-process read misses, re-simulates bit-identically and
@@ -176,3 +189,8 @@ def test_corrupted_stats_entry_heals_end_to_end(cache_dir):
     runner.clear_memo()
     again = runner.compute_point(point)
     assert dataclasses.asdict(again) == reference
+    # Valid JSON of the wrong shape is corruption too: recomputed, rewritten.
+    entry.write_text("[]")
+    runner.clear_memo()
+    assert dataclasses.asdict(runner.compute_point(point)) == reference
+    assert json.loads(entry.read_text())["stats"] == reference

@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
+
+import pytest
 
 from repro.schemas import validate_envelope
 
@@ -107,6 +110,102 @@ class TestKeepAlive:
             assert lines[-1]["schema"].startswith("repro.service.job/")
         finally:
             conn.close()
+
+
+def _metric(client, name):
+    status, payload, _ = client.request("GET", "/metrics")
+    assert status == 200
+    return payload["metrics"][name]["data"]
+
+
+class TestContentLength:
+    """A ``Content-Length`` that is not a non-negative integer loses the
+    framing: the daemon answers ``400`` and closes the connection rather
+    than failing with ``500`` or blocking on ``read(-1)``."""
+
+    @pytest.mark.parametrize("path", ["/run", "/no/such/route"])
+    @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "+3"])
+    def test_invalid_length_answers_400_and_closes(self, daemon, path, length):
+        _, client = daemon()
+        request = (
+            f"POST {path} HTTP/1.1\r\nHost: localhost\r\n"
+            f"Content-Type: application/json\r\nContent-Length: {length}\r\n\r\n"
+        ).encode()
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(request)
+            raw = b""
+            while True:  # EOF is the test: the daemon closed the connection
+                chunk = sock.recv(65_536)
+                if not chunk:
+                    break
+                raw += chunk
+        head, _, body = raw.partition(b"\r\n\r\n")
+        lines = head.decode().split("\r\n")
+        assert lines[0].split()[1] == "400", raw
+        assert "Connection: close" in lines[1:]
+        payload = json.loads(body)
+        validate_envelope(payload)
+        assert payload["error"]["kind"] == "request.malformed"
+        # The daemon itself is unharmed.
+        assert client.request("GET", "/status")[0] == 200
+
+
+class TestAnswerMemo:
+    """A ``/run`` point answered ``200`` once is answered again with the
+    same bytes, counted by ``service.answer_hits``."""
+
+    def test_reordered_and_defaulted_fields_share_one_answer(self, daemon):
+        _, client = daemon()
+        bodies = [
+            POINT,
+            {"scale": 2_100, "benchmark": "compress"},
+            {
+                "block_on_scalar_operand": True, "ports": 1, "width": 4,
+                "scale": 2_100, "mode": "V", "benchmark": "compress",
+            },
+        ]
+        answers = []
+        for body in bodies:
+            status, raw, _ = client.raw("POST", "/run", json.dumps(body).encode())
+            assert status == 200, raw
+            answers.append(raw)
+        assert answers[1] == answers[0] and answers[2] == answers[0]
+        assert _metric(client, "service.answer_hits") == 2
+        # A different point is a different answer, not a hit.
+        status, raw, _ = client.raw(
+            "POST", "/run", json.dumps({**POINT, "ports": 2}).encode()
+        )
+        assert status == 200 and raw != answers[0]
+        assert _metric(client, "service.answer_hits") == 2
+
+    def test_invalid_body_answers_400_before_any_lookup(self, daemon):
+        _, client = daemon()
+        status, _, _ = client.request("POST", "/run", POINT)
+        assert status == 200
+        # Each equals (and hashes like) the answered point once coerced.
+        for bad in ({**POINT, "ports": True}, {**POINT, "scale": 2_100.0},
+                    {**POINT, "width": 4.0}, {**POINT, "typo_key": 1}):
+            status, payload, _ = client.request("POST", "/run", bad)
+            assert status == 400, (bad, payload)
+            assert payload["error"]["kind"] == "request.invalid"
+        assert _metric(client, "service.answer_hits") == 0
+
+    def test_a_hit_still_takes_a_sync_slot(self, daemon):
+        server, client = daemon(sync_limit=1)
+        status, first, _ = client.request("POST", "/run", POINT)
+        assert status == 200
+        slots = server.service._sync_slots
+        assert slots.acquire(blocking=False)  # saturate the one slot
+        try:
+            status, payload, headers = client.request("POST", "/run", POINT)
+        finally:
+            slots.release()
+        assert status == 503
+        assert payload["error"]["kind"] == "saturated"
+        assert int(headers["Retry-After"]) >= 1
+        status, payload, _ = client.request("POST", "/run", POINT)
+        assert status == 200 and payload == first
+        assert _metric(client, "service.answer_hits") == 1
 
 
 class TestResultStreaming:

@@ -37,6 +37,16 @@ def test_poisoned_request_is_contained(daemon, monkeypatch):
     assert payload["error"]["kind"] == "node.lost"
     assert payload["error"]["point"]["benchmark"] == "go"
 
+    # only 200 answers are memoized: a retry runs (and crashes) again
+    restarts = client.request("GET", "/status")[1]["service"]["pool"]["restarts"]
+    status, again, _ = client.request(
+        "POST", "/run", {"benchmark": "go", "mode": "V", "scale": 3_510},
+        timeout=120.0,
+    )
+    assert status == 500
+    assert again["error"]["kind"] == "node.lost"
+    assert client.request("GET", "/status")[1]["service"]["pool"]["restarts"] > restarts
+
     # a healthy benchmark on the same daemon still serves
     status, payload, _ = client.request(
         "POST", "/run", {"benchmark": "compress", "mode": "V", "scale": 3_511},
@@ -44,6 +54,8 @@ def test_poisoned_request_is_contained(daemon, monkeypatch):
     )
     assert status == 200
     assert validate_envelope(payload)["schema"] == SCHEMA_RUN
+    status, metrics, _ = client.request("GET", "/metrics")
+    assert metrics["metrics"]["service.answer_hits"]["data"] == 0
 
     # the daemon is alive and recorded the peer respawns
     status, payload, _ = client.request("GET", "/status")

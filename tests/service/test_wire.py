@@ -14,6 +14,11 @@ def _point(**overrides):
     return body
 
 
+def _run_key(body):
+    """A ``/run`` request's coalescing key, as the service computes it."""
+    return wire.request_key("run", [wire.parse_point(body)])
+
+
 class TestParsePoint:
     def test_defaults(self):
         point = wire.parse_point({"benchmark": "compress"})
@@ -32,6 +37,13 @@ class TestParsePoint:
             ({"sampling": [0, 5]}, "request.invalid"),
             ({"sampling": "dense"}, "request.invalid"),
             ({"typo_key": 1}, "request.invalid"),
+            # Equal to (and hashing like) a valid integer, but not one:
+            # each would share a memoized answer with its integer twin.
+            ({"scale": True}, "request.invalid"),
+            ({"scale": 2_000.0}, "request.invalid"),
+            ({"ports": True}, "request.invalid"),
+            ({"ports": 1.0}, "request.invalid"),
+            ({"width": 4.0}, "request.invalid"),
         ],
     )
     def test_rejections_carry_error_kinds(self, overrides, kind):
@@ -43,11 +55,27 @@ class TestParsePoint:
         with pytest.raises(wire.WireError):
             wire.parse_point(["compress"])
 
+    def test_same_simulation_same_point(self):
+        """Field order and spelled-out defaults do not change the point:
+        it is the key the ``/run`` answer memo is looked up by."""
+        spelled = {
+            "block_on_scalar_operand": True, "scale": 2_000, "ports": 1,
+            "mode": "V", "width": 4, "benchmark": "compress",
+        }
+        assert wire.parse_point(spelled) == wire.parse_point(_point())
+        assert wire.parse_point(_point(ports=2)) != wire.parse_point(_point())
+
+    @pytest.mark.parametrize("control", ["limit", "capacity"])
+    def test_trace_controls_are_integers(self, control):
+        with pytest.raises(wire.WireError) as excinfo:
+            wire.parse_trace_request(_point(**{control: True}))
+        assert excinfo.value.kind == "request.invalid"
+
 
 class TestRequestKey:
     def test_identical_requests_share_a_key(self):
-        _, key_a = wire.parse_run_request(_point())
-        _, key_b = wire.parse_run_request(_point())
+        key_a = _run_key(_point())
+        key_b = _run_key(_point())
         assert key_a == key_b
 
     def test_point_order_is_irrelevant_for_grids(self):
@@ -58,7 +86,7 @@ class TestRequestKey:
         assert key_ab == key_ba
 
     def test_any_coordinate_change_changes_the_key(self):
-        _, base = wire.parse_run_request(_point())
+        base = _run_key(_point())
         for overrides in (
             {"benchmark": "li"},
             {"mode": "IM"},
@@ -67,29 +95,28 @@ class TestRequestKey:
             {"ports": 2},
             {"block_on_scalar_operand": False},
         ):
-            _, other = wire.parse_run_request(_point(**overrides))
+            other = _run_key(_point(**overrides))
             assert other != base, overrides
 
     def test_run_dedups_under_the_stats_entry_compute_point_writes(
         self, tmp_path, monkeypatch
     ):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        params, _ = wire.parse_run_request(_point(scale=1_500))
-        point = params["point"]
+        point = wire.parse_point(_point(scale=1_500))
         runner.compute_point(point)
         entries = [path.stem for path in (tmp_path / "stats").iterdir()]
         assert entries == [runner.point_cache_key(point)]
         # The dedup key is a function of that stats key alone: points
         # naming one entry coalesce.
         monkeypatch.setattr(runner, "point_cache_key", lambda point: "one entry")
-        _, key_a = wire.parse_run_request(_point(scale=1_500))
-        _, key_b = wire.parse_run_request(_point(benchmark="li"))
+        key_a = _run_key(_point(scale=1_500))
+        key_b = _run_key(_point(benchmark="li"))
         assert key_a == key_b
 
     def test_kind_partitions_the_key_space(self):
         """The same point as a run vs a one-point grid must not coalesce —
         their response envelopes differ."""
-        _, run_key = wire.parse_run_request(_point())
+        run_key = _run_key(_point())
         _, grid_key = wire.parse_grid_request({"points": [_point()]})
         assert run_key != grid_key
 

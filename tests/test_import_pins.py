@@ -5,10 +5,10 @@ the subsystems off its common path where it uses them.  These tests pin
 that in fresh interpreters, where ``sys.modules`` shows exactly what a
 launch paid for: the CLI module alone loads no subsystem, the facade
 loads neither the fuzzer nor the service nor the worker fabric nor the
-cycle model, and a ``run`` answered from the disk cache loads none of
-those nor the trace analyses.  Laziness must not cost a name: every
-entry of every package's ``__all__``, and of the facade's, still
-resolves.
+cycle model, a ``run`` answered from the disk cache loads none of
+those nor the trace analyses, and neither do Figs 1 and 3 answered from
+it.  Laziness must not cost a name: every entry of every package's
+``__all__``, and of the facade's, still resolves.
 """
 
 from __future__ import annotations
@@ -104,6 +104,19 @@ def test_warm_run_loads_neither_those_nor_the_analyses(tmp_path):
     assert "repro.pipeline.machine" in cold  # the first run simulated
     warm = _loaded(body, tmp_path)
     for prefix in OFF_THE_RUN_PATH + ("repro.analysis",):
+        assert not _under(warm, prefix), prefix
+
+
+def test_warm_trace_figures_load_no_analysis_or_trace_code(tmp_path):
+    body = (
+        "from repro.__main__ import main\n"
+        "assert main(['figures', '--only', 'fig01', 'fig03', '--scale', '1500',"
+        " '--jobs', '1', '--json']) == 0\n"
+    )
+    cold = _loaded(body, tmp_path)
+    assert "repro.analysis.vectorizability" in cold  # the first run analysed
+    warm = _loaded(body, tmp_path)
+    for prefix in ("repro.analysis", "repro.functional"):
         assert not _under(warm, prefix), prefix
 
 
