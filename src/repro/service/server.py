@@ -29,7 +29,9 @@ latency win is measured by ``benchmarks/bench_service.py``).  The NDJSON
 event stream is the one exception — unbounded, so it answers
 ``Connection: close``.
 
-Every body is a v2 envelope; non-2xx bodies are ``repro.error/v1``.
+Every body is a v2 envelope; non-2xx bodies are ``repro.error/v1``,
+including the framing errors (``400``, ``414``, ``431``, ``501``,
+``505``) that ``http.server`` would answer with an HTML page.
 Saturation answers ``503`` + ``Retry-After`` (sync concurrency past
 ``sync_limit``, job queue past ``queue_limit``) — the header value comes
 from the saturated layer itself, not a constant; a request that outlives
@@ -38,14 +40,17 @@ from the saturated layer itself, not a constant; a request that outlives
 
 from __future__ import annotations
 
+import email.utils
 import importlib
 import json
+import re
 import sys
 import threading
 import time
 import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
 
@@ -85,6 +90,71 @@ Payload = Union[Dict, bytes]
 def _encode(payload: Dict) -> bytes:
     """The wire bytes of one JSON envelope."""
     return json.dumps(payload, sort_keys=True).encode()
+
+
+# -- request and response framing -------------------------------------------
+
+_PROTOCOL = "HTTP/1.1"
+_SERVER = "repro-serve/1"
+
+#: ``status -> b"HTTP/1.1 <code> <phrase>\r\nServer: ...\r\nDate: "``: the
+#: part of a response head that only the status decides.
+_HEADS = {
+    status.value: (
+        f"{_PROTOCOL} {status.value} {status.phrase}\r\n"
+        f"Server: {_SERVER} {BaseHTTPRequestHandler.sys_version}\r\nDate: "
+    ).encode("latin-1")
+    for status in HTTPStatus
+}
+
+#: ``(second, Date value)`` of the last response; replaced whole, never
+#: mutated, so a thread reads a matching pair without a lock.  It caches a
+#: function of the clock alone, so every server in the process shares it.
+_date = (-1, b"")
+
+
+def _http_date() -> bytes:
+    """The ``Date`` header value, formatted at most once per second."""
+    global _date
+    now = int(time.time())
+    cached = _date
+    if cached[0] != now:
+        cached = _date = (now, email.utils.formatdate(now, usegmt=True).encode())
+    return cached[1]
+
+
+#: ``http.client``'s limits, which ``http.server`` applies to a request
+#: head: a header line of at most 65 536 bytes, and at most 100 lines
+#: counting the blank line that ends the head.
+_MAX_LINE = 65_536
+_MAX_HEADERS = 100
+
+#: an RFC 9110 field name; a line led by whitespace (obs-fold) or with
+#: whitespace before its colon does not match (RFC 9112 §5.1-5.2).
+_FIELD_NAME = re.compile(r"[!#$%&'*+\-.^_`|~0-9A-Za-z]+")
+
+
+class _Headers(dict):
+    """Request header fields keyed by lowercase name; :meth:`get` takes
+    a name in any case, as ``email.message.Message.get`` did."""
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+
+def _version_number(version: str) -> Optional[Tuple[int, int]]:
+    """``(major, minor)`` of an ``HTTP/x.y`` request version, or None
+    where ``http.server`` answers ``400 Bad request version``."""
+    if not version.startswith("HTTP/"):
+        return None
+    numbers = version[5:].split(".")
+    if len(numbers) != 2 or not all(
+        n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
+    ):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
 
 def _default_jobs() -> int:
@@ -528,23 +598,30 @@ class _Handler(BaseHTTPRequestHandler):
     carries ``Content-Length``, and every consumed request body is read
     to its full ``Content-Length`` — including bodies of requests that
     404 — so the next request on the wire starts exactly where the
-    previous one ended.
+    previous one ended.  A request whose length is ambiguous
+    (``Transfer-Encoding``, conflicting ``Content-Length`` values) is
+    answered ``400`` and its connection closed.
+
+    The request head is parsed here, not by ``http.server``'s
+    ``email``-based header parser, and a response leaves in one write
+    (see :meth:`parse_request` and :meth:`_write`).
     """
 
-    server_version = "repro-serve/1"
-    protocol_version = "HTTP/1.1"
+    server_version = _SERVER
+    protocol_version = _PROTOCOL
+    #: the version an error answers in before the request line gave one.
+    default_request_version = _PROTOCOL
     #: idle keep-alive connections are reaped after this many seconds
     #: (socket timeout; ``handle_one_request`` turns it into a close).
     timeout = 600
     #: Nagle + delayed-ACK would stall every response on a *reused*
     #: connection by ~40ms: with unacked data outstanding, a small
     #: body write queues behind the headers packet until the client's
-    #: delayed ACK arrives.  TCP_NODELAY plus a buffered ``wfile``
-    #: (headers and body leave in one send — ``handle_one_request``
-    #: flushes per response, the event stream flushes per line) keeps
-    #: keep-alive latency below the per-request path instead of 5x it.
+    #: delayed ACK arrives.  TCP_NODELAY plus one write per response
+    #: (head and body together, :meth:`_write`; the event stream writes
+    #: one line at a time) keeps keep-alive latency below the
+    #: per-request path instead of 5x it.
     disable_nagle_algorithm = True
-    wbufsize = -1
 
     @property
     def service(self) -> SimulationService:
@@ -553,21 +630,164 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         pass  # request logging is the metrics registry's job
 
-    # -- plumbing ----------------------------------------------------------
+    # -- request head ------------------------------------------------------
+
+    def parse_request(self) -> bool:
+        """Parse ``raw_requestline`` and the header block that follows.
+
+        The request line is checked exactly as
+        :meth:`BaseHTTPRequestHandler.parse_request` checks it: ``400``
+        for a bad line or version, ``505`` from HTTP/2.0 on, and HTTP/0.9
+        and HTTP/1.0 requests close their connection.  ``Connection`` and
+        ``Expect: 100-continue`` are honoured as the stdlib honours them.
+        One difference: only a two-word HTTP/0.9 request is answered
+        without a status line.  The stdlib also answered a line of the
+        wrong word count, or with a version it rejects, that way, so the
+        client never saw the ``400`` or ``505``.  Returns False once an
+        error has been answered.
+        """
+        self.command = None
+        self.request_version = version = self.default_request_version
+        self.close_connection = True
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        self.requestline = requestline
+        words = requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            number = _version_number(version)
+            if number is None:
+                self.send_error(400, f"Bad request version ({version!r})")
+                return False
+            if number >= (1, 1):
+                self.close_connection = False
+            if number >= (2, 0):
+                self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(400, f"Bad request syntax ({requestline!r})")
+            return False
+        command, path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            self.request_version = "HTTP/0.9"
+            if command != "GET":
+                self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                return False
+        self.command, self.path = command, path
+        if path.startswith("//"):  # never an absolute URI without scheme
+            self.path = "/" + path.lstrip("/")
+
+        headers = self._read_headers()
+        if headers is None:
+            return False
+        self.headers = headers
+        connection = headers.get("connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            headers.get("expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def _read_headers(self) -> Optional[_Headers]:
+        """The header fields of the request, or None once an error has
+        been answered: ``431`` past the stdlib's line and count limits,
+        ``400`` for a line that is not ``name: value``, for conflicting
+        ``Content-Length`` values and for any ``Transfer-Encoding``
+        (chunked bodies are not supported, and RFC 9112 §6.3 makes a
+        length that cannot be trusted a framing error).  A repeated field
+        keeps its first value."""
+        fields = _Headers()
+        readline = self.rfile.readline
+        for _ in range(_MAX_HEADERS):
+            line = readline(_MAX_LINE + 1)
+            if len(line) > _MAX_LINE:
+                self.send_error(431, "Line too long", "header line")
+                return None
+            if line in (b"\r\n", b"\n", b""):
+                break
+            name, colon, value = str(line, "iso-8859-1").partition(":")
+            if not colon or _FIELD_NAME.fullmatch(name) is None:
+                self.send_error(400, f"Bad header line ({line[:64]!r})")
+                return None
+            key = name.lower()
+            value = value.strip(" \t\r\n")
+            first = fields.setdefault(key, value)
+            if first != value and key == "content-length":
+                self.send_error(
+                    400, f"Conflicting Content-Length values ({first!r}, {value!r})"
+                )
+                return None
+        else:
+            self.send_error(
+                431, "Too many headers", f"got more than {_MAX_HEADERS} headers"
+            )
+            return None
+        if "transfer-encoding" in fields:
+            self.send_error(
+                400, "Transfer-Encoding is not supported; send Content-Length"
+            )
+            return None
+        return fields
+
+    def handle_expect_100(self) -> bool:
+        """Answer ``100 Continue`` now: the client waits for it before it
+        sends the body."""
+        self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
+        self.wfile.flush()
+        return True
+
+    # -- responses ---------------------------------------------------------
+
+    def _write(self, status: int, fields: bytes, body: bytes) -> None:
+        """Send one response — status line, ``Server``, ``Date``, then
+        ``fields`` and ``body`` — in a single write.
+
+        As in ``http.server``, an HTTP/0.9 request gets the body alone
+        and a ``HEAD`` request the head alone.
+        """
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)
+            return
+        if self.command == "HEAD":
+            body = b""
+        self.wfile.write(
+            b"%s%s\r\n%s\r\n%s" % (_HEADS[status], _http_date(), fields, body)
+        )
 
     def _send_json(
         self, status: int, payload: Payload, retry_after: Optional[float] = None
     ) -> None:
         body = payload if isinstance(payload, bytes) else _encode(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        fields = b"Content-Type: application/json\r\nContent-Length: %d\r\n" % len(body)
         if retry_after is not None:
-            self.send_header("Retry-After", str(max(1, int(retry_after))))
+            fields += b"Retry-After: %d\r\n" % max(1, int(retry_after))
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            fields += b"Connection: close\r\n"
+        self._write(status, fields, body)
+
+    def send_error(self, code: int, message: Optional[str] = None, explain=None) -> None:
+        """Answer a request the framing layer rejects with a
+        ``repro.error/v1`` envelope and ``Connection: close``.
+
+        ``http.server`` calls this for an unparseable request (``400``,
+        ``414``, ``431``, ``505``: kind ``request.malformed``) and for a
+        method without a ``do_*`` handler (``501``:
+        ``http.not_implemented``).
+        """
+        self.close_connection = True
+        kind = "http.not_implemented" if code == 501 else "request.malformed"
+        text = message or HTTPStatus(code).phrase
+        if explain:
+            text = f"{text}: {explain}"
+        self._send_json(code, error_envelope(kind, text))
 
     def _content_length(self) -> int:
         """The request body's length; a value that is not a non-negative
@@ -607,11 +827,11 @@ class _Handler(BaseHTTPRequestHandler):
                 break
             length -= len(chunk)
 
-    def _dispatch(self, route: str, fn) -> None:
+    def _dispatch(self, route: str, fn, *args) -> None:
         start = time.monotonic()
         status = 500
         try:
-            payload, status = fn()
+            payload, status = fn(*args)
             retry = None
             if status == 503:
                 # The saturated layer knows how long it needs: the job
@@ -636,6 +856,13 @@ class _Handler(BaseHTTPRequestHandler):
         finally:
             self.service.observe_request(route, status, time.monotonic() - start)
 
+    def _not_found(self) -> Tuple[Dict, int]:
+        return error_envelope("http.not_found", f"no route {self.path!r}"), 404
+
+    def _post_not_found(self) -> Tuple[Dict, int]:
+        self._drain_body()  # keep-alive: never leave body bytes unread
+        return self._not_found()
+
     # -- verbs -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
@@ -649,45 +876,34 @@ class _Handler(BaseHTTPRequestHandler):
         if path.startswith("/jobs/"):
             parts = path.split("/")[2:]
             if len(parts) == 1:
-                return self._dispatch("jobs.get", lambda: self._job_payload(parts[0]))
+                return self._dispatch("jobs.get", self._job_payload, parts[0])
             if len(parts) == 2 and parts[1] == "events":
                 return self._stream_events(parts[0])
-        self._dispatch(
-            "not_found",
-            lambda: (error_envelope("http.not_found", f"no route {self.path!r}"), 404),
-        )
+        self._dispatch("not_found", self._not_found)
+
+    #: ``POST`` path -> (metrics route, ``fn(handler)`` answering it).
+    _POST_ROUTES = {
+        "/run": ("run", lambda h: h.service.run(h._read_body())),
+        "/trace": ("trace", lambda h: h.service.trace(h._read_body())),
+        "/grid": ("grid", lambda h: h.service.submit("grid", h._read_body())),
+        "/figure": ("figure", lambda h: h.service.submit("figure", h._read_body())),
+        "/headline": (
+            "headline", lambda h: h.service.submit("headline", h._read_body())
+        ),
+    }
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        path = self.path.split("?", 1)[0].rstrip("/")
-        service = self.service
-        routes = {
-            "/run": lambda: service.run(self._read_body()),
-            "/trace": lambda: service.trace(self._read_body()),
-            "/grid": lambda: service.submit("grid", self._read_body()),
-            "/figure": lambda: service.submit("figure", self._read_body()),
-            "/headline": lambda: service.submit("headline", self._read_body()),
-        }
-        fn = routes.get(path)
-        if fn is None:
-
-            def not_found() -> Tuple[Dict, int]:
-                self._drain_body()  # keep-alive: never leave body bytes unread
-                return error_envelope("http.not_found", f"no route {self.path!r}"), 404
-
-            return self._dispatch("not_found", not_found)
-        self._dispatch(path.strip("/"), fn)
+        route = self._POST_ROUTES.get(self.path.split("?", 1)[0].rstrip("/"))
+        if route is None:
+            return self._dispatch("not_found", self._post_not_found)
+        self._dispatch(route[0], route[1], self)
 
     def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
         path = self.path.split("?", 1)[0].rstrip("/")
         parts = path.split("/")
         if len(parts) == 3 and parts[1] == "jobs" and parts[2]:
-            return self._dispatch(
-                "jobs.cancel", lambda: self.service.cancel_job(parts[2])
-            )
-        self._dispatch(
-            "not_found",
-            lambda: (error_envelope("http.not_found", f"no route {self.path!r}"), 404),
-        )
+            return self._dispatch("jobs.cancel", self.service.cancel_job, parts[2])
+        self._dispatch("not_found", self._not_found)
 
     # -- jobs --------------------------------------------------------------
 
@@ -723,19 +939,18 @@ class _Handler(BaseHTTPRequestHandler):
         query = urllib.parse.parse_qs(urllib.parse.urlsplit(self.path).query)
         results = query.get("results", ["0"])[-1].lower() in ("1", "true", "yes")
         status = 200
+        # Unframed stream: Connection: close is the length marker.
+        self.close_connection = True
         try:
-            self.send_response(200)
-            self.send_header("Content-Type", "application/x-ndjson")
-            # Unframed stream: Connection: close is the length marker.
-            self.send_header("Connection", "close")
-            self.end_headers()
+            self._write(
+                200, b"Content-Type: application/x-ndjson\r\nConnection: close\r\n", b""
+            )
             for envelope in service.jobs.follow(
                 job,
                 timeout=service.config.request_timeout,
                 include_results=results,
             ):
                 self.wfile.write(_encode(envelope) + b"\n")
-                self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             status = 499
         finally:

@@ -11,13 +11,18 @@ exception and must keep answering ``Connection: close``.
 
 from __future__ import annotations
 
+import email.utils
 import http.client
+import itertools
 import json
 import socket
+import sys
+import threading
 
 import pytest
 
 from repro.schemas import validate_envelope
+from repro.service import server as server_module
 
 
 POINT = {"benchmark": "compress", "mode": "V", "scale": 2_100}
@@ -148,6 +153,301 @@ class TestContentLength:
         assert payload["error"]["kind"] == "request.malformed"
         # The daemon itself is unharmed.
         assert client.request("GET", "/status")[0] == 200
+
+
+BODY = json.dumps(POINT).encode()
+
+
+def _post_run(*fields: bytes, body: bytes = BODY) -> bytes:
+    """A raw ``POST /run`` with the given header lines and body."""
+    return (
+        b"POST /run HTTP/1.1\r\nHost: localhost\r\n"
+        + b"".join(field + b"\r\n" for field in fields)
+        + b"\r\n"
+        + body
+    )
+
+
+def _read_response(sock):
+    """One framed response from ``sock``: ``(status, [(name, value)...],
+    body)``, the body read to its ``Content-Length``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65_536)
+        assert chunk, f"connection closed mid-head: {data!r}"
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    fields = [tuple(line.split(": ", 1)) for line in lines]
+    length = int(dict(fields)["Content-Length"])
+    while len(body) < length:
+        chunk = sock.recv(65_536)
+        assert chunk, "connection closed mid-body"
+        body += chunk
+    assert len(body) == length, "bytes past the Content-Length"
+    return int(status_line.split()[1]), fields, body
+
+
+def _read_to_eof(sock) -> bytes:
+    data = b""
+    while True:
+        chunk = sock.recv(65_536)
+        if not chunk:
+            return data
+        data += chunk
+
+
+def _closed(sock) -> bool:
+    """Whether the daemon ends the connection (EOF or reset) within the
+    socket timeout, with no byte past the last response."""
+    try:
+        return sock.recv(65_536) == b""
+    except ConnectionResetError:
+        return True
+    except socket.timeout:
+        return False
+
+
+def _exchange_raw(client, request: bytes):
+    """Send ``request`` on a fresh connection: its one response and
+    whether the daemon then closed the connection."""
+    with socket.create_connection((client.host, client.port), timeout=10) as sock:
+        sock.sendall(request)
+        response = _read_response(sock)
+        return response, _closed(sock)
+
+
+def _assert_error(response, status: int, kind: str) -> dict:
+    got, fields, body = response
+    assert got == status, body
+    headers = dict(fields)
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Connection"] == "close"
+    payload = json.loads(body)
+    validate_envelope(payload)
+    assert payload["error"]["kind"] == kind, payload
+    return payload
+
+
+_HEAD = b"GET /status HTTP/1.1\r\nHost: localhost\r\n"
+
+
+class TestFraming:
+    """The daemon parses request heads itself, under ``http.server``'s
+    limits, and answers every framing error with a ``repro.error/v1``
+    envelope and ``Connection: close``."""
+
+    def test_chunked_body_answers_400_and_closes(self, daemon):
+        """Chunked bodies are not supported: reading the chunk-size line
+        as a request of its own would desynchronize the connection."""
+        _, client = daemon()
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(BODY), BODY)
+        response, closed = _exchange_raw(
+            client, _post_run(b"Transfer-Encoding: chunked", body=chunked)
+        )
+        payload = _assert_error(response, 400, "request.malformed")
+        assert "Transfer-Encoding" in payload["error"]["message"]
+        assert closed
+        assert client.request("GET", "/status")[0] == 200
+
+    def test_conflicting_content_length_answers_400_and_closes(self, daemon):
+        _, client = daemon()
+        response, closed = _exchange_raw(
+            client,
+            _post_run(b"Content-Length: 5", b"Content-Length: %d" % len(BODY)),
+        )
+        payload = _assert_error(response, 400, "request.malformed")
+        assert "Content-Length" in payload["error"]["message"]
+        assert closed
+
+    def test_identical_content_length_duplicates_pass(self, daemon):
+        _, client = daemon()
+        length = b"Content-Length: %d" % len(BODY)
+        with socket.create_connection((client.host, client.port), timeout=60) as sock:
+            sock.sendall(_post_run(length, length))
+            status, _, body = _read_response(sock)
+            assert status == 200, body
+            assert json.loads(body)["ok"] is True
+            # The connection stays usable: the body was consumed exactly.
+            sock.sendall(_HEAD + b"\r\n")
+            assert _read_response(sock)[0] == 200
+
+    @pytest.mark.parametrize(
+        "request_bytes, status, kind",
+        [
+            (b"PUT /run HTTP/1.1\r\nContent-Length: 0\r\n\r\n", 501,
+             "http.not_implemented"),
+            (b"DELETE /run HTTP/2.0\r\n\r\n", 505, "request.malformed"),
+            (b"GET /status HTTP/1.x\r\n\r\n", 400, "request.malformed"),
+            (b"GET /status extra HTTP/1.1\r\n\r\n", 400, "request.malformed"),
+            # a 65 537-byte request line and header line, nothing after
+            # them: the daemon reads exactly what was sent before it answers
+            (b"GET /" + b"a" * (65_537 - 5), 414, "request.malformed"),
+            (_HEAD + b"X-Big: " + b"a" * (65_537 - 7), 431, "request.malformed"),
+            (_HEAD + b"".join(b"X-%d: v\r\n" % i for i in range(101)) + b"\r\n",
+             431, "request.malformed"),
+            # http.server counts the blank line against its 100-line limit
+            (_HEAD + b"".join(b"X-%d: v\r\n" % i for i in range(99)) + b"\r\n",
+             431, "request.malformed"),
+            (_HEAD + b"X-Folded: a\r\n b\r\n\r\n", 400, "request.malformed"),
+            (b"GET /status HTTP/1.1\r\nHost : localhost\r\n\r\n", 400,
+             "request.malformed"),
+            (_HEAD + b"no colon here\r\n\r\n", 400, "request.malformed"),
+        ],
+        ids=[
+            "put", "http2", "bad-version", "four-words", "long-request-line",
+            "long-header-line", "101-headers", "100-fields", "obs-fold",
+            "space-before-colon", "no-colon",
+        ],
+    )
+    def test_framing_error_is_an_envelope(self, daemon, request_bytes, status, kind):
+        _, client = daemon()
+        response, closed = _exchange_raw(client, request_bytes)
+        _assert_error(response, status, kind)
+        assert closed
+        assert client.request("GET", "/status")[0] == 200
+
+    def test_header_limit_boundary_passes(self, daemon):
+        """98 fields plus ``Host`` and the blank line: 100 lines, the most
+        ``http.server`` accepts."""
+        _, client = daemon()
+        extra = b"".join(b"X-%d: v\r\n" % i for i in range(98))
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(_HEAD + extra + b"\r\n")
+            status, fields, _ = _read_response(sock)
+        assert status == 200
+        assert "Connection" not in dict(fields)
+
+    def test_expect_100_continue_before_the_body(self, daemon):
+        _, client = daemon()
+        head = _post_run(
+            b"Expect: 100-continue", b"Content-Length: %d" % len(BODY), body=b""
+        )
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(head)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                chunk = sock.recv(1)  # a timeout here: no 100 was sent
+                assert chunk
+                interim += chunk
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.settimeout(60)
+            sock.sendall(BODY)
+            status, _, body = _read_response(sock)
+        assert status == 200, body
+        assert json.loads(body)["ok"] is True
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            _HEAD + b"Connection: close\r\n\r\n",
+            b"GET /status HTTP/1.0\r\n\r\n",
+        ],
+        ids=["connection-close", "http-1.0"],
+    )
+    def test_close_after_the_answer(self, daemon, request_bytes):
+        _, client = daemon()
+        (status, fields, body), closed = _exchange_raw(client, request_bytes)
+        assert status == 200, body
+        assert dict(fields)["Connection"] == "close"
+        assert closed
+
+    def test_head_gets_the_head_alone(self, daemon):
+        """``HEAD`` has no handler: its 501 carries no body."""
+        _, client = daemon()
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            sock.sendall(b"HEAD /status HTTP/1.1\r\nHost: localhost\r\n\r\n")
+            raw = _read_to_eof(sock)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 "), raw
+        assert b"\r\nConnection: close" in head
+        assert body == b""
+
+    def test_http_0_9_gets_the_body_alone(self, daemon):
+        _, client = daemon()
+        with socket.create_connection((client.host, client.port), timeout=10) as sock:
+            # http.server reads a header block after an HTTP/0.9 line too
+            sock.sendall(b"GET /status\r\n\r\n")
+            raw = _read_to_eof(sock)
+        assert validate_envelope(json.loads(raw))["name"] == "repro.service.status"
+
+    def test_http_1_0_keep_alive_stays_open(self, daemon):
+        _, client = daemon()
+        with socket.create_connection((client.host, client.port), timeout=2) as sock:
+            sock.sendall(b"GET /status HTTP/1.0\r\nConnection: keep-alive\r\n\r\n")
+            status, fields, _ = _read_response(sock)
+            assert status == 200
+            assert "Connection" not in dict(fields)
+            assert not _closed(sock)
+
+    def test_response_heads_keep_the_stdlib_field_order(self, daemon):
+        """A ``200`` memo hit and a ``503`` carry the fields
+        ``http.server`` sent, in its order, on one kept-alive connection."""
+        server, client = daemon(sync_limit=1)
+        assert client.request("POST", "/run", POINT)[0] == 200
+        request = _post_run(b"Content-Length: %d" % len(BODY))
+        with socket.create_connection((client.host, client.port), timeout=60) as sock:
+            sock.sendall(request)
+            status, fields, body = _read_response(sock)
+            assert status == 200, body
+            names = [name for name, _ in fields]
+            assert names == ["Server", "Date", "Content-Type", "Content-Length"]
+            headers = dict(fields)
+            assert headers["Server"].startswith("repro-serve/1 Python/")
+            assert headers["Date"].endswith(" GMT")
+            assert int(headers["Content-Length"]) == len(body)
+            slots = server.service._sync_slots
+            assert slots.acquire(blocking=False)  # saturate the one slot
+            try:
+                sock.sendall(request)
+                status, fields, body = _read_response(sock)
+            finally:
+                slots.release()
+        assert status == 503, body
+        assert [name for name, _ in fields] == [
+            "Server", "Date", "Content-Type", "Content-Length", "Retry-After",
+        ]
+        assert int(dict(fields)["Retry-After"]) >= 1
+
+
+def test_date_cache_never_pairs_one_second_with_another(monkeypatch):
+    """Threads swapping the cached ``Date`` every few calls each read the
+    text of a second that passed during their call."""
+    ticks = itertools.count()
+
+    class Clock:
+        @staticmethod
+        def time():
+            return next(ticks) / 3  # a new second every third reading
+
+    monkeypatch.setattr(server_module, "time", Clock)
+    results = []
+
+    def worker():
+        seen = []
+        for _ in range(2_000):
+            before = int(Clock.time())
+            value = server_module._http_date()
+            seen.append((before, value, int(Clock.time())))
+        results.extend(seen)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 8 * 2_000
+    for before, value, after in results:
+        assert value in {
+            email.utils.formatdate(second, usegmt=True).encode()
+            for second in range(before, after + 1)
+        }
 
 
 class TestAnswerMemo:
