@@ -147,11 +147,17 @@ def cmd_figures(args: argparse.Namespace) -> int:
         for name in names
     ]
     if args.json:
+        grid = batch.to_dict()["accounting"]
+        # Which peer ran which points changes from run to run; it goes to
+        # stderr, so the same figures print the same bytes.
+        nodes = grid.pop("nodes", None)
+        if nodes:
+            print(f"grid nodes: {json.dumps(nodes, sort_keys=True)}", file=sys.stderr)
         payload = {
             "schema": api.SCHEMA_FIGURE_SET,
             "ok": True,
             "error": None,
-            "grid": batch.to_dict()["accounting"],
+            "grid": grid,
             "figures": {result.spec.name: result.to_dict() for result in results},
         }
         print(json.dumps(payload, sort_keys=True))
@@ -344,7 +350,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    from .service import ServiceConfig, serve
+    # The worker peers spawn and start warming before the daemon imports
+    # its HTTP front: this module imports only the scheduler.
+    from .service.config import ServiceConfig, start_peers
 
     config = ServiceConfig(
         host=args.host,
@@ -357,11 +365,22 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_retries=args.max_retries,
         warm_benchmarks=tuple(args.warm_benchmarks or ()),
     )
+    peers = None
     try:
-        return serve(config, warm=not args.no_warm)
+        if not args.no_warm:
+            peers = start_peers(config)
+        from .service.server import serve
+
+        return serve(config, warm=not args.no_warm, peers=peers)
     except ValueError as exc:  # e.g. REPRO_JOBS=0 — a usage error, not a crash
         print(f"serve: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:  # e.g. the port is taken
+        print(f"serve: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if peers is not None:
+            peers[0].close()  # idempotent; no peer outlives a failed start
 
 
 def cmd_cache(args: argparse.Namespace) -> int:

@@ -54,7 +54,13 @@ if TYPE_CHECKING:  # avoid a package-level import cycle with the pipeline
     from ..pipeline.config import MachineConfig
     from ..pipeline.stats import SimStats
 from .table_of_loads import TableOfLoads
-from .vector_regfile import VectorRegister, VectorRegisterFile, wake_element
+from .vector_regfile import (
+    VectorRegister,
+    VectorRegisterFile,
+    sleep_on_register,
+    wake_element,
+    wake_instances,
+)
 from .vrmt import VRMT, VRMTEntry
 
 Number = Union[int, float]
@@ -166,6 +172,7 @@ class VectorAluInstance:
         "fu_unit",
         "fu_class",
         "latency",
+        "asleep",
     )
 
     def __init__(
@@ -191,6 +198,9 @@ class VectorAluInstance:
         #: index of the vector FU this instance occupies (set lazily, when
         #: its first element is ready).
         self.fu_unit: Optional[int] = None
+        #: blocked on a source register until it changes
+        #: (:func:`~repro.core.vector_regfile.sleep_on_register`).
+        self.asleep = False
 
     #: re-initialize a pooled record in place (same signature as __init__).
     reset = __init__
@@ -469,6 +479,12 @@ class VectorizationEngine:
         ``r_time`` is the issue slot plus the FU latency, and its value is
         written to ``dest.values`` in the same step, so every scheduled
         element holds its real value.
+
+        A run that stops on a live source element puts the instance to
+        sleep on that source register; until the register changes, passes
+        skip the instance in place, after the checks on its own
+        destination, so the visit order and every visit that can make
+        progress are those of a full scan.
         """
         if not self.pending_alu:
             return
@@ -495,7 +511,12 @@ class VectorizationEngine:
                         self.stats.fetches_cancelled += 1
                         if sleepers is not None:
                             wake_element(dest, j, now, self.parked)
+                if dest.alu_sleepers is not None:
+                    wake_instances(dest)
                 pool.append(inst)
+                continue
+            if inst.asleep:
+                remaining.append(inst)
                 continue
             first = k
             a_reg = inst.a_reg
@@ -509,6 +530,7 @@ class VectorizationEngine:
                     t = a_reg.r_time[i]
                     if t is None:
                         if not (a_reg.defunct or a_reg.freed or a_reg.abandoned):
+                            sleep_on_register(a_reg, inst)
                             break
                     else:
                         ready = t
@@ -520,6 +542,7 @@ class VectorizationEngine:
                     t = b_reg.r_time[i]
                     if t is None:
                         if not (b_reg.defunct or b_reg.freed or b_reg.abandoned):
+                            sleep_on_register(b_reg, inst)
                             break
                     elif t > ready:
                         ready = t
@@ -551,6 +574,8 @@ class VectorizationEngine:
                 if dest.sleepers is not None:
                     for j in range(first, k):
                         wake_element(dest, j, r_time[j], self.parked)
+                if dest.alu_sleepers is not None:
+                    wake_instances(dest)
                 if k == length:
                     pool.append(inst)
                     continue
@@ -589,6 +614,8 @@ class VectorizationEngine:
         reg.r_time[elem] = 0
         if reg.sleepers is not None:
             wake_element(reg, elem, 0, self.parked)
+        if reg.alu_sleepers is not None:
+            wake_instances(reg)
 
     def _enqueue_load_fetches(self, reg: VectorRegister, upto: int) -> None:
         """Queue element fetches for ``reg`` through element ``upto``.
@@ -639,6 +666,8 @@ class VectorizationEngine:
             self.vrmt.invalidate(pc)
         was_dead = fl.vreg.freed or fl.vreg.defunct
         fl.vreg.defunct = True
+        if fl.vreg.alu_sleepers is not None:
+            wake_instances(fl.vreg)
         fl.vrmt_rollback = (pc, None, 0)
         demoted = False
         if fl.vreg.is_load:
@@ -771,6 +800,8 @@ class VectorizationEngine:
                 continue
             conflict = True
             reg.defunct = True
+            if reg.alu_sleepers is not None:
+                wake_instances(reg)
             hit_pcs.append(reg.pc)
             mapping = self.vrmt.table.peek(reg.pc)
             if mapping is not None and mapping.reg is reg:
@@ -870,6 +901,8 @@ class VectorizationEngine:
                 # stop the unscheduled elements from pinning the register.
                 self.stats.fetches_cancelled += reg.length - reg.next_fetch
                 reg.abandoned = True
+                if reg.alu_sleepers is not None:
+                    wake_instances(reg)
             self._maybe_free(reg, now)
 
     # ------------------------------------------------------------------

@@ -69,6 +69,7 @@ class VectorRegister:
         "next_fetch",
         "abandoned",
         "sleepers",
+        "alu_sleepers",
     )
 
     def __init__(
@@ -129,6 +130,9 @@ class VectorRegister:
         #: element is scheduled (None until the first one sleeps; see
         #: :func:`sleep_on_element`).
         self.sleepers: Optional[List[Optional[list]]] = None
+        #: vector ALU instances asleep until this register changes (None
+        #: until the first one sleeps; see :func:`sleep_on_register`).
+        self.alu_sleepers: Optional[list] = None
         for k in range(start_offset):
             self.r_time[k] = 0
 
@@ -197,6 +201,31 @@ def wake_element(reg: VectorRegister, k: int, t: int, parked: list) -> None:
                 heappush(parked, (t, fl.seq, fl))
 
 
+def sleep_on_register(reg: VectorRegister, inst) -> None:
+    """Put vector ALU instance ``inst`` to sleep until ``reg`` changes:
+    its scan stopped on an element of ``reg`` that is live and not yet
+    scheduled, and no pass can get further before one of ``reg``'s
+    elements is scheduled or ``reg`` turns defunct, freed or abandoned."""
+    inst.asleep = True
+    waiting = reg.alu_sleepers
+    if waiting is None:
+        reg.alu_sleepers = [inst]
+    else:
+        waiting.append(inst)
+
+
+def wake_instances(reg: VectorRegister) -> None:
+    """``reg`` changed: wake every instance asleep on it.  A wake only
+    clears the flag, and the instance keeps its place in the engine's
+    pending list, so the visit order (which decides the vector FU claim)
+    is unchanged; an instance woken by another element than the one it
+    waits for costs one visit that makes no progress and sleeps again.
+    Callers check ``reg.alu_sleepers is not None``."""
+    for inst in reg.alu_sleepers:
+        inst.asleep = False
+    reg.alu_sleepers = None
+
+
 class VectorRegisterFile:
     """Allocation pool over ``num_registers`` slots with generations."""
 
@@ -248,6 +277,8 @@ class VectorRegisterFile:
         if reg.freed:
             return
         reg.freed = True
+        if reg.alu_sleepers is not None:
+            wake_instances(reg)
         self._live[reg.slot] = None
         self._free_slots.append(reg.slot)
         if reg.is_load:

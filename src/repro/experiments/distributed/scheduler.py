@@ -104,8 +104,8 @@ class _Peer:
         self.last_frame = time.monotonic()
         #: (task id, _Batch, GridPoint, dispatch time) or None.
         self.inflight: Optional[tuple] = None
-        #: the _Warmup this peer has yet to answer, or None.
-        self.warming: Optional["_Warmup"] = None
+        #: the Warmup this peer has yet to answer, or None.
+        self.warming: Optional["Warmup"] = None
         self.dead = False
         self._reader = threading.Thread(
             target=self._read_loop, args=(events,), daemon=True
@@ -206,8 +206,8 @@ class _Batch:
         return self.strikes.get(slot.index, 0) >= NODE_MAX_STRIKES
 
 
-class _Warmup:
-    """One :meth:`DistributedScheduler.warm` call awaiting its peers."""
+class Warmup:
+    """One warm-up (:meth:`DistributedScheduler.start_warm`) awaiting its peers."""
 
     def __init__(self, benchmarks, scale: int) -> None:
         self.benchmarks = list(benchmarks)
@@ -221,6 +221,11 @@ class _Warmup:
         self.warmed += warmed
         if self.waiting <= 0:
             self.done.set()
+
+    def wait(self, timeout: Optional[float] = 60.0) -> int:
+        """Wait up to ``timeout`` seconds; returns how many peers answered."""
+        self.done.wait(timeout)
+        return self.warmed
 
 
 class DistributedScheduler:
@@ -289,23 +294,17 @@ class DistributedScheduler:
             raise RuntimeError("scheduler dispatcher failed") from batch.error
         return batch.outcomes
 
-    def warm(
-        self,
-        benchmarks=(),
-        scale: int = EXPERIMENT_SCALE,
-        timeout: Optional[float] = 60.0,
-    ) -> int:
-        """Spawn every peer now and have it load ``benchmarks``' traces.
+    def start_warm(self, benchmarks=(), scale: int = EXPERIMENT_SCALE) -> Warmup:
+        """Spawn every peer now and have it load ``benchmarks``' traces,
+        without waiting: the returned :class:`Warmup` is the wait.
 
         Each peer walks the list from its own offset, so every trace is
         built once and the other peers load it from the shared disk
-        cache.  Waits up to ``timeout`` seconds; returns how many peers
-        answered.
+        cache.
         """
-        request = _Warmup(benchmarks, scale)
+        request = Warmup(benchmarks, scale)
         self._submit("warm", request)
-        request.done.wait(timeout)
-        return request.warmed
+        return request
 
     def close(self) -> None:
         """Stop the dispatcher and shut every peer down (idempotent).
@@ -462,7 +461,7 @@ class DistributedScheduler:
         self._ensure_peers(batch)
         self._batches.append(batch)
 
-    def _start_warmup(self, request: _Warmup) -> None:
+    def _start_warmup(self, request: Warmup) -> None:
         self._ensure_peers(None)
         live = [slot for slot in self._slots if slot.live]
         names = request.benchmarks

@@ -155,14 +155,28 @@ def _build_alu_dispatch() -> Dict[Opcode, Callable[[Number, Number], Number]]:
 
 _ALU_DISPATCH = _build_alu_dispatch()
 
+#: the integer operations on operands already wrapped to int64, where
+#: :func:`_int2`'s coercion is the identity.
+_INT64_ALU: Dict[Opcode, Callable[[int, int], int]] = {
+    **_INT_RR,
+    **{op: _INT_RR[rr] for op, rr in _RI_TO_RR.items()},
+    Opcode.LI: lambda a, b: b,
+}
 
-def alu_function(op: Opcode) -> Callable[[Number, Number], Number]:
+
+def alu_function(
+    op: Opcode, int64_operands: bool = False
+) -> Callable[[Number, Number], Number]:
     """The ``(a, b) -> result`` callable :func:`apply_alu` applies for
     ``op`` — for callers that evaluate one opcode many times (the vector
-    datapath looks it up once per vector instance)."""
+    datapath looks it up once per vector instance).  With
+    ``int64_operands`` the caller promises both operands are int64 ints
+    already, and an integer operation skips their coercion."""
     fn = _ALU_DISPATCH.get(op)
     if fn is None:
         raise ValueError(f"apply_alu: {op.name} is not an arithmetic opcode")
+    if int64_operands:
+        return _INT64_ALU.get(op, fn)
     return fn
 
 
@@ -178,9 +192,19 @@ def apply_alu(op: Opcode, a: Number, b: Number) -> Number:
     return (_ALU_DISPATCH.get(op) or alu_function(op))(a, b)
 
 
-def branch_taken(op: Opcode, a: Number, b: Number) -> bool:
-    """Evaluate a conditional-branch condition on integer operands."""
+def branch_function(
+    op: Opcode, int64_operands: bool = False
+) -> Callable[[Number, Number], bool]:
+    """The ``(a, b) -> bool`` condition :func:`branch_taken` evaluates for
+    ``op``.  With ``int64_operands`` the caller promises both operands
+    are int64 ints already (integer-register contents), and the callable
+    skips their coercion."""
     fn = _BRANCH.get(op)
     if fn is None:
         raise ValueError(f"branch_taken: {op.name} is not a branch opcode")
-    return fn(s64(int(a)), s64(int(b)))
+    return fn if int64_operands else _int2(fn)
+
+
+def branch_taken(op: Opcode, a: Number, b: Number) -> bool:
+    """Evaluate a conditional-branch condition on integer operands."""
+    return branch_function(op)(a, b)

@@ -51,7 +51,7 @@ from operator import attrgetter
 from typing import Deque, List, Optional, Tuple, Union
 
 from ..core.engine import TRIGGER, VALIDATION, VectorizationEngine
-from ..core.vector_regfile import sleep_on_element, wake_element
+from ..core.vector_regfile import sleep_on_element, wake_element, wake_instances
 from ..frontend.fetch import FetchUnit
 from ..functional.memory import MemoryImage
 from ..functional.semantics import S64_MAX, U64, U64_MASK
@@ -476,6 +476,8 @@ class Machine:
                     reg.r_time[elem] = ready
                     if reg.sleepers is not None:
                         wake_element(reg, elem, ready, self._parked)
+                    if reg.alu_sleepers is not None:
+                        wake_instances(reg)
                     reg.txn_ids[elem] = txn
                     spec_words += 1
                     vector_served = True

@@ -28,7 +28,8 @@ reference and wire examples.
 Module map: :mod:`~repro.service.wire` (request parsing + dedup keys),
 :mod:`~repro.service.dedup` (in-flight coalescing),
 :mod:`~repro.service.jobs` (job table + executors),
-:mod:`~repro.service.server` (HTTP front + ``ServiceConfig``).
+:mod:`~repro.service.config` (``ServiceConfig`` + the peers-first start),
+:mod:`~repro.service.server` (HTTP front + daemon entry point).
 """
 
 from .._lazy import lazy_exports
@@ -42,8 +43,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "JobManager",
         "JobQueueFull",
     ),
-    ".server": (
+    ".config": (
         "ServiceConfig",
+    ),
+    ".server": (
         "SimulationService",
         "serve",
     ),

@@ -49,14 +49,13 @@ import threading
 import time
 import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeout
-from dataclasses import dataclass, field
 from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple, Union
 
 from .. import api
 from ..experiments import diskcache
-from ..experiments.parallel import resolve_jobs
+from ..experiments.distributed.scheduler import DistributedScheduler, Warmup
 from ..observe import MetricsRegistry
 from ..schemas import (
     SCHEMA_HEADLINE,
@@ -67,6 +66,7 @@ from ..schemas import (
     wrap_error,
 )
 from . import wire
+from .config import ServiceConfig, default_jobs, start_peers
 from .dedup import InflightRegistry
 from .jobs import Job, JobCancelled, JobManager, JobQueueFull
 
@@ -157,59 +157,30 @@ def _version_number(version: str) -> Optional[Tuple[int, int]]:
     return int(numbers[0]), int(numbers[1])
 
 
-def _default_jobs() -> int:
-    """Worker peers: ``$REPRO_JOBS``/CPU count, but never below 2.
-
-    The floor matters: with one peer a crash-fault retry waits for its
-    respawn, and a single slow request would serialize the whole daemon.
-    ``REPRO_JOBS=0`` or negative is a usage error and raises
-    ``ValueError`` — the same contract as every other consumer of the
-    variable — not a silent reinterpretation as 2.
-    """
-    return max(2, resolve_jobs(None))
-
-
-@dataclass
-class ServiceConfig:
-    """Everything ``python -m repro serve`` lets you turn."""
-
-    host: str = "127.0.0.1"
-    port: int = 8642
-    #: worker peers of the shared scheduler (default: max(2, CPUs)).
-    jobs: Optional[int] = None
-    #: threads draining the async job queue.
-    job_workers: int = 2
-    #: bounded async admission: queued jobs past this answer 503.
-    queue_limit: int = 16
-    #: concurrent synchronous requests past this answer 503.
-    sync_limit: int = 8
-    #: per-request stall/wait bound in seconds (504 past it).
-    request_timeout: float = 300.0
-    #: retry budget forwarded to the fault-tolerant fabric (None = env/default).
-    max_retries: Optional[int] = None
-    #: completed jobs kept for polling before eviction.
-    job_history: int = 256
-    #: benchmarks whose functional traces workers preload at warm-up.
-    warm_benchmarks: Tuple[str, ...] = field(default_factory=tuple)
-    #: trace preload scale for warm-up.
-    warm_scale: int = api.EXPERIMENT_SCALE
-
-
 class SimulationService:
     """The daemon's brain: peers + dedup + jobs + metrics, HTTP-agnostic.
 
     Separated from the HTTP handler so tests can drive it directly and
-    the wire layer stays a thin translation.
+    the wire layer stays a thin translation.  ``scheduler`` and
+    ``warmup`` take over peers that :func:`~repro.service.config.start_peers`
+    already spawned; without them the service builds its own scheduler,
+    whose peers spawn at :meth:`warm` or at the first cold point.
     """
 
-    def __init__(self, config: Optional[ServiceConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[ServiceConfig] = None,
+        scheduler: Optional[DistributedScheduler] = None,
+        warmup: Optional[Warmup] = None,
+    ) -> None:
         self.config = config or ServiceConfig()
         for module in _REQUEST_PATH:
             importlib.import_module(module)
         self.started = time.time()
-        self.scheduler = api.DistributedScheduler(
-            self.config.jobs or _default_jobs()
+        self.scheduler = scheduler or DistributedScheduler(
+            self.config.jobs or default_jobs()
         )
+        self._warmup = warmup
         self.metrics = MetricsRegistry()
         self.inflight = InflightRegistry()
         #: ``/run`` point -> the encoded body of its first ``200`` answer.
@@ -231,10 +202,14 @@ class SimulationService:
     # -- lifecycle ---------------------------------------------------------
 
     def warm(self) -> int:
-        """Spawn the worker peers now; returns how many finished warming."""
-        warmed = self.scheduler.warm(
-            self.config.warm_benchmarks, scale=self.config.warm_scale
-        )
+        """Wait for the peers' warm-up, started now unless it was started
+        before the service; returns how many peers finished warming."""
+        warmup, self._warmup = self._warmup, None
+        if warmup is None:
+            warmup = self.scheduler.start_warm(
+                self.config.warm_benchmarks, self.config.warm_scale
+            )
+        warmed = warmup.wait()
         self.metrics.gauge("service.workers_warmed").set(warmed)
         return warmed
 
@@ -987,14 +962,36 @@ def build_server(
     return server
 
 
-def serve(config: Optional[ServiceConfig] = None, warm: bool = True) -> int:
-    """Run the daemon until interrupted (the ``python -m repro serve`` body)."""
+def serve(
+    config: Optional[ServiceConfig] = None,
+    warm: bool = True,
+    peers: Optional[Tuple[DistributedScheduler, Warmup]] = None,
+) -> int:
+    """Run the daemon until interrupted (the ``python -m repro serve`` body).
+
+    With ``warm``, the worker peers spawn and start warming first — or
+    ``peers``, the pair :func:`~repro.service.config.start_peers`
+    returned, already did — and the daemon starts listening once every
+    peer has answered.  A start-up error shuts the peers down.
+    """
     config = config or ServiceConfig()
-    server = build_server(config)
-    service: SimulationService = server.service  # type: ignore[attr-defined]
-    if warm:
-        warmed = service.warm()
-        print(f"serve: warmed {warmed} worker peer(s)", file=sys.stderr)
+    if warm and peers is None:
+        peers = start_peers(config)
+    scheduler, warmup = peers or (None, None)
+    try:
+        service = SimulationService(config, scheduler, warmup)
+    except BaseException:
+        if scheduler is not None:
+            scheduler.close()
+        raise
+    try:
+        server = build_server(config, service)
+        if warm:
+            warmed = service.warm()
+            print(f"serve: warmed {warmed} worker peer(s)", file=sys.stderr)
+    except BaseException:
+        service.shutdown()
+        raise
     host, port = server.server_address[:2]
     print(
         f"serve: listening on http://{host}:{port} "

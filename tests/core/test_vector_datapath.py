@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.engine import TRIGGER, MisspeculationError
+from repro.core.vector_regfile import wake_instances
 from repro.functional.semantics import apply_alu
 from repro.isa.opcodes import FU_LATENCY, Opcode, fu_class_of
 from repro.memory import DataPorts
@@ -64,14 +65,36 @@ def test_tick_stops_at_an_unfetched_source_and_resumes():
     # The FU opens at cycle 20; one element per cycle through the pipe.
     assert dest.r_time == [20 + latency, 21 + latency, None, None]
     assert dest.values[:2] == [1.5 - 0.75, -2.25 - 0.75]
-    assert engine.pending_alu  # waiting on element 2
+    [inst] = engine.pending_alu  # waiting on element 2, asleep on x
+    assert inst.asleep and x.alu_sleepers == [inst]
+    engine.tick(22)
+    assert dest.r_time[2:] == [None, None]
     for k in (2, 3):
         x.values[k] = loaded[k]
         x.r_time[k] = 25
+    wake_instances(x)  # what every element-time writer does
+    assert not inst.asleep and x.alu_sleepers is None
     engine.tick(26)
     # Never before the sources (ready at 25), never two in one cycle.
     assert dest.r_time[2:] == [25 + latency, 26 + latency]
     assert dest.values == [1.5 - 0.75, -2.25 - 0.75, 8.0 - 0.75, 0.5 - 0.75]
+    assert not engine.pending_alu
+
+
+def test_a_source_leaving_the_live_set_wakes_its_sleepers():
+    """Freed (like defunct or abandoned) source elements count as ready:
+    the transition wakes the instances asleep on the register, and their
+    next pass schedules the rest of the register."""
+    engine = make_engine()
+    x = _load_register(engine, 10, 0x1000, [1, 2, 3, 4], fetched=(0,))
+    dest = engine.decode_alu(FakeAluEntry(5, 60, "ADD", s2=1), (x, 0), None, now=5)[1]
+    engine.tick(20)
+    [inst] = engine.pending_alu
+    assert inst.asleep and dest.r_time[1:] == [None, None, None]
+    engine.vrf.free(x)
+    assert not inst.asleep
+    engine.tick(21)
+    assert None not in dest.r_time
     assert not engine.pending_alu
 
 

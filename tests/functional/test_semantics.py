@@ -4,7 +4,13 @@ import math
 
 import pytest
 
-from repro.functional.semantics import apply_alu, branch_taken, s64
+from repro.functional.semantics import (
+    alu_function,
+    apply_alu,
+    branch_function,
+    branch_taken,
+    s64,
+)
 from repro.isa import Opcode
 
 S64_MIN = -(1 << 63)
@@ -149,3 +155,25 @@ def test_non_arithmetic_op_rejected():
 
 def test_results_never_nan_from_finite_div():
     assert not math.isnan(apply_alu(Opcode.FDIV, 0.0, 0.0))
+
+
+_INT64_EDGES = (0, 1, -1, 7, -64, 63, 64, 1 << 40, S64_MAX, -S64_MAX - 1)
+
+
+@pytest.mark.parametrize("op", [op for op in Opcode if op <= Opcode.LI])
+def test_int64_alu_callables_skip_only_an_identity_coercion(op):
+    """On int64 operands the uncoerced integer callables the interpreter
+    predecodes agree with :func:`apply_alu`, result type included."""
+    fast = alu_function(op, int64_operands=True)
+    for a in _INT64_EDGES:
+        for b in _INT64_EDGES:
+            got, want = fast(a, b), apply_alu(op, a, b)
+            assert (type(got), got) == (type(want), want), (op, a, b)
+
+
+@pytest.mark.parametrize("op", [Opcode.BEQ, Opcode.BNE, Opcode.BLT, Opcode.BGE])
+def test_int64_branch_conditions_match_branch_taken(op):
+    fast = branch_function(op, int64_operands=True)
+    for a in _INT64_EDGES:
+        for b in _INT64_EDGES:
+            assert fast(a, b) == branch_taken(op, a, b), (op, a, b)

@@ -1,7 +1,10 @@
 """The ``python -m repro`` command-line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -154,3 +157,27 @@ def test_cache_section_choices_are_the_cache_sections(tmp_path, monkeypatch, cap
 def test_requires_command():
     with pytest.raises(SystemExit):
         main([])
+
+
+def test_figures_json_is_byte_reproducible_at_two_jobs(tmp_path):
+    """Two cold ``--jobs 2`` runs print the same bytes: which peer ran
+    which points varies between runs, so that split goes to stderr."""
+    outputs = []
+    for run in ("a", "b"):
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / run))
+        env.pop("REPRO_NO_DISK_CACHE", None)
+        env.pop("REPRO_FAULTS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "figures", "--only", "fig14",
+             "--scale", "2000", "--jobs", "2", "--json"],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert done.returncode == 0, done.stderr
+        grid = json.loads(done.stdout)["grid"]
+        assert grid["simulated"] == grid["unique"] > 0
+        assert "nodes" not in grid
+        [line] = [l for l in done.stderr.splitlines() if l.startswith("grid nodes: ")]
+        nodes = json.loads(line[len("grid nodes: "):])
+        assert sum(node["completed"] for node in nodes) == grid["unique"]
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
