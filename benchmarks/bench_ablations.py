@@ -1,15 +1,13 @@
 """Ablation benches for the design choices DESIGN.md calls out.
 
 Not figures from the paper — these quantify the parameters the paper fixes
-by fiat (vector length 4, 128 registers, confidence 2), the reproduction's
-TL failure-damping addition, and the future-work dead-fetch-cancellation
-extension (§4.3's power concern).
+by fiat (vector length 4, 128 registers, confidence 2) and the
+reproduction's TL failure-damping addition.
 """
 
 from repro.experiments import (
     confidence_sweep,
     damping_ablation,
-    speculation_throttling,
     register_count_sweep,
     vector_length_sweep,
 )
@@ -35,8 +33,3 @@ def test_ablation_confidence(benchmark):
 def test_ablation_damping(benchmark):
     rows = benchmark.pedantic(damping_ablation, kwargs={"scale": SCALE}, rounds=1, iterations=1)
     emit("ablation_damping", "Ablation: TL failure damping (ours) vs the paper's literal rule", rows)
-
-
-def test_extension_speculation_throttling(benchmark):
-    rows = benchmark.pedantic(speculation_throttling, kwargs={"scale": SCALE}, rounds=1, iterations=1)
-    emit("extension_throttle", "Extension (paper future work): throttled speculative fetching", rows)

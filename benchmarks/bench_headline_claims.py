@@ -11,30 +11,18 @@ The bench prints paper-vs-measured side by side; EXPERIMENTS.md records a
 full-scale snapshot.
 """
 
-import pathlib
-
 from repro.analysis import format_table
 from repro.experiments import headline_claims
+from repro.experiments.paper_reference import HEADLINE, same_sign
 
 from conftest import RESULTS_DIR, SCALE
-
-PAPER = {
-    "speedup_1pV_vs_4pnoIM": 0.19,
-    "speedup_1pV_vs_8way_4pnoIM": 0.03,
-    "int_ipc_gain_over_IM": 0.212,
-    "fp_ipc_gain_over_IM": 0.081,
-    "int_mem_reduction": 0.15,
-    "fp_mem_reduction": 0.20,
-    "int_validation_fraction": 0.28,
-    "fp_validation_fraction": 0.23,
-}
 
 
 def test_headline_claims(benchmark):
     measured = benchmark.pedantic(headline_claims, args=(SCALE,), rounds=1, iterations=1)
     rows = [
-        [key, f"{PAPER[key]:+.1%}", f"{value:+.1%}",
-         "same sign" if (value > 0) == (PAPER[key] > 0) else "SIGN FLIP"]
+        [key, f"{HEADLINE[key]:+.1%}", f"{value:+.1%}",
+         "same sign" if same_sign(value, HEADLINE[key]) else "SIGN FLIP"]
         for key, value in measured.items()
     ]
     table = format_table(["claim", "paper", "measured", "shape"], rows)
@@ -50,4 +38,4 @@ def test_headline_claims(benchmark):
     for key, value in measured.items():
         if key == "speedup_1pV_vs_8way_4pnoIM":
             continue
-        assert (value > 0) == (PAPER[key] > 0), key
+        assert same_sign(value, HEADLINE[key]), key

@@ -148,9 +148,8 @@ class VectorAluInstance:
     class and latency come from the instruction's per-PC decode.
 
     Elements are scheduled individually as their source elements become
-    available (sources may themselves trickle in when element fetching is
-    throttled), flowing through one pipelined vector FU at one element per
-    cycle.
+    available (a load source's elements arrive one fetch at a time),
+    flowing through one pipelined vector FU at one element per cycle.
 
     Instances are recycled through the engine's free pool (``reset`` is
     the whole constructor), so steady-state V-mode runs allocate no new
@@ -243,8 +242,6 @@ class VectorizationEngine:
             cls: [0] * count for cls, count in config.fu_pool_sizes().items()
         }
         # Hoisted configuration scalars (read in per-cycle/per-commit paths).
-        self._cancel_dead = vc.cancel_dead_fetches
-        self._fetch_ahead = vc.fetch_ahead
         self._check_invariants = config.check_invariants
         #: recycled VectorAluInstance records (see tick()).
         self._alu_pool: List[VectorAluInstance] = []
@@ -321,8 +318,7 @@ class VectorizationEngine:
         reg.fp_load = fp
         reg.set_load_addresses(base_addr, stride)
         self.vrf.index_load(reg)
-        ahead = self._fetch_ahead
-        self._enqueue_load_fetches(reg, self.vl - 1 if ahead <= 0 else ahead)
+        self._enqueue_load_fetches(reg)
         self.vrmt.insert(pc, VRMTEntry(reg, 1))
         reg.u_bits |= 1
         self.stats.vector_instances += 1
@@ -469,9 +465,9 @@ class VectorizationEngine:
 
         Per instance, the contiguous run of ready elements starting at
         ``next_elem`` is scheduled: a live source element with no compute
-        time yet ends the run (defunct / freed / abandoned sources count as
-        ready — their values are garbage, but consumers of garbage are
-        squashed before commit).  Each element issues at
+        time yet ends the run (defunct and freed sources count as ready —
+        their values are garbage, but consumers of garbage are squashed
+        before commit).  Each element issues at
         ``max(prev_issue + 1, pipe_start, src_ready)`` — one element per
         cycle through one pipelined FU, claimed (least-busy unit of the
         opcode's class) when the instance's first element is ready; the
@@ -488,7 +484,6 @@ class VectorizationEngine:
         """
         if not self.pending_alu:
             return
-        cancel_dead = self._cancel_dead
         pool = self._alu_pool
         fu_free = self.vec_fu_free
         remaining = []
@@ -499,22 +494,6 @@ class VectorizationEngine:
                 continue
             k = inst.next_elem
             length = dest.length
-            if cancel_dead and not dest.defunct and self._register_is_dead(dest):
-                # Future-work extension: skip computing elements nobody can
-                # ever validate (complete them as garbage so freeing and
-                # dependent timing still resolve).
-                r_time = dest.r_time
-                sleepers = dest.sleepers
-                for j in range(k, length):
-                    if r_time[j] is None:
-                        r_time[j] = now
-                        self.stats.fetches_cancelled += 1
-                        if sleepers is not None:
-                            wake_element(dest, j, now, self.parked)
-                if dest.alu_sleepers is not None:
-                    wake_instances(dest)
-                pool.append(inst)
-                continue
             if inst.asleep:
                 remaining.append(inst)
                 continue
@@ -529,7 +508,7 @@ class VectorizationEngine:
                     i = k + inst.a_off
                     t = a_reg.r_time[i]
                     if t is None:
-                        if not (a_reg.defunct or a_reg.freed or a_reg.abandoned):
+                        if not (a_reg.defunct or a_reg.freed):
                             sleep_on_register(a_reg, inst)
                             break
                     else:
@@ -541,7 +520,7 @@ class VectorizationEngine:
                     i = k + inst.b_off
                     t = b_reg.r_time[i]
                     if t is None:
-                        if not (b_reg.defunct or b_reg.freed or b_reg.abandoned):
+                        if not (b_reg.defunct or b_reg.freed):
                             sleep_on_register(b_reg, inst)
                             break
                     elif t > ready:
@@ -589,20 +568,11 @@ class VectorizationEngine:
         defunct) are completed in place with garbage so dependents'
         timing can resolve; they consume no port.
         """
-        cancel_dead = self._cancel_dead
         out: List[Tuple[VectorRegister, int, int]] = []
         while self.pending_fetches and len(out) < limit:
             reg, elem, addr = self.pending_fetches.popleft()
             if reg.freed or reg.defunct:
                 if not reg.freed and reg.r_time[elem] is None:
-                    self._complete_garbage(reg, elem)
-                continue
-            if cancel_dead and self._register_is_dead(reg):
-                # Future-work extension (§4.3): nothing can ever validate
-                # this register again — the fetch would be pure waste; drop
-                # it instead of burning a port and a line fill.
-                self.stats.fetches_cancelled += 1
-                if reg.r_time[elem] is None:
                     self._complete_garbage(reg, elem)
                 continue
             out.append((reg, elem, addr))
@@ -617,28 +587,12 @@ class VectorizationEngine:
         if reg.alu_sleepers is not None:
             wake_instances(reg)
 
-    def _enqueue_load_fetches(self, reg: VectorRegister, upto: int) -> None:
-        """Queue element fetches for ``reg`` through element ``upto``.
-
-        With ``fetch_ahead == 0`` (the paper's eager behaviour) the whole
-        register is queued at creation; with throttling, fetches trail the
-        validation stream by ``fetch_ahead`` elements so registers whose
-        loop ends early never fetch their dead tail."""
-        upto = min(upto, reg.length - 1)
-        while reg.next_fetch <= upto:
-            k = reg.next_fetch
-            reg.next_fetch += 1
-            self.pending_fetches.append((reg, k, reg.pred_addrs[k]))
-
-    def _register_is_dead(self, reg: VectorRegister) -> bool:
-        """True when no future validation can attach to ``reg``: its loop
-        has terminated, no validation is in flight, and the VRMT no longer
-        maps its PC to it (so later instances of the instruction will build
-        a fresh instance rather than consume these elements)."""
-        if reg.mrbb == self.gmrbb or reg.u_bits:
-            return False
-        mapping = self.vrmt.table.peek(reg.pc)
-        return mapping is None or mapping.reg is not reg
+    def _enqueue_load_fetches(self, reg: VectorRegister) -> None:
+        """Queue a fetch for every element of ``reg`` at its creation: the
+        paper's eager whole-register fetch (§3.2)."""
+        self.pending_fetches.extend(
+            (reg, k, addr) for k, addr in enumerate(reg.pred_addrs)
+        )
 
     def requeue_fetches(self, fetches: List[Tuple[VectorRegister, int, int]]) -> None:
         """Return unserviced fetches (no port / MSHR full) to the queue."""
@@ -712,9 +666,6 @@ class VectorizationEngine:
             txn = reg.txn_ids[k]
             if txn is not None:
                 ports.element_validated(txn)
-            ahead = self._fetch_ahead
-            if ahead > 0:
-                self._enqueue_load_fetches(reg, k + ahead)
             if k == reg.length - 1:
                 self.tl.reward(fl.entry.pc)
         if fl.counts_as_validation:
@@ -838,8 +789,7 @@ class VectorizationEngine:
 
         A register with a validation in flight (any U) stays.  A defunct
         one goes as soon as none is.  Otherwise every element must be
-        computed (R: ``r_time <= now``; an abandoned register's never-
-        scheduled elements do not count) and either rule 1 holds — every
+        computed (R: ``r_time <= now``) and either rule 1 holds — every
         element freed (F) — or rule 2 — every validated element freed and
         the allocating loop terminated (MRBB differs from GMRBB).
 
@@ -849,7 +799,6 @@ class VectorizationEngine:
         """
         if reg.freed or reg.u_bits:
             return
-        computed = False
         if not reg.defunct:
             if reg.f_bits != reg.full_mask:
                 # Rule 1 failed; rule 2 needs a terminated loop and every
@@ -859,18 +808,11 @@ class VectorizationEngine:
                     return
                 if reg.v_bits & ~reg.f_bits:
                     return
-            r_time = reg.r_time
-            if reg.abandoned:
-                for t in r_time:
-                    if t is not None and t > now:
-                        return
-            else:
-                for t in r_time:
-                    if t is None or t > now:
-                        return
-                computed = True
+            for t in reg.r_time:
+                if t is None or t > now:
+                    return
         stats = self.stats
-        if computed:
+        if not reg.defunct:
             # Every element is computed: Fig 15's fates in closed form
             # (what element_fates counts, one element at a time).
             start = reg.start_offset
@@ -887,22 +829,7 @@ class VectorizationEngine:
         self.vrf.free(reg)
 
     def _sweep_frees(self, now: int) -> None:
-        throttled = self._fetch_ahead > 0
         for reg in self.vrf.live_registers():
-            if (
-                throttled
-                and reg.is_load
-                and not reg.abandoned
-                and reg.next_fetch < reg.length
-                and self._register_is_dead(reg)
-            ):
-                # Throttled-fetch extension: the register's tail was never
-                # requested and never will be — count the saved fetches and
-                # stop the unscheduled elements from pinning the register.
-                self.stats.fetches_cancelled += reg.length - reg.next_fetch
-                reg.abandoned = True
-                if reg.alu_sleepers is not None:
-                    wake_instances(reg)
             self._maybe_free(reg, now)
 
     # ------------------------------------------------------------------

@@ -66,8 +66,6 @@ class VectorRegister:
         "defunct",
         "txn_ids",
         "freed",
-        "next_fetch",
-        "abandoned",
         "sleepers",
         "alu_sleepers",
     )
@@ -119,13 +117,6 @@ class VectorRegister:
             [None] * length if is_load else None
         )
         self.freed = False
-        #: next element index awaiting a fetch request (loads; see the
-        #: engine's throttled-fetch extension).
-        self.next_fetch = 0
-        #: set by the engine when the register is dead and its remaining
-        #: elements will never be fetched/computed (throttled-fetch
-        #: extension); unscheduled elements then no longer block freeing.
-        self.abandoned = False
         #: per-element lists of window instructions blocked until the
         #: element is scheduled (None until the first one sleeps; see
         #: :func:`sleep_on_element`).
@@ -205,7 +196,7 @@ def sleep_on_register(reg: VectorRegister, inst) -> None:
     """Put vector ALU instance ``inst`` to sleep until ``reg`` changes:
     its scan stopped on an element of ``reg`` that is live and not yet
     scheduled, and no pass can get further before one of ``reg``'s
-    elements is scheduled or ``reg`` turns defunct, freed or abandoned."""
+    elements is scheduled or ``reg`` turns defunct or freed."""
     inst.asleep = True
     waiting = reg.alu_sleepers
     if waiting is None:

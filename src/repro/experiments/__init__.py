@@ -12,7 +12,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".ablations": (
         "confidence_sweep",
         "damping_ablation",
-        "speculation_throttling",
         "register_count_sweep",
         "vector_length_sweep",
     ),

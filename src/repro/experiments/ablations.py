@@ -2,9 +2,9 @@
 
 The paper fixes several parameters with one-line justifications (4-element
 vector registers because the average vector length is ~8; a confidence
-threshold of 2; 128 registers) and flags the volume of useless speculative
-work as future work.  Each function here sweeps one of those choices over
-the full benchmark suite and reports the metrics that choice trades off.
+threshold of 2; 128 registers).  Each function here sweeps one of those
+choices over the full benchmark suite and reports the metrics that choice
+trades off.
 
 All sweeps run on the paper's 4-way machine with one wide port (the V
 configuration of Fig 11) unless stated otherwise.
@@ -110,40 +110,5 @@ def damping_ablation(scale: int = EXPERIMENT_SCALE) -> Rows:
             "squash_literal": float(
                 literal.store_conflicts + literal.validation_failures
             ),
-        }
-    return out
-
-
-def speculation_throttling(
-    fetch_ahead: int = 2, scale: int = EXPERIMENT_SCALE
-) -> Rows:
-    """The future-work extension: throttle speculative element fetching.
-
-    §4.3: "more than half of the speculative work is useless ... there may
-    be an issue for power consumption.  Reducing the number of
-    misspeculations is an area left for future work."  With
-    ``fetch_ahead=d``, element fetches trail the validation stream by at
-    most ``d`` elements (plus dead registers cancel their queued work), so
-    registers whose loop ends early never fetch their dead tail.
-
-    The study is deliberately honest about the trade-off it finds: the
-    throttle removes useless fetches (``cancelled`` column, lower
-    ``unused``) but also defeats some wide-bus coalescing and adds
-    commit-to-fetch latency, so IPC drops a few percent — i.e. the paper's
-    future work is a real trade-off, not a free lunch.
-    """
-    overrides = (("fetch_ahead", fetch_ahead), ("cancel_dead_fetches", True))
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        base = _run(name, scale, ())
-        ext = _run(name, scale, overrides)
-        out[name] = {
-            "ipc_eager": base.ipc,
-            "ipc_throttled": ext.ipc,
-            "reads_eager": float(base.read_accesses),
-            "reads_throttled": float(ext.read_accesses),
-            "cancelled": float(ext.fetches_cancelled),
-            "unused_eager": base.avg_elements["computed_unused"],
-            "unused_throttled": ext.avg_elements["computed_unused"],
         }
     return out

@@ -49,7 +49,6 @@ _FIGURE_FILES = [
     ("Ablation", "ablation_regs", "register count sweep"),
     ("Ablation", "ablation_conf", "confidence threshold sweep"),
     ("Ablation", "ablation_damping", "TL damping vs literal rule"),
-    ("Extension", "extension_throttle", "throttled speculative fetching"),
 ]
 
 

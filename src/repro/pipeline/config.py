@@ -46,15 +46,6 @@ class VectorConfig:
     #: failure damping on the Table of Loads (see its docstring); True is
     #: this reproduction's default, False is the paper's literal text.
     tl_damping: bool = True
-    #: future-work extension: drop pending element fetches whose register's
-    #: allocating loop has terminated (reduces the useless speculative work
-    #: the paper flags as a power concern in §4.3).
-    cancel_dead_fetches: bool = False
-    #: future-work extension: fetch only this many elements beyond the last
-    #: validated one (0 = the paper's eager whole-register fetch).  Values
-    #: >= 1 trade a little latency for far fewer useless speculative
-    #: fetches at loop boundaries.
-    fetch_ahead: int = 0
 
 
 @dataclass

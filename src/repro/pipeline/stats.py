@@ -51,8 +51,6 @@ class SimStats:
     offset_instances: int = 0
     #: vector register allocation failures (pool empty -> stayed scalar).
     vreg_alloc_failures: int = 0
-    #: element fetches dropped by the cancel-dead-fetches extension.
-    fetches_cancelled: int = 0
 
     # -- vector element accounting (Fig 15) -----------------------------------
     #: summed over every vector register's lifetime:

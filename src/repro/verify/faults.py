@@ -12,7 +12,7 @@ degradation path on demand:
 
   - ``grid.point`` — entry of one grid-point computation
     (:func:`repro.experiments.runner.compute_point`), in the parent or a
-    pool worker; context: ``benchmark``, ``width``, ``ports``, ``mode``,
+    worker peer; context: ``benchmark``, ``width``, ``ports``, ``mode``,
     ``scale``;
   - ``oracle.run`` — entry of the differential oracle
     (:func:`repro.verify.oracle.run_oracle`); context: ``instructions``;
@@ -39,8 +39,9 @@ degradation path on demand:
   - ``raise`` — raise :class:`InjectedFault` (a transient or poisoned
     task, an oracle crash);
   - ``crash`` — ``os._exit(exit_code)``: the process dies without
-    cleanup, which from a pool parent's perspective is a
-    ``BrokenProcessPool``;
+    cleanup; in a worker peer that is a lost peer, whose point
+    :class:`~repro.experiments.distributed.scheduler.DistributedScheduler`
+    retries on another peer or quarantines;
   - ``hang`` — sleep for ``delay`` seconds (a wedged simulation, for
     timeout tests);
   - ``truncate`` / ``garbage`` / ``delete`` / ``tmp_leftover`` — file
@@ -52,7 +53,8 @@ degradation path on demand:
 * **arming** — in-process via :func:`install` (or the :func:`injected`
   context manager), and/or through the ``REPRO_FAULTS`` environment
   variable holding the same specs as a JSON list — the env form is what
-  reaches process-pool workers, which inherit the parent's environment.
+  reaches worker peers, which inherit the parent's environment through
+  ``scheduler._worker_env``.
 
 Determinism is the point: a spec matches on exact context values
 (``{"benchmark": "li", "mode": "V"}``), optionally limited to the first

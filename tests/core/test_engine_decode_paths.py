@@ -85,12 +85,6 @@ def test_trigger_prefetches_whole_register_when_eager():
     assert len(engine.pending_fetches) == 4
 
 
-def test_trigger_prefetches_partially_when_throttled():
-    engine = make_engine(fetch_ahead=1)
-    drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
-    assert len(engine.pending_fetches) == 2  # elements 0 and 1 only
-
-
 def test_pool_exhaustion_returns_scalar():
     engine = make_engine(num_registers=1)
     drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])

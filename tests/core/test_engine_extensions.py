@@ -1,4 +1,4 @@
-"""The configuration extensions: TL damping and throttled fetching."""
+"""The TL damping configuration extension, and register recycling."""
 
 from ..conftest import run_timing
 
@@ -55,42 +55,10 @@ def test_damping_off_still_sound_on_stride_breaks():
     assert stats.validation_failures > 0
 
 
-def test_fetch_ahead_soundness(sum_loop):
-    for ahead in (1, 2, 3):
-        stats = run_timing(sum_loop, mode="V", fetch_ahead=ahead)
-        assert stats.committed == len(sum_loop.entries)
-        assert stats.validations_committed > 0
-
-
-def test_fetch_ahead_cancels_dead_tails():
-    stats = run_timing(
-        SHORT_REWALK, mode="V", fetch_ahead=1, cancel_dead_fetches=True
-    )
-    assert stats.fetches_cancelled > 0
-    assert stats.fetched >= stats.committed > 0
-
-
-def test_fetch_ahead_reduces_unused_elements():
-    eager = run_timing(SHORT_REWALK, mode="V")
-    throttled = run_timing(
-        SHORT_REWALK, mode="V", fetch_ahead=1, cancel_dead_fetches=True
-    )
-    assert (
-        throttled.avg_elements["computed_unused"]
-        <= eager.avg_elements["computed_unused"]
-    )
-
-
 def test_abandoned_registers_do_not_leak(sum_loop):
-    stats = run_timing(
-        sum_loop, mode="V", fetch_ahead=1, cancel_dead_fetches=True, num_registers=8
-    )
-    # With only 8 registers, leaked abandoned registers would starve the
-    # pool and show up as massive allocation failures.
+    stats = run_timing(sum_loop, mode="V", num_registers=8)
+    # Registers left behind by a finished loop must be freed: with only 8
+    # registers, a leak would starve the pool and show up as massive
+    # allocation failures.
     assert stats.committed == len(sum_loop.entries)
     assert stats.registers_freed > 0
-
-
-def test_cancel_dead_fetches_alone_is_safe(sum_loop):
-    stats = run_timing(sum_loop, mode="V", cancel_dead_fetches=True)
-    assert stats.committed == len(sum_loop.entries)

@@ -82,7 +82,7 @@ def test_tick_stops_at_an_unfetched_source_and_resumes():
 
 
 def test_a_source_leaving_the_live_set_wakes_its_sleepers():
-    """Freed (like defunct or abandoned) source elements count as ready:
+    """Freed (like defunct) source elements count as ready:
     the transition wakes the instances asleep on the register, and their
     next pass schedules the rest of the register."""
     engine = make_engine()

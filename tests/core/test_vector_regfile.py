@@ -128,18 +128,6 @@ def test_rule2_blocked_by_uncomputed_element():
     assert not frees(engine, reg, gmrbb=200)
 
 
-def test_abandoned_register_ignores_unscheduled_elements():
-    # An abandoned register's never-scheduled elements cannot block its
-    # release; its scheduled ones still must be R.
-    engine, reg = fresh_engine()
-    complete_all(reg)
-    reg.r_time[3] = None
-    reg.r_time[2] = 20
-    reg.abandoned = True
-    assert not frees(engine, reg, now=10, gmrbb=200)
-    assert frees(engine, reg, now=20, gmrbb=200)
-
-
 def test_rule2_blocked_by_unfreed_validated_element():
     engine, reg = fresh_engine()
     complete_all(reg)

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments import (
     confidence_sweep,
     damping_ablation,
-    speculation_throttling,
     register_count_sweep,
     vector_length_sweep,
 )
@@ -41,16 +40,3 @@ def test_damping_reduces_squashes():
     damped = sum(v["squash_damped"] for v in rows.values())
     literal = sum(v["squash_literal"] for v in rows.values())
     assert damped <= literal
-
-
-def test_speculation_throttling_trades_waste_for_ipc():
-    rows = speculation_throttling(scale=SCALE)
-    cancelled = sum(v["cancelled"] for v in rows.values())
-    assert cancelled > 0  # dead tails really are skipped somewhere
-    unused_eager = sum(v["unused_eager"] for v in rows.values())
-    unused_thr = sum(v["unused_throttled"] for v in rows.values())
-    assert unused_thr <= unused_eager + 0.3  # waste does not grow materially
-    ipc_eager = sum(v["ipc_eager"] for v in rows.values())
-    ipc_thr = sum(v["ipc_throttled"] for v in rows.values())
-    # The trade-off is real but bounded: no more than ~20% aggregate loss.
-    assert 0.8 * ipc_eager <= ipc_thr <= 1.05 * ipc_eager

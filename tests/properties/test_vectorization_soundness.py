@@ -117,19 +117,6 @@ def test_soundness_across_machine_shapes(program, shape):
     assert stats.committed == len(trace.entries)
 
 
-@given(loop_programs(), st.integers(1, 3))
-@settings(max_examples=12, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-def test_soundness_with_throttled_fetching(program, fetch_ahead):
-    """The future-work throttle changes timing, never architecture."""
-    trace = run_program(program, max_instructions=1500)
-    config = make_config(4, 1, "V")
-    config.vector.fetch_ahead = fetch_ahead
-    config.vector.cancel_dead_fetches = True
-    stats = Machine(config, trace).run()
-    assert stats.committed == len(trace.entries)
-
-
 @given(loop_programs())
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
