@@ -64,7 +64,7 @@ from repro.functional.trace import TraceSoA  # noqa: E402
 from repro.observe import MetricsRegistry, Observer, StageProfiler  # noqa: E402
 from repro.pipeline.config import make_config  # noqa: E402
 from repro.pipeline.machine import Machine  # noqa: E402
-from repro.workloads.spec95 import build, cached_trace  # noqa: E402
+from repro.workloads.spec95 import build, cached_trace, release_trace  # noqa: E402
 
 #: dynamic instructions per timed run.
 SCALE = 12_000
@@ -249,7 +249,7 @@ def soa_check(scale: int = SCALE) -> int:
     try:
         os.environ["REPRO_CACHE_DIR"] = tmp
         os.environ.pop("REPRO_NO_DISK_CACHE", None)
-        cached_trace.cache_clear()
+        release_trace(name, scale)
         trace = cached_trace(name, scale)  # cold: builds + persists trace and predecode
         root = pathlib.Path(tmp)
         trace_bytes = (root / "traces" / f"{diskcache.trace_key(name, scale, 0)}.jsonl").read_bytes()
@@ -274,7 +274,7 @@ def soa_check(scale: int = SCALE) -> int:
             reps=15,
         )
 
-        cached_trace.cache_clear()  # force the disk path for the warm run
+        release_trace(name, scale)  # force the disk path for the warm run
         before = trace_mod.SOA_BUILDS
         warm = cached_trace(name, scale)
         rebuilds = trace_mod.SOA_BUILDS - before
@@ -285,7 +285,7 @@ def soa_check(scale: int = SCALE) -> int:
                 os.environ.pop(key, None)
             else:
                 os.environ[key] = value
-        cached_trace.cache_clear()
+        release_trace(name, scale)
         shutil.rmtree(tmp, ignore_errors=True)
     print(
         f"soa warm load {load_ms:.2f} ms vs entry-scan rebuild {build_ms:.2f} ms; "

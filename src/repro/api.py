@@ -502,16 +502,18 @@ def trace(
     ``metrics=True`` records the run's machine-level metrics (``engine.*``,
     ``mem.*``, ``ports.*``, ...) plus the ``sim.*`` metrics that
     :func:`simulate` derives, so its payload is a superset of theirs.
+    A trace this call loads is released again once the run is done.
     """
     from .observe import Observer
     from .pipeline.machine import Machine
-    from .workloads.spec95 import cached_trace
+    from .workloads import spec95
 
     _check_benchmark(benchmark)
     observer = Observer.tracing(events=events, capacity=capacity, metrics=metrics)
     kinds = observer.bus.kinds
     config = _runner.point_config(width, ports, mode, block_on_scalar_operand)
-    stats = Machine(config, cached_trace(benchmark, scale), observer=observer).run()
+    with spec95.trace_scope(benchmark, scale):
+        stats = Machine(config, spec95.cached_trace(benchmark, scale), observer=observer).run()
     if observer.metrics is not None:
         record_sim_stats(observer.metrics, stats)
     summary = observer.bus.summary()

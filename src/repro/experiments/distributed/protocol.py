@@ -12,7 +12,7 @@ Frame types, parent → worker:
   compute (``point`` is the field list of a
   :class:`~repro.experiments.parallel.GridPoint`);
 * ``{"type": "warm", "benchmarks": [...], "scale": n}`` — load those
-  functional traces now (disk-cached, so peers share the work);
+  functional traces now (each peer is sent its own share of the list);
 * ``{"type": "shutdown"}`` — finish up and exit cleanly.
 
 Worker → parent:
@@ -27,8 +27,9 @@ Worker → parent:
   metrics from them);
 * ``{"type": "task.error", "id": n, "error": "..."}`` — the task raised;
   the peer itself is still healthy;
-* ``{"type": "warmed", "pid": p}`` — the traces of a ``warm`` frame are
-  loaded (``"error": "..."`` added if loading raised).
+* ``{"type": "warmed", "pid": p, "traces": [[name, scale, seed], ...]}``
+  — the traces of a ``warm`` frame are loaded; ``traces`` lists every
+  trace the peer holds (``"error": "..."`` added if loading raised).
 
 Any bytes that do not decode as a well-formed frame raise
 :class:`FrameError`; the scheduler treats that as a dead peer (a

@@ -36,8 +36,13 @@ reassigned — the disk cache deduplicates the double computation).
 
 The scheduler is persistent and shared: one dispatcher thread serves
 any number of concurrent :meth:`execute` batches from one set of peers,
-handing free peers to the batches with queued points in turn.  A new
-batch wakes the dispatcher at once.  Cancelling a batch drops only its
+handing free peers to the batches with queued points in turn.  Points
+follow their traces: each slot records the traces its peer holds (its
+warm share and every point sent to it), and a free peer takes a point
+whose trace it holds before one nobody holds, and takes a point another
+peer holds only while that holder is busy, so each trace is loaded by
+as few peers as keep them all working.  A new batch wakes the
+dispatcher at once.  Cancelling a batch drops only its
 queued points and recycles only the peers running its points; the
 other batches and the scheduler carry on.  Quarantine is scoped to a
 busy period: the first batch admitted after the scheduler went idle
@@ -57,7 +62,7 @@ import sys
 import threading
 import time
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Set
 
 from .. import parallel
 from ..parallel import FaultPolicy, GridPoint, GridReport, TaskFailure
@@ -166,6 +171,9 @@ class _Slot:
         self.strikes = 0
         self.completed = 0
         self.quarantined = False
+        #: ``(name, scale)`` of every trace the current peer holds or is
+        #: loading: its warm share and the points sent to it.
+        self.traces: Set[tuple] = set()
 
     @property
     def live(self) -> bool:
@@ -214,6 +222,9 @@ class Warmup:
         self.scale = scale
         self.waiting = 0
         self.warmed = 0
+        #: node -> the ``[name, scale, seed]`` traces its peer reported
+        #: holding once warm.
+        self.held: Dict[int, List[list]] = {}
         self.done = threading.Event()
 
     def answer(self, warmed: bool) -> None:
@@ -295,12 +306,13 @@ class DistributedScheduler:
         return batch.outcomes
 
     def start_warm(self, benchmarks=(), scale: int = EXPERIMENT_SCALE) -> Warmup:
-        """Spawn every peer now and have it load ``benchmarks``' traces,
-        without waiting: the returned :class:`Warmup` is the wait.
+        """Spawn every peer now and have it load its share of
+        ``benchmarks``' traces, without waiting: the returned
+        :class:`Warmup` is the wait.
 
-        Each peer walks the list from its own offset, so every trace is
-        built once and the other peers load it from the shared disk
-        cache.
+        Each peer loads one contiguous share of the list, so every trace
+        is built once and held by one peer, and the dispatcher sends each
+        point to the peer that holds its trace.
         """
         request = Warmup(benchmarks, scale)
         self._submit("warm", request)
@@ -428,6 +440,7 @@ class DistributedScheduler:
             "--generation", str(slot.generations),
             "--heartbeat", str(self.heartbeat_interval),
         ]
+        slot.traces = set()
         try:
             slot.peer = _Peer(slot.index, slot.generations, command, self._events)
         except Exception as exc:
@@ -466,14 +479,15 @@ class DistributedScheduler:
         live = [slot for slot in self._slots if slot.live]
         names = request.benchmarks
         for i, slot in enumerate(live):
-            offset = i * len(names) // len(live)
+            share = names[i * len(names) // len(live):(i + 1) * len(names) // len(live)]
             sent = slot.peer.send({
                 "type": "warm",
-                "benchmarks": names[offset:] + names[:offset],
+                "benchmarks": share,
                 "scale": request.scale,
             })
             if sent:
                 slot.peer.warming = request
+                slot.traces.update((name, request.scale) for name in share)
                 request.waiting += 1
         if request.waiting == 0:
             request.done.set()
@@ -545,6 +559,7 @@ class DistributedScheduler:
         ftype = frame.get("type")
         if ftype == "warmed":
             if peer.warming is not None:
+                peer.warming.held[slot.index] = frame.get("traces", [])
                 peer.warming.answer("error" not in frame)
                 peer.warming = None
             return
@@ -615,36 +630,75 @@ class DistributedScheduler:
                         slot, f"no result within {timeout:g}s", inflight_kind="timeout"
                     )
 
-    def _next_batch(self, slot: _Slot) -> Optional[_Batch]:
-        """The next batch with queued points that ``slot`` may serve,
-        taking the batches in turn."""
-        for _ in range(len(self._batches)):
-            self._turn = (self._turn + 1) % len(self._batches)
-            batch = self._batches[self._turn]
-            if batch.pending and not batch.bars(slot):
-                return batch
-        return None
+    def _pick(self, batch: _Batch, slot: _Slot) -> Optional[int]:
+        """The index in ``batch.pending`` of the point ``slot`` takes
+        next, or None.
+
+        In order of preference: the first point whose trace the slot's
+        peer holds; else one whose trace no other live peer that the
+        batch does not bar holds; else one whose every such holder is
+        busy.  A point held by an idle peer waits for that peer.
+        """
+        holders: Dict[tuple, List[_Slot]] = {}
+        for other in self._slots:
+            if other is not slot and other.live and not batch.bars(other):
+                for trace in other.traces:
+                    holders.setdefault(trace, []).append(other)
+        unheld = busy = None
+        for index, point in enumerate(batch.pending):
+            trace = (point.name, point.scale)
+            if trace in slot.traces:
+                return index
+            held_by = holders.get(trace)
+            if not held_by:
+                if unheld is None:
+                    unheld = index
+            elif busy is None and all(h.peer.inflight is not None for h in held_by):
+                busy = index
+        return unheld if unheld is not None else busy
 
     def _dispatch(self) -> None:
-        for slot in self._slots:
-            if not slot.live or slot.peer.inflight is not None:
-                continue
-            batch = self._next_batch(slot)
-            if batch is None:
-                continue
-            point = batch.pending.popleft()
-            self._task_id += 1
-            sent = slot.peer.send({
-                "type": "task",
-                "id": self._task_id,
-                "point": list(point),
-            })
-            if not sent:
-                batch.pending.appendleft(point)
-                self._lose(slot, "task dispatch failed (broken pipe)")
-                continue
-            slot.peer.inflight = (self._task_id, batch, point, time.monotonic())
-            batch.running += 1
+        """Hand free peers points until no free peer can take one.
+
+        A free peer takes the batches in turn and moves on to the next
+        batch when one offers it nothing.  Passes repeat while one made
+        a peer busy, since that can free a point for a peer passed over.
+        """
+        dispatched = True
+        while dispatched:
+            dispatched = False
+            for slot in self._slots:
+                if not slot.live or slot.peer.inflight is not None:
+                    continue
+                for _ in range(len(self._batches)):
+                    self._turn = (self._turn + 1) % len(self._batches)
+                    batch = self._batches[self._turn]
+                    if not batch.pending or batch.bars(slot):
+                        continue
+                    index = self._pick(batch, slot)
+                    if index is not None:
+                        dispatched |= self._send_task(slot, batch, index)
+                        break
+
+    def _send_task(self, slot: _Slot, batch: _Batch, index: int) -> bool:
+        """Send ``batch.pending[index]`` to the slot's peer; False (and
+        the peer lost) if the pipe is broken."""
+        point = batch.pending[index]
+        del batch.pending[index]
+        self._task_id += 1
+        sent = slot.peer.send({
+            "type": "task",
+            "id": self._task_id,
+            "point": list(point),
+        })
+        if not sent:
+            batch.pending.insert(index, point)
+            self._lose(slot, "task dispatch failed (broken pipe)")
+            return False
+        slot.peer.inflight = (self._task_id, batch, point, time.monotonic())
+        slot.traces.add((point.name, point.scale))
+        batch.running += 1
+        return True
 
     def _settle(self) -> None:
         for batch in self._batches:

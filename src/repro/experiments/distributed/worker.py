@@ -76,14 +76,18 @@ def _heartbeat_loop(writer: _FrameWriter, node, generation, interval, stop) -> N
 
 def _warm(frame: Dict) -> Dict:
     """Load the simulator and the traces a ``warm`` frame names; the
-    ``warmed`` answer.  After it, no task this peer runs pays an import."""
+    ``warmed`` answer, which lists every trace this peer now holds.
+    After it, no task this peer runs pays an import."""
     _, cached_trace = simulator()
+    from ...workloads.spec95 import resident_traces
+
     answer = {"type": "warmed", "pid": os.getpid()}
     try:
         for name in frame.get("benchmarks", ()):
             cached_trace(name, frame["scale"])
     except Exception as exc:
         answer["error"] = f"{type(exc).__name__}: {exc}"
+    answer["traces"] = resident_traces()
     return answer
 
 

@@ -282,7 +282,8 @@ def run_grid(
     ``--task-timeout`` / ``--max-retries``).
 
     Where cache-cold points run: ``jobs=1``, or a single cold point,
-    runs in-process.  Otherwise a
+    runs in-process, grouped by trace so the process holds one trace
+    it loaded at a time.  Otherwise a
     :class:`~repro.experiments.distributed.DistributedScheduler` with up
     to ``jobs`` worker peers is spawned for this call and closed after
     it.  ``scheduler``, when given, is a caller-owned scheduler that
@@ -407,31 +408,48 @@ def _execute_serial(
 ) -> List[tuple]:
     """In-process execution with the same retry/quarantine semantics.
 
+    The points run grouped by trace, in first-appearance order, and each
+    trace this call loaded is released after its group's last point, so
+    the process holds one trace at a time; a trace the caller already
+    held stays resident.
+
     No hang containment here — there is no process boundary to kill —
     so ``task_timeout`` only applies on worker peers.
     """
-    outcomes: List[tuple] = []
+    from ..workloads import spec95
+
+    groups: Dict[tuple, List[GridPoint]] = {}
     for point in points:
-        if cancel is not None and cancel.is_set():
-            report.cancelled = True
-            break
-        attempts = 0
-        while True:
-            try:
-                outcome = _worker_run_point(point)
-                outcomes.append(outcome)
-                _notify_result(on_result, point, outcome[1])
-                break
-            except Exception as exc:
-                attempts += 1
-                if attempts > policy.max_retries:
-                    report.failed.append(
-                        TaskFailure(
-                            point, "error",
-                            f"{type(exc).__name__}: {exc}", attempts,
-                        )
-                    )
-                    break
-                report.retries += 1
-                time.sleep(policy.backoff(attempts))
+        groups.setdefault((point.name, point.scale), []).append(point)
+    outcomes: List[tuple] = []
+    for trace, group in groups.items():
+        with spec95.trace_scope(*trace):
+            for point in group:
+                if cancel is not None and cancel.is_set():
+                    report.cancelled = True
+                    return outcomes
+                outcome = _run_with_retries(point, policy, report)
+                if outcome is not None:
+                    outcomes.append(outcome)
+                    _notify_result(on_result, point, outcome[1])
     return outcomes
+
+
+def _run_with_retries(point, policy, report) -> Optional[tuple]:
+    """One point's outcome, or None once it is quarantined."""
+    attempts = 0
+    while True:
+        try:
+            return _worker_run_point(point)
+        except Exception as exc:
+            attempts += 1
+            if attempts > policy.max_retries:
+                report.failed.append(
+                    TaskFailure(
+                        point, "error",
+                        f"{type(exc).__name__}: {exc}", attempts,
+                    )
+                )
+                return None
+            report.retries += 1
+            time.sleep(policy.backoff(attempts))

@@ -23,8 +23,8 @@ All builders are deterministic for a given ``seed``.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
-from typing import Callable, Dict
+from contextlib import contextmanager
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from ..functional.interpreter import run_program
 from ..functional.trace import Trace
@@ -41,6 +41,9 @@ __all__ = [
     "build",
     "cached_trace",
     "is_fp_benchmark",
+    "release_trace",
+    "resident_traces",
+    "trace_scope",
 ]
 
 #: Default approximate dynamic instruction count for one benchmark run.
@@ -259,9 +262,16 @@ def build(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Program:
     return builder(scale, seed)
 
 
-@lru_cache(maxsize=64)
+#: the resident traces, keyed by the normalized ``(name, scale, seed)``.
+_RESIDENT: Dict[Tuple[str, int, int], Trace] = {}
+
+
+def _trace_id(name: str, scale: int, seed: int) -> Tuple[str, int, int]:
+    return name, int(scale), int(seed)
+
+
 def cached_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Trace:
-    """Build + functionally execute ``name``, memoized in-process and on disk.
+    """Build + functionally execute ``name``, held in-process and on disk.
 
     The experiment harness replays one functional trace through many timing
     configurations (9 machine configs x 2 widths in Fig 11), so caching the
@@ -271,7 +281,44 @@ def cached_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Trace:
     per-PC control-flow direction — traceio's binary codec), so warm runs skip
     program construction and functional execution entirely.  Callers must
     treat the returned trace as immutable.
+
+    In-process, the trace stays resident until :func:`release_trace`: every
+    spelling of one ``(name, scale, seed)`` returns the same object.  A
+    caller that loads traces one after another (the serial grid, the Fig 1
+    / Fig 3 analyses) uses each inside a :func:`trace_scope`, so the
+    process holds one trace at a time.
     """
+    trace_id = _trace_id(name, scale, seed)
+    trace = _RESIDENT.get(trace_id)
+    if trace is None:
+        trace = _RESIDENT.setdefault(trace_id, _load_trace(*trace_id))
+    return trace
+
+
+def release_trace(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> None:
+    """Drop a trace from the resident table (the disk cache keeps it)."""
+    _RESIDENT.pop(_trace_id(name, scale, seed), None)
+
+
+def resident_traces() -> List[Tuple[str, int, int]]:
+    """The ``(name, scale, seed)`` of every resident trace, sorted."""
+    return sorted(_RESIDENT)
+
+
+@contextmanager
+def trace_scope(name: str, scale: int = DEFAULT_SCALE, seed: int = 0) -> Iterator[None]:
+    """Release the trace when the block ends, unless it was resident
+    when the block began (a caller further out still holds it)."""
+    held = _trace_id(name, scale, seed) in _RESIDENT
+    try:
+        yield
+    finally:
+        if not held:
+            release_trace(name, scale, seed)
+
+
+def _load_trace(name: str, scale: int, seed: int) -> Trace:
+    """The trace from the disk cache, or built, run and stored there."""
     # Imported here: workloads is a lower layer than experiments, and the
     # cache module pulls in pipeline config for its keying.
     from ..experiments import diskcache

@@ -1,7 +1,5 @@
 """Ablation sweeps: shape and direction sanity at tiny scale."""
 
-import pytest
-
 from repro.experiments import (
     confidence_sweep,
     damping_ablation,

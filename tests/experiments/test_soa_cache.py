@@ -22,7 +22,7 @@ import repro.functional.trace as trace_mod
 from repro.experiments import diskcache
 from repro.functional import traceio
 from repro.functional.trace import TraceSoA
-from repro.workloads.spec95 import cached_trace
+from repro.workloads.spec95 import cached_trace, release_trace
 
 SCALE = 1_500
 
@@ -31,10 +31,10 @@ SCALE = 1_500
 def cache_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
-    cached_trace.cache_clear()
+    release_trace("li", SCALE)
     diskcache.COUNTERS.reset()
     yield tmp_path / "cache"
-    cached_trace.cache_clear()
+    release_trace("li", SCALE)
 
 
 def test_cold_run_stores_soa_beside_trace(cache_dir):
@@ -47,7 +47,7 @@ def test_cold_run_stores_soa_beside_trace(cache_dir):
 
 def test_warm_run_skips_predecode(cache_dir):
     cached_trace("li", SCALE)  # cold: builds + stores
-    cached_trace.cache_clear()  # force the disk path, same process
+    release_trace("li", SCALE)  # force the disk path, same process
     before = trace_mod.SOA_BUILDS
     trace = cached_trace("li", SCALE)
     soa = trace.soa()
@@ -80,7 +80,7 @@ def test_missing_soa_entry_heals_on_next_warm_load(cache_dir):
     cached_trace("li", SCALE)
     key = diskcache.soa_key("li", SCALE, 0)
     (cache_dir / "soa" / f"{key}.soa").unlink()
-    cached_trace.cache_clear()
+    release_trace("li", SCALE)
     before = trace_mod.SOA_BUILDS
     trace = cached_trace("li", SCALE)
     # Rebuilt once from the warm trace and rewritten to disk.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import diskcache
 from repro.functional import run_program
 from repro.workloads import (
     ALL_BENCHMARKS,
@@ -11,6 +12,7 @@ from repro.workloads import (
     cached_trace,
     is_fp_benchmark,
 )
+from repro.workloads import spec95
 from repro.workloads.spec95 import DEFAULT_SCALE
 
 SCALE = 6_000
@@ -85,6 +87,36 @@ def test_is_fp_benchmark():
 
 def test_cached_trace_is_memoized():
     assert cached_trace("li", SCALE) is cached_trace("li", SCALE)
+
+
+def test_every_spelling_of_one_trace_is_one_object(monkeypatch):
+    """The resident table keys on the normalized ``(name, scale, seed)``:
+    however a call spells one trace, it is loaded once and shared."""
+    loads = []
+    original = diskcache.load_cached_trace
+
+    def counting(key):
+        loads.append(key)
+        return original(key)
+
+    monkeypatch.setattr(diskcache, "load_cached_trace", counting)
+    spec95.release_trace("li", 2_000)
+    first = cached_trace("li", 2_000)
+    assert cached_trace("li", 2_000, 0) is first
+    assert cached_trace("li", scale=2_000) is first
+    assert cached_trace(name="li", scale=2_000, seed=0) is first
+    assert len(loads) == 1
+    assert spec95.resident_traces().count(("li", 2_000, 0)) == 1
+
+
+def test_released_trace_reloads_as_a_new_object():
+    first = cached_trace("li", 2_000)
+    spec95.release_trace("li", 2_000)
+    assert ("li", 2_000, 0) not in spec95.resident_traces()
+    again = cached_trace("li", 2_000)
+    assert again is not first
+    assert again.entries == first.entries
+    assert ("li", 2_000, 0) in spec95.resident_traces()
 
 
 def test_default_scale_reasonable():
