@@ -1,9 +1,9 @@
 """Simulator-throughput (KIPS) benchmark — the repo's perf trajectory.
 
-Unlike the ``bench_fig*`` files (which regenerate the *paper's* tables),
-this benchmark times the simulator itself: thousand simulated instructions
-per CPU-second (KIPS) for one representative scalar-mode run and one
-V-mode run.  Results are written machine-readably to ``BENCH_perf.json``
+Unlike ``python -m repro.experiments.report`` (which regenerates the
+*paper's* tables), this benchmark times the simulator itself: thousand
+simulated instructions per CPU-second (KIPS) for one representative
+scalar-mode run and one V-mode run.  Results are written machine-readably to ``BENCH_perf.json``
 at the repository root so successive PRs can track the trend.
 
 The main section is the cycle model's raw throughput on the 12k

@@ -1,7 +1,7 @@
-"""ASCII report formatting shared by the benchmarks and examples.
+"""ASCII report formatting shared by the CLI, EXPERIMENTS.md and examples.
 
-The benchmark harness regenerates each of the paper's figures as a table
-of rows (benchmark x series); these helpers render them consistently.
+Each of the paper's figures, and each ablation sweep, is a table of rows
+(benchmark x series); these helpers render them consistently.
 """
 
 from __future__ import annotations

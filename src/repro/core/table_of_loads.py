@@ -51,7 +51,7 @@ class TableOfLoads:
 
     ``damping=False`` disables the failure-damping ladder (the entry then
     always re-qualifies at the base confidence threshold, exactly the
-    paper's text); the ablation benchmark measures what that costs on
+    paper's text); the damping ablation measures what that costs on
     spill-heavy codes.
     """
 

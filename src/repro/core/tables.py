@@ -26,9 +26,6 @@ class SetAssocTable(Generic[T]):
         self._sets: List[List[Tuple[int, T]]] = [[] for _ in range(sets)]
         self.evictions = 0
 
-    def _set_of(self, pc: int) -> List[Tuple[int, T]]:
-        return self._sets[pc % self.sets]
-
     def lookup(self, pc: int) -> Optional[T]:
         """Return the payload for ``pc`` (refreshing LRU), or None."""
         bucket = self._sets[pc % self.sets]

@@ -7,29 +7,57 @@ choices over the full benchmark suite and reports the metrics that choice
 trades off.
 
 All sweeps run on the paper's 4-way machine with one wide port (the V
-configuration of Fig 11) unless stated otherwise.
+configuration of Fig 11).  Each sweep's points are grid points whose
+``overrides`` set the swept ``VectorConfig`` field, enumerated by its
+``*_points`` function the way each figure's are, so a caller can batch
+them through :func:`repro.experiments.parallel.run_grid` with the
+figures.  At the field's default the point carries no override: it is
+Fig 11's own 4w1pV point, shared by every sweep's default column.
+Called without a pre-warmed batch, a sweep computes point by point
+through :func:`run_point`, as the figure functions do.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
-from ..pipeline.config import make_config
-from ..pipeline.machine import Machine
 from ..pipeline.stats import SimStats
-from ..workloads.spec95 import ALL_BENCHMARKS, cached_trace
-from .runner import EXPERIMENT_SCALE
+from ..workloads.suite import ALL_BENCHMARKS
+from .parallel import GridPoint
+from .runner import EXPERIMENT_SCALE, point_config, run_point
 
 Rows = Dict[str, Dict[str, float]]
+Points = List[GridPoint]
+
+#: the plain 4w1pV point's vector config: a swept value equal to its
+#: field here needs no override.
+_DEFAULTS = point_config(4, 1, "V").vector
 
 
-@lru_cache(maxsize=None)
-def _run(name: str, scale: int, overrides: Tuple[Tuple[str, object], ...]) -> SimStats:
-    config = make_config(4, 1, "V")
-    for key, value in overrides:
-        setattr(config.vector, key, value)
-    return Machine(config, cached_trace(name, scale)).run()
+def _point(name: str, scale: int, field: str, value: object) -> GridPoint:
+    """The 4w1pV point of ``name`` with ``field`` set to ``value``; the
+    plain point when that is the field's default."""
+    if getattr(_DEFAULTS, field) == value:
+        return GridPoint(name, 4, 1, "V", scale)
+    return GridPoint(name, 4, 1, "V", scale, overrides=((field, value),))
+
+
+def _points(field: str, values: Tuple, scale: int) -> Points:
+    return [
+        _point(name, scale, field, value)
+        for name in ALL_BENCHMARKS
+        for value in values
+    ]
+
+
+def _run(name: str, scale: int, field: str, value: object) -> SimStats:
+    return run_point(*_point(name, scale, field, value))
+
+
+def vector_length_points(
+    lengths: Tuple[int, ...] = (2, 4, 8), scale: int = EXPERIMENT_SCALE
+) -> Points:
+    return _points("vector_length", lengths, scale)
 
 
 def vector_length_sweep(
@@ -44,10 +72,16 @@ def vector_length_sweep(
     out: Rows = {}
     for name in ALL_BENCHMARKS:
         out[name] = {
-            f"VL={vl}": _run(name, scale, (("vector_length", vl),)).ipc
+            f"VL={vl}": _run(name, scale, "vector_length", vl).ipc
             for vl in lengths
         }
     return out
+
+
+def register_count_points(
+    counts: Tuple[int, ...] = (8, 32, 128), scale: int = EXPERIMENT_SCALE
+) -> Points:
+    return _points("num_registers", counts, scale)
 
 
 def register_count_sweep(
@@ -63,11 +97,17 @@ def register_count_sweep(
     for name in ALL_BENCHMARKS:
         row: Dict[str, float] = {}
         for n in counts:
-            stats = _run(name, scale, (("num_registers", n),))
+            stats = _run(name, scale, "num_registers", n)
             row[f"R={n}"] = stats.ipc
             row[f"fail@{n}"] = float(stats.vreg_alloc_failures)
         out[name] = row
     return out
+
+
+def confidence_points(
+    thresholds: Tuple[int, ...] = (1, 2, 4), scale: int = EXPERIMENT_SCALE
+) -> Points:
+    return _points("confidence_threshold", thresholds, scale)
 
 
 def confidence_sweep(
@@ -83,11 +123,15 @@ def confidence_sweep(
     for name in ALL_BENCHMARKS:
         row: Dict[str, float] = {}
         for t in thresholds:
-            stats = _run(name, scale, (("confidence_threshold", t),))
+            stats = _run(name, scale, "confidence_threshold", t)
             row[f"conf={t}"] = stats.ipc
             row[f"fail@{t}"] = float(stats.validation_failures)
         out[name] = row
     return out
+
+
+def damping_points(scale: int = EXPERIMENT_SCALE) -> Points:
+    return _points("tl_damping", (True, False), scale)
 
 
 def damping_ablation(scale: int = EXPERIMENT_SCALE) -> Rows:
@@ -101,8 +145,8 @@ def damping_ablation(scale: int = EXPERIMENT_SCALE) -> Rows:
     """
     out: Rows = {}
     for name in ALL_BENCHMARKS:
-        damped = _run(name, scale, (("tl_damping", True),))
-        literal = _run(name, scale, (("tl_damping", False),))
+        damped = _run(name, scale, "tl_damping", True)
+        literal = _run(name, scale, "tl_damping", False)
         out[name] = {
             "ipc_damped": damped.ipc,
             "ipc_literal": literal.ipc,

@@ -10,7 +10,8 @@ Frame types, parent → worker:
 
 * ``{"type": "task", "id": n, "point": [...]}`` — one grid point to
   compute (``point`` is the field list of a
-  :class:`~repro.experiments.parallel.GridPoint`);
+  :class:`~repro.experiments.parallel.GridPoint`, its ``overrides`` a
+  list of ``[field, value]`` pairs);
 * ``{"type": "warm", "benchmarks": [...], "scale": n}`` — load those
   functional traces now (each peer is sent its own share of the list);
 * ``{"type": "shutdown"}`` — finish up and exit cleanly.

@@ -116,7 +116,10 @@ def worker_main(node: int = 0, generation: int = 0, heartbeat: float = 1.0) -> i
             if frame.get("type") != "task":
                 continue  # future-proofing: unknown parent frames are ignored
             task_id = frame.get("id")
-            point = GridPoint(*frame["point"])
+            # JSON turned the overrides' pairs into lists: back to
+            # tuples, so the point is hashable and equals the parent's.
+            *coords, overrides = frame["point"]
+            point = GridPoint(*coords, tuple(map(tuple, overrides)))
             try:
                 _fire_fault(
                     "node.crash",

@@ -14,8 +14,8 @@ pull the results from the in-process memo.  Called directly (without a
 pre-warmed batch), the functions still compute correctly — point by
 point through :func:`run_point`.
 
-The functions only *compute*; printing is left to the benchmark harness
-and examples.
+The functions only *compute*; printing is left to the CLI, the
+EXPERIMENTS.md generator (:mod:`repro.experiments.report`) and examples.
 """
 
 from __future__ import annotations

@@ -69,7 +69,12 @@ DEFAULT_MAX_RETRIES = 2
 
 class GridPoint(NamedTuple):
     """One coordinate of the experiment grid (hashable, wire-encodable):
-    the fields of :data:`runner.PointKey`, named."""
+    the fields of :data:`runner.PointKey`, named.
+
+    ``overrides`` are ``VectorConfig`` field/value pairs set on top of
+    the preset (the ablation sweeps); ``()`` keeps the plain point and
+    its stats key.
+    """
 
     name: str
     width: int = 4
@@ -77,6 +82,7 @@ class GridPoint(NamedTuple):
     mode: str = "V"
     scale: int = runner.EXPERIMENT_SCALE
     block_on_scalar_operand: bool = True
+    overrides: runner.Overrides = ()
 
 
 @dataclass(frozen=True)
@@ -152,6 +158,8 @@ class TaskFailure:
     def describe(self) -> str:
         p = self.point
         coord = f"{p.name} {p.width}w {p.ports}p {p.mode}"
+        if p.overrides:
+            coord += f" {dict(p.overrides)}"
         return f"{coord}: {self.kind} after {self.attempts} attempt(s) — {self.error}"
 
     def to_dict(self) -> Dict:

@@ -13,6 +13,10 @@ The registry replaces the ad-hoc ``FIGURE_RUNNERS`` tuples the CLI used
 to carry; ``python -m repro figures`` and :func:`repro.api.figure` both
 resolve figures here.  Width-parametric figures (11/12) appear once per
 width with the width bound via :func:`functools.partial`.
+
+:data:`ABLATIONS` holds the ablation sweeps in the same shape, for the
+EXPERIMENTS.md generator; they are not figures of the paper, so neither
+``figures`` nor :func:`repro.api.figure` runs them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Tuple
 
+from . import ablations as _ablations
 from . import figures as _figures
 from .parallel import GridPoint
 
@@ -140,6 +145,37 @@ FIGURES: Dict[str, FigureSpec] = dict(
             "Figure 15: element fates",
             _figures.fig15_prediction_accuracy,
             _figures.fig15_points,
+        ),
+    )
+)
+
+
+#: the ablation sweeps at their default values, in EXPERIMENTS.md order.
+ABLATIONS: Dict[str, FigureSpec] = dict(
+    (
+        _spec(
+            "ablation_vl",
+            "Ablation: IPC vs vector register length (4-way 1pV)",
+            lambda scale: _ablations.vector_length_sweep(scale=scale),
+            lambda scale: _ablations.vector_length_points(scale=scale),
+        ),
+        _spec(
+            "ablation_regs",
+            "Ablation: IPC / alloc failures vs vector register count",
+            lambda scale: _ablations.register_count_sweep(scale=scale),
+            lambda scale: _ablations.register_count_points(scale=scale),
+        ),
+        _spec(
+            "ablation_conf",
+            "Ablation: IPC / misspeculations vs TL confidence threshold",
+            lambda scale: _ablations.confidence_sweep(scale=scale),
+            lambda scale: _ablations.confidence_points(scale=scale),
+        ),
+        _spec(
+            "ablation_damping",
+            "Ablation: TL failure damping (ours) vs the paper's literal rule",
+            _ablations.damping_ablation,
+            _ablations.damping_points,
         ),
     )
 )

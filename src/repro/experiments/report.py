@@ -1,12 +1,15 @@
 """Generate EXPERIMENTS.md: paper-vs-measured for every table and figure.
 
-Usage (after the benchmark suite has populated ``benchmarks/results/``)::
+Usage::
 
     python -m repro.experiments.report [--scale N] [--out EXPERIMENTS.md]
 
-The generator re-reads the persisted figure tables, measures the headline
-claims at the same scale, and writes a self-contained markdown report.
-It is how the checked-in EXPERIMENTS.md is produced.
+The generator collects the grid points of every registered figure, every
+ablation sweep and the headline claims, runs them as one
+:func:`~repro.experiments.parallel.run_grid` batch (cached, over
+``$REPRO_JOBS`` or one worker peer per CPU), and renders every table
+from the in-process memo into a self-contained markdown report.  One
+command on an empty cache regenerates the checked-in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -15,9 +18,10 @@ import argparse
 import pathlib
 from typing import Dict
 
-from ..analysis import average_vector_length, mean
+from ..analysis import average_vector_length, format_table, mean, suite_rows
 from ..workloads import SPEC_FP, SPEC_INT
 from . import figures
+from .parallel import GridReport, run_grid
 from .paper_reference import (
     CFI_REUSE_INT,
     EIGHT_WAY_1PORT_IPC,
@@ -28,28 +32,8 @@ from .paper_reference import (
     VECTORIZABLE_FRACTION,
     same_sign,
 )
+from .registry import ABLATIONS, FIGURES
 from .runner import EXPERIMENT_SCALE, run_point
-
-RESULTS_DIR = pathlib.Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-
-_FIGURE_FILES = [
-    ("Figure 1", "fig01", "stride distribution per benchmark"),
-    ("Figure 3", "fig03", "vectorizable fraction, unbounded resources"),
-    ("Figure 7", "fig07", "IPC real (blocking) vs ideal"),
-    ("Figure 9", "fig09", "nonzero-offset vector instances"),
-    ("Figure 10", "fig10", "post-mispredict reuse (CFI)"),
-    ("Figure 11 (4-way)", "fig11_4way", "IPC grid"),
-    ("Figure 11 (8-way)", "fig11_8way", "IPC grid"),
-    ("Figure 12 (4-way)", "fig12_4way", "port occupancy grid"),
-    ("Figure 12 (8-way)", "fig12_8way", "port occupancy grid"),
-    ("Figure 13", "fig13", "wide-bus useful words + unused accesses"),
-    ("Figure 14", "fig14", "validation instruction fraction"),
-    ("Figure 15", "fig15", "vector element fates"),
-    ("Ablation", "ablation_vl", "vector length sweep"),
-    ("Ablation", "ablation_regs", "register count sweep"),
-    ("Ablation", "ablation_conf", "confidence threshold sweep"),
-    ("Ablation", "ablation_damping", "TL damping vs literal rule"),
-]
 
 
 def _avg(rows: Dict[str, Dict[str, float]], names, column: str) -> float:
@@ -57,22 +41,32 @@ def _avg(rows: Dict[str, Dict[str, float]], names, column: str) -> float:
 
 
 def build_report(scale: int = EXPERIMENT_SCALE) -> str:
-    """Measure the summary statistics and assemble the markdown report."""
+    """Run every experiment as one grid batch and assemble the markdown
+    report; raises :class:`repro.api.GridFailureError` if a point failed."""
+    tables = [*FIGURES.values(), *ABLATIONS.values()]
+    points = [point for spec in tables for point in spec.points(scale)]
+    accounting = GridReport()
+    run_grid(points + figures.headline_points(scale), report=accounting)
+    if not accounting.ok:
+        from ..api import GridFailureError
+
+        raise GridFailureError(accounting)
+    rows = {spec.name: spec.rows(scale) for spec in tables}
+
     lines = [
         "# EXPERIMENTS — paper vs. this reproduction",
         "",
         "Reproduction of *Speculative Dynamic Vectorization* (Pajuelo,",
         "González, Valero; ISCA 2002).  Every number below is regenerated by",
-        "`pytest benchmarks/ --benchmark-only` (full tables land in",
-        "`benchmarks/results/`); this file was produced by",
-        f"`python -m repro.experiments.report` at scale {scale} dynamic",
-        "instructions per benchmark per configuration.",
+        "`python -m repro.experiments.report` (one command, from an empty",
+        f"cache if need be) at scale {scale} dynamic instructions per",
+        "benchmark per configuration.",
         "",
         "Absolute numbers cannot match the paper (their substrate was",
         "SimpleScalar/Alpha on real SPEC95 inputs over 100M instructions;",
         "ours is a from-scratch trace-driven model over synthetic SPEC95-like",
         "workloads — DESIGN.md §2/§5).  What must match, and is checked by",
-        "`benchmarks/bench_headline_claims.py` and the integration tests, is",
+        "CI's headline sign check and the integration tests, is",
         "the *shape*: who wins, roughly by how much, and where the mechanism",
         "pays or costs.",
         "",
@@ -88,10 +82,8 @@ def build_report(scale: int = EXPERIMENT_SCALE) -> str:
         lines.append(f"| `{key}` | {paper_value:+.1%} | {got:+.1%} | {verdict} |")
 
     # Figure-level summary rows.
-    fig03 = figures.fig03_vectorizable(scale)
-    fig10 = figures.fig10_control_independence(scale)
-    fig14 = figures.fig14_validations(scale)
-    fig15 = figures.fig15_prediction_accuracy(scale)
+    fig03, fig10 = rows["fig03"], rows["fig10"]
+    fig14, fig15 = rows["fig14"], rows["fig15"]
     int_vec = _avg(fig03, SPEC_INT, "vectorizable")
     fp_vec = _avg(fig03, SPEC_FP, "vectorizable")
     int_reuse = _avg(fig10, SPEC_INT, "reused")
@@ -158,21 +150,22 @@ def build_report(scale: int = EXPERIMENT_SCALE) -> str:
         "",
         "## Full tables",
         "",
-        "Regenerated into `benchmarks/results/` by the benchmark harness;",
-        "reproduced verbatim below.",
+        "Every figure of `python -m repro figures`, then the ablation sweeps",
+        "(4-way 1pV, one `VectorConfig` field changed), with INT/FP/TOTAL",
+        "average rows.",
         "",
     ]
-    for label, stem, caption in _FIGURE_FILES:
-        path = RESULTS_DIR / f"{stem}.txt"
-        if not path.exists():
-            lines.append(f"### {label} — {caption}\n\n*(not yet generated; run the benchmark suite)*\n")
-            continue
-        lines.append(f"### {label} — {caption}")
-        lines.append("")
-        lines.append("```")
-        lines.append(path.read_text().rstrip())
-        lines.append("```")
-        lines.append("")
+    for spec in tables:
+        table = rows[spec.name]
+        headers = ["benchmark", *next(iter(table.values()))]
+        lines += [
+            f"### {spec.title}",
+            "",
+            "```",
+            format_table(headers, suite_rows(table, SPEC_INT, SPEC_FP)),
+            "```",
+            "",
+        ]
     return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ cached at two layers:
   by a content hash of the benchmark, scale, resolved
   :class:`~repro.pipeline.config.MachineConfig` and a digest of the
   simulator sources, so a *new* process (a rerun of ``python -m repro
-  figures``, a pytest-bench invocation, a worker peer) skips simulation
+  figures``, the EXPERIMENTS.md generator, a worker peer) skips simulation
   entirely for points any earlier process already ran.
 
 :func:`run_point` returns a **private copy** of the cached stats: callers
@@ -48,9 +48,13 @@ EXPERIMENT_SCALE = 12_000
 PORT_COUNTS = (1, 2, 4)
 MODES = ("noIM", "IM", "V")
 
+#: ``VectorConfig`` field/value pairs a point sets on top of its preset.
+Overrides = Tuple[Tuple[str, object], ...]
+
 #: grid coordinates -> master SimStats (the in-process memo layer):
-#: ``(benchmark, width, ports, mode, scale, block_on_scalar_operand)``.
-PointKey = Tuple[str, int, int, str, int, bool]
+#: ``(benchmark, width, ports, mode, scale, block_on_scalar_operand,
+#: overrides)``.
+PointKey = Tuple[str, int, int, str, int, bool, Overrides]
 _MEMO: Dict[PointKey, SimStats] = {}
 
 #: simulations actually executed by this process (memo/disk misses).
@@ -89,11 +93,21 @@ def simulator():
 
 
 def point_config(
-    width: int, ports: int, mode: str, block_on_scalar_operand: bool = True
+    width: int,
+    ports: int,
+    mode: str,
+    block_on_scalar_operand: bool = True,
+    overrides: Overrides = (),
 ) -> MachineConfig:
-    """The fully-resolved config for one grid point (shared with workers)."""
+    """The fully-resolved config for one grid point (shared with workers).
+
+    ``overrides`` go through :func:`dataclasses.replace`, so a pair that
+    names no ``VectorConfig`` field raises instead of running the preset.
+    """
     config = make_config(width, ports, mode)
     config.vector.block_on_scalar_operand = block_on_scalar_operand
+    if overrides:
+        config.vector = replace(config.vector, **dict(overrides))
     return config
 
 
@@ -104,19 +118,23 @@ def _copy_stats(stats: SimStats) -> SimStats:
 
 @lru_cache(maxsize=64, typed=True)
 def _shape_fingerprint(
-    width: int, ports: int, mode: str, block_on_scalar_operand: bool
+    width: int,
+    ports: int,
+    mode: str,
+    block_on_scalar_operand: bool,
+    overrides: Overrides,
 ) -> str:
     """The rendered config fingerprint of one grid shape, derived once
     per shape.
 
-    A point's config depends only on these four coordinates — 36 shapes
-    on the paper's grid — so the memo is bounded by the config domain,
-    not by request input such as ``scale``.  ``typed`` keeps ``1`` and
-    ``True`` apart: they hash alike but render differently in the key's
-    JSON.
+    A point's config depends only on these five coordinates — 36 shapes
+    on the paper's grid, plus one per ablation value — so the memo is
+    bounded by the config domain, not by request input such as
+    ``scale``.  ``typed`` keeps ``1`` and ``True`` apart: they hash alike
+    but render differently in the key's JSON.
     """
     return diskcache.config_fingerprint(
-        point_config(width, ports, mode, block_on_scalar_operand)
+        point_config(width, ports, mode, block_on_scalar_operand, overrides)
     )
 
 
@@ -128,8 +146,10 @@ def point_cache_key(point: PointKey) -> str:
     the service's dedup key all name it here.  Byte-identical to
     ``diskcache.stats_key(name, scale, 0, point_config(...))``.
     """
-    name, width, ports, mode, scale, block_on_scalar_operand = point
-    fingerprint = _shape_fingerprint(width, ports, mode, block_on_scalar_operand)
+    name, width, ports, mode, scale, block_on_scalar_operand, overrides = point
+    fingerprint = _shape_fingerprint(
+        width, ports, mode, block_on_scalar_operand, overrides
+    )
     return diskcache.fingerprint_stats_key(name, scale, 0, fingerprint)
 
 
@@ -140,6 +160,7 @@ def run_point(
     mode: str = "V",
     scale: int = EXPERIMENT_SCALE,
     block_on_scalar_operand: bool = True,
+    overrides: Overrides = (),
 ) -> SimStats:
     """Simulate benchmark ``name`` on one machine-configuration point.
 
@@ -147,7 +168,7 @@ def run_point(
     every call returns a fresh :class:`SimStats` copy, so mutating a
     returned object never affects other callers.
     """
-    key = (name, width, ports, mode, scale, block_on_scalar_operand)
+    key = (name, width, ports, mode, scale, block_on_scalar_operand, overrides)
     stats = _MEMO.get(key)
     if stats is None:
         stats = _MEMO[key] = compute_point(key)
@@ -161,7 +182,7 @@ def compute_point(key: PointKey) -> SimStats:
     in-process memo on purpose (the callers own that layer).
     """
     global _SIMULATIONS_RUN
-    name, width, ports, mode, scale, block_on_scalar_operand = key
+    name, width, ports, mode, scale, block_on_scalar_operand, overrides = key
     _fire_fault(
         "grid.point", benchmark=name, width=width, ports=ports, mode=mode, scale=scale
     )
@@ -170,21 +191,20 @@ def compute_point(key: PointKey) -> SimStats:
     if stats is not None:
         return stats
     Machine, cached_trace = simulator()
-    config = point_config(width, ports, mode, block_on_scalar_operand)
+    config = point_config(width, ports, mode, block_on_scalar_operand, overrides)
     stats = Machine(config, cached_trace(name, scale)).run()
     _SIMULATIONS_RUN += 1
-    diskcache.store_stats(
-        disk_key,
-        stats,
-        describe={
-            "benchmark": name,
-            "width": width,
-            "ports": ports,
-            "mode": mode,
-            "scale": scale,
-            "block_on_scalar_operand": block_on_scalar_operand,
-        },
-    )
+    describe = {
+        "benchmark": name,
+        "width": width,
+        "ports": ports,
+        "mode": mode,
+        "scale": scale,
+        "block_on_scalar_operand": block_on_scalar_operand,
+    }
+    if overrides:
+        describe["overrides"] = dict(overrides)
+    diskcache.store_stats(disk_key, stats, describe=describe)
     return stats
 
 

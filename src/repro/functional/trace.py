@@ -209,11 +209,6 @@ class Trace:
     def __getitem__(self, i: int) -> TraceEntry:
         return self.entries[i]
 
-    @property
-    def dynamic_count(self) -> int:
-        """Number of retired dynamic instructions."""
-        return len(self.entries)
-
     def soa(self) -> TraceSoA:
         """The structure-of-arrays predecode of this trace, built lazily
         once and shared by every machine that replays the trace."""

@@ -14,13 +14,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "AssemblerError",
         "assemble",
     ),
-    ".encoding": (
-        "EncodingError",
-        "decode_instruction",
-        "decode_program",
-        "encode_instruction",
-        "encode_program",
-    ),
     ".instruction": (
         "Instruction",
     ),

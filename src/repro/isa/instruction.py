@@ -8,10 +8,8 @@ from typing import Optional
 from .opcodes import (
     BRANCH_OPS,
     CONTROL_OPS,
-    FP_DEST_OPS,
     FuClass,
     LOAD_OPS,
-    MEM_OPS,
     Opcode,
     STORE_OPS,
     fu_class_of,
@@ -59,11 +57,6 @@ class Instruction:
         return self.op in STORE_OPS
 
     @property
-    def is_mem(self) -> bool:
-        """True for any memory instruction."""
-        return self.op in MEM_OPS
-
-    @property
     def is_branch(self) -> bool:
         """True for conditional branches only."""
         return self.op in BRANCH_OPS
@@ -72,16 +65,6 @@ class Instruction:
     def is_control(self) -> bool:
         """True for branches and jumps."""
         return self.op in CONTROL_OPS
-
-    @property
-    def is_fp_dest(self) -> bool:
-        """True if the destination register is floating point."""
-        return self.op in FP_DEST_OPS
-
-    @property
-    def writes_reg(self) -> bool:
-        """True if the instruction produces a register result."""
-        return self.rd != NO_REG
 
     @property
     def fu_class(self) -> FuClass:

@@ -175,7 +175,7 @@ def test_corrupted_stats_entry_heals_end_to_end(cache_dir):
     # The full path: a grid-point store is corrupted on disk, the next
     # fresh-process read misses, re-simulates bit-identically and
     # rewrites the entry.
-    point = ("li", 4, 1, "V", 1_500, True)
+    point = ("li", 4, 1, "V", 1_500, True, ())
     with _corrupting("stats", "truncate"):
         reference = dataclasses.asdict(runner.compute_point(point))
     runner.clear_memo()

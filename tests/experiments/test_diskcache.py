@@ -17,9 +17,10 @@ import json
 import pytest
 
 from repro.experiments import diskcache, runner
+from repro.experiments.parallel import GridPoint
 
 SCALE = 1_500
-POINT = ("li", 4, 1, "V", SCALE, True)
+POINT = ("li", 4, 1, "V", SCALE, True, ())
 
 
 @pytest.fixture
@@ -99,7 +100,7 @@ def test_point_cache_key_matches_unmemoized_key(monkeypatch):
     name = "li"
     shapes = itertools.product((4, 8), runner.PORT_COUNTS, runner.MODES, (True, False))
     for width, ports, mode, block in shapes:
-        point = (name, width, ports, mode, SCALE, block)
+        point = (name, width, ports, mode, SCALE, block, ())
         fresh = diskcache.stats_key(
             name, SCALE, 0, runner.point_config(width, ports, mode, block)
         )
@@ -108,12 +109,33 @@ def test_point_cache_key_matches_unmemoized_key(monkeypatch):
 
     # The source digest is still read per call: a source edit moves the
     # key of a shape whose fingerprint is already memoized.
-    point = (name, 4, 1, "V", SCALE, True)
+    point = (name, 4, 1, "V", SCALE, True, ())
     before = runner.point_cache_key(point)
     monkeypatch.setitem(
         diskcache._DIGEST_MEMO, diskcache._STATS_SOURCE_PACKAGES, "tampered"
     )
     assert runner.point_cache_key(point) != before
+
+
+def test_point_without_overrides_keeps_its_stats_key():
+    """``overrides=()`` adds nothing to a point's identity: its key is the
+    one derived from the plain config, so entries written before points
+    carried overrides still hit."""
+    for block in (True, False):
+        point = GridPoint("li", 4, 1, "V", SCALE, block, overrides=())
+        expected = diskcache.stats_key(
+            "li", SCALE, 0, runner.point_config(4, 1, "V", block)
+        )
+        assert runner.point_cache_key(point) == expected
+
+
+def test_override_moves_the_key_to_the_overridden_config():
+    plain = GridPoint("li", 4, 1, "V", SCALE)
+    point = plain._replace(overrides=(("vector_length", 8),))
+    config = runner.point_config(4, 1, "V")
+    config.vector.vector_length = 8
+    assert runner.point_cache_key(point) == diskcache.stats_key("li", SCALE, 0, config)
+    assert runner.point_cache_key(point) != runner.point_cache_key(plain)
 
 
 def test_stats_to_dict_equals_asdict_and_shares_nothing(cache_dir):

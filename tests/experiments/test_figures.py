@@ -1,7 +1,7 @@
 """Experiment runners: every figure produces the full benchmark grid.
 
-These run at a tiny scale (speed over statistical quality); the benchmark
-harness under ``benchmarks/`` runs the same code at full scale.
+These run at a tiny scale (speed over statistical quality);
+``python -m repro.experiments.report`` runs the same code at full scale.
 """
 
 import pytest

@@ -22,7 +22,7 @@ def _run_key(body):
 class TestParsePoint:
     def test_defaults(self):
         point = wire.parse_point({"benchmark": "compress"})
-        assert point == ("compress", 4, 1, "V", runner.EXPERIMENT_SCALE, True)
+        assert point == ("compress", 4, 1, "V", runner.EXPERIMENT_SCALE, True, ())
 
     @pytest.mark.parametrize(
         "overrides, kind",
