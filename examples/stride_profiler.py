@@ -17,6 +17,7 @@ from repro.analysis import (
     small_stride_fraction,
     stride_histogram,
 )
+from repro.experiments.paper_reference import STATISTICS
 from repro.workloads import ALL_BENCHMARKS, SPEC_FP, SPEC_INT, cached_trace
 
 SCALE = 12_000
@@ -47,14 +48,14 @@ def main() -> None:
     print()
 
     print("Suite averages (Figure 1 of the paper):")
-    for label, names in (("SpecInt", SPEC_INT), ("SpecFP", SPEC_FP)):
+    for label, suite, names in (("SpecInt", "int", SPEC_INT), ("SpecFP", "fp", SPEC_FP)):
         merged = merge_histograms(histograms[n] for n in names)
         print(f"\n  {label}:")
         for k in [str(i) for i in range(10)] + ["other"]:
             print(f"    stride {k:>5}: {bar(merged[k])} {merged[k]:6.1%}")
-        print(f"    strides below the 4-word line: "
-              f"{small_stride_fraction(merged):.1%} "
-              "(paper: 97.9% SpecInt / 81.3% SpecFP)")
+        paper = STATISTICS[f"small_strides_{suite}"].paper
+        print(f"    strided loads below the 4-word line: "
+              f"{small_stride_fraction(merged):.1%} (paper: {paper:.1%})")
 
 
 if __name__ == "__main__":

@@ -434,7 +434,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "per-task deadline: charge a grid point a timeout attempt when "
             "its worker peer has no result this long after dispatch "
-            "(default: $REPRO_TASK_TIMEOUT or off)"
+            "(default: off)"
         ),
     )
     parser.add_argument(
@@ -444,7 +444,7 @@ def _add_fault_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help=(
             "retry a failing grid point up to N times before quarantining "
-            "it (default: $REPRO_MAX_RETRIES or 2)"
+            "it (default: 2)"
         ),
     )
 
@@ -650,7 +650,7 @@ def main(argv=None) -> int:
     )
     p.add_argument(
         "--max-retries", type=_nonnegative_int, default=None, metavar="N",
-        help="fabric retry budget (default: $REPRO_MAX_RETRIES or 2)",
+        help="fabric retry budget (default: 2)",
     )
     p.add_argument(
         "--warm-benchmarks", nargs="*", metavar="BENCH", default=None,

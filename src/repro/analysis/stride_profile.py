@@ -63,8 +63,12 @@ def merge_histograms(histograms: Iterable[Dict[str, float]]) -> Dict[str, float]
 def small_stride_fraction(histogram: Dict[str, float], line_words: int = 4) -> float:
     """Fraction of strided samples with stride below the line size.
 
-    The paper (§2) reports that strides below 4 elements cover 97.9% of
-    SpecInt and 81.3% of SpecFP strided loads, which is the case for a
-    wide bus serving a whole line per access.
+    The *strided* samples are those of element strides 0..9, so the
+    ``other`` bucket counts in neither part of the ratio.  The paper (§2)
+    reports this share per suite
+    (:data:`repro.experiments.paper_reference.SMALL_STRIDE_FRACTION`): it
+    is what makes a wide bus serving a whole line per access pay.
     """
-    return sum(histogram.get(str(k), 0.0) for k in range(line_words))
+    strided = sum(histogram.get(str(k), 0.0) for k in range(10))
+    small = sum(histogram.get(str(k), 0.0) for k in range(line_words))
+    return small / strided if strided else 0.0

@@ -37,12 +37,6 @@ class VectorLengthResult:
     def runs(self) -> int:
         return len(self.run_lengths)
 
-    def fraction_at_least(self, n: int) -> float:
-        """Share of runs covering at least ``n`` elements."""
-        if not self.run_lengths:
-            return 0.0
-        return sum(1 for r in self.run_lengths if r >= n) / len(self.run_lengths)
-
 
 def average_vector_length(trace: Trace) -> VectorLengthResult:
     """Measure constant-stride run lengths over every static load.

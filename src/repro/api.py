@@ -186,6 +186,15 @@ class RunResult:
     block_on_scalar_operand: bool
     stats: SimStats
     metrics: Optional[Dict] = None
+    overrides: _runner.Overrides = ()
+
+    @classmethod
+    def of(
+        cls, point: _runner.PointKey, stats: SimStats, metrics: Optional[Dict] = None
+    ) -> "RunResult":
+        """The result ``stats`` of grid point ``point``, overrides included."""
+        *coordinates, overrides = point
+        return cls(*coordinates, stats, metrics, overrides)
 
     @property
     def ipc(self) -> float:
@@ -195,28 +204,15 @@ class RunResult:
         """The grid coordinate this result answers."""
         from .experiments.parallel import GridPoint
 
-        return GridPoint(
-            self.benchmark,
-            self.width,
-            self.ports,
-            self.mode,
-            self.scale,
-            self.block_on_scalar_operand,
-        )
+        return GridPoint(self.benchmark, self.width, self.ports, self.mode, self.scale,
+                         self.block_on_scalar_operand, self.overrides)
 
     def to_dict(self) -> Dict:
         return {
             "schema": SCHEMA_RUN,
             "ok": True,
             "error": None,
-            "point": {
-                "benchmark": self.benchmark,
-                "width": self.width,
-                "ports": self.ports,
-                "mode": self.mode,
-                "scale": self.scale,
-                "block_on_scalar_operand": self.block_on_scalar_operand,
-            },
+            "point": _runner.describe_point(self.point()),
             "stats": diskcache.stats_to_dict(self.stats),
             "derived": {
                 "ipc": self.stats.ipc,
@@ -247,18 +243,10 @@ def simulate(
     metrics need a fresh observed run: use :func:`trace`.
     """
     _check_benchmark(benchmark)
-    stats = _runner.run_point(
-        benchmark, width, ports, mode, scale, block_on_scalar_operand
-    )
-    return RunResult(
-        benchmark=benchmark,
-        width=width,
-        ports=ports,
-        mode=mode,
-        scale=scale,
-        block_on_scalar_operand=block_on_scalar_operand,
-        stats=stats,
-        metrics=_stats_metrics([stats]).to_dict() if metrics else None,
+    point = (benchmark, width, ports, mode, scale, block_on_scalar_operand, ())
+    stats = _runner.run_point(*point)
+    return RunResult.of(
+        point, stats, _stats_metrics([stats]).to_dict() if metrics else None
     )
 
 
@@ -399,18 +387,7 @@ def grid(
         cancel=cancel,
         progress=progress,
     )
-    runs = [
-        RunResult(
-            benchmark=point.name,
-            width=point.width,
-            ports=point.ports,
-            mode=point.mode,
-            scale=point.scale,
-            block_on_scalar_operand=point.block_on_scalar_operand,
-            stats=stats,
-        )
-        for point, stats in results.items()
-    ]
+    runs = [RunResult.of(point, stats) for point, stats in results.items()]
     registry = _stats_metrics(run.stats for run in runs) if metrics else None
     return GridReport(runs=runs, accounting=accounting, metrics=registry)
 
@@ -518,15 +495,10 @@ def trace(
         record_sim_stats(observer.metrics, stats)
     summary = observer.bus.summary()
     summary["kinds"] = sorted(kinds) if kinds is not None else None
-    result = RunResult(
-        benchmark=benchmark,
-        width=width,
-        ports=ports,
-        mode=mode,
-        scale=scale,
-        block_on_scalar_operand=block_on_scalar_operand,
-        stats=stats,
-        metrics=observer.metrics.to_dict() if observer.metrics else None,
+    result = RunResult.of(
+        (benchmark, width, ports, mode, scale, block_on_scalar_operand, ()),
+        stats,
+        observer.metrics.to_dict() if observer.metrics else None,
     )
     return TraceReport(
         result=result,

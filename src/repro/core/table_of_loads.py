@@ -18,7 +18,7 @@ vectorize again, and a full successfully-validated vector register halves
 it.  Without this, pathological patterns — a spill slot stored and
 reloaded every iteration — re-vectorize on the minimum three instances,
 conflict with the next store, squash the pipeline, and repeat; the paper's
-4.5%/2.5% store-conflict rates imply its workloads did not sit in that
+low store-conflict rates (§3.6) imply its workloads did not sit in that
 loop, and the damping keeps ours out of it too (documented in DESIGN.md
 §5).
 """

@@ -238,10 +238,6 @@ class VectorRegisterFile:
 
     # ------------------------------------------------------------------
 
-    @property
-    def free_count(self) -> int:
-        return len(self._free_slots)
-
     def allocate(
         self, pc: int, is_load: bool, start_offset: int, mrbb: int
     ) -> Optional[VectorRegister]:

@@ -65,8 +65,9 @@ def vector_length_sweep(
 ) -> Rows:
     """IPC as a function of elements per vector register.
 
-    The paper picks 4 because the measured average vector length is 8.84
-    (SpecInt) / 7.37 (SpecFP): longer registers overshoot loop ends, and
+    The paper picks 4 because the average vector length it measures is
+    small (§4.1, ``paper_reference.STATISTICS["vector_length_int"]`` and
+    ``["vector_length_fp"]``): longer registers overshoot loop ends, and
     shorter ones chain (and re-check) too often.
     """
     out: Rows = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List
 
-from ..workloads.suite import ALL_BENCHMARKS, SPEC_FP, SPEC_INT
+from ..workloads.suite import ALL_BENCHMARKS
 from . import diskcache
 from .parallel import GridPoint
 from .runner import EXPERIMENT_SCALE, MODES, PORT_COUNTS, label, run_point
@@ -59,11 +59,19 @@ def _vectorizability(trace) -> Dict[str, int]:
     }
 
 
-#: every trace analysis behind Figs 1 and 3; one load of a trace answers
-#: all of them.
+def _vector_length(trace) -> Dict[str, int]:
+    from ..analysis.vector_length import average_vector_length
+
+    result = average_vector_length(trace)
+    return {"runs": result.runs, "total": sum(result.run_lengths)}
+
+
+#: every trace analysis behind Figs 1 and 3 and §4.1's average vector
+#: length; one load of a trace answers all of them.
 _ANALYSES: Dict[str, Callable[..., Dict]] = {
     "stride_histogram": _stride_histogram,
     "vectorizability": _vectorizability,
+    "vector_length": _vector_length,
 }
 
 
@@ -105,6 +113,12 @@ def fig01_stride_distribution(scale: int = EXPERIMENT_SCALE) -> Rows:
         name: _trace_analysis("stride_histogram", name, scale)
         for name in ALL_BENCHMARKS
     }
+
+
+def vector_lengths(scale: int = EXPERIMENT_SCALE) -> Rows:
+    """§4.1: the count and total length of each benchmark's
+    constant-stride load runs (:func:`~repro.analysis.average_vector_length`)."""
+    return {name: _trace_analysis("vector_length", name, scale) for name in ALL_BENCHMARKS}
 
 
 def fig03_points(scale: int = EXPERIMENT_SCALE) -> Points:
@@ -290,40 +304,10 @@ def headline_points(scale: int = EXPERIMENT_SCALE) -> Points:
 def headline_claims(scale: int = EXPERIMENT_SCALE) -> Dict[str, float]:
     """The scalar claims of §1/§4/§6, measured on this reproduction.
 
-    Keys:
-
-    * ``speedup_1pV_vs_4pnoIM`` — paper: a 4-way, one wide bus + dynamic
-      vectorization is ~19% faster than 4 scalar buses without it.
-    * ``speedup_1pV_vs_8way_4pnoIM`` — paper §6: ~3% faster than an 8-way
-      with 4 scalar ports.
-    * ``int_ipc_gain_over_IM`` / ``fp_ipc_gain_over_IM`` — paper: +21.2% /
-      +8.1% over one wide bus without vectorization.
-    * ``int_mem_reduction`` / ``fp_mem_reduction`` — paper: memory
-      requests drop 15% / 20%.
-    * ``int_validation_fraction`` / ``fp_validation_fraction`` — paper:
-      28% / 23% of instructions become validations (8-way, one wide bus).
+    Keyed and ordered as ``repro.headline/v1``; each claim is an entry of
+    :data:`~repro.experiments.paper_reference.STATISTICS`, which says
+    what it measures and what the paper reports.
     """
-    def avg_ipc(names, width, ports, mode):
-        vals = [run_point(n, width, ports, mode, scale).ipc for n in names]
-        return sum(vals) / len(vals)
+    from .paper_reference import CLAIMS, STATISTICS
 
-    def total_mem(names, width, ports, mode):
-        return sum(run_point(n, width, ports, mode, scale).memory_accesses for n in names)
-
-    all_v = avg_ipc(ALL_BENCHMARKS, 4, 1, "V")
-    return {
-        "speedup_1pV_vs_4pnoIM": all_v / avg_ipc(ALL_BENCHMARKS, 4, 4, "noIM") - 1.0,
-        "speedup_1pV_vs_8way_4pnoIM": all_v / avg_ipc(ALL_BENCHMARKS, 8, 4, "noIM") - 1.0,
-        "int_ipc_gain_over_IM": avg_ipc(SPEC_INT, 4, 1, "V") / avg_ipc(SPEC_INT, 4, 1, "IM") - 1.0,
-        "fp_ipc_gain_over_IM": avg_ipc(SPEC_FP, 4, 1, "V") / avg_ipc(SPEC_FP, 4, 1, "IM") - 1.0,
-        "int_mem_reduction": 1.0 - total_mem(SPEC_INT, 4, 1, "V") / total_mem(SPEC_INT, 4, 1, "IM"),
-        "fp_mem_reduction": 1.0 - total_mem(SPEC_FP, 4, 1, "V") / total_mem(SPEC_FP, 4, 1, "IM"),
-        "int_validation_fraction": sum(
-            run_point(n, 8, 1, "V", scale).validation_fraction
-            for n in SPEC_INT
-        ) / len(SPEC_INT),
-        "fp_validation_fraction": sum(
-            run_point(n, 8, 1, "V", scale).validation_fraction
-            for n in SPEC_FP
-        ) / len(SPEC_FP),
-    }
+    return {key: STATISTICS[key].measure(scale) for key in CLAIMS}

@@ -65,6 +65,9 @@ from . import diskcache, runner
 
 #: default attempt budget beyond the first try (see FaultPolicy).
 DEFAULT_MAX_RETRIES = 2
+#: the in-process path's first retry backoff, doubling up to the cap (s).
+BACKOFF_BASE = 0.05
+BACKOFF_CAP = 2.0
 
 
 class GridPoint(NamedTuple):
@@ -94,52 +97,18 @@ class FaultPolicy:
     ``timeout`` attempt and its peer is recycled (the in-process path
     has no process boundary to kill, so it ignores the deadline).
     ``max_retries`` is the attempt budget *beyond* the first try; the
-    in-process path backs off exponentially from ``backoff_base``
-    capped at ``backoff_cap`` seconds between retries.
+    in-process path backs off exponentially from :data:`BACKOFF_BASE`
+    capped at :data:`BACKOFF_CAP` seconds between retries.
     """
 
     task_timeout: Optional[float] = None
     max_retries: int = DEFAULT_MAX_RETRIES
-    backoff_base: float = 0.05
-    backoff_cap: float = 2.0
 
-    def backoff(self, attempt: int) -> float:
-        """Seconds to wait before retry number ``attempt`` (1-based)."""
-        return min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1)))
-
-    @classmethod
-    def resolve(
-        cls,
-        task_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-    ) -> "FaultPolicy":
-        """Policy from arguments, ``$REPRO_TASK_TIMEOUT`` / ``$REPRO_MAX_RETRIES``,
-        or the defaults; rejects nonsensical values loudly."""
-        if task_timeout is None:
-            env = os.environ.get("REPRO_TASK_TIMEOUT")
-            if env:
-                try:
-                    task_timeout = float(env)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_TASK_TIMEOUT must be a number, got {env!r}"
-                    ) from None
-        if max_retries is None:
-            env = os.environ.get("REPRO_MAX_RETRIES")
-            if env:
-                try:
-                    max_retries = int(env)
-                except ValueError:
-                    raise ValueError(
-                        f"REPRO_MAX_RETRIES must be an integer, got {env!r}"
-                    ) from None
-        if max_retries is None:
-            max_retries = DEFAULT_MAX_RETRIES
-        if task_timeout is not None and task_timeout <= 0:
-            raise ValueError(f"task timeout must be positive, got {task_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max retries must be >= 0, got {max_retries}")
-        return cls(task_timeout=task_timeout, max_retries=max_retries)
+    def __post_init__(self) -> None:
+        if self.task_timeout is not None and self.task_timeout <= 0:
+            raise ValueError(f"task timeout must be positive, got {self.task_timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max retries must be >= 0, got {self.max_retries}")
 
 
 @dataclass
@@ -173,14 +142,7 @@ class TaskFailure:
             self.kind,
             self.error,
             retriable=False,
-            point={
-                "benchmark": self.point.name,
-                "width": self.point.width,
-                "ports": self.point.ports,
-                "mode": self.point.mode,
-                "scale": self.point.scale,
-                "block_on_scalar_operand": self.point.block_on_scalar_operand,
-            },
+            point=runner.describe_point(self.point),
             attempts=self.attempts,
         )
 
@@ -286,8 +248,7 @@ def run_grid(
     ``max_retries`` retries and simply absent from the returned dict —
     every other point completes, even when a worker peer dies mid-batch.
     See :class:`FaultPolicy` for the knob semantics (also reachable as
-    ``$REPRO_TASK_TIMEOUT`` / ``$REPRO_MAX_RETRIES`` and the CLI's
-    ``--task-timeout`` / ``--max-retries``).
+    the CLI's ``--task-timeout`` / ``--max-retries``).
 
     Where cache-cold points run: ``jobs=1``, or a single cold point,
     runs in-process, grouped by trace so the process holds one trace
@@ -321,7 +282,7 @@ def run_grid(
     report.requested = len(points)
     jobs = scheduler.nodes if scheduler is not None else resolve_jobs(jobs)
     report.jobs = jobs
-    policy = FaultPolicy.resolve(task_timeout, max_retries)
+    policy = FaultPolicy(task_timeout, DEFAULT_MAX_RETRIES if max_retries is None else max_retries)
 
     ordered: List[GridPoint] = []
     seen = set()
@@ -460,4 +421,4 @@ def _run_with_retries(point, policy, report) -> Optional[tuple]:
                 )
                 return None
             report.retries += 1
-            time.sleep(policy.backoff(attempts))
+            time.sleep(min(BACKOFF_CAP, BACKOFF_BASE * 2 ** (attempts - 1)))

@@ -15,29 +15,45 @@ command on an empty cache regenerates the checked-in EXPERIMENTS.md.
 from __future__ import annotations
 
 import argparse
+import itertools
 import pathlib
-from typing import Dict
+from typing import List
 
-from ..analysis import average_vector_length, format_table, mean, suite_rows
+from ..analysis import format_table, suite_rows
 from ..workloads import SPEC_FP, SPEC_INT
 from . import figures
 from .parallel import GridReport, run_grid
-from .paper_reference import (
-    CFI_REUSE_INT,
-    EIGHT_WAY_1PORT_IPC,
-    ELEMENTS,
-    HEADLINE,
-    SHAPES,
-    SMALL_STRIDE_FRACTION,
-    VECTORIZABLE_FRACTION,
-    same_sign,
-)
+from .paper_reference import CLAIMS, FIGURE_STATISTICS, SHAPES, STATISTICS, Statistic, same_sign
 from .registry import ABLATIONS, FIGURES
-from .runner import EXPERIMENT_SCALE, run_point
+from .runner import EXPERIMENT_SCALE
 
 
-def _avg(rows: Dict[str, Dict[str, float]], names, column: str) -> float:
-    return mean([rows[n][column] for n in names if n in rows])
+def _paper(entry: Statistic) -> str:
+    """The paper's value, with the digits the paper prints."""
+    return f"{100 * entry.paper:g}%" if entry.fmt.endswith("%") else f"{entry.paper:g}"
+
+
+def _cell(texts: List[str], values: List[float]) -> str:
+    """One value, or a pair as the change from the first to the second."""
+    if len(values) == 1:
+        return texts[0]
+    (before, after), (low, high) = texts, values
+    return f"{before} -> {after} ({high / low - 1:+.0%})"
+
+
+def _figure_rows(scale: int) -> List[str]:
+    """The "Figure-level statistics" rows; entries sharing a label share
+    a row."""
+    lines = []
+    entries = [STATISTICS[key] for key in FIGURE_STATISTICS]
+    for label, group in itertools.groupby(entries, key=lambda entry: entry.label):
+        group = list(group)
+        paper = _cell([_paper(e) for e in group], [e.paper for e in group])
+        values = [e.measure(scale) for e in group]
+        measured = _cell([format(v, e.fmt) for v, e in zip(values, group)], values)
+        note = group[0].note and f" {group[0].note}"
+        lines.append(f"| {label} ({group[0].section}) | {paper} | {measured}{note} |")
+    return lines
 
 
 def build_report(scale: int = EXPERIMENT_SCALE) -> str:
@@ -75,50 +91,10 @@ def build_report(scale: int = EXPERIMENT_SCALE) -> str:
         "| claim | paper | measured | direction |",
         "|---|---|---|---|",
     ]
-    measured = figures.headline_claims(scale)
-    for key, paper_value in HEADLINE.items():
-        got = measured[key]
-        verdict = "reproduced" if same_sign(got, paper_value) else "**flipped** (DESIGN.md §5.9)"
-        lines.append(f"| `{key}` | {paper_value:+.1%} | {got:+.1%} | {verdict} |")
-
-    # Figure-level summary rows.
-    fig03, fig10 = rows["fig03"], rows["fig10"]
-    fig14, fig15 = rows["fig14"], rows["fig15"]
-    int_vec = _avg(fig03, SPEC_INT, "vectorizable")
-    fp_vec = _avg(fig03, SPEC_FP, "vectorizable")
-    int_reuse = _avg(fig10, SPEC_INT, "reused")
-    int_val = _avg(fig14, SPEC_INT, "validations")
-    fp_val = _avg(fig14, SPEC_FP, "validations")
-    all_names = list(SPEC_INT) + list(SPEC_FP)
-    computed = _avg(fig15, all_names, "comp_used") + _avg(fig15, all_names, "comp_not_used")
-    validated = _avg(fig15, all_names, "comp_used")
-    from ..workloads.spec95 import cached_trace
-
-    int_avl = mean(
-        [average_vector_length(cached_trace(n, scale)).average for n in SPEC_INT]
-    )
-    fp_avl = mean(
-        [average_vector_length(cached_trace(n, scale)).average for n in SPEC_FP]
-    )
-    eight_noim = mean(
-        [run_point(n, 8, 1, "noIM", scale).ipc for n in all_names]
-    )
-    eight_im = mean([run_point(n, 8, 1, "IM", scale).ipc for n in all_names])
-    stores = [run_point(n, 4, 1, "V", scale) for n in all_names]
-    int_conflict = mean(
-        [
-            s.store_conflicts / s.committed_stores if s.committed_stores else 0.0
-            for s, n in zip(stores, all_names)
-            if n in SPEC_INT
-        ]
-    )
-    fp_conflict = mean(
-        [
-            s.store_conflicts / s.committed_stores if s.committed_stores else 0.0
-            for s, n in zip(stores, all_names)
-            if n in SPEC_FP
-        ]
-    )
+    for key in CLAIMS:
+        paper, got = STATISTICS[key].paper, STATISTICS[key].measure(scale)
+        verdict = "reproduced" if same_sign(got, paper) else "**flipped** (DESIGN.md §5.9)"
+        lines.append(f"| `{key}` | {paper:+.1%} | {got:+.1%} | {verdict} |")
 
     lines += [
         "",
@@ -126,20 +102,7 @@ def build_report(scale: int = EXPERIMENT_SCALE) -> str:
         "",
         "| statistic | paper | measured |",
         "|---|---|---|",
-        f"| vectorizable fraction, SpecInt (Fig 3) | {VECTORIZABLE_FRACTION['int']:.0%} | {int_vec:.0%} |",
-        f"| vectorizable fraction, SpecFP (Fig 3) | {VECTORIZABLE_FRACTION['fp']:.0%} | {fp_vec:.0%} |",
-        f"| validation fraction, SpecInt (Fig 14) | {HEADLINE['int_validation_fraction']:.0%} | {int_val:.0%} |",
-        f"| validation fraction, SpecFP (Fig 14) | {HEADLINE['fp_validation_fraction']:.0%} | {fp_val:.0%} |",
-        f"| post-mispredict reuse, SpecInt (Fig 10) | {CFI_REUSE_INT:.0%} | {int_reuse:.0%} |",
-        f"| elements computed per register (Fig 15) | {ELEMENTS['computed']:.2f} | {computed:.2f} |",
-        f"| elements validated per register (Fig 15) | {ELEMENTS['validated']:.2f} | {validated:.2f} |",
-        f"| 8-way 1-port IPC, noIM -> IM (Fig 11) | {EIGHT_WAY_1PORT_IPC['noIM']:.2f} -> {EIGHT_WAY_1PORT_IPC['IM']:.2f} (+22%) | {eight_noim:.2f} -> {eight_im:.2f} ({eight_im/eight_noim-1:+.0%}) |",
-        f"| conflicting stores, SpecInt (§3.6) | 4.5% | {int_conflict:.1%} |",
-        f"| conflicting stores, SpecFP (§3.6) | 2.5% | {fp_conflict:.1%} |",
-        f"| small strides (<4 elems), SpecInt (§2) | {SMALL_STRIDE_FRACTION['int']:.1%} | see fig01 table |",
-        f"| small strides (<4 elems), SpecFP (§2) | {SMALL_STRIDE_FRACTION['fp']:.1%} | see fig01 table |",
-        f"| average vector length, SpecInt (§4.1) | 8.84 | {int_avl:.1f} (synthetic loops are more regular than SPEC's) |",
-        f"| average vector length, SpecFP (§4.1) | 7.37 | {fp_avl:.1f} (same caveat) |",
+        *_figure_rows(scale),
         "",
         "## Qualitative shapes checked by the test-suite",
         "",

@@ -153,6 +153,23 @@ def point_cache_key(point: PointKey) -> str:
     return diskcache.fingerprint_stats_key(name, scale, 0, fingerprint)
 
 
+def describe_point(point: PointKey) -> Dict[str, object]:
+    """The JSON form of one grid point; ``overrides`` appear only when
+    set, so a plain point keeps its six coordinates."""
+    name, width, ports, mode, scale, block_on_scalar_operand, overrides = point
+    out: Dict[str, object] = {
+        "benchmark": name,
+        "width": width,
+        "ports": ports,
+        "mode": mode,
+        "scale": scale,
+        "block_on_scalar_operand": block_on_scalar_operand,
+    }
+    if overrides:
+        out["overrides"] = dict(overrides)
+    return out
+
+
 def run_point(
     name: str,
     width: int = 4,
@@ -194,17 +211,7 @@ def compute_point(key: PointKey) -> SimStats:
     config = point_config(width, ports, mode, block_on_scalar_operand, overrides)
     stats = Machine(config, cached_trace(name, scale)).run()
     _SIMULATIONS_RUN += 1
-    describe = {
-        "benchmark": name,
-        "width": width,
-        "ports": ports,
-        "mode": mode,
-        "scale": scale,
-        "block_on_scalar_operand": block_on_scalar_operand,
-    }
-    if overrides:
-        describe["overrides"] = dict(overrides)
-    diskcache.store_stats(disk_key, stats, describe=describe)
+    diskcache.store_stats(disk_key, stats, describe=describe_point(key))
     return stats
 
 

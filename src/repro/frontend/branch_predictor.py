@@ -32,10 +32,6 @@ class PredictorStats:
     def mispredicts(self) -> int:
         return self.cond_mispredicts + self.indirect_mispredicts
 
-    @property
-    def cond_accuracy(self) -> float:
-        return 1.0 - self.cond_mispredicts / self.conditional if self.conditional else 1.0
-
 
 class GsharePredictor:
     """Gshare with 2-bit counters and a global history register."""

@@ -24,15 +24,6 @@ class CacheStats:
     misses: int = 0
     writebacks: int = 0
 
-    @property
-    def accesses(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def miss_rate(self) -> float:
-        total = self.accesses
-        return self.misses / total if total else 0.0
-
     def to_dict(self) -> Dict[str, int]:
         """Counters as a plain dict (metrics recording / reports)."""
         return {

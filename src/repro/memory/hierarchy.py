@@ -78,11 +78,6 @@ class MemoryHierarchy:
             del mshrs[line]
         self._first_fill = min(mshrs.values(), default=_NO_FILL)
 
-    def outstanding_misses(self, now: int) -> int:
-        """Number of in-flight L1D miss fills at ``now``."""
-        self._reap_mshrs(now)
-        return len(self._mshrs)
-
     # ------------------------------------------------------------------
 
     def data_access(self, addr: int, now: int, is_write: bool = False) -> Optional[int]:

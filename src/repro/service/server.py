@@ -72,14 +72,16 @@ from .jobs import Job, JobCancelled, JobManager, JobQueueFull
 
 
 #: modules a route imports on first use beyond what this module loads:
-#: the in-process ``/trace`` run and the Fig 1 / Fig 3 analyses behind
-#: ``/figure``.  The service loads them before its first answer, so no
-#: request pays an import.
+#: the in-process ``/trace`` run, the trace analyses behind Fig 1 / Fig 3
+#: on ``/figure`` and the claims table behind ``/headline``.  The service
+#: loads them before its first answer, so no request pays an import.
 _REQUEST_PATH = (
     "repro.pipeline.machine",
     "repro.workloads.spec95",
     "repro.analysis.stride_profile",
     "repro.analysis.vectorizability",
+    "repro.analysis.vector_length",
+    "repro.experiments.paper_reference",
 )
 
 
@@ -426,15 +428,7 @@ class SimulationService:
             return None
 
         def hook(point, stats_dict) -> None:
-            result = api.RunResult(
-                benchmark=point.name,
-                width=point.width,
-                ports=point.ports,
-                mode=point.mode,
-                scale=point.scale,
-                block_on_scalar_operand=point.block_on_scalar_operand,
-                stats=diskcache.stats_from_dict(stats_dict),
-            ).to_dict()
+            result = api.RunResult.of(point, diskcache.stats_from_dict(stats_dict)).to_dict()
             job.emit("point.result", result=result)
 
         return hook

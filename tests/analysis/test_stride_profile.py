@@ -149,3 +149,12 @@ def test_small_stride_fraction():
     hist["3"] = 0.2
     hist["4"] = 0.4  # at the line size: excluded
     assert small_stride_fraction(hist) == pytest.approx(0.6)
+
+
+def test_small_stride_fraction_is_a_share_of_strided_samples():
+    hist = {key: 0.0 for key in STRIDE_BUCKETS}
+    hist["1"] = 0.3
+    hist["5"] = 0.1
+    hist["other"] = 0.6  # neither strided nor small
+    assert small_stride_fraction(hist) == pytest.approx(0.75)
+    assert small_stride_fraction({key: 0.0 for key in STRIDE_BUCKETS}) == 0.0

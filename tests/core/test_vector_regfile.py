@@ -41,7 +41,6 @@ def test_allocation_and_exhaustion():
     b = vrf.allocate(2, True, 0, -1)
     assert a is not None and b is not None
     assert vrf.allocate(3, True, 0, -1) is None  # §3.3: stay scalar
-    assert vrf.free_count == 0
 
 
 def test_generations_bump_on_reuse():
@@ -57,7 +56,9 @@ def test_free_is_idempotent():
     vrf, reg = fresh()
     vrf.free(reg)
     vrf.free(reg)
-    assert vrf.free_count == 8
+    # The slot went back to the pool once: 8 registers, not 9.
+    allocated = [vrf.allocate(pc, True, 0, -1) for pc in range(9)]
+    assert sum(r is not None for r in allocated) == 8
 
 
 def test_load_address_range():

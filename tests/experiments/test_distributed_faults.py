@@ -47,8 +47,6 @@ def fresh_state(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
-    monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     runner.clear_memo()
     faults.clear()
     yield tmp_path

@@ -6,8 +6,11 @@ import sys
 
 from repro.experiments import report
 from repro.experiments.paper_reference import (
+    CLAIMS,
+    FIGURE_STATISTICS,
     HEADLINE,
     SHAPES,
+    STATISTICS,
     VECTORIZABLE_FRACTION,
     same_sign,
 )
@@ -22,6 +25,22 @@ def test_paper_reference_is_complete():
     assert all(isinstance(v, float) for v in HEADLINE.values())
     assert 0 < VECTORIZABLE_FRACTION["int"] < 1
     assert len(SHAPES) == 10
+
+
+def test_one_table_holds_every_statistic():
+    assert CLAIMS == tuple(HEADLINE)
+    assert len(FIGURE_STATISTICS) == len(set(FIGURE_STATISTICS)) == 15
+    # Fig 14's validation rows are the two validation claims, not copies.
+    assert set(CLAIMS) & set(FIGURE_STATISTICS) == {
+        "int_validation_fraction", "fp_validation_fraction",
+    }
+    assert set(STATISTICS) == set(CLAIMS) | set(FIGURE_STATISTICS)
+    assert all(STATISTICS[key].paper == HEADLINE[key] for key in CLAIMS)
+    assert STATISTICS["vectorizable_int"].paper == VECTORIZABLE_FRACTION["int"]
+    # The report renders the table; it states no paper value itself.
+    source = inspect.getsource(report)
+    for literal in ("8.84", "7.37", "4.5%", "2.5%", "+22%"):
+        assert literal not in source, literal
 
 
 def test_same_sign():
@@ -58,3 +77,24 @@ def test_build_report_structure(monkeypatch):
     ]
     source = inspect.getsource(report)
     assert "RESULTS_DIR" not in source and '"benchmarks"' not in source
+
+
+def test_warm_report_builds_no_trace(monkeypatch):
+    """Every statistic reads cached stats and analyses: once the disk
+    cache is warm, a process rendering the report interprets no program."""
+    from repro.experiments import runner
+    from repro.workloads import spec95
+
+    monkeypatch.setenv("REPRO_JOBS", "2")
+    build_report(scale=2_500)
+    # What a fresh process holds: no memo, no resident trace.
+    runner.clear_memo()
+    for trace_id in spec95.resident_traces():
+        spec95.release_trace(*trace_id)
+    calls = []
+    real = spec95.run_program
+    monkeypatch.setattr(
+        spec95, "run_program", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs)
+    )
+    build_report(scale=2_500)
+    assert calls == []

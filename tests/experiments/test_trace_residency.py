@@ -142,5 +142,6 @@ def test_cold_runs_write_only_stats_and_analyses(cold, capsys):
     capsys.readouterr()
     written = sorted(path.relative_to(cold).parts[0] for path in cold.rglob("*")
                      if path.is_file())
-    assert written == ["analysis"] * 2 * len(ALL_BENCHMARKS) + ["stats"]
+    # Three analyses per trace: stride histogram, vectorizability, run lengths.
+    assert written == ["analysis"] * 3 * len(ALL_BENCHMARKS) + ["stats"]
     assert sorted(path.name for path in cold.iterdir()) == ["analysis", "stats"]

@@ -55,7 +55,7 @@ def test_stats_counting():
     p = GsharePredictor(entries=1024)
     p.predict_and_update(0, True)
     assert p.stats.conditional == 1
-    assert 0.0 <= p.stats.cond_accuracy <= 1.0
+    assert p.stats.cond_mispredicts <= p.stats.conditional
 
 
 def test_counters_saturate():

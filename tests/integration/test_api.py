@@ -60,6 +60,22 @@ def test_grid_returns_report_with_runs_and_metrics():
     json.dumps(payload)
 
 
+def test_grid_results_name_their_overrides():
+    plain = api.GridPoint("swim", 4, 1, "V", 1_500)
+    wide = plain._replace(overrides=(("vector_length", 8),))
+    report = api.grid([plain, wide], jobs=1)
+    stats = report.stats()
+    assert list(stats) == [plain, wide]
+    assert stats[plain].ipc == runner.run_point(*plain).ipc
+    assert stats[wide].ipc == runner.run_point(*wide).ipc != stats[plain].ipc
+    points = [run.to_dict()["point"] for run in report.runs]
+    # A plain point's payload keeps its six coordinates, byte for byte.
+    assert list(points[0]) == [
+        "benchmark", "width", "ports", "mode", "scale", "block_on_scalar_operand",
+    ]
+    assert points[1] == {**points[0], "overrides": {"vector_length": 8}}
+
+
 def test_trace_captures_events_and_cross_checks():
     report = api.trace(
         "turb3d", width=8, ports=2, scale=4_000, events=["validation", "squash"]

@@ -83,14 +83,6 @@ def test_invalidate_all():
     assert not cache.probe(0)
 
 
-def test_miss_rate():
-    cache = make_tiny()
-    cache.access(0)
-    cache.fill(0)
-    cache.access(0)
-    assert cache.stats.miss_rate == 0.5
-
-
 def test_refill_same_line_does_not_evict():
     cache = make_tiny(assoc=2, sets=1)
     cache.fill(0)

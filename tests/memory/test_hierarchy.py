@@ -29,11 +29,11 @@ def test_cold_miss_goes_to_memory():
 
 
 def test_mshr_merges_same_line():
-    h = MemoryHierarchy()
+    h = MemoryHierarchy(HierarchyConfig(max_outstanding_misses=2))
     first = h.data_access(0, now=0)
     second = h.data_access(8, now=1)  # same 32B line, still in flight
     assert second == first
-    assert h.outstanding_misses(1) == 1
+    assert h.data_access(64, now=1) is not None  # the merge took no second MSHR
 
 
 def test_mshr_limit_returns_none():
@@ -47,10 +47,12 @@ def test_mshr_limit_returns_none():
 
 
 def test_mshr_reaping():
-    h = MemoryHierarchy()
-    h.data_access(0, now=0)
-    assert h.outstanding_misses(0) == 1
-    assert h.outstanding_misses(1000) == 0
+    # A fill frees its MSHR at its ready cycle, while a later fill holds on.
+    h = MemoryHierarchy(HierarchyConfig(max_outstanding_misses=2))
+    first = h.data_access(0, now=0)
+    h.data_access(64, now=1)
+    assert h.data_access(128, now=first - 1) is None
+    assert h.data_access(128, now=first) is not None
 
 
 def test_inst_access_hit_and_miss():
@@ -106,7 +108,6 @@ def test_mshr_merge_has_no_cache_side_effects():
     assert h.data_access(24, now=3) == first  # same 32B line
     assert (h.l1d.stats.hits, h.l1d.stats.misses) == (l1_hits, l1_misses)
     assert (h.l2.stats.hits, h.l2.stats.misses) == (l2_hits, l2_misses)
-    assert h.outstanding_misses(3) == 1  # merged, not a second MSHR
 
 
 def test_mshr_merge_write_joins_read_fill():
