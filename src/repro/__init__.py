@@ -16,7 +16,7 @@ The package layers, bottom-up:
   VRMT, the vector register file with V/R/U/F element flags, and the
   speculative dynamic vectorization engine;
 * :mod:`repro.analysis` / :mod:`repro.experiments` — trace analyses and
-  one runner per figure of the paper's evaluation;
+  one declaration per figure of the paper's evaluation;
 * :mod:`repro.observe` — structured observability: typed event tracing,
   a metrics registry, and pipeline-stage profiling (zero overhead when
   off);

@@ -54,6 +54,7 @@ interface scripts should parse.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -121,8 +122,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
             print(f"unknown figure {name!r}; known: {', '.join(api.FIGURES)}")
             return 2
     # Collect every simulation point the selected figures need, then fan
-    # the whole batch out at once; the figure functions afterwards run
-    # entirely from the in-process memo.
+    # the whole batch out at once; each figure afterwards finds its points
+    # in the in-process memo.
     points = []
     for name in names:
         points.extend(api.get_figure(name).points(args.scale))
@@ -142,10 +143,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
         else:
             _print_grid_failures(batch.accounting)
         return 1
-    results = [
-        api.figure(name, scale=args.scale, prebatched=True)
-        for name in names
-    ]
+    results = [api.figure(name, scale=args.scale) for name in names]
     if args.json:
         grid = batch.to_dict()["accounting"]
         # Which peer ran which points changes from run to run; it goes to
@@ -185,16 +183,7 @@ def cmd_headline(args: argparse.Namespace) -> int:
             _print_grid_failures(exc.accounting)
         return 1
     if args.json:
-        payload = {
-            "schema": api.SCHEMA_HEADLINE,
-            "ok": True,
-            "error": None,
-            "scale": args.scale,
-            # Kept for repro.headline/v1: simulation is always exact.
-            "sampled": False,
-            "claims": claims,
-        }
-        print(json.dumps(payload, sort_keys=True))
+        print(json.dumps(api.headline_envelope(claims, args.scale), sort_keys=True))
         return 0
     from .analysis.reports import format_table
 
@@ -262,13 +251,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     events = report.events
     if args.limit is not None:
         events = events[: args.limit]
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as stream:
-            for event in events:
-                stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-    else:
+    with (
+        open(args.output, "w", encoding="utf-8") if args.output
+        else contextlib.nullcontext(sys.stdout)
+    ) as stream:
         for event in events:
-            print(json.dumps(event.to_dict(), sort_keys=True))
+            stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
     # Capture accounting + cross-check go to stderr so stdout stays pure
     # JSONL (pipeable into jq and friends).
     summary = report.bus_summary

@@ -95,7 +95,7 @@ if TYPE_CHECKING:
     from .experiments import parallel as _parallel
     from .experiments.distributed.scheduler import DistributedScheduler
     from .experiments.parallel import GridPoint
-    from .experiments.registry import FigureSpec
+    from .experiments.figures import FigureSpec
     from .verify.campaign import CampaignReport
 
 # Facade names whose modules one simulation never runs: the grid, the
@@ -104,7 +104,7 @@ if TYPE_CHECKING:
 # this module.
 _, __getattr__, __dir__ = lazy_exports(__name__, {
     "repro.experiments.parallel": ("GridPoint",),
-    "repro.experiments.registry": ("FIGURES", "FigureSpec", "figure_names", "get_figure"),
+    "repro.experiments.figures": ("FIGURES", "FigureSpec", "figure_names", "get_figure"),
     "repro.verify.campaign": ("CampaignReport",),
     "repro.verify.oracle": ("OracleConfig",),
     "repro.experiments.distributed.scheduler": ("DistributedScheduler",),
@@ -444,16 +444,6 @@ class TraceReport:
             "events": [event.to_dict() for event in self.events],
         }
 
-    def export_jsonl(self, stream) -> int:
-        """Write the captured events to ``stream`` as JSONL lines."""
-        import json
-
-        n = 0
-        for event in self.events:
-            stream.write(json.dumps(event.to_dict(), sort_keys=True) + "\n")
-            n += 1
-        return n
-
 
 def trace(
     benchmark: str,
@@ -535,7 +525,6 @@ def figure(
     *,
     scale: int = EXPERIMENT_SCALE,
     jobs: Optional[int] = None,
-    prebatched: bool = False,
     task_timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     scheduler: Optional[DistributedScheduler] = None,
@@ -546,28 +535,27 @@ def figure(
     """Regenerate one figure of the paper (see :data:`FIGURES` for names).
 
     The figure's simulation points are batched through :func:`grid` first
-    (skipped with ``prebatched=True`` when a driver already warmed the
-    batch), then the rows are computed from the in-process memo.  Raises
-    :class:`GridFailureError` if any batched point failed after retries —
-    partial figures are worse than no figures.
+    (memo hits when a driver already ran them), then the rows are
+    computed from the in-process memo.  Raises :class:`GridFailureError`
+    if any batched point failed after retries — partial figures are worse
+    than no figures.
     """
-    from .experiments.registry import get_figure
+    from .experiments.figures import get_figure
 
     spec = get_figure(name)
     report = None
-    if not prebatched:
-        points = spec.points(scale)
-        if points:
-            report = grid(
-                points, jobs=jobs,
-                task_timeout=task_timeout, max_retries=max_retries,
-                scheduler=scheduler, on_result=on_result,
-                cancel=cancel, progress=progress,
-            )
-            if not report.ok:
-                raise GridFailureError(report.accounting)
-            if report.accounting.cancelled:
-                raise GridCancelled(report.accounting)
+    points = spec.points(scale)
+    if points:
+        report = grid(
+            points, jobs=jobs,
+            task_timeout=task_timeout, max_retries=max_retries,
+            scheduler=scheduler, on_result=on_result,
+            cancel=cancel, progress=progress,
+        )
+        if not report.ok:
+            raise GridFailureError(report.accounting)
+        if report.accounting.cancelled:
+            raise GridCancelled(report.accounting)
     return FigureResult(spec=spec, rows=spec.rows(scale), grid=report)
 
 
@@ -600,6 +588,19 @@ def headline(
     if report.accounting.cancelled:
         raise GridCancelled(report.accounting)
     return _figures.headline_claims(scale)
+
+
+def headline_envelope(claims: Dict[str, float], scale: int) -> Dict:
+    """The ``repro.headline/v1`` envelope of measured ``claims``."""
+    return {
+        "schema": SCHEMA_HEADLINE,
+        "ok": True,
+        "error": None,
+        "scale": scale,
+        # Kept for repro.headline/v1: simulation is always exact.
+        "sampled": False,
+        "claims": claims,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -705,6 +706,7 @@ __all__ = [
     "get_figure",
     "grid",
     "headline",
+    "headline_envelope",
     "schema_names",
     "simulate",
     "trace",

@@ -1,4 +1,6 @@
-"""Experiment harness: one runner per figure of the paper's evaluation."""
+"""Experiment harness: each figure of the paper's evaluation and each
+ablation declared once, as a :class:`FigureSpec` whose grid points and
+rows both derive from that declaration."""
 
 from .._lazy import lazy_exports
 
@@ -9,24 +11,12 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "resolve_jobs",
         "run_grid",
     ),
-    ".ablations": (
-        "confidence_sweep",
-        "damping_ablation",
-        "register_count_sweep",
-        "vector_length_sweep",
-    ),
+    ".ablations": ("ABLATIONS",),
     ".figures": (
-        "fig01_stride_distribution",
-        "fig03_vectorizable",
-        "fig07_scalar_blocking",
-        "fig09_offsets",
-        "fig10_control_independence",
-        "fig11_ipc",
-        "fig12_port_occupancy",
-        "fig13_wide_bus",
-        "fig14_validations",
-        "fig15_prediction_accuracy",
+        "FIGURES",
+        "FigureSpec",
         "headline_claims",
+        "headline_points",
     ),
     ".runner": (
         "EXPERIMENT_SCALE",

@@ -1,27 +1,27 @@
-"""One runner per figure/table of the paper's evaluation.
+"""The paper's figures, each declared once.
 
-Every public function regenerates the data behind one figure of the paper
-(see DESIGN.md §4 for the index) and returns it as
+Every figure of the paper's evaluation (see DESIGN.md §4 for the index)
+is one :class:`FigureSpec` in :data:`FIGURES`: its name and title, the
+machine configurations every benchmark runs at, and a ``row`` function
+that turns one benchmark's stats at those configurations into its
+columns.  ``spec.points(scale)`` lists the grid points a driver batches
+through :func:`repro.experiments.parallel.run_grid`; ``spec.rows(scale)``
+reads those same points back (memo hits after the batch) as
 ``{benchmark: {column: value}}`` dictionaries that
 :func:`repro.analysis.reports.suite_rows` renders with INT/FP/TOTAL
-average rows, matching the layout of the paper's charts.
+average rows.  Both derive from the one declaration, so a table cannot
+read a point its batch lacks.
 
-Each figure also exposes a ``*_points`` enumerator naming every
-simulation point it needs (empty for the trace-analysis figures), so a
-driver can collect the whole batch up front and fan it out over
-:func:`repro.experiments.parallel.run_grid`; the figure functions then
-pull the results from the in-process memo.  Called directly (without a
-pre-warmed batch), the functions still compute correctly — point by
-point through :func:`run_point`.
-
-The functions only *compute*; printing is left to the CLI, the
-EXPERIMENTS.md generator (:mod:`repro.experiments.report`) and examples.
+The specs only *compute*; printing is left to the CLI, the EXPERIMENTS.md
+generator (:mod:`repro.experiments.report`) and examples.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from dataclasses import dataclass, field
+from typing import Callable, Dict, List, Tuple
 
+from ..pipeline.stats import SimStats
 from ..workloads.suite import ALL_BENCHMARKS
 from . import diskcache
 from .parallel import GridPoint
@@ -30,15 +30,55 @@ from .runner import EXPERIMENT_SCALE, MODES, PORT_COUNTS, label, run_point
 Rows = Dict[str, Dict[str, float]]
 Points = List[GridPoint]
 
+#: one machine configuration of a table: a :class:`GridPoint` without its
+#: benchmark and scale, ``(width, ports, mode[, block_on_scalar_operand[,
+#: overrides]])``.
+Config = Tuple
 
-def _suite_points(scale: int, width: int = 4, ports: int = 1, mode: str = "V") -> Points:
-    """One grid point per benchmark at a fixed configuration."""
-    return [GridPoint(name, width, ports, mode, scale) for name in ALL_BENCHMARKS]
 
+@dataclass(frozen=True)
+class FigureSpec:
+    """One table of the evaluation, as every driver sees it.
 
-def fig01_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    """Trace analysis only — no timing simulations."""
-    return []
+    ``row`` gets one :class:`SimStats` per entry of ``configs``, in
+    order, and returns that benchmark's columns.  A spec declaring no
+    configuration is ``analysis_only``: computed from the instruction
+    trace alone, its ``row`` gets ``(benchmark, scale)``.
+    """
+
+    name: str
+    title: str
+    row: Callable[..., Dict[str, float]] = field(compare=False)
+    configs: Tuple[Config, ...] = ()
+
+    @property
+    def analysis_only(self) -> bool:
+        return not self.configs
+
+    def _points(self, name: str, scale: int) -> Points:
+        return [GridPoint(name, *config[:3], scale, *config[3:]) for config in self.configs]
+
+    def points(self, scale: int = EXPERIMENT_SCALE) -> Points:
+        """Every simulation the table reads, benchmark by benchmark."""
+        return [point for name in ALL_BENCHMARKS for point in self._points(name, scale)]
+
+    def rows(self, scale: int = EXPERIMENT_SCALE) -> Rows:
+        """``{benchmark: {column: value}}``, from the points of
+        :meth:`points` (memo hits once a batch ran them)."""
+        if self.analysis_only:
+            return {name: self.row(name, scale) for name in ALL_BENCHMARKS}
+        return {
+            name: self.row(*(run_point(*point) for point in self._points(name, scale)))
+            for name in ALL_BENCHMARKS
+        }
+
+    def describe(self) -> Dict[str, object]:
+        """Stable JSON-friendly identity (used by ``--json`` listings)."""
+        return {
+            "name": self.name,
+            "title": self.title,
+            "analysis_only": self.analysis_only,
+        }
 
 
 def _stride_histogram(trace) -> Dict[str, float]:
@@ -107,186 +147,128 @@ def _trace_analysis(analysis: str, name: str, scale: int) -> Dict:
     return computed[analysis]
 
 
-def fig01_stride_distribution(scale: int = EXPERIMENT_SCALE) -> Rows:
-    """Figure 1: stride distribution (element strides 0..9) per suite."""
-    return {
-        name: _trace_analysis("stride_histogram", name, scale)
-        for name in ALL_BENCHMARKS
-    }
-
-
 def vector_lengths(scale: int = EXPERIMENT_SCALE) -> Rows:
     """§4.1: the count and total length of each benchmark's
     constant-stride load runs (:func:`~repro.analysis.average_vector_length`)."""
     return {name: _trace_analysis("vector_length", name, scale) for name in ALL_BENCHMARKS}
 
 
-def fig03_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    """Trace analysis only — no timing simulations."""
-    return []
+def _stride_distribution(name: str, scale: int) -> Dict[str, float]:
+    """Figure 1: stride distribution (element strides 0..9)."""
+    return _trace_analysis("stride_histogram", name, scale)
 
 
-def fig03_vectorizable(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _vectorizable(name: str, scale: int) -> Dict[str, float]:
     """Figure 3: % vectorizable instructions with unbounded resources.
 
     The fractions are taken from the cached counts with the operations of
     ``VectorizabilityResult.fraction``, so a warm run loads no analysis.
     """
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        counts = _trace_analysis("vectorizability", name, scale)
-        total, loads, alu = counts["total"], counts["vector_loads"], counts["vector_alu"]
-        out[name] = {
-            "vectorizable": (loads + alu) / total if total else 0.0,
-            "loads": loads / total if total else 0.0,
-            "alu": alu / total if total else 0.0,
-        }
-    return out
+    counts = _trace_analysis("vectorizability", name, scale)
+    total, loads, alu = counts["total"], counts["vector_loads"], counts["vector_alu"]
+    return {
+        "vectorizable": (loads + alu) / total if total else 0.0,
+        "loads": loads / total if total else 0.0,
+        "alu": alu / total if total else 0.0,
+    }
 
 
-def fig07_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return [
-        GridPoint(name, 4, 1, "V", scale, block)
-        for name in ALL_BENCHMARKS
-        for block in (True, False)
-    ]
-
-
-def fig07_scalar_blocking(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _scalar_blocking(real: SimStats, ideal: SimStats) -> Dict[str, float]:
     """Figure 7: IPC blocking (real) vs not blocking (ideal) on scalar
     operands, 4-way with 1 wide port and 128 vector registers."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        real = run_point(name, width=4, ports=1, mode="V", scale=scale)
-        ideal = run_point(
-            name, width=4, ports=1, mode="V", scale=scale,
-            block_on_scalar_operand=False,
-        )
-        out[name] = {"real": real.ipc, "ideal": ideal.ipc}
-    return out
+    return {"real": real.ipc, "ideal": ideal.ipc}
 
 
-def fig09_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return _suite_points(scale, width=8)
-
-
-def fig09_offsets(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _offsets(st: SimStats) -> Dict[str, float]:
     """Figure 9: % of vector instructions created with a nonzero source
     offset, 8-way processor with 128 vector registers."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
-        frac = st.offset_instances / st.vector_instances if st.vector_instances else 0.0
-        out[name] = {"offset_nonzero": frac}
-    return out
+    frac = st.offset_instances / st.vector_instances if st.vector_instances else 0.0
+    return {"offset_nonzero": frac}
 
 
-def fig10_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return _suite_points(scale)
-
-
-def fig10_control_independence(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _control_independence(st: SimStats) -> Dict[str, float]:
     """Figure 10: % of the 100 instructions after a mispredicted branch
     whose work is reused from the vector datapath (4-way, 1 wide port)."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        st = run_point(name, width=4, ports=1, mode="V", scale=scale)
-        out[name] = {"reused": st.cfi_reuse_fraction}
-    return out
+    return {"reused": st.cfi_reuse_fraction}
 
 
-def fig11_points(width: int, scale: int = EXPERIMENT_SCALE) -> Points:
-    """The full {1,2,4} ports x {noIM,IM,V} grid at one width (Fig 11/12)."""
-    return [
-        GridPoint(name, width, ports, mode, scale)
-        for name in ALL_BENCHMARKS
-        for ports in PORT_COUNTS
-        for mode in MODES
-    ]
+def _port_mode_grid(name: str, title: str, width: int, metric: str) -> FigureSpec:
+    """Figures 11 (IPC) and 12 (L1 data-port occupancy): one column per
+    {1,2,4} ports x {noIM, IM, V} at one width."""
+    grid = [(ports, mode) for ports in PORT_COUNTS for mode in MODES]
+
+    def row(*stats: SimStats) -> Dict[str, float]:
+        return {label(*cell): getattr(st, metric) for cell, st in zip(grid, stats)}
+
+    return FigureSpec(name, title, row, tuple((width, *cell) for cell in grid))
 
 
-def fig11_ipc(width: int, scale: int = EXPERIMENT_SCALE) -> Rows:
-    """Figure 11: IPC for {1,2,4} ports x {noIM, IM, V} at one width."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        row = {}
-        for ports in PORT_COUNTS:
-            for mode in MODES:
-                st = run_point(name, width=width, ports=ports, mode=mode, scale=scale)
-                row[label(ports, mode)] = st.ipc
-        out[name] = row
-    return out
-
-
-def fig12_points(width: int, scale: int = EXPERIMENT_SCALE) -> Points:
-    return fig11_points(width, scale)
-
-
-def fig12_port_occupancy(width: int, scale: int = EXPERIMENT_SCALE) -> Rows:
-    """Figure 12: L1 data-port occupancy over the same grid as Fig 11."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        row = {}
-        for ports in PORT_COUNTS:
-            for mode in MODES:
-                st = run_point(name, width=width, ports=ports, mode=mode, scale=scale)
-                row[label(ports, mode)] = st.port_occupancy
-        out[name] = row
-    return out
-
-
-def fig13_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return _suite_points(scale)
-
-
-def fig13_wide_bus(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _wide_bus(st: SimStats) -> Dict[str, float]:
     """Figure 13: % of read lines contributing 1..4 useful words plus
     unused (speculative) accesses, 4-way with 1 wide port + vectorization."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        st = run_point(name, width=4, ports=1, mode="V", scale=scale)
-        hist = dict(st.usefulness)
-        out[name] = {
-            "1pos": hist.get("1", 0.0),
-            "2pos": hist.get("2", 0.0),
-            "3pos": hist.get("3", 0.0),
-            "4pos": hist.get("4", 0.0),
-            "unused": hist.get("unused", 0.0),
-        }
-    return out
+    hist = dict(st.usefulness)
+    return {
+        "1pos": hist.get("1", 0.0),
+        "2pos": hist.get("2", 0.0),
+        "3pos": hist.get("3", 0.0),
+        "4pos": hist.get("4", 0.0),
+        "unused": hist.get("unused", 0.0),
+    }
 
 
-def fig14_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return _suite_points(scale, width=8)
-
-
-def fig14_validations(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _validations(st: SimStats) -> Dict[str, float]:
     """Figure 14: % of instructions turned into validation operations,
     8-way superscalar with one wide bus."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
-        out[name] = {"validations": st.validation_fraction}
-    return out
+    return {"validations": st.validation_fraction}
 
 
-def fig15_points(scale: int = EXPERIMENT_SCALE) -> Points:
-    return _suite_points(scale, width=8)
-
-
-def fig15_prediction_accuracy(scale: int = EXPERIMENT_SCALE) -> Rows:
+def _prediction_accuracy(st: SimStats) -> Dict[str, float]:
     """Figure 15: average vector elements computed+used / computed-unused /
     not-computed per register, 8-way with 128 vector registers."""
-    out: Rows = {}
-    for name in ALL_BENCHMARKS:
-        st = run_point(name, width=8, ports=1, mode="V", scale=scale)
-        avg = st.avg_elements
-        out[name] = {
-            "comp_used": avg["computed_used"],
-            "comp_not_used": avg["computed_unused"],
-            "not_comp": avg["not_computed"],
-        }
-    return out
+    avg = st.avg_elements
+    return {
+        "comp_used": avg["computed_used"],
+        "comp_not_used": avg["computed_unused"],
+        "not_comp": avg["not_computed"],
+    }
+
+
+_4WAY_V, _8WAY_V = (4, 1, "V"), (8, 1, "V")
+
+#: every figure the reproduction regenerates, in paper order.
+FIGURES: Dict[str, FigureSpec] = {
+    spec.name: spec
+    for spec in (
+        FigureSpec("fig01", "Figure 1: stride distribution", _stride_distribution),
+        FigureSpec("fig03", "Figure 3: vectorizable fraction", _vectorizable),
+        FigureSpec("fig07", "Figure 7: real vs ideal IPC", _scalar_blocking,
+                   (_4WAY_V, (4, 1, "V", False))),
+        FigureSpec("fig09", "Figure 9: nonzero-offset instances", _offsets, (_8WAY_V,)),
+        FigureSpec("fig10", "Figure 10: CFI reuse", _control_independence, (_4WAY_V,)),
+        _port_mode_grid("fig11_4way", "Figure 11: IPC, 4-way", 4, "ipc"),
+        _port_mode_grid("fig11_8way", "Figure 11: IPC, 8-way", 8, "ipc"),
+        _port_mode_grid("fig12_4way", "Figure 12: occupancy, 4-way", 4, "port_occupancy"),
+        _port_mode_grid("fig12_8way", "Figure 12: occupancy, 8-way", 8, "port_occupancy"),
+        FigureSpec("fig13", "Figure 13: wide-bus usefulness", _wide_bus, (_4WAY_V,)),
+        FigureSpec("fig14", "Figure 14: validation fraction", _validations, (_8WAY_V,)),
+        FigureSpec("fig15", "Figure 15: element fates", _prediction_accuracy, (_8WAY_V,)),
+    )
+}
+
+
+def figure_names() -> List[str]:
+    """Registered figure names, in paper order."""
+    return list(FIGURES)
+
+
+def get_figure(name: str) -> FigureSpec:
+    """The spec for ``name``; raises ``KeyError`` naming the known set."""
+    try:
+        return FIGURES[name]
+    except KeyError:
+        raise KeyError(
+            f"unknown figure {name!r}; known: {', '.join(FIGURES)}"
+        ) from None
 
 
 def headline_points(scale: int = EXPERIMENT_SCALE) -> Points:

@@ -17,7 +17,7 @@ from typing import Callable, Dict, Iterable, Sequence
 
 from ..analysis.reports import mean
 from ..workloads.suite import ALL_BENCHMARKS, SPEC_FP, SPEC_INT
-from . import figures
+from .figures import FIGURES, vector_lengths
 from .runner import run_point
 
 #: §1 / §4.3 / §6 scalar claims.
@@ -132,11 +132,11 @@ def _suite(
         # here over element strides 0..9 of the suite's mean Fig 1 histogram.
         from ..analysis.stride_profile import merge_histograms, small_stride_fraction
 
-        rows = figures.fig01_stride_distribution(scale)
+        rows = FIGURES["fig01"].rows(scale)
         return small_stride_fraction(merge_histograms(rows[n] for n in names))
 
     def mean_run_length(scale: int) -> float:
-        runs = figures.vector_lengths(scale)
+        runs = vector_lengths(scale)
         return mean(runs[n]["total"] / runs[n]["runs"] if runs[n]["runs"] else 0.0
                     for n in names)
 
@@ -146,10 +146,10 @@ def _suite(
                     HEADLINE[f"{suite}_mem_reduction"], memory_reduction)
     yield Statistic(f"{suite}_validation_fraction", f"validation fraction, {title}", "Fig 14",
                     HEADLINE[f"{suite}_validation_fraction"],
-                    _columns(figures.fig14_validations, names, "validations"))
+                    _columns(FIGURES["fig14"].rows, names, "validations"))
     yield Statistic(f"vectorizable_{suite}", f"vectorizable fraction, {title}", "Fig 3",
                     VECTORIZABLE_FRACTION[suite],
-                    _columns(figures.fig03_vectorizable, names, "vectorizable"))
+                    _columns(FIGURES["fig03"].rows, names, "vectorizable"))
     yield Statistic(f"store_conflicts_{suite}", f"conflicting stores, {title}", "§3.6",
                     STORE_CONFLICT_RATE[suite], store_conflicts, ".1%")
     yield Statistic(f"small_strides_{suite}", f"small strides (<4 elems), {title}", "§2",
@@ -170,8 +170,8 @@ def _entries() -> Iterable[Statistic]:
                       "(synthetic loops are more regular than SPEC's)")
     yield from _suite("fp", "SpecFP", SPEC_FP, 7.37, "(same caveat)")
     yield Statistic("cfi_reuse_int", "post-mispredict reuse, SpecInt", "Fig 10", CFI_REUSE_INT,
-                    _columns(figures.fig10_control_independence, SPEC_INT, "reused"))
-    fig15 = figures.fig15_prediction_accuracy
+                    _columns(FIGURES["fig10"].rows, SPEC_INT, "reused"))
+    fig15 = FIGURES["fig15"].rows
     yield Statistic("elements_computed", "elements computed per register", "Fig 15",
                     ELEMENTS["computed"],
                     _columns(fig15, ALL_BENCHMARKS, "comp_used", "comp_not_used"), ".2f")

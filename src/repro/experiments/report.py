@@ -4,7 +4,7 @@ Usage::
 
     python -m repro.experiments.report [--scale N] [--out EXPERIMENTS.md]
 
-The generator collects the grid points of every registered figure, every
+The generator collects the grid points of every figure, every
 ablation sweep and the headline claims, runs them as one
 :func:`~repro.experiments.parallel.run_grid` batch (cached, over
 ``$REPRO_JOBS`` or one worker peer per CPU), and renders every table
@@ -21,10 +21,10 @@ from typing import List
 
 from ..analysis import format_table, suite_rows
 from ..workloads import SPEC_FP, SPEC_INT
-from . import figures
+from .ablations import ABLATIONS
+from .figures import FIGURES, headline_points
 from .parallel import GridReport, run_grid
 from .paper_reference import CLAIMS, FIGURE_STATISTICS, SHAPES, STATISTICS, Statistic, same_sign
-from .registry import ABLATIONS, FIGURES
 from .runner import EXPERIMENT_SCALE
 
 
@@ -62,7 +62,7 @@ def build_report(scale: int = EXPERIMENT_SCALE) -> str:
     tables = [*FIGURES.values(), *ABLATIONS.values()]
     points = [point for spec in tables for point in spec.points(scale)]
     accounting = GridReport()
-    run_grid(points + figures.headline_points(scale), report=accounting)
+    run_grid(points + headline_points(scale), report=accounting)
     if not accounting.ok:
         from ..api import GridFailureError
 

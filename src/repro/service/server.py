@@ -58,7 +58,6 @@ from ..experiments import diskcache
 from ..experiments.distributed.scheduler import DistributedScheduler, Warmup
 from ..observe import MetricsRegistry
 from ..schemas import (
-    SCHEMA_HEADLINE,
     SCHEMA_SERVICE_METRICS,
     SCHEMA_SERVICE_STATUS,
     error_envelope,
@@ -489,15 +488,7 @@ class SimulationService:
             self._check_cancelled(job)
             return wrap_error(exc.to_error())
         self._check_cancelled(job)
-        return {
-            "schema": SCHEMA_HEADLINE,
-            "ok": True,
-            "error": None,
-            "scale": params["scale"],
-            # Kept for repro.headline/v1: simulation is always exact.
-            "sampled": False,
-            "claims": claims,
-        }
+        return api.headline_envelope(claims, params["scale"])
 
     # -- introspection -----------------------------------------------------
 

@@ -19,9 +19,9 @@ import hashlib
 import json
 from typing import Dict, List, Optional, Tuple
 
-from ..experiments import figures as _figures, runner
+from ..experiments import runner
+from ..experiments.figures import FIGURES, headline_points
 from ..experiments.parallel import GridPoint
-from ..experiments.registry import FIGURES
 from ..workloads import ALL_BENCHMARKS
 
 _MODES = ("noIM", "IM", "V")
@@ -180,6 +180,6 @@ def parse_headline_request(body: Dict) -> Tuple[Dict, str]:
     _require(isinstance(body, dict), "request.invalid", "headline request must be an object")
     _reject_unknown(body, ("scale",), "headline request")
     scale = _parse_scale(body)
-    points = _figures.headline_points(scale)
+    points = headline_points(scale)
     params = {"scale": scale}
     return params, request_key("headline", points, {"scale": scale})

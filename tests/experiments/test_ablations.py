@@ -5,22 +5,17 @@ import dataclasses
 
 import pytest
 
-from repro.experiments import (
-    confidence_sweep,
-    damping_ablation,
-    register_count_sweep,
-    runner,
-    vector_length_sweep,
-)
+from repro.experiments import runner
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.figures import FIGURES
 from repro.experiments.parallel import GridPoint, GridReport, run_grid
-from repro.experiments.registry import ABLATIONS, FIGURES
 from repro.workloads import ALL_BENCHMARKS
 
 SCALE = 2_500
 
 
 def test_vector_length_sweep_shape():
-    rows = vector_length_sweep(scale=SCALE)
+    rows = ABLATIONS["ablation_vl"].rows(SCALE)
     assert set(rows) == set(ALL_BENCHMARKS)
     for values in rows.values():
         assert set(values) == {"VL=2", "VL=4", "VL=8"}
@@ -28,21 +23,21 @@ def test_vector_length_sweep_shape():
 
 
 def test_register_starvation_costs_ipc():
-    rows = register_count_sweep(counts=(8, 128), scale=SCALE)
+    rows = ABLATIONS["ablation_regs"].rows(SCALE)
     starved = sum(v["fail@8"] for v in rows.values())
     full = sum(v["fail@128"] for v in rows.values())
     assert starved > full
 
 
 def test_confidence_one_misspeculates_more():
-    rows = confidence_sweep(thresholds=(1, 4), scale=SCALE)
+    rows = ABLATIONS["ablation_conf"].rows(SCALE)
     eager = sum(v["fail@1"] for v in rows.values())
     careful = sum(v["fail@4"] for v in rows.values())
     assert eager >= careful
 
 
 def test_damping_reduces_squashes():
-    rows = damping_ablation(scale=SCALE)
+    rows = ABLATIONS["ablation_damping"].rows(SCALE)
     damped = sum(v["squash_damped"] for v in rows.values())
     literal = sum(v["squash_literal"] for v in rows.values())
     assert damped <= literal
@@ -67,9 +62,9 @@ def test_default_column_is_the_plain_point(cold):
     assert set(plain) <= set(ABLATIONS["ablation_vl"].points(scale))
     assert set(plain) <= set(FIGURES["fig11_4way"].points(scale))
     before = runner.simulations_run()
-    vector_length_sweep(scale=scale)
+    ABLATIONS["ablation_vl"].rows(scale)
     assert runner.simulations_run() - before == 36
-    register_count_sweep(scale=scale)
+    ABLATIONS["ablation_regs"].rows(scale)
     assert runner.simulations_run() - before == 36 + 24
 
 

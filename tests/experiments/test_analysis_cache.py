@@ -15,7 +15,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import diskcache
-from repro.experiments.figures import fig01_stride_distribution, fig03_vectorizable
+from repro.experiments.figures import FIGURES
 from repro.pipeline.stats import SimStats
 from repro.workloads import spec95
 from repro.workloads.spec95 import release_trace
@@ -44,7 +44,7 @@ def _release_traces():
 
 
 def _rows():
-    return fig01_stride_distribution(SCALE), fig03_vectorizable(SCALE)
+    return FIGURES["fig01"].rows(SCALE), FIGURES["fig03"].rows(SCALE)
 
 
 @pytest.fixture

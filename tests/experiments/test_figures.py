@@ -1,4 +1,4 @@
-"""Experiment runners: every figure produces the full benchmark grid.
+"""Figure specs: every figure produces the full benchmark grid.
 
 These run at a tiny scale (speed over statistical quality);
 ``python -m repro.experiments.report`` runs the same code at full scale.
@@ -8,18 +8,9 @@ import pytest
 
 from repro.experiments import (
     EXPERIMENT_SCALE,
+    FIGURES,
     MODES,
     PORT_COUNTS,
-    fig01_stride_distribution,
-    fig03_vectorizable,
-    fig07_scalar_blocking,
-    fig09_offsets,
-    fig10_control_independence,
-    fig11_ipc,
-    fig12_port_occupancy,
-    fig13_wide_bus,
-    fig14_validations,
-    fig15_prediction_accuracy,
     headline_claims,
     label,
     run_point,
@@ -57,14 +48,14 @@ def test_run_point_memoized():
 
 
 def test_fig01_rows_are_distributions():
-    rows = fig01_stride_distribution(SCALE)
+    rows = FIGURES["fig01"].rows(SCALE)
     assert set(rows) == set(ALL_BENCHMARKS)
     for values in rows.values():
         assert sum(values.values()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fig03_fractions_bounded():
-    rows = fig03_vectorizable(SCALE)
+    rows = FIGURES["fig03"].rows(SCALE)
     for values in rows.values():
         assert 0.0 <= values["vectorizable"] <= 1.0
         assert values["vectorizable"] == pytest.approx(
@@ -73,24 +64,24 @@ def test_fig03_fractions_bounded():
 
 
 def test_fig07_ideal_at_least_real():
-    rows = fig07_scalar_blocking(SCALE)
+    rows = FIGURES["fig07"].rows(SCALE)
     for values in rows.values():
         assert values["ideal"] >= values["real"] * 0.98  # tiny-scale noise
 
 
 def test_fig09_fraction_bounded():
-    for values in fig09_offsets(SCALE).values():
+    for values in FIGURES["fig09"].rows(SCALE).values():
         assert 0.0 <= values["offset_nonzero"] <= 1.0
 
 
 def test_fig10_reuse_bounded():
-    for values in fig10_control_independence(SCALE).values():
+    for values in FIGURES["fig10"].rows(SCALE).values():
         assert 0.0 <= values["reused"] <= 1.0
 
 
 @pytest.mark.parametrize("width", [4, 8])
 def test_fig11_full_grid(width):
-    rows = fig11_ipc(width, SCALE)
+    rows = FIGURES[f"fig11_{width}way"].rows(SCALE)
     assert set(rows) == set(ALL_BENCHMARKS)
     for values in rows.values():
         assert len(values) == 9
@@ -98,32 +89,32 @@ def test_fig11_full_grid(width):
 
 
 def test_fig12_occupancy_bounded():
-    rows = fig12_port_occupancy(4, SCALE)
+    rows = FIGURES["fig12_4way"].rows(SCALE)
     for values in rows.values():
         assert all(0.0 <= v <= 1.0 for v in values.values())
 
 
 def test_fig12_more_ports_lower_occupancy():
-    rows = fig12_port_occupancy(4, SCALE)
+    rows = FIGURES["fig12_4way"].rows(SCALE)
     for name, values in rows.items():
         assert values["4pnoIM"] <= values["1pnoIM"] + 1e-9
 
 
 def test_fig13_histogram_sums_to_one():
-    rows = fig13_wide_bus(SCALE)
+    rows = FIGURES["fig13"].rows(SCALE)
     for values in rows.values():
         assert sum(values.values()) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_fig14_validations_bounded():
-    rows = fig14_validations(SCALE)
+    rows = FIGURES["fig14"].rows(SCALE)
     assert any(v["validations"] > 0.05 for v in rows.values())
     for values in rows.values():
         assert 0.0 <= values["validations"] <= 1.0
 
 
 def test_fig15_elements_sum_to_vl():
-    rows = fig15_prediction_accuracy(SCALE)
+    rows = FIGURES["fig15"].rows(SCALE)
     for name, values in rows.items():
         total = values["comp_used"] + values["comp_not_used"] + values["not_comp"]
         if total:  # benchmarks with no vector registers report zeroes
@@ -146,3 +137,44 @@ def test_headline_claims_keys_and_signs():
     assert claims["int_ipc_gain_over_IM"] > 0
     assert claims["fp_ipc_gain_over_IM"] > 0
     assert claims["int_validation_fraction"] > 0.1
+
+
+
+@pytest.fixture
+def cold(tmp_path, monkeypatch):
+    """Cold memo and a private, enabled disk cache."""
+    from repro.experiments import runner
+
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.delenv("REPRO_NO_DISK_CACHE", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    runner.clear_memo()
+    yield runner
+    runner.clear_memo()
+
+
+def test_each_table_reads_only_the_points_it_declares(cold, monkeypatch):
+    # A read outside the declared points would simulate serially, outside
+    # the batch and outside the fabric's retry and quarantine.
+    from repro.experiments import diskcache
+    from repro.experiments.ablations import ABLATIONS
+    from repro.experiments.figures import headline_points
+    from repro.experiments.parallel import run_grid
+
+    runner, scale = cold, 1_000
+    reads = [
+        (spec.name, spec.points(scale), spec.rows)
+        for spec in [*FIGURES.values(), *ABLATIONS.values()]
+    ]
+    reads.append(("headline", headline_points(scale), headline_claims))
+    run_grid([point for _, points, _ in reads for point in points], jobs=1)
+    load = diskcache.load_stats_entry
+    for name, points, read in reads:
+        runner.clear_memo()
+        monkeypatch.setattr(diskcache, "load_stats_entry", load)
+        run_grid(points, jobs=1)
+        # Only the memo answers now: a point the batch lacked simulates.
+        monkeypatch.setattr(diskcache, "load_stats_entry", lambda key: None)
+        before = runner.simulations_run()
+        read(scale)
+        assert runner.simulations_run() == before, name

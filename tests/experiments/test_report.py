@@ -14,7 +14,8 @@ from repro.experiments.paper_reference import (
     VECTORIZABLE_FRACTION,
     same_sign,
 )
-from repro.experiments.registry import ABLATIONS, FIGURES
+from repro.experiments.ablations import ABLATIONS
+from repro.experiments.figures import FIGURES
 from repro.experiments.report import build_report
 
 ROOT = pathlib.Path(__file__).resolve().parents[2]
@@ -57,7 +58,7 @@ def test_build_report_structure(monkeypatch):
     assert "int_validation_fraction" in text
     assert "## Full tables" in text
     # Every figure and ablation table is rendered from the grid, in
-    # registry order, each ending in the suite averages.
+    # declaration order, each ending in the suite averages.
     tables = [*FIGURES.values(), *ABLATIONS.values()]
     assert len(tables) == 16
     sections = text.split("\n### ")[1:]

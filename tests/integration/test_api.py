@@ -9,7 +9,7 @@ import pytest
 import repro
 from repro import api
 from repro.experiments import runner
-from repro.experiments.registry import FIGURES, FigureSpec, get_figure
+from repro.experiments.figures import FIGURES, FigureSpec, get_figure
 
 SCALE = 2_000
 
@@ -118,6 +118,10 @@ def test_registry_covers_all_known_figures():
     }
     for spec in FIGURES.values():
         assert callable(spec.rows) and callable(spec.points)
+    # The trace-analysis figures are the ones declaring no configuration.
+    assert [name for name, spec in FIGURES.items() if spec.analysis_only] == [
+        "fig01", "fig03",
+    ]
 
 
 def test_top_level_exports():

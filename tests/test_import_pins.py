@@ -132,8 +132,7 @@ def test_long_lived_processes_load_their_request_path_up_front(tmp_path):
         "repro.workloads.spec95",
         "repro.analysis.stride_profile",            # /figure fig01
         "repro.analysis.vectorizability",           # /figure fig03
-        "repro.experiments.registry",               # /figure
-        "repro.experiments.figures",                # /headline
+        "repro.experiments.figures",                # /figure, /headline
         "repro.experiments.distributed.scheduler",  # every cold point
     ):
         assert module in loaded, module
