@@ -1,45 +1,42 @@
-"""CI's output checks, as pytest tests that drive real ``python -m repro``
-processes.
+"""The figures, the headline claims and EXPERIMENTS.md, from the command
+line.
 
     PYTHONPATH=src python -m pytest smoke/test_outputs.py
 
-They live outside tier-1's ``testpaths``: the headline check simulates
-every headline point at the default scale on two worker peers.  Each
-test runs ``repro`` in the caller's environment, so the headline check
-leaves its points in the ambient disk cache, where CI's EXPERIMENTS.md
-drift check finds them.
+The three checks share one throwaway disk cache: the headline check
+simulates every headline point at the default scale on two worker
+peers, and the EXPERIMENTS.md check then finds those points there.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import pathlib
-import subprocess
-import sys
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
+import pytest
 
-from repro.experiments.paper_reference import HEADLINE, same_sign  # noqa: E402
+from conftest import ROOT, repro
+from repro.experiments.paper_reference import HEADLINE, same_sign
 
 
-def _repro(*args: str, **env: str) -> str:
-    """The stdout of ``python -m repro *args``; a nonzero exit fails."""
-    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths), **env}
-    return subprocess.run(
-        [sys.executable, "-m", "repro", *args],
-        env=env, capture_output=True, text=True, check=True,
-    ).stdout
+@pytest.fixture(scope="module")
+def cache(tmp_path_factory):
+    return {"REPRO_CACHE_DIR": str(tmp_path_factory.mktemp("outputs-cache"))}
 
 
-def test_headline_signs():
+def test_parallel_figure_fan_out(cache):
+    # Worker-peer fan-out and the disk cache: one figure on two peers.
+    out = repro("figures", "--only", "fig14", "--scale", "2000", "--jobs", "2", **cache).stdout
+    assert "Figure 14" in out
+
+
+def test_headline_signs(cache):
     # Every claim but the 8-way one keeps the paper's sign.  The 4-way-1pV
     # vs 8-way-4pnoIM claim is a known sign flip (EXPERIMENTS.md): this
     # reproduction's 8-way baseline is stronger than the paper's, so that
     # razor-thin +3 % turns negative.
-    payload = json.loads(_repro("headline", "--scale", "12000", "--jobs", "2", "--json"))
+    payload = json.loads(repro(
+        "headline", "--scale", "12000", "--jobs", "2", "--json", **cache,
+    ).stdout)
     assert payload["ok"], payload.get("error")
     claims = payload["claims"]
     checked = [k for k in claims if k != "speedup_1pV_vs_8way_4pnoIM"]
@@ -48,21 +45,11 @@ def test_headline_signs():
     assert not flipped, {k: claims[k] for k in flipped}
 
 
-def test_warm_figures_answer_the_same(tmp_path):
-    # Figs 1 and 3 are trace analyses kept in the cache's analysis
-    # section.  A cold run, a warm run on the same cache and a run after
-    # that section is cleared must print the same figures; the grid
-    # block counts cache hits, so it is left out.
-    cache = {"REPRO_CACHE_DIR": str(tmp_path / "analysis-cache")}
-
-    def figures() -> str:
-        payload = json.loads(_repro(
-            "figures", "--only", "fig01", "fig03", "--scale", "1500", "--jobs", "1",
-            "--json", **cache,
-        ))
-        return json.dumps(payload["figures"], sort_keys=True)
-
-    cold = figures()
-    assert figures() == cold, "warm figures differ from cold"
-    _repro("cache", "clear", "--section", "analysis", **cache)
-    assert figures() == cold, "rebuilt figures differ from cold"
+def test_experiments_md_is_the_generated_one(cache, tmp_path):
+    # One grid batch of every figure, ablation and headline point, on one
+    # worker peer per CPU; the committed file must be its output.
+    out = tmp_path / "EXPERIMENTS.md"
+    repro("--out", str(out), module="repro.experiments.report", **cache)
+    assert out.read_bytes() == (ROOT / "EXPERIMENTS.md").read_bytes(), (
+        "EXPERIMENTS.md drifted from `python -m repro.experiments.report`"
+    )

@@ -119,7 +119,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
     names = args.only or api.figure_names()
     for name in names:
         if name not in api.FIGURES:
-            print(f"unknown figure {name!r}; known: {', '.join(api.FIGURES)}")
+            message = f"unknown figure {name!r}; known: {', '.join(api.FIGURES)}"
+            if args.json:
+                print(json.dumps(api.error_envelope("figure.unknown", message), sort_keys=True))
+            else:
+                print(message)
             return 2
     # Collect every simulation point the selected figures need, then fan
     # the whole batch out at once; each figure afterwards finds its points
@@ -151,13 +155,11 @@ def cmd_figures(args: argparse.Namespace) -> int:
         nodes = grid.pop("nodes", None)
         if nodes:
             print(f"grid nodes: {json.dumps(nodes, sort_keys=True)}", file=sys.stderr)
-        payload = {
-            "schema": api.SCHEMA_FIGURE_SET,
-            "ok": True,
-            "error": None,
-            "grid": grid,
-            "figures": {result.spec.name: result.to_dict() for result in results},
-        }
+        payload = api.envelope(
+            api.SCHEMA_FIGURE_SET,
+            grid=grid,
+            figures={result.spec.name: result.to_dict() for result in results},
+        )
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(batch.accounting.summary())
@@ -326,7 +328,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     info = Corpus().info()
     if args.json:
-        payload = {"schema": api.SCHEMA_FUZZ_CORPUS, "ok": True, "error": None, **info}
+        payload = api.envelope(api.SCHEMA_FUZZ_CORPUS, **info)
         print(json.dumps(payload, sort_keys=True))
     else:
         print(f"root:           {info['root']}")

@@ -33,8 +33,9 @@ a ``repro.error/v1`` object: ``kind``/``message``/``retriable``/
 schema registry lives in :data:`SCHEMAS` (name -> version -> validator,
 implemented in :mod:`repro.schemas` and re-exported here);
 :func:`validate_envelope` is the shared check the service, the CLI and
-the test suites all run, and :func:`error_dict` /
-:func:`error_envelope` build the error shapes.  Registered schemas:
+the test suites all run; :func:`envelope` builds every envelope, and
+:func:`error_dict` / :func:`error_envelope` build the error shapes.
+Registered schemas:
 ``repro.run/v1``, ``repro.grid/v1``, ``repro.trace/v1``,
 ``repro.figure/v1`` (one figure), ``repro.figure.set/v1`` (the CLI's
 multi-figure payload), ``repro.headline/v1``,
@@ -84,6 +85,7 @@ from .schemas import (
     SCHEMA_SERVICE_STATUS,
     SCHEMA_TRACE,
     schema_names,
+    envelope,
     error_dict,
     error_envelope,
     validate_envelope,
@@ -208,20 +210,18 @@ class RunResult:
                          self.block_on_scalar_operand, self.overrides)
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": SCHEMA_RUN,
-            "ok": True,
-            "error": None,
-            "point": _runner.describe_point(self.point()),
-            "stats": diskcache.stats_to_dict(self.stats),
-            "derived": {
+        return envelope(
+            SCHEMA_RUN,
+            point=_runner.describe_point(self.point()),
+            stats=diskcache.stats_to_dict(self.stats),
+            derived={
                 "ipc": self.stats.ipc,
                 "validation_fraction": self.stats.validation_fraction,
                 "port_occupancy": self.stats.port_occupancy,
                 "memory_accesses": self.stats.memory_accesses,
             },
-            "metrics": self.metrics,
-        }
+            metrics=self.metrics,
+        )
 
 
 def simulate(
@@ -323,15 +323,14 @@ class GridReport:
 
     def to_dict(self) -> Dict:
         failed = not self.accounting.ok
-        return {
-            "schema": SCHEMA_GRID,
-            "ok": not failed,
-            "error": GridFailureError(self.accounting).to_error() if failed else None,
-            "accounting": _accounting_dict(self.accounting),
-            "failures": [failure.to_dict() for failure in self.accounting.failed],
-            "runs": [run.to_dict() for run in self.runs],
-            "metrics": self.metrics.to_dict() if self.metrics else None,
-        }
+        return envelope(
+            SCHEMA_GRID,
+            error=GridFailureError(self.accounting).to_error() if failed else None,
+            accounting=_accounting_dict(self.accounting),
+            failures=[failure.to_dict() for failure in self.accounting.failed],
+            runs=[run.to_dict() for run in self.runs],
+            metrics=self.metrics.to_dict() if self.metrics else None,
+        )
 
 
 def grid(
@@ -434,15 +433,13 @@ class TraceReport:
         return out
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": SCHEMA_TRACE,
-            "ok": True,
-            "error": None,
-            "run": self.result.to_dict(),
-            "capture": self.bus_summary,
-            "crosscheck": self.crosscheck(),
-            "events": [event.to_dict() for event in self.events],
-        }
+        return envelope(
+            SCHEMA_TRACE,
+            run=self.result.to_dict(),
+            capture=self.bus_summary,
+            crosscheck=self.crosscheck(),
+            events=[event.to_dict() for event in self.events],
+        )
 
 
 def trace(
@@ -511,13 +508,7 @@ class FigureResult:
     grid: Optional[GridReport] = None
 
     def to_dict(self) -> Dict:
-        return {
-            "schema": SCHEMA_FIGURE,
-            "ok": True,
-            "error": None,
-            "figure": self.spec.describe(),
-            "rows": self.rows,
-        }
+        return envelope(SCHEMA_FIGURE, figure=self.spec.describe(), rows=self.rows)
 
 
 def figure(
@@ -592,15 +583,8 @@ def headline(
 
 def headline_envelope(claims: Dict[str, float], scale: int) -> Dict:
     """The ``repro.headline/v1`` envelope of measured ``claims``."""
-    return {
-        "schema": SCHEMA_HEADLINE,
-        "ok": True,
-        "error": None,
-        "scale": scale,
-        # Kept for repro.headline/v1: simulation is always exact.
-        "sampled": False,
-        "claims": claims,
-    }
+    # ``sampled`` is kept for repro.headline/v1: simulation is always exact.
+    return envelope(SCHEMA_HEADLINE, scale=scale, sampled=False, claims=claims)
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +681,7 @@ __all__ = [
     "SCHEMA_SERVICE_STATUS",
     "SCHEMA_TRACE",
     "TraceReport",
+    "envelope",
     "error_dict",
     "error_envelope",
     "figure",

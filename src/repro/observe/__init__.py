@@ -24,7 +24,6 @@ cost one ``is not None`` test) or an observer with any subset attached::
     from repro.observe import Observer
     obs = Observer.tracing(events=["validation", "squash"])
     stats = Machine(config, trace, observer=obs).run()
-    obs.bus.export_jsonl(sys.stdout)
 """
 
 from __future__ import annotations

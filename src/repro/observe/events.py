@@ -15,8 +15,8 @@ Events are typed by ``kind`` strings from the taxonomy below
 number, and any kind-specific payload fields.  The bus captures them into
 a bounded ring buffer (oldest events drop once ``capacity`` is exceeded;
 per-kind counts keep counting), optionally filtered down to a subscribed
-kind set, and exports JSONL — one event object per line — for the
-``python -m repro trace`` command and offline tooling.
+kind set; ``python -m repro trace`` writes the captured events as JSONL,
+one :meth:`TraceEvent.to_dict` object per line.
 
 Cross-checkability is part of the contract: emission sites are chosen so
 that per-kind event counts equal the corresponding ``SimStats`` counters
@@ -27,9 +27,8 @@ that per-kind event counts equal the corresponding ``SimStats`` counters
 
 from __future__ import annotations
 
-import json
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Taxonomy
@@ -236,25 +235,6 @@ class TraceBus:
     def count(self, kind: str) -> int:
         """Total emissions of ``kind`` (overflow-proof)."""
         return self.counts.get(kind, 0)
-
-    def drain(self) -> List[TraceEvent]:
-        """Pop and return everything currently buffered (oldest first)."""
-        out = list(self.events)
-        self.events.clear()
-        return out
-
-    def iter_jsonl(self) -> Iterator[str]:
-        """The buffered events as JSONL lines (oldest first)."""
-        for event in self.events:
-            yield json.dumps(event.to_dict(), sort_keys=True)
-
-    def export_jsonl(self, stream) -> int:
-        """Write buffered events to ``stream`` as JSONL; returns the count."""
-        n = 0
-        for line in self.iter_jsonl():
-            stream.write(line + "\n")
-            n += 1
-        return n
 
     def summary(self) -> Dict:
         """Capture accounting for reports: totals, drops, per-kind counts."""

@@ -92,10 +92,6 @@ class Histogram:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def top(self, n: int = 10) -> List[Tuple]:
-        """The ``n`` most frequent values, most frequent first."""
-        return sorted(self.counts.items(), key=lambda kv: (-kv[1], str(kv[0])))[:n]
-
     def quantile(self, q: float) -> Optional[Number]:
         """The smallest numeric key at or above the ``q`` quantile.
 

@@ -6,11 +6,9 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ".config": (
         "MachineConfig",
         "VectorConfig",
-        "config_name",
         "eight_way",
         "four_way",
         "make_config",
-        "with_mode",
     ),
     ".machine": (
         "Machine",

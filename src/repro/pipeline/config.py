@@ -8,13 +8,12 @@ or 4 L1 data-cache ports, in three memory organisations:
   the same line coalesce);
 * ``V``    — wide buses plus speculative dynamic vectorization.
 
-:func:`make_config` builds any point of that grid; :func:`config_name`
-renders the paper's labels (``1pnoIM`` .. ``4pV``).
+:func:`make_config` builds any point of that grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict
 
 from ..isa.opcodes import FuClass
@@ -148,21 +147,3 @@ def make_config(width: int, ports: int, mode: str) -> MachineConfig:
     if width not in (4, 8):
         raise ValueError("width must be 4 or 8")
     return base(ports=ports, wide_bus=mode != "noIM", vectorize=mode == "V")
-
-
-def config_name(config: MachineConfig) -> str:
-    """The paper's label for a configuration (e.g. ``2pIM``)."""
-    if config.vectorize:
-        mode = "V"
-    elif config.wide_bus:
-        mode = "IM"
-    else:
-        mode = "noIM"
-    return f"{config.ports}p{mode}"
-
-
-def with_mode(config: MachineConfig, mode: str) -> MachineConfig:
-    """A copy of ``config`` switched to another memory mode."""
-    if mode not in ("noIM", "IM", "V"):
-        raise ValueError(f"unknown mode {mode!r}")
-    return replace(config, wide_bus=mode != "noIM", vectorize=mode == "V")

@@ -123,11 +123,10 @@ def error_envelope(
     **extra,
 ) -> Dict:
     """A standalone error response: the error object in its own envelope."""
-    return {
-        "schema": SCHEMA_ERROR,
-        "ok": False,
-        "error": error_dict(kind, message, retriable=retriable, point=point, **extra),
-    }
+    return envelope(
+        SCHEMA_ERROR,
+        error=error_dict(kind, message, retriable=retriable, point=point, **extra),
+    )
 
 
 def wrap_error(error: Dict) -> Dict:
@@ -137,11 +136,15 @@ def wrap_error(error: Dict) -> Dict:
     hold a ``repro.error/v1`` object (``GridFailureError.to_error()``,
     ``TaskFailure.to_dict()``, ...).
     """
-    return {"schema": SCHEMA_ERROR, "ok": False, "error": dict(error)}
+    return envelope(SCHEMA_ERROR, error=dict(error))
 
 
 def envelope(schema: str, *, ok: bool = True, error: Optional[Dict] = None, **payload) -> Dict:
-    """Assemble an envelope; ``error`` forces ``ok`` False (they are coupled)."""
+    """Assemble an envelope; ``error`` forces ``ok`` False (they are coupled).
+
+    Every envelope the project emits is built here, so the ``schema`` /
+    ``ok`` / ``error`` keys lead every payload in that order.
+    """
     return {"schema": schema, "ok": bool(ok) and error is None, "error": error, **payload}
 
 

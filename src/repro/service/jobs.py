@@ -36,7 +36,7 @@ from collections import OrderedDict, deque
 from typing import Callable, Dict, Optional
 
 from ..observe import TraceBus
-from ..schemas import SCHEMA_JOB, SCHEMA_SERVICE_EVENT, error_dict, error_envelope
+from ..schemas import SCHEMA_JOB, SCHEMA_SERVICE_EVENT, envelope, error_dict, error_envelope
 
 #: the job lifecycle; ``done``/``failed``/``cancelled`` are terminal.
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
@@ -118,12 +118,7 @@ class Job:
         oldest = emitted - len(events)
         dropped = max(0, oldest - cursor)
         envelopes = [
-            {
-                "schema": SCHEMA_SERVICE_EVENT,
-                "ok": True,
-                "error": None,
-                "event": event.to_dict(),
-            }
+            envelope(SCHEMA_SERVICE_EVENT, event=event.to_dict())
             for event in events[max(0, cursor - oldest):]
         ]
         return envelopes, emitted, dropped
@@ -131,17 +126,12 @@ class Job:
     def dropped_marker(self, dropped: int) -> Dict:
         """The explicit overrun marker a stream yields in place of the
         events the ring buffer already evicted."""
-        return {
-            "schema": SCHEMA_SERVICE_EVENT,
-            "ok": True,
-            "error": None,
-            "event": {
-                "kind": "events.dropped",
-                "job": self.id,
-                "dropped": dropped,
-                "capacity": self.bus.capacity,
-            },
-        }
+        return envelope(SCHEMA_SERVICE_EVENT, event={
+            "kind": "events.dropped",
+            "job": self.id,
+            "dropped": dropped,
+            "capacity": self.bus.capacity,
+        })
 
     def to_dict(self, include_result: bool = True) -> Dict:
         """The ``repro.service.job/v2`` envelope for this job."""
@@ -163,12 +153,7 @@ class Job:
             job["progress"] = dict(self.progress)
         if include_result:
             job["result"] = self.result
-        return {
-            "schema": SCHEMA_JOB,
-            "ok": not failed,
-            "error": self.error if failed else None,
-            "job": job,
-        }
+        return envelope(SCHEMA_JOB, ok=not failed, error=self.error if failed else None, job=job)
 
 
 class JobManager:

@@ -60,6 +60,7 @@ from ..observe import MetricsRegistry
 from ..schemas import (
     SCHEMA_SERVICE_METRICS,
     SCHEMA_SERVICE_STATUS,
+    envelope,
     error_envelope,
     schema_names,
     wrap_error,
@@ -493,42 +494,31 @@ class SimulationService:
     # -- introspection -----------------------------------------------------
 
     def status(self) -> Dict:
-        return {
-            "schema": SCHEMA_SERVICE_STATUS,
-            "ok": True,
-            "error": None,
-            "service": {
-                "uptime_seconds": round(time.time() - self.started, 3),
-                "jobs": self.jobs.counts(),
-                "queue_depth": self.jobs.queue_depth(),
-                "queue_limit": self.config.queue_limit,
-                "sync_limit": self.config.sync_limit,
-                "request_timeout": self.config.request_timeout,
-                "pool": {
-                    "jobs": self.scheduler.nodes,
-                    "restarts": self.scheduler.restarts,
-                },
-                "dedup": {
-                    "inflight": self.inflight.depth(),
-                    "hits": int(self.metrics.counter("service.dedup_hits").value),
-                },
-                "schemas": list(schema_names()),
+        return envelope(SCHEMA_SERVICE_STATUS, service={
+            "uptime_seconds": round(time.time() - self.started, 3),
+            "jobs": self.jobs.counts(),
+            "queue_depth": self.jobs.queue_depth(),
+            "queue_limit": self.config.queue_limit,
+            "sync_limit": self.config.sync_limit,
+            "request_timeout": self.config.request_timeout,
+            "pool": {
+                "jobs": self.scheduler.nodes,
+                "restarts": self.scheduler.restarts,
             },
-        }
+            "dedup": {
+                "inflight": self.inflight.depth(),
+                "hits": int(self.metrics.counter("service.dedup_hits").value),
+            },
+            "schemas": list(schema_names()),
+        })
 
     def metrics_payload(self) -> Dict:
         histogram = self.metrics.histogram("service.latency_ms")
-        return {
-            "schema": SCHEMA_SERVICE_METRICS,
-            "ok": True,
-            "error": None,
-            "metrics": self.metrics.to_dict(),
-            "latency": {
-                "count": histogram.total,
-                "p50_ms": histogram.quantile(0.5),
-                "p99_ms": histogram.quantile(0.99),
-            },
-        }
+        return envelope(SCHEMA_SERVICE_METRICS, metrics=self.metrics.to_dict(), latency={
+            "count": histogram.total,
+            "p50_ms": histogram.quantile(0.5),
+            "p99_ms": histogram.quantile(0.99),
+        })
 
     # -- bookkeeping -------------------------------------------------------
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from ..observe.events import coverage_signature
-from ..schemas import SCHEMA_FUZZ, error_dict
+from ..schemas import SCHEMA_FUZZ, envelope, error_dict
 from . import faults
 from .fuzzer import Corpus, generate_genome, mutate_genome, synthesize
 from .minimize import instruction_count, minimize_program, save_artifact
@@ -88,23 +88,22 @@ class CampaignReport:
                 f"{len(self.divergences)} divergence(s) found",
                 retriable=False,
             )
-        return {
-            "schema": SCHEMA_FUZZ,
-            "ok": self.ok,
-            "error": error,
-            "seed": self.seed,
-            "oracle": self.oracle.to_dict(),
-            "programs": self.programs,
-            "agreed": self.agreed,
-            "invalid": self.invalid,
-            "mutated": self.mutated,
-            "crashes": self.crashes,
-            "dynamic_instructions": self.dynamic_instructions,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "corpus": self.corpus,
-            "elapsed_seconds": round(self.elapsed_seconds, 3),
-            "budget_exhausted": self.budget_exhausted,
-        }
+        return envelope(
+            SCHEMA_FUZZ,
+            error=error,
+            seed=self.seed,
+            oracle=self.oracle.to_dict(),
+            programs=self.programs,
+            agreed=self.agreed,
+            invalid=self.invalid,
+            mutated=self.mutated,
+            crashes=self.crashes,
+            dynamic_instructions=self.dynamic_instructions,
+            divergences=[d.to_dict() for d in self.divergences],
+            corpus=self.corpus,
+            elapsed_seconds=round(self.elapsed_seconds, 3),
+            budget_exhausted=self.budget_exhausted,
+        )
 
     def summary(self) -> str:
         lines = [

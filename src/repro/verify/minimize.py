@@ -35,7 +35,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..isa.instruction import Instruction
 from ..isa.opcodes import Opcode
 from ..isa.program import Program, ProgramError
-from ..schemas import SCHEMA_FUZZ_REPLAY, SCHEMA_FUZZ_REPRO, error_dict
+from ..schemas import SCHEMA_FUZZ_REPLAY, SCHEMA_FUZZ_REPRO, envelope, error_dict
 
 #: artifact schema identifier (bump on layout change).
 ARTIFACT_SCHEMA = SCHEMA_FUZZ_REPRO
@@ -219,15 +219,13 @@ def save_artifact(
 ) -> pathlib.Path:
     """Write a self-contained ``.repro.json`` reproducer; returns the path."""
     path = pathlib.Path(path)
-    payload = {
-        "schema": ARTIFACT_SCHEMA,
-        "ok": True,
-        "error": None,
-        "program": program_to_dict(program),
-        "oracle": oracle_config.to_dict(),
-        "report": report.to_dict(),
-        "provenance": provenance or {},
-    }
+    payload = envelope(
+        ARTIFACT_SCHEMA,
+        program=program_to_dict(program),
+        oracle=oracle_config.to_dict(),
+        report=report.to_dict(),
+        provenance=provenance or {},
+    )
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n")
     return path
@@ -269,16 +267,15 @@ def replay_artifact(path) -> Dict:
         replayed = crash_report(exc)
     replayed_dict = replayed.to_dict()
     matches = replayed_dict == payload["report"]
-    return {
-        "schema": SCHEMA_FUZZ_REPLAY,
-        "ok": matches,
-        "error": None if matches else error_dict(
+    return envelope(
+        SCHEMA_FUZZ_REPLAY,
+        error=None if matches else error_dict(
             "fuzz.replay.mismatch",
             "replayed oracle report differs from the recorded one",
             retriable=False,
         ),
-        "artifact": str(path),
-        "matches": matches,
-        "recorded": payload["report"],
-        "replayed": replayed_dict,
-    }
+        artifact=str(path),
+        matches=matches,
+        recorded=payload["report"],
+        replayed=replayed_dict,
+    )

@@ -43,7 +43,7 @@ from ..functional.trace import Trace
 from ..observe import Observer, TraceBus
 from ..pipeline.config import make_config
 from ..pipeline.machine import Machine
-from ..schemas import SCHEMA_FUZZ_ORACLE
+from ..schemas import SCHEMA_FUZZ_ORACLE, envelope
 from . import faults
 
 #: oracle verdicts.
@@ -108,16 +108,14 @@ class OracleReport:
     def to_dict(self) -> Dict:
         # The verdict (even DIVERGE) is the *result* of a successful oracle
         # run, so the envelope is always ok — divergence lives in the payload.
-        return {
-            "schema": SCHEMA_FUZZ_ORACLE,
-            "ok": True,
-            "error": None,
-            "verdict": self.verdict,
-            "divergences": [d.to_dict() for d in self.divergences],
-            "coverage": dict(sorted(self.coverage.items())),
-            "dynamic_instructions": self.dynamic_instructions,
-            "cycles": dict(sorted(self.cycles.items())),
-        }
+        return envelope(
+            SCHEMA_FUZZ_ORACLE,
+            verdict=self.verdict,
+            divergences=[d.to_dict() for d in self.divergences],
+            coverage=dict(sorted(self.coverage.items())),
+            dynamic_instructions=self.dynamic_instructions,
+            cycles=dict(sorted(self.cycles.items())),
+        )
 
 
 def diff_memory(reference: MemoryImage, got: MemoryImage, limit: int = 4) -> str:

@@ -10,6 +10,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.experiments import diskcache
+from repro.schemas import validate_envelope
 
 
 def test_list(capsys):
@@ -38,6 +39,13 @@ def test_figures_subset(capsys):
 
 def test_figures_rejects_unknown(capsys):
     assert main(["figures", "--only", "fig99"]) == 2
+    assert capsys.readouterr().out.startswith("unknown figure 'fig99'; known: ")
+    assert main(["figures", "--only", "fig99", "--json"]) == 2
+    [line] = capsys.readouterr().out.splitlines()
+    payload = json.loads(line)
+    assert validate_envelope(payload)["name"] == "repro.error"
+    assert payload["error"]["kind"] == "figure.unknown"
+    assert "fig99" in payload["error"]["message"]
 
 
 def test_headline(capsys):

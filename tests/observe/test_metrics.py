@@ -44,14 +44,6 @@ def test_to_dict_renders_every_kind():
     ]
 
 
-def test_histogram_top():
-    h = Histogram()
-    for pc, n in ((4, 5), (8, 2), (12, 5)):
-        h.observe(pc, count=n)
-    assert h.top(2) == [(12, 5), (4, 5)] or h.top(2) == [(4, 5), (12, 5)]
-    assert h.total == 12
-
-
 def test_record_sim_stats_counters_and_ratio_gauges():
     stats = SimStats(
         cycles=100,

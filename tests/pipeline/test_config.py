@@ -5,11 +5,9 @@ import pytest
 from repro.isa import FuClass
 from repro.pipeline import (
     MachineConfig,
-    config_name,
     eight_way,
     four_way,
     make_config,
-    with_mode,
 )
 
 
@@ -82,21 +80,6 @@ def test_make_config_rejects_bad_inputs():
 def test_vectorize_requires_wide_bus():
     with pytest.raises(ValueError):
         MachineConfig(vectorize=True, wide_bus=False)
-
-
-def test_config_name_labels():
-    assert config_name(make_config(4, 1, "noIM")) == "1pnoIM"
-    assert config_name(make_config(4, 2, "IM")) == "2pIM"
-    assert config_name(make_config(8, 4, "V")) == "4pV"
-
-
-def test_with_mode():
-    base = make_config(4, 2, "noIM")
-    v = with_mode(base, "V")
-    assert v.vectorize and v.wide_bus and v.ports == 2
-    assert not base.vectorize  # original untouched
-    with pytest.raises(ValueError):
-        with_mode(base, "??")
 
 
 def test_fetch_queue_defaults_to_twice_width():

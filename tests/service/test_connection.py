@@ -224,7 +224,7 @@ def _assert_error(response, status: int, kind: str) -> dict:
     assert headers["Content-Type"] == "application/json"
     assert headers["Connection"] == "close"
     payload = json.loads(body)
-    validate_envelope(payload)
+    assert validate_envelope(payload)["name"] == "repro.error", payload
     assert payload["error"]["kind"] == kind, payload
     return payload
 
