@@ -15,6 +15,9 @@ pipeline stage of :meth:`repro.pipeline.machine.Machine._cycles`:
 * an opcode in any function the loop calls (directly or not) counts for
   the stage that made the outermost call, and is also listed under that
   callee's name;
+* every opcode also counts once for the function that executed it (its
+  *self* count, keyed by qualified name), so a change that moves work
+  between functions shows which function moved;
 * ``setup`` is ``Machine(...)`` construction and ``finish`` the
   end-of-run accounting.
 
@@ -54,6 +57,11 @@ _SECTION = re.compile(r"^\s*# ---- (\w+)")
 _STAGES = ("begin", "commit", "execute", "memory", "dispatch", "fetch")
 
 
+def _qualname(code) -> str:
+    """``Class.method`` where the interpreter records it (3.11+)."""
+    return getattr(code, "co_qualname", code.co_name)
+
+
 def stage_lines(func) -> dict:
     """Map every source line of ``func`` to its ``# ---- <stage>`` section.
 
@@ -85,9 +93,11 @@ def count_point(name: str, width: int, ports: int, mode: str, scale: int,
     trace = cached_trace(name, scale)
     config = point_config(width, ports, mode, block)
     cycles_code = Machine._cycles.__code__
+    cycles_name = _qualname(cycles_code)
     lines = stage_lines(Machine._cycles)
     by_stage: Counter = Counter()
     by_callee: Counter = Counter()
+    by_function: Counter = Counter()
     labels = {}
     state = {"stage": "setup", "cycles": None}
 
@@ -96,6 +106,7 @@ def count_point(name: str, width: int, ports: int, mode: str, scale: int,
             stage = lines.get(frame.f_lineno, "loop")
             state["stage"] = stage
             by_stage[stage] += 1
+            by_function[cycles_name] += 1
         return loop_tracer
 
     def tracer(frame, event, arg):
@@ -116,11 +127,13 @@ def count_point(name: str, width: int, ports: int, mode: str, scale: int,
         labels[frame] = label
         frame.f_trace_opcodes = True
         stage, callee = label
+        function = _qualname(code)
 
         def callee_tracer(frame, event, arg):
             if event == "opcode":
                 by_stage[stage] += 1
                 by_callee[label] += 1
+                by_function[function] += 1
             elif event == "return":
                 labels.pop(frame, None)
             return callee_tracer
@@ -157,6 +170,10 @@ def count_point(name: str, width: int, ports: int, mode: str, scale: int,
             f"{stage}:{callee}": round(count / committed, 2)
             for (stage, callee), count in by_callee.most_common(20)
         },
+        "functions": {
+            function: round(count / committed, 2)
+            for function, count in by_function.most_common(30)
+        },
     }
 
 
@@ -186,6 +203,9 @@ def main(argv=None) -> int:
     print("top callees (stage:function):")
     for label, value in report["callees"].items():
         print(f"  {label:<40} {value:9.2f}")
+    print("self counts (function):")
+    for function, value in report["functions"].items():
+        print(f"  {function:<40} {value:9.2f}")
     return 0
 
 

@@ -131,11 +131,19 @@ def cmd_figures(args: argparse.Namespace) -> int:
     points = []
     for name in names:
         points.extend(api.get_figure(name).points(args.scale))
+    with_trace = None
+    if any(api.get_figure(name).analysis_only for name in names):
+        # The Fig 1 / Fig 3 analyses read the traces a serial grid loads:
+        # compute them while it holds each one.
+        from .experiments.figures import prime_analyses
+
+        with_trace = prime_analyses
     batch = api.grid(
         points,
         jobs=args.jobs,
         task_timeout=args.task_timeout,
         max_retries=args.max_retries,
+        with_trace=with_trace,
     )
     if not batch.ok:
         # Quarantined points leave holes the figure tables cannot paper

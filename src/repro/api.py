@@ -344,6 +344,7 @@ def grid(
     on_result=None,
     cancel=None,
     progress=None,
+    with_trace=None,
 ) -> GridReport:
     """Compute a batch of grid points, fanning misses over worker peers.
 
@@ -369,7 +370,9 @@ def grid(
     events for this batch;
     ``cancel`` — anything with ``is_set()`` — stops the batch early with
     ``report.accounting.cancelled`` set, keeping (and caching) whatever
-    completed first.  See :func:`repro.experiments.parallel.run_grid`.
+    completed first; ``with_trace(name, scale)`` is called in-process
+    while each trace is held.  See
+    :func:`repro.experiments.parallel.run_grid`.
     """
     from .experiments import parallel as _parallel
     from .experiments.parallel import GridPoint
@@ -385,6 +388,7 @@ def grid(
         on_result=on_result,
         cancel=cancel,
         progress=progress,
+        with_trace=with_trace,
     )
     runs = [RunResult.of(point, stats) for point, stats in results.items()]
     registry = _stats_metrics(run.stats for run in runs) if metrics else None

@@ -28,6 +28,5 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ),
     ".vrmt": (
         "VRMT",
-        "VRMTEntry",
     ),
 })

@@ -33,8 +33,10 @@ silently inflating the speedup.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Tuple, Union
+from heapq import heapify, heappop, heappush
+from itertools import count, repeat
+from operator import attrgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple, Union
 
 from ..functional.semantics import alu_function
 from ..isa.opcodes import FU_LATENCY, Opcode, fu_class_of
@@ -61,29 +63,40 @@ from .vector_regfile import (
     wake_element,
     wake_instances,
 )
-from .vrmt import VRMT, VRMTEntry
+from .vrmt import VRMT
 
 Number = Union[int, float]
 
-#: Decode outcomes: the first field of a decode tuple.  The two vector
-#: outcomes carry the machine's window-kind numbers.
-SCALAR = 0  # execute normally (the instruction still touched the VRMT)
-VALIDATION = 3  # check one vector element, no execution
-TRIGGER = 4  # created a vector instance; commits its start element
+#: Decode outcomes.  ``decode_load`` / ``decode_alu`` return None for a
+#: plain scalar that touched no engine state; otherwise they write the
+#: outcome into the caller's window record ``fl`` and return its kind.
+#: The two vector outcomes carry the machine's window-kind numbers.
+#:
+#: * ``SCALAR``: execute normally; the decode touched the VRMT and wrote
+#:   only ``fl.vrmt_rollback``.
+#: * ``VALIDATION`` / ``TRIGGER``: check one vector element, no execution
+#:   (a trigger created a vector instance and commits its start element).
+#:   The decode wrote ``fl.vreg`` and ``fl.velem`` (the element),
+#:   ``fl.mismatch`` (a load's predicted address differs from the actual
+#:   one: both are known at decode), ``fl.counts_as_validation`` (Fig 14's
+#:   validation ops: a chained creation validates element 0 of its new
+#:   register, so it is both a trigger and a validation) and
+#:   ``fl.vrmt_rollback``.
+#: * ``STALL`` (``decode_alu`` only): §3.2's scalar-operand stall; the
+#:   instruction stays in the fetch queue and nothing was touched.
+#:
+#: ``vrmt_rollback`` is the squash rollback ``(pc, reg-or-None, offset)``:
+#: ``reg`` is the register mapped at ``pc`` before the decode (only its
+#: ``offset`` ever changes while it is mapped, so remapping it with the
+#: saved offset restores the exact pre-decode state); None means there
+#: was no mapping to restore.
+SCALAR = 0
+VALIDATION = 3
+TRIGGER = 4
+STALL = -1
 
-#: A decode result: ``(kind, reg, elem, pred_addr, counts_as_validation,
-#: vrmt_rollback)``, or None for a plain scalar that touched no engine
-#: state.  ``counts_as_validation`` marks Fig 14's validation ops (a
-#: chained creation validates element 0 of its new register, so it is
-#: both a trigger and a validation).  ``vrmt_rollback`` is the squash
-#: rollback ``(pc, entry-or-None, offset)``: ``entry`` is the *original*
-#: :class:`VRMTEntry` object (only its ``offset`` ever mutates after
-#: creation, so reinstalling it with the saved offset restores the exact
-#: pre-decode state); None means there was no mapping to restore.
-Decoded = Optional[Tuple[int, Optional[VectorRegister], int, Optional[int], bool, Tuple]]
-
-#: the second ALU operand of a single-source opcode: broadcast constant 0.
-_ZERO_OPERAND = (None, 0, 0)
+#: sweep order: the register file's slot order.
+_SLOT = attrgetter("slot")
 
 #: single-source fp/convert forms whose missing rs2 is NOT an immediate.
 _NO_IMM_OPS = frozenset(
@@ -112,13 +125,6 @@ def _alu_layout(entry) -> AluLayout:
     return alu_function(op), cls, FU_LATENCY[cls], entry.rs1 != NO_REG, form2
 
 
-def _operand(tok, start: int, value: Number) -> Tuple:
-    """One ALU operand as ``(reg, offset, value)`` for a vector token
-    ``(reg, elem)`` or, when ``tok`` is None, a broadcast scalar."""
-    if tok is None:
-        return (None, 0, value)
-    return (tok[0], tok[1] - start, 0)
-
 #: FAULT-INJECTION HOOK — test use only.  True disables the §3.6 store
 #: range coherence check entirely, re-creating the classic silent-
 #: corruption bug the differential oracle exists to catch.  The
@@ -140,9 +146,9 @@ class VectorAluInstance:
     Operands arrive split once, at creation, as ``(reg, offset, value)``
     triples in ISA source order: destination element ``k`` reads element
     ``k + offset`` of vector source ``reg``, or, when ``reg`` is None, the
-    broadcast scalar/immediate ``value`` (§3.4).  They land in the two
-    ALU operand fields the datapath reads per element (``a_*`` and
-    ``b_*``); a single-source opcode gets a constant 0 second operand.
+    broadcast scalar/immediate ``value`` (§3.4).  They are the two ALU
+    operand fields the datapath reads per element (``a_*`` and ``b_*``);
+    a single-source opcode gets a constant 0 second operand.
     ``fn`` is the opcode's callable from the dispatch table
     :func:`~repro.functional.semantics.apply_alu` uses; it and the FU
     class and latency come from the instruction's per-PC decode.
@@ -150,6 +156,8 @@ class VectorAluInstance:
     Elements are scheduled individually as their source elements become
     available (a load source's elements arrive one fetch at a time),
     flowing through one pipelined vector FU at one element per cycle.
+    ``order`` is the instance's creation rank, the order in which the
+    datapath visits instances.
 
     Instances are recycled through the engine's free pool (``reset`` is
     the whole constructor), so steady-state V-mode runs allocate no new
@@ -171,23 +179,31 @@ class VectorAluInstance:
         "fu_unit",
         "fu_class",
         "latency",
-        "asleep",
+        "order",
     )
 
     def __init__(
         self,
         dest: VectorRegister,
         layout: AluLayout,
-        operands: List[Tuple],
+        a_reg: Optional[VectorRegister],
+        a_off: int,
+        a_val: Number,
+        b_reg: Optional[VectorRegister],
+        b_off: int,
+        b_val: Number,
         start: int,
         alloc_cycle: int,
+        order: int,
     ) -> None:
         self.dest = dest
         self.fn, self.fu_class, self.latency = layout[0], layout[1], layout[2]
-        self.a_reg, self.a_off, self.a_val = operands[0]
-        self.b_reg, self.b_off, self.b_val = (
-            operands[1] if len(operands) > 1 else _ZERO_OPERAND
-        )
+        self.a_reg = a_reg
+        self.a_off = a_off
+        self.a_val = a_val
+        self.b_reg = b_reg
+        self.b_off = b_off
+        self.b_val = b_val
         self.alloc_cycle = alloc_cycle
         #: next destination element awaiting scheduling.
         self.next_elem = start
@@ -197,9 +213,7 @@ class VectorAluInstance:
         #: index of the vector FU this instance occupies (set lazily, when
         #: its first element is ready).
         self.fu_unit: Optional[int] = None
-        #: blocked on a source register until it changes
-        #: (:func:`~repro.core.vector_regfile.sleep_on_register`).
-        self.asleep = False
+        self.order = order
 
     #: re-initialize a pooled record in place (same signature as __init__).
     reset = __init__
@@ -229,10 +243,16 @@ class VectorizationEngine:
         self.vrf = VectorRegisterFile(vc.num_registers, vc.vector_length)
         #: Global Most Recent Backward Branch (§3.3).
         self.gmrbb = -1
-        #: element fetches awaiting an L1 port: (reg, elem, addr).
-        self.pending_fetches: Deque[Tuple[VectorRegister, int, int]] = deque()
-        #: vector ALU work not yet scheduled onto a vector FU.
-        self.pending_alu: List[VectorAluInstance] = []
+        #: element fetches awaiting an L1 port, oldest first: (reg, elem,
+        #: addr).  The machine's memory stage serves and removes them.
+        self.pending_fetches: List[Tuple[VectorRegister, int, int]] = []
+        #: vector ALU instances due a datapath visit (new, or woken since
+        #: their last one), a heap of ``(order, instance)``; the others
+        #: sleep on a source register (``VectorRegister.alu_sleepers``).
+        #: The register file owns it: freeing a register wakes its sleepers.
+        self.woken_alu = self.vrf.woken_alu
+        #: creation rank of the next vector ALU instance.
+        self._alu_order = 0
         #: the machine's park heap of ``(cycle, seq, instruction)``: every
         #: element-time write here wakes the element's sleepers onto it
         #: (the machine installs its own heap; see ``wake_element``).
@@ -243,6 +263,12 @@ class VectorizationEngine:
         }
         # Hoisted configuration scalars (read in per-cycle/per-commit paths).
         self._check_invariants = config.check_invariants
+        self._block_scalar = vc.block_on_scalar_operand
+        #: registers that passed every flag test of §3.3's release rules at
+        #: their last check and failed only on time (an element not yet
+        #: computed): between GMRBB changes, the only registers a sweep can
+        #: free (see :meth:`_sweep_frees`).
+        self._free_candidates = set()
         #: recycled VectorAluInstance records (see tick()).
         self._alu_pool: List[VectorAluInstance] = []
         #: static ALU decode per PC, built at the PC's first ALU decode.
@@ -252,8 +278,9 @@ class VectorizationEngine:
     # Decode-time decisions
     # ------------------------------------------------------------------
 
-    def decode_load(self, entry, now: int, first_time: bool) -> Decoded:
-        """Classify a dynamic load: scalar, validation, or vector trigger.
+    def decode_load(self, entry, now: int, first_time: bool, fl) -> Optional[int]:
+        """Classify a dynamic load: scalar, validation, or vector trigger
+        (the outcome protocol is described at :data:`SCALAR`).
 
         ``first_time`` is False when the instance is being re-decoded after
         a squash; the TL is then consulted without re-training (the
@@ -266,64 +293,68 @@ class VectorizationEngine:
         else:
             stride, vectorizable = self.tl.is_vectorizable(pc)
 
-        mapping = self.vrmt.lookup(pc)
-        if mapping is not None:
-            return self._load_validation(pc, mapping, now)
-        if vectorizable and stride is not None:
-            return self._new_load_instance(
-                pc, addr, stride, now, None, entry.op is Opcode.FLD
-            )
-        return None
-
-    def _load_validation(self, pc: int, mapping: VRMTEntry, now: int) -> Decoded:
-        """VRMT hit for a load: validate the next element (chaining at VL)."""
-        elem = mapping.offset
-        if elem >= self.vl:
+        reg = self.vrmt.lookup(pc)
+        if reg is not None:
+            # VRMT hit: validate the next element.
+            elem = reg.offset
+            if elem < self.vl:
+                reg.offset = elem + 1
+                reg.u_bits |= 1 << elem
+                fl.vreg = reg
+                fl.velem = elem
+                fl.mismatch = reg.pred_addrs[elem] != addr
+                fl.counts_as_validation = True
+                fl.vrmt_rollback = (pc, reg, elem)
+                return VALIDATION
             # §3.2: offset reached the register length -> spawn the next
             # vector instance; this dynamic instance validates its elem 0.
-            prev = mapping.reg
-            stride = (
-                prev.pred_addrs[1] - prev.pred_addrs[0]
-                if self.vl > 1
-                else (self.tl.stride_of(pc) or 0)
+            pa = reg.pred_addrs
+            stride = pa[1] - pa[0] if self.vl > 1 else (self.tl.stride_of(pc) or 0)
+            return self._new_load_instance(
+                pc, addr, pa[-1] + stride, stride, now, reg, reg.fp_load, fl
             )
-            base = prev.pred_addrs[-1] + stride
-            return self._new_load_instance(pc, base, stride, now, mapping, prev.fp_load)
-        mapping.offset = elem + 1
-        reg = mapping.reg
-        reg.u_bits |= 1 << elem
-        return (VALIDATION, reg, elem, reg.pred_addrs[elem], True, (pc, mapping, elem))
+        if vectorizable and stride is not None:
+            return self._new_load_instance(
+                pc, addr, addr, stride, now, None, entry.op is Opcode.FLD, fl
+            )
+        return None
 
     def _new_load_instance(
         self,
         pc: int,
+        addr: int,
         base_addr: int,
         stride: int,
         now: int,
-        prev: Optional[VRMTEntry],
+        prev: Optional[VectorRegister],
         fp: bool,
-    ) -> Decoded:
-        """Allocate a register and launch element fetches for a load.
+        fl,
+    ) -> Optional[int]:
+        """Allocate a register and launch element fetches for a load whose
+        dynamic instance at ``addr`` validates the new register's element 0
+        (predicted at ``base_addr``).
 
         ``prev`` is the live mapping a chained creation replaces (None for
         a fresh one); either way it is the pre-decode VRMT state."""
         rollback = (pc, None, 0) if prev is None else (pc, prev, prev.offset)
-        reg = self.vrf.allocate(pc, is_load=True, start_offset=0, mrbb=self.gmrbb)
+        reg = self.vrf.allocate(pc, True, 0, self.gmrbb)
         if reg is None:
             self.stats.vreg_alloc_failures += 1
             self._sweep_frees(now)
             # A chained creation keeps its mapping, so a later instance
             # can retry the chain; a fresh one touched nothing.
-            return None if prev is None else (SCALAR, None, -1, None, False, rollback)
-        reg.fp_load = fp
-        reg.set_load_addresses(base_addr, stride)
+            if prev is None:
+                return None
+            fl.vrmt_rollback = rollback
+            return SCALAR
+        reg.make_load(base_addr, stride, fp)
         self.vrf.index_load(reg)
-        self._enqueue_load_fetches(reg)
-        self.vrmt.insert(pc, VRMTEntry(reg, 1))
-        reg.u_bits |= 1
-        self.stats.vector_instances += 1
+        # The paper's eager whole-register fetch (§3.2): one element fetch
+        # per predicted address, queued at creation.
+        self.pending_fetches.extend(zip(repeat(reg), count(), reg.pred_addrs))
+        self.vrmt.insert(pc, reg)
+        reg.u_bits = 1
         self.stats.vector_load_instances += 1
-        self.stats.registers_allocated += 1
         chained = prev is not None
         bus = self._bus
         if bus is not None:
@@ -332,24 +363,54 @@ class VectorizationEngine:
                 stride=stride, base=base_addr, chained=chained,
             )
             bus.emit(now, VRMT_MAP, pc=pc, slot=reg.slot, gen=reg.gen, load=True)
-        return (TRIGGER, reg, 0, reg.pred_addrs[0], chained, rollback)
+        fl.vreg = reg
+        fl.velem = 0
+        fl.mismatch = base_addr != addr
+        fl.counts_as_validation = chained
+        fl.vrmt_rollback = rollback
+        return TRIGGER
 
     # ------------------------------------------------------------------
 
-    def decode_alu(self, entry, t1, t2, now: int) -> Decoded:
-        """Classify a dynamic arithmetic instruction.
+    def decode_alu(self, entry, t1, t2, now: int, fl) -> Optional[int]:
+        """Classify a dynamic arithmetic instruction (the outcome protocol
+        is described at :data:`SCALAR`).
 
         ``t1`` / ``t2`` are the rename tokens of its ``rs1`` / ``rs2``
         sources (None when absent or the zero register): a ``(reg, elem)``
         tuple for a vector-mapped source — ``elem`` is the element of the
-        current iteration — and anything else for a scalar-mapped one,
-        whose value is ``entry.s1`` / ``entry.s2``.
+        current iteration — and otherwise the scalar producer (an
+        in-flight record, or None once architectural), whose value is
+        ``entry.s1`` / ``entry.s2``.
         """
         pc = entry.pc
         v1 = t1 if type(t1) is tuple else None
         v2 = t2 if type(t2) is tuple else None
-        mapping = self.vrmt.lookup(pc)
-        if mapping is None and v1 is None and v2 is None:
+        table = self.vrmt.table
+        reg = table.peek(pc)
+        if reg is not None:
+            if reg.scalar_value is not None and self._block_scalar:
+                # §3.2 / Fig 7: an instruction previously vectorized with a
+                # scalar register operand compares that register's current
+                # value against the captured one before it can become a
+                # validation, so it waits at decode until the value is
+                # available.  Fresh instances do not stall: the vector FU
+                # reads the scalar register once it is ready (§3.4).  The
+                # probe is a peek, so a stalled instruction refreshes no
+                # LRU state and drops no stale mapping.
+                if v1 is None and t1 is not None:
+                    t = t1.done_at
+                    if t is None or t > now:
+                        return STALL
+                if v2 is None and t2 is not None:
+                    t = t2.done_at
+                    if t is None or t > now:
+                        return STALL
+            if reg.freed or reg.defunct:
+                # The register died underneath the mapping; drop it.
+                table.invalidate(pc)
+                reg = None
+        if reg is None and v1 is None and v2 is None:
             return None
         layout = self._alu_layouts.get(pc)
         if layout is None:
@@ -363,14 +424,14 @@ class VectorizationEngine:
         elif v2 is None and layout[4] == _SRC2_REG:
             scalar_value = entry.s2
 
-        if mapping is None:
+        if reg is None:
             return self._new_alu_instance(
-                entry, layout, v1, v2, scalar_value, (pc, None, 0), now
+                entry, layout, v1, v2, scalar_value, (pc, None, 0), now, fl
             )
-        offset = mapping.offset
-        rollback = (pc, mapping, offset)
+        offset = reg.offset
+        rollback = (pc, reg, offset)
         if offset < self.vl and (
-            mapping.scalar_value is None or mapping.scalar_value == scalar_value
+            reg.scalar_value is None or reg.scalar_value == scalar_value
         ):
             # §3.2's operand check on the renamed sources: each must be
             # scalar again, or the same vector register the instance was
@@ -378,30 +439,39 @@ class VectorizationEngine:
             # was computed from (the rename table's offset field, Fig 6).
             # A PC's operand layout is static, so scalar and immediate
             # positions always match.
-            shift = offset - mapping.reg.start_offset
-            r1 = mapping.src1
-            r2 = mapping.src2
+            shift = offset - reg.start_offset
+            r1 = reg.src1
+            r2 = reg.src2
             if (
                 (r1 is None if v1 is None
                  else r1 is not None and v1[0] is r1[0] and v1[1] == r1[1] + shift)
                 and (r2 is None if v2 is None
                      else r2 is not None and v2[0] is r2[0] and v2[1] == r2[1] + shift)
             ):
-                mapping.offset = offset + 1
-                reg = mapping.reg
+                table.lookup(pc)  # the VRMT hit refreshes the row's LRU
+                reg.offset = offset + 1
                 reg.u_bits |= 1 << offset
-                return (VALIDATION, reg, offset, None, True, rollback)
+                fl.vreg = reg
+                fl.velem = offset
+                fl.mismatch = False
+                fl.counts_as_validation = True
+                fl.vrmt_rollback = rollback
+                return VALIDATION
         # Offset exhausted or operands changed: retire this mapping and
-        # (if still fed by vector operands) chain a new instance.
-        self.vrmt.invalidate(pc)
+        # (if still fed by vector operands) chain a new instance, whose
+        # mapping replaces it (as the most recently used row of its set).
         if self._bus is not None:
             self._bus.emit(
                 now, VRMT_INVALIDATE, pc=pc,
                 reason="exhausted" if offset >= self.vl else "operands",
             )
         if v1 is None and v2 is None:
-            return (SCALAR, None, -1, None, False, rollback)
-        return self._new_alu_instance(entry, layout, v1, v2, scalar_value, rollback, now)
+            table.invalidate(pc)
+            fl.vrmt_rollback = rollback
+            return SCALAR
+        return self._new_alu_instance(
+            entry, layout, v1, v2, scalar_value, rollback, now, fl
+        )
 
     def _new_alu_instance(
         self,
@@ -412,47 +482,85 @@ class VectorizationEngine:
         scalar_value: Optional[Number],
         rollback: Tuple,
         now: int,
-    ) -> Decoded:
+        fl,
+    ) -> int:
         """Allocate a register for a vector ALU instance (at least one of
         the vector tokens ``v1`` / ``v2`` is set; :meth:`decode_alu`
-        checks)."""
+        checks).  The new mapping replaces the live one ``rollback``
+        names, if any; without a register, that one is dropped."""
         pc = entry.pc
         start = 0 if v1 is None else v1[1]
         if v2 is not None and v2[1] > start:
             start = v2[1]
-        reg = self.vrf.allocate(pc, is_load=False, start_offset=start, mrbb=self.gmrbb)
+        reg = self.vrf.allocate(pc, False, start, self.gmrbb)
+        fl.vrmt_rollback = rollback
         if reg is None:
+            if rollback[1] is not None:
+                self.vrmt.table.invalidate(pc)
             self.stats.vreg_alloc_failures += 1
             self._sweep_frees(now)
-            return (SCALAR, None, -1, None, False, rollback)
-        operands: List[Tuple] = []
+            return SCALAR
+        # The operands in ISA source order (a vector token's element is
+        # the one this instance's ``start`` element reads).
+        b_reg = None
+        b_off = b_val = 0
         if layout[3]:
-            operands.append(_operand(v1, start, entry.s1))
-        form2 = layout[4]
-        if form2 == _SRC2_REG:
-            operands.append(_operand(v2, start, entry.s2))
-        elif form2 == _SRC2_IMM:
-            operands.append((None, 0, entry.imm))
+            if v1 is None:
+                a_reg = None
+                a_off = 0
+                a_val = entry.s1
+            else:
+                a_reg = v1[0]
+                a_off = v1[1] - start
+                a_val = 0
+            form2 = layout[4]
+            if form2 == _SRC2_REG:
+                if v2 is None:
+                    b_val = entry.s2
+                else:
+                    b_reg = v2[0]
+                    b_off = v2[1] - start
+            elif form2 == _SRC2_IMM:
+                b_val = entry.imm
+        else:  # no rs1: the vector source is rs2, the first ISA operand
+            a_reg = v2[0]
+            a_off = v2[1] - start
+            a_val = 0
+        order = self._alu_order
+        self._alu_order = order + 1
         pool = self._alu_pool
         if pool:
             instance = pool.pop()
-            instance.reset(reg, layout, operands, start, now)
+            instance.reset(
+                reg, layout, a_reg, a_off, a_val, b_reg, b_off, b_val,
+                start, now, order,
+            )
         else:
-            instance = VectorAluInstance(reg, layout, operands, start, now)
-        self.pending_alu.append(instance)
-        self.vrmt.insert(pc, VRMTEntry(reg, start + 1, v1, v2, scalar_value))
-        reg.u_bits |= 1 << start
-        self.stats.vector_instances += 1
-        self.stats.vector_alu_instances += 1
-        self.stats.registers_allocated += 1
+            instance = VectorAluInstance(
+                reg, layout, a_reg, a_off, a_val, b_reg, b_off, b_val,
+                start, now, order,
+            )
+        # The newest instance: appending keeps the heap a heap.
+        self.woken_alu.append((order, instance))
+        reg.src1 = v1
+        reg.src2 = v2
+        reg.scalar_value = scalar_value
+        self.vrmt.insert(pc, reg)
+        reg.u_bits = 1 << start
+        stats = self.stats
+        stats.vector_alu_instances += 1
         if start:
-            self.stats.offset_instances += 1
+            stats.offset_instances += 1
         if self._bus is not None:
             self._bus.emit(
                 now, VRMT_MAP, pc=pc,
                 slot=reg.slot, gen=reg.gen, load=False, start=start,
             )
-        return (TRIGGER, reg, start, None, False, rollback)
+        fl.vreg = reg
+        fl.velem = start
+        fl.mismatch = False
+        fl.counts_as_validation = False
+        return TRIGGER
 
     # ------------------------------------------------------------------
     # The vector datapath
@@ -460,8 +568,8 @@ class VectorizationEngine:
 
     def tick(self, now: int) -> None:
         """Advance the vector ALU datapath by one cycle: one pass over the
-        pending instances that both times and computes every element whose
-        sources now have known compute times.
+        instances due a visit, in creation order, that both times and
+        computes every element whose sources now have known compute times.
 
         Per instance, the contiguous run of ready elements starting at
         ``next_elem`` is scheduled: a live source element with no compute
@@ -477,27 +585,30 @@ class VectorizationEngine:
         element holds its real value.
 
         A run that stops on a live source element puts the instance to
-        sleep on that source register; until the register changes, passes
-        skip the instance in place, after the checks on its own
-        destination, so the visit order and every visit that can make
-        progress are those of a full scan.
+        sleep on that source register, off the pass, until the register
+        changes.  A pass visits the due instances in creation order — the
+        order of a scan over every pending instance, which decides the FU
+        claims — and an instance woken during the pass is visited in it
+        when it comes after the waking one, as a scan would reach it, or
+        in the next pass otherwise.  An instance that makes no progress
+        sleeps again, so the visits that can make progress are exactly a
+        full scan's.
         """
-        if not self.pending_alu:
+        due = self.woken_alu
+        if not due:
             return
         pool = self._alu_pool
         fu_free = self.vec_fu_free
-        remaining = []
-        for inst in self.pending_alu:
+        #: instances woken during the pass behind its position.
+        later = []
+        while due:
+            order, inst = heappop(due)
             dest = inst.dest
             if dest.freed:
                 pool.append(inst)
                 continue
-            k = inst.next_elem
+            k = first = inst.next_elem
             length = dest.length
-            if inst.asleep:
-                remaining.append(inst)
-                continue
-            first = k
             a_reg = inst.a_reg
             b_reg = inst.b_reg
             while k < length:
@@ -550,54 +661,41 @@ class VectorizationEngine:
                 if units[unit] <= prev:
                     units[unit] = prev + 1
                 inst.next_elem = k
-                if dest.sleepers is not None:
+                sleepers = dest.sleepers
+                if sleepers is not None:
+                    # wake_element for each scheduled element, inlined.
+                    parked = self.parked
                     for j in range(first, k):
-                        wake_element(dest, j, r_time[j], self.parked)
-                if dest.alu_sleepers is not None:
-                    wake_instances(dest)
+                        waiting = sleepers[j]
+                        if waiting is not None:
+                            sleepers[j] = None
+                            t = r_time[j]
+                            for fl in waiting:
+                                if not fl.squashed:
+                                    heappush(parked, (t, fl.seq, fl))
+                sleepers = dest.alu_sleepers
+                if sleepers is not None:
+                    dest.alu_sleepers = None
+                    for w in sleepers:
+                        if w.order > order:
+                            heappush(due, (w.order, w))
+                        else:
+                            later.append((w.order, w))
                 if k == length:
                     pool.append(inst)
-                    continue
-            remaining.append(inst)
-        self.pending_alu = remaining
+        if later:
+            due.extend(later)
+            heapify(due)
 
-    def take_fetches(self, limit: int) -> List[Tuple[VectorRegister, int, int]]:
-        """Pop up to ``limit`` live element fetches for the memory stage.
-
-        Fetches whose register died (squash-orphaned then freed, or
-        defunct) are completed in place with garbage so dependents'
-        timing can resolve; they consume no port.
-        """
-        out: List[Tuple[VectorRegister, int, int]] = []
-        while self.pending_fetches and len(out) < limit:
-            reg, elem, addr = self.pending_fetches.popleft()
-            if reg.freed or reg.defunct:
-                if not reg.freed and reg.r_time[elem] is None:
-                    self._complete_garbage(reg, elem)
-                continue
-            out.append((reg, elem, addr))
-        return out
-
-    def _complete_garbage(self, reg: VectorRegister, elem: int) -> None:
-        """Complete a dropped element fetch at cycle 0 with a garbage
-        value, so its dependents' timing resolves."""
+    def complete_garbage(self, reg: VectorRegister, elem: int) -> None:
+        """Complete the fetch of element ``elem`` of defunct register
+        ``reg`` at cycle 0 with a garbage value, so its dependents' timing
+        resolves (they are squashed before commit); it takes no port."""
         reg.r_time[elem] = 0
         if reg.sleepers is not None:
             wake_element(reg, elem, 0, self.parked)
         if reg.alu_sleepers is not None:
-            wake_instances(reg)
-
-    def _enqueue_load_fetches(self, reg: VectorRegister) -> None:
-        """Queue a fetch for every element of ``reg`` at its creation: the
-        paper's eager whole-register fetch (§3.2)."""
-        self.pending_fetches.extend(
-            (reg, k, addr) for k, addr in enumerate(reg.pred_addrs)
-        )
-
-    def requeue_fetches(self, fetches: List[Tuple[VectorRegister, int, int]]) -> None:
-        """Return unserviced fetches (no port / MSHR full) to the queue."""
-        for item in reversed(fetches):
-            self.pending_fetches.appendleft(item)
+            wake_instances(reg, self.woken_alu)
 
     # ------------------------------------------------------------------
     # Validation execution & commit
@@ -614,14 +712,13 @@ class VectorizationEngine:
         self.stats.validation_failures += 1
         pc = fl.entry.pc
         bus = self._bus
-        mapping = self.vrmt.table.peek(pc)
-        dropped_mapping = mapping is not None and mapping.reg is fl.vreg
+        dropped_mapping = self.vrmt.table.peek(pc) is fl.vreg
         if dropped_mapping:
             self.vrmt.invalidate(pc)
         was_dead = fl.vreg.freed or fl.vreg.defunct
         fl.vreg.defunct = True
         if fl.vreg.alu_sleepers is not None:
-            wake_instances(fl.vreg)
+            wake_instances(fl.vreg, self.woken_alu)
         fl.vrmt_rollback = (pc, None, 0)
         demoted = False
         if fl.vreg.is_load:
@@ -631,7 +728,7 @@ class VectorizationEngine:
                 now, VALIDATE_FAIL, pc=pc, seq=fl.entry.seq,
                 elem=fl.velem,
                 reason="dead_register" if was_dead else "addr_mismatch"
-                if fl.pred_addr is not None else "operand_mismatch",
+                if fl.vreg.is_load else "operand_mismatch",
             )
             if dropped_mapping:
                 bus.emit(now, VRMT_INVALIDATE, pc=pc, reason="validation_failure")
@@ -689,8 +786,8 @@ class VectorizationEngine:
             if prev is None:
                 self.vrmt.table.invalidate(pc)
             else:
-                # The original entry object, mutated only in ``offset``
-                # since the rollback was taken: rewind and reinstall.
+                # The register mapped before the decode, changed only in
+                # ``offset`` since the rollback was taken: rewind, remap.
                 prev.offset = offset
                 self.vrmt.reinstall(pc, prev)
         reg: Optional[VectorRegister] = fl.vreg
@@ -751,11 +848,13 @@ class VectorizationEngine:
                 continue
             conflict = True
             reg.defunct = True
+            # Defunct, it goes as soon as no validation is in flight; the
+            # next sweep (or the commit that clears its last U) frees it.
+            self._free_candidates.add(reg)
             if reg.alu_sleepers is not None:
-                wake_instances(reg)
+                wake_instances(reg, self.woken_alu)
             hit_pcs.append(reg.pc)
-            mapping = self.vrmt.table.peek(reg.pc)
-            if mapping is not None and mapping.reg is reg:
+            if self.vrmt.table.peek(reg.pc) is reg:
                 self.vrmt.invalidate(reg.pc)
                 if bus is not None:
                     bus.emit(now, VRMT_INVALIDATE, pc=reg.pc, reason="coherence")
@@ -779,10 +878,13 @@ class VectorizationEngine:
     # ------------------------------------------------------------------
 
     def on_backward_branch_commit(self, pc: int, now: int) -> None:
-        """Update GMRBB; a change may release registers via rule 2."""
+        """Update GMRBB; a change may release any register via rule 2, so
+        every live one is checked (which also rebuilds the candidates)."""
         if pc != self.gmrbb:
             self.gmrbb = pc
-            self._sweep_frees(now)
+            self._free_candidates.clear()
+            for reg in self.vrf.live_registers():
+                self._maybe_free(reg, now)
 
     def _maybe_free(self, reg: VectorRegister, now: int) -> None:
         """Release ``reg`` if one of §3.3's two rules holds at ``now``.
@@ -795,7 +897,8 @@ class VectorizationEngine:
 
         This runs on every commit-side event (the machine's commit stage
         raises F flags and calls it directly) and the common outcome is
-        "not yet", hence the plain loops and early returns.
+        "not yet", hence the plain loops and early returns.  A register
+        that fails only on time joins ``_free_candidates``.
         """
         if reg.freed or reg.u_bits:
             return
@@ -810,6 +913,7 @@ class VectorizationEngine:
                     return
             for t in reg.r_time:
                 if t is None or t > now:
+                    self._free_candidates.add(reg)
                     return
         stats = self.stats
         if not reg.defunct:
@@ -827,20 +931,43 @@ class VectorizationEngine:
             stats.elements_not_computed += not_computed
         stats.registers_freed += 1
         self.vrf.free(reg)
+        self._free_candidates.discard(reg)
 
     def _sweep_frees(self, now: int) -> None:
-        for reg in self.vrf.live_registers():
-            self._maybe_free(reg, now)
+        """Free what §3.3's rules release at ``now`` (after an allocation
+        failure), checking only ``_free_candidates``, in slot order.
+
+        That is exact: every flag a release rule reads changes only at an
+        event that checks the register it changed on the spot (commit
+        raising F or clearing U, a flush clearing U, a validation
+        failure), except a store-conflict defunct, which adds its register
+        here, and a GMRBB change, which checks every register.  So a
+        register that can be freed now either passed every flag test at
+        its last check and failed only on time — a candidate — or was
+        freed then.  A candidate whose flags fail now leaves the set until
+        the next such event.
+        """
+        candidates = self._free_candidates
+        if candidates:
+            regs = sorted(candidates, key=_SLOT)
+            candidates.clear()
+            for reg in regs:
+                self._maybe_free(reg, now)
 
     # ------------------------------------------------------------------
 
     def finalize(self, now: int) -> None:
-        """End of run: account element fates of still-live registers."""
+        """End of run: account element fates of still-live registers, and
+        the instance totals (every vector instance allocates one
+        register)."""
+        stats = self.stats
         for reg in self.vrf.live_registers():
             used, unused, not_computed = reg.element_fates(now)
-            self.stats.elements_computed_used += used
-            self.stats.elements_computed_unused += unused
-            self.stats.elements_not_computed += not_computed
+            stats.elements_computed_used += used
+            stats.elements_computed_unused += unused
+            stats.elements_not_computed += not_computed
+        stats.vector_instances = stats.vector_load_instances + stats.vector_alu_instances
+        stats.registers_allocated = stats.vector_instances
         metrics = self._metrics
         if metrics is not None:
             metrics.gauge("engine.tl.entries").set(len(self.tl.table))

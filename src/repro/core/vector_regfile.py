@@ -30,6 +30,12 @@ The engine evaluates these rules in one place,
 Registers are Python objects handed out by slot; freeing bumps the slot
 generation so stale references (squashed consumers) can never alias a
 newly allocated register.
+
+A register is also its own VRMT row (Fig 5): each mapping names exactly
+one register and each register is mapped at most once, so the row's
+fields — the next element ``offset`` to validate, the creation-time
+source tokens and the captured scalar value — live here, and the VRMT
+(:mod:`repro.core.vrmt`) maps a PC straight to the register.
 """
 
 from __future__ import annotations
@@ -68,6 +74,10 @@ class VectorRegister:
         "freed",
         "sleepers",
         "alu_sleepers",
+        "offset",
+        "src1",
+        "src2",
+        "scalar_value",
     )
 
     def __init__(
@@ -84,10 +94,6 @@ class VectorRegister:
         self.gen = gen
         self.pc = pc
         self.is_load = is_load
-        #: FLD (vs LD) register: element fetches coerce to float the way
-        #: the architectural write-back does (set by the engine at
-        #: promotion; LD elements wrap to int64 instead).
-        self.fp_load = False
         self.length = length
         self.start_offset = start_offset
         #: all-elements bitmask; the V/U/F flag vectors below are packed
@@ -97,25 +103,19 @@ class VectorRegister:
         self.full_mask = (1 << length) - 1
         self.values: List[Number] = [0] * length
         #: cycle each element's computation completes; None = not scheduled.
+        #: Elements below start_offset count as computed at cycle 0.
         self.r_time: List[Optional[int]] = [None] * length
+        if start_offset:
+            self.r_time[:start_offset] = [0] * start_offset
         self.v_bits = 0
         self.u_bits = 0
         # Elements below start_offset do not exist for this instance; mark
         # them vacuously complete so the freeing rules read naturally.
         self.f_bits = (1 << start_offset) - 1
-        #: predicted element addresses (loads only).
-        self.pred_addrs: List[int] = []
-        self.first_addr = 0
-        self.last_addr = -1
         self.mrbb = mrbb
         #: True once invalidated by a store conflict / misspeculation: no
         #: further validations may attach.
         self.defunct = False
-        #: read-transaction ids that fetched each element (loads only;
-        #: Fig 13).  ALU registers never carry transactions.
-        self.txn_ids: Optional[List[Optional[int]]] = (
-            [None] * length if is_load else None
-        )
         self.freed = False
         #: per-element lists of window instructions blocked until the
         #: element is scheduled (None until the first one sleeps; see
@@ -124,14 +124,30 @@ class VectorRegister:
         #: vector ALU instances asleep until this register changes (None
         #: until the first one sleeps; see :func:`sleep_on_register`).
         self.alu_sleepers: Optional[list] = None
-        for k in range(start_offset):
-            self.r_time[k] = 0
+        # The VRMT row.  The creating decode validates ``start_offset``
+        # itself, so the next dynamic instance validates the element after.
+        self.offset = start_offset + 1
+        #: creation-time ``(reg, elem)`` rename tokens of vector-mapped
+        #: rs1 / rs2 (None: scalar, immediate or absent; loads record none).
+        self.src1: Optional[Tuple["VectorRegister", int]] = None
+        self.src2: Optional[Tuple["VectorRegister", int]] = None
+        #: §3.2's captured scalar operand of a mixed ALU instance.
+        self.scalar_value: Optional[Number] = None
 
     # ------------------------------------------------------------------
 
-    def set_load_addresses(self, base_addr: int, stride: int) -> None:
-        """Record the predicted element addresses and the §3.6 range."""
+    def make_load(self, base_addr: int, stride: int, fp_load: bool = False) -> None:
+        """Set up a load register's own fields (an ALU register has none
+        of them): the predicted element addresses, the §3.6 range, the
+        element write-back domain and the per-element read transactions.
+        """
+        #: FLD (vs LD) register: element fetches coerce to float the way
+        #: the architectural write-back does (LD elements wrap to int64).
+        self.fp_load = fp_load
+        #: read-transaction ids that fetched each element (Fig 13).
+        self.txn_ids: List[Optional[int]] = [None] * self.length
         pa = pred_addrs(base_addr, stride, self.length)
+        #: predicted element addresses.
         self.pred_addrs = pa
         # Strided addresses are monotone, so the range is the two ends.
         if stride >= 0:
@@ -197,7 +213,6 @@ def sleep_on_register(reg: VectorRegister, inst) -> None:
     its scan stopped on an element of ``reg`` that is live and not yet
     scheduled, and no pass can get further before one of ``reg``'s
     elements is scheduled or ``reg`` turns defunct or freed."""
-    inst.asleep = True
     waiting = reg.alu_sleepers
     if waiting is None:
         reg.alu_sleepers = [inst]
@@ -205,15 +220,16 @@ def sleep_on_register(reg: VectorRegister, inst) -> None:
         waiting.append(inst)
 
 
-def wake_instances(reg: VectorRegister) -> None:
-    """``reg`` changed: wake every instance asleep on it.  A wake only
-    clears the flag, and the instance keeps its place in the engine's
-    pending list, so the visit order (which decides the vector FU claim)
-    is unchanged; an instance woken by another element than the one it
-    waits for costs one visit that makes no progress and sleeps again.
-    Callers check ``reg.alu_sleepers is not None``."""
+def wake_instances(reg: VectorRegister, woken: list) -> None:
+    """``reg`` changed: move every instance asleep on it onto ``woken``,
+    the engine's heap of ``(order, instance)`` due a datapath visit.  The
+    heap is visited in creation order, so the visit order (which decides
+    the vector FU claim) is unchanged; an instance woken by another
+    element than the one it waits for costs one visit that makes no
+    progress and sleeps again.  Callers check ``reg.alu_sleepers is not
+    None``."""
     for inst in reg.alu_sleepers:
-        inst.asleep = False
+        heappush(woken, (inst.order, inst))
     reg.alu_sleepers = None
 
 
@@ -235,6 +251,9 @@ class VectorRegisterFile:
         self._load_firsts: List[int] = []
         self._load_lasts: List[int] = []
         self._load_dead = 0
+        #: vector ALU instances due a datapath visit: the engine's heap of
+        #: ``(order, instance)`` (see :func:`wake_instances`).
+        self.woken_alu: list = []
 
     # ------------------------------------------------------------------
 
@@ -264,8 +283,12 @@ class VectorRegisterFile:
         if reg.freed:
             return
         reg.freed = True
+        # A freed register's VRMT row is never read again (every probe
+        # drops it), and its source tokens would keep the registers it
+        # was computed from alive, and theirs in turn.
+        reg.src1 = reg.src2 = None
         if reg.alu_sleepers is not None:
-            wake_instances(reg)
+            wake_instances(reg, self.woken_alu)
         self._live[reg.slot] = None
         self._free_slots.append(reg.slot)
         if reg.is_load:
@@ -278,7 +301,7 @@ class VectorRegisterFile:
 
     def index_load(self, reg: VectorRegister) -> None:
         """Register a load's predicted address range for the store check
-        (called by the engine after ``set_load_addresses``)."""
+        (called by the engine after ``make_load``)."""
         self._load_regs.append(reg)
         self._load_firsts.append(reg.first_addr)
         self._load_lasts.append(reg.last_addr)

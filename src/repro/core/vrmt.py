@@ -1,6 +1,6 @@
 """Vector Register Map Table (VRMT): PC -> vector register (paper §3.2, Fig 5).
 
-Each entry remembers, for a vectorized static instruction:
+Each row remembers, for a vectorized static instruction:
 
 * the vector register currently holding its precomputed results,
 * the *offset* — the element the next dynamic instance will validate,
@@ -9,9 +9,15 @@ Each entry remembers, for a vectorized static instruction:
 * for mixed vector/scalar instructions, the scalar register *value* that
   was captured when the instance was created.
 
-The table is 4-way set-associative with 64 sets (Table 1); evicting an
-entry orphans its register, which then drains through the normal freeing
-rules.
+A row belongs to exactly one register and a register to at most one
+row, so the row's fields are the register's own (``offset``, ``src1``,
+``src2``, ``scalar_value`` on
+:class:`~repro.core.vector_regfile.VectorRegister`) and the table maps a
+PC straight to the register.
+
+The table is 4-way set-associative with 64 sets (Table 1); evicting a
+mapping orphans its register, which then drains through the normal
+freeing rules.
 
 The renamed sources are the creation-time rename tokens of ``rs1`` and
 ``rs2``: the ``(reg, elem)`` tuple of a vector-mapped source, None for a
@@ -23,32 +29,17 @@ instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 from .tables import SetAssocTable
 from .vector_regfile import VectorRegister
-
-Number = Union[int, float]
-
-
-@dataclass(slots=True)
-class VRMTEntry:
-    """One VRMT row (Fig 5: PC, offset, source operands, scalar value)."""
-
-    reg: VectorRegister
-    offset: int
-    #: creation-time ``(reg, elem)`` tokens of vector-mapped rs1 / rs2.
-    src1: Optional[Tuple[VectorRegister, int]] = None
-    src2: Optional[Tuple[VectorRegister, int]] = None
-    scalar_value: Optional[Number] = None
 
 
 class VRMT:
     """The map table plus rollback support for squashes."""
 
     def __init__(self, ways: int = 4, sets: int = 64) -> None:
-        self.table: SetAssocTable[VRMTEntry] = SetAssocTable(ways, sets)
+        self.table: SetAssocTable[VectorRegister] = SetAssocTable(ways, sets)
         self.orphaned_registers = 0
         #: every PC that ever had a mapping — a conservative superset of
         #: the live keys (never pruned; programs have few static PCs).
@@ -56,29 +47,29 @@ class VRMT:
         #: instructions that were never vectorized.
         self.pcs = set()
 
-    def lookup(self, pc: int) -> Optional[VRMTEntry]:
-        """The live entry for ``pc``, or None."""
-        entry = self.table.lookup(pc)
-        if entry is not None and (entry.reg.freed or entry.reg.defunct):
-            # The register died underneath the mapping; drop the stale entry.
+    def lookup(self, pc: int) -> Optional[VectorRegister]:
+        """The register live-mapped at ``pc``, or None."""
+        reg = self.table.lookup(pc)
+        if reg is not None and (reg.freed or reg.defunct):
+            # The register died underneath the mapping; drop the stale row.
             self.table.invalidate(pc)
             return None
-        return entry
+        return reg
 
-    def insert(self, pc: int, entry: VRMTEntry) -> None:
-        """Install/replace the mapping for ``pc``; evictions orphan registers."""
+    def insert(self, pc: int, reg: VectorRegister) -> None:
+        """Map ``pc`` to ``reg``; an evicted mapping orphans its register."""
         self.pcs.add(pc)
-        evicted = self.table.insert(pc, entry)
-        if evicted is not None and not evicted.reg.freed:
+        evicted = self.table.insert(pc, reg)
+        if evicted is not None and not evicted.freed:
             self.orphaned_registers += 1
 
-    def reinstall(self, pc: int, entry: VRMTEntry) -> None:
-        """Squash rollback: put a previously live entry object back without
-        orphan accounting (its register was never evicted-and-lost)."""
+    def reinstall(self, pc: int, reg: VectorRegister) -> None:
+        """Squash rollback: map ``pc`` back to a previously mapped register
+        without orphan accounting (it was never evicted-and-lost)."""
         self.pcs.add(pc)
-        self.table.insert(pc, entry)
+        self.table.insert(pc, reg)
 
-    def invalidate(self, pc: int) -> Optional[VRMTEntry]:
+    def invalidate(self, pc: int) -> Optional[VectorRegister]:
         """Remove the mapping for ``pc`` (store conflict / misspeculation)."""
         return self.table.invalidate(pc)
 

@@ -146,15 +146,19 @@ class _Peer:
             return False
 
     def kill(self) -> None:
+        # Kill first: the reader thread may be blocked reading stdout and
+        # holds the buffered reader's lock, so closing the pipe waits for
+        # that read, which a silent, wedged peer never ends; the kill ends
+        # it with EOF.
+        try:
+            self.process.kill()
+        except Exception:
+            pass
         for stream in (self.process.stdin, self.process.stdout):
             try:
                 stream.close()
             except Exception:
                 pass
-        try:
-            self.process.kill()
-        except Exception:
-            pass
         try:
             self.process.wait(timeout=5)
         except Exception:

@@ -234,6 +234,7 @@ def run_grid(
     on_result=None,
     cancel=None,
     progress=None,
+    with_trace=None,
 ) -> Dict[GridPoint, SimStats]:
     """Compute every grid point, fanning misses out over worker peers.
 
@@ -268,6 +269,12 @@ def run_grid(
     grid incrementally.  Observer exceptions are swallowed: a broken
     stream must never fail the grid.  ``progress(event, **data)``
     receives the scheduler's point and node events for this batch.
+    ``with_trace(name, scale)``, when given, is called by the in-process
+    path once per trace it ran points of, after them and while it still
+    holds the trace (for work that reads the trace, such as the Fig 1 /
+    Fig 3 analyses); an exception from it is dropped, leaving that work
+    to its caller.  Worker peers hold their traces, so the distributed
+    path never calls it.
 
     ``cancel``, when given, is a cooperative stop signal (anything with
     ``is_set()``, e.g. ``threading.Event``): once set, no further points
@@ -331,7 +338,9 @@ def run_grid(
 
             scheduler = owned = DistributedScheduler(min(jobs, len(still_cold)))
         if scheduler is None:
-            computed = _execute_serial(still_cold, policy, report, on_result, cancel)
+            computed = _execute_serial(
+                still_cold, policy, report, on_result, cancel, with_trace
+            )
         else:
             try:
                 computed = scheduler.execute(
@@ -373,7 +382,7 @@ def _notify_result(on_result, point, payload) -> None:
 
 
 def _execute_serial(
-    points, policy, report, on_result=None, cancel=None
+    points, policy, report, on_result=None, cancel=None, with_trace=None
 ) -> List[tuple]:
     """In-process execution with the same retry/quarantine semantics.
 
@@ -401,6 +410,11 @@ def _execute_serial(
                 if outcome is not None:
                     outcomes.append(outcome)
                     _notify_result(on_result, point, outcome[1])
+            if with_trace is not None:
+                try:
+                    with_trace(*trace)
+                except Exception:
+                    pass
     return outcomes
 
 

@@ -50,7 +50,7 @@ from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from typing import Deque, List, Optional, Tuple, Union
 
-from ..core.engine import TRIGGER, VALIDATION, VectorizationEngine
+from ..core.engine import STALL, TRIGGER, VALIDATION, VectorizationEngine
 from ..core.vector_regfile import sleep_on_element, wake_element, wake_instances
 from ..frontend.fetch import FetchUnit
 from ..functional.memory import MemoryImage
@@ -162,14 +162,14 @@ class VecInFlight(InFlight):
     Only instructions whose decode decision touched the engine use this
     class — validations, triggers, and scalars with VRMT rollback data.
     Plain scalars stay :class:`InFlight` even in V mode; the flush hook
-    keys off the class to skip the engine rollback for them.  ``vtok``
-    is set only on a validation/trigger that writes a register."""
+    keys off the class to skip the engine rollback for them.  The decode
+    writes the vector fields itself (see :data:`repro.core.engine.SCALAR`);
+    ``vtok`` is set only on a validation/trigger that writes a register."""
 
     __slots__ = (
         "vreg",
         "velem",
         "vtok",
-        "pred_addr",
         "mismatch",
         "counts_as_validation",
         "vrmt_rollback",
@@ -203,7 +203,6 @@ class VecInFlight(InFlight):
         self.squashed = False
         self.vreg = None
         self.velem = -1
-        self.pred_addr: Optional[int] = None
         self.mismatch = False
         self.counts_as_validation = False
         self.vrmt_rollback = rollback
@@ -215,42 +214,38 @@ class VecInFlight(InFlight):
         kind: int,
         addr: int,
         dep1: Dep,
-        vreg,
-        velem: int,
-        pred_addr: Optional[int],
-        counts_as_validation: bool,
-        rollback,
-    ) -> "VecInFlight":
-        """(Re)build this record as a validation/trigger of ``vreg[velem]``.
+    ) -> None:
+        """(Re)build this record as the validation/trigger its decode just
+        wrote (``vreg``, ``velem``, ``mismatch``, ``counts_as_validation``
+        and ``vrmt_rollback`` are already set).
 
         Validation/trigger records are only ever referenced by the ROB
         and the scheduler lists (rename holds a ``(reg, elem)`` tuple,
         never the record itself), so commit recycles them through a free
         pool and dispatch rebuilds one here; a fresh one comes from
-        ``VecInFlight.__new__``.  None is a branch, so none is
-        mispredicted.
+        :meth:`blank`, which sets the fields that no validation/trigger
+        ever changes.
         """
         self.seq = seq
         self.entry = entry
         self.kind = kind
         self.dep1 = dep1
-        self.dep2 = None
         self.done_at = None
         self.addr = addr
-        self.mispredicted = 0
-        self.redirected = False
         self.saved_rd = -1
-        self.waiters = None
-        self.squashed = False
-        self.vreg = vreg
-        self.velem = velem
-        self.pred_addr = pred_addr
-        # Both compare operands are fixed at decode, so the validation
-        # verdict is precomputed here.
-        self.mismatch = pred_addr is not None and pred_addr != entry.addr
-        self.counts_as_validation = counts_as_validation
-        self.vrmt_rollback = rollback
-        return self
+
+    @staticmethod
+    def blank() -> "VecInFlight":
+        """A new validation/trigger record for :meth:`reset`.  None has a
+        second source or a waiter (consumers rename to its ``(reg, elem)``
+        token), none is a branch, and a squashed one is never recycled."""
+        fl = VecInFlight.__new__(VecInFlight)
+        fl.dep2 = None
+        fl.mispredicted = 0
+        fl.redirected = False
+        fl.waiters = None
+        fl.squashed = False
+        return fl
 
 
 _SEQ_KEY = attrgetter("seq")
@@ -342,9 +337,6 @@ class Machine:
         self._l1i_line = config.hierarchy.l1i_line
         self._l1i_hit_latency = config.hierarchy.l1i_hit_latency
         self._max_store_commit = config.vector.max_store_commit
-        self._block_scalar = (
-            self.engine is not None and config.vector.block_on_scalar_operand
-        )
         #: ports.busy_port_cycles at the last ports.occupancy sample.
         self._occupancy_busy = 0
 
@@ -396,17 +388,25 @@ class Machine:
         """Issue wide-bus L1 data-port transactions: scalar loads, then (V
         mode) speculative vector element fetches over the remaining
         capacity.  Pending reads are grouped by line; one access serves up
-        to four.  Group members mix scalar loads (InFlight objects) and
-        vector element fetches (3-tuples) — the member's type is its tag.
-        Groups are served in creation order, at most one per free port,
-        so no group past that count is built: a read that would open one
-        waits, exactly as it would in an unserved group.
+        to four.  Groups are served in creation order, at most one per
+        free port, so no group past that count is built: a read that would
+        open one waits, exactly as it would in an unserved group.
+
+        Scalar loads join first, in queue order.  The engine's element
+        fetches are then scanned in place from the head of its queue, up
+        to the ``4 * available``-th live one.  A fetch of a dead register
+        takes no port: it is dropped, and a defunct register's element is
+        completed with garbage so its dependents' timing resolves.  A live
+        fetch joins its line's newest group if that has room, or opens a
+        group.  Group members mix scalar loads (InFlight objects) and
+        fetches, held by their position in the queue — the member's type
+        is its tag — so the served and dropped fetches leave the queue by
+        position and every other one keeps its place.
         The scalar-bus case is served inline in :meth:`_cycles`."""
         ports = self.ports
         avail = ports.available()
         if avail == 0:
             return
-        engine = self.engine
         line_bytes = self._line_bytes
         mem_queue = self.mem_queue
         groups: List[Tuple[int, List]] = []
@@ -418,28 +418,34 @@ class Machine:
             if g is not None and len(g) < 4:
                 g.append(fl)
             elif len(groups) < avail:
-                g = [fl]
-                index[line] = g
+                g = index[line] = [fl]
                 groups.append((line, g))
-        taken_fetches = []
-        if engine is not None:
-            # Up to one line group per free port, four elements per group.
-            taken_fetches = engine.take_fetches(4 * avail)
-            for item in taken_fetches:
-                addr = item[2]
+        engine = self.engine
+        if engine is not None and engine.pending_fetches:
+            fetches = engine.pending_fetches
+            #: queue positions of the fetches that leave the queue.
+            gone = []
+            live = 4 * avail
+            for pos, (reg, elem, addr) in enumerate(fetches):
+                if reg.freed or reg.defunct:
+                    if not reg.freed and reg.r_time[elem] is None:
+                        engine.complete_garbage(reg, elem)
+                    gone.append(pos)
+                    continue
                 line = addr - (addr % line_bytes)
                 g = index.get(line)
                 if g is not None and len(g) < 4:
-                    g.append(item)
+                    g.append(pos)
                 elif len(groups) < avail:
-                    g = [item]
-                    index[line] = g
+                    g = index[line] = [pos]
                     groups.append((line, g))
+                live -= 1
+                if not live:
+                    break
+        else:
+            fetches = gone = None
 
-        # Serving marks members in place (done_at / r_time[elem] become
-        # non-None), so the retain filters below need no served-id sets.
-        scalar_served = False
-        vector_served = False
+        scalar_served = 0
         bus = self._bus
         stats = self.stats
         data_access = self.hierarchy.data_access
@@ -449,8 +455,6 @@ class Machine:
         # lists, so the id serve_line is about to open is known up front.
         useful_words = ports.useful_words
         for line, members in groups:
-            if ports._used_this_cycle >= ports.n_ports:
-                break
             ready = data_access(line, now)
             if ready is None:  # MSHR full: stop issuing this cycle
                 break
@@ -459,8 +463,9 @@ class Machine:
             scalar_words = None
             spec_words = 0
             for m in members:
-                if type(m) is tuple:
-                    reg, elem, addr = m
+                if type(m) is int:
+                    reg, elem, addr = fetches[m]
+                    gone.append(m)
                     # Apply the architectural write-back conversion (LD
                     # wraps to int64, FLD coerces to float): a raw memory
                     # word can be the other domain's type — e.g. an FST'd
@@ -477,10 +482,9 @@ class Machine:
                     if reg.sleepers is not None:
                         wake_element(reg, elem, ready, self._parked)
                     if reg.alu_sleepers is not None:
-                        wake_instances(reg)
+                        wake_instances(reg, engine.woken_alu)
                     reg.txn_ids[elem] = txn
                     spec_words += 1
-                    vector_served = True
                     if bus is not None:
                         bus.emit(
                             now, VFETCH_ISSUE, pc=reg.pc,
@@ -494,51 +498,19 @@ class Machine:
                         scalar_words = {m.addr}
                     else:
                         scalar_words.add(m.addr)
-                    scalar_served = True
+                    scalar_served += 1
                     stats.scalar_loads_to_memory += 1
             serve_line(len(scalar_words) if scalar_words else 0, spec_words)
 
         if scalar_served:
-            self.mem_queue = [fl for fl in mem_queue if fl.done_at is None]
-        if taken_fetches:
-            if vector_served:
-                engine.requeue_fetches(
-                    [
-                        item
-                        for item in taken_fetches
-                        if item[0].r_time[item[1]] is None
-                    ]
-                )
-            else:
-                engine.requeue_fetches(taken_fetches)
-
-    # ==================================================================
-    # dispatch helpers
-    # ==================================================================
-
-    def _blocked_on_scalar_operand(self, entry: TraceEntry, now: int) -> bool:
-        """§3.2 / Fig 7: an instruction that *was previously vectorized*
-        with a scalar register operand must compare that register's current
-        value against the VRMT's captured value before it can be turned
-        into a validation — so it waits at decode until the value is
-        available.  Fresh vector instances do not stall: the vector FU
-        reads the scalar register file once, when it is ready (§3.4).
-
-        Callers pre-check ``self._block_scalar`` and membership in
-        ``VECTORIZABLE_ALU_OPS`` (dispatch hot path)."""
-        mapping = self.engine.vrmt.table.peek(entry.pc)
-        if mapping is None or mapping.scalar_value is None:
-            return False
-        rename = self.rename
-        for src in (entry.rs1, entry.rs2):
-            if src <= 0:  # absent source or the always-ready zero register
-                continue
-            tok = rename[src]
-            if tok is not None and type(tok) is not tuple:
-                t = tok.done_at
-                if t is None or t > now:
-                    return True
-        return False
+            self.mem_queue = (
+                [fl for fl in mem_queue if fl.done_at is None]
+                if scalar_served < len(mem_queue) else []
+            )
+        if gone:
+            gone.sort(reverse=True)
+            for pos in gone:
+                del fetches[pos]
 
     # ==================================================================
     # squash
@@ -691,7 +663,6 @@ class Machine:
         next_pcs = soa.next_pc
         l1i_line = self._l1i_line
         l1i_hit_latency = self._l1i_hit_latency
-        blocked_on_scalar = self._blocked_on_scalar_operand
         fu_free = self.fu_free
         fu_busy = _FU_BUSY
         ports_available = ports.available
@@ -706,10 +677,14 @@ class Machine:
         fq_size = self._fetch_queue_size
         mispredict_penalty = self._mispredict_penalty
         max_store_commit = self._max_store_commit
-        block_scalar = self._block_scalar
         wide_bus = self._wide_bus
         vec_pool = self._vec_pool
+        blank = VecInFlight.blank
+        #: the record the next vectorizer decode writes into (see dispatch).
+        spare = None
+        woken_alu = None
         if engine is not None:
+            woken_alu = engine.woken_alu
             vpcs = engine.vrmt.pcs
             engine_tick = engine.tick
             decode_load = engine.decode_load
@@ -745,7 +720,7 @@ class Machine:
             # ---- begin cycle (inlined ports.begin_cycle) -----------------
             ports.cycles += 1
             ports._used_this_cycle = 0
-            if engine is not None and engine.pending_alu:
+            if woken_alu:
                 engine_tick(now)
                 if prof is not None:
                     # Vector ALU scheduling: execute-stage time, but not a
@@ -1219,8 +1194,8 @@ class Machine:
                         # One pending scalar load and no vector fetches to
                         # group with it: serve its line directly, skipping
                         # the group-building call (the common IM-mode case;
-                        # take_fetches on an empty queue has no effect, so
-                        # skipping the call is exact in V mode too).
+                        # with no fetch queued the call would serve just
+                        # this load, so skipping it is exact in V mode too).
                         fl = queue[0]
                         addr = fl.addr
                         ready = data_access(addr - (addr % line_bytes), now)
@@ -1294,29 +1269,32 @@ class Machine:
                     # whose PC never had a VRMT mapping and whose renamed
                     # sources are all scalar can only decode to a plain
                     # scalar with no engine state touched — skip the decode
-                    # call (and the scalar-operand stall check, which needs
-                    # a live mapping).  ``vpcs`` is a conservative superset
-                    # of the live VRMT keys, and a VRMT probe for an
-                    # unmapped PC has no side effects, so elided and
-                    # executed decodes are indistinguishable.
-                    vec_probe = False
-                    if is_valu and vpcs is not None:
+                    # call.  ``vpcs`` is a conservative superset of the
+                    # live VRMT keys, and a VRMT probe for an unmapped PC
+                    # has no side effects, so elided and executed decodes
+                    # are indistinguishable.  The decode writes a vector
+                    # outcome into ``spare``, a validation/trigger record
+                    # (recycled when possible) that a plain scalar leaves
+                    # for the next decode.  An arithmetic decode runs
+                    # before the instruction leaves the queue: it may stall
+                    # it (§3.2's scalar-operand check), touching nothing.
+                    vkind = None
+                    if is_valu and vpcs is not None and entry.rd != NO_REG:
                         r = d1s[seq]
                         t1 = rename[r] if r >= 0 else None
                         r = d2s[seq]
                         t2 = rename[r] if r >= 0 else None
-                        vec_probe = (
+                        if (
                             type(t1) is tuple
                             or type(t2) is tuple
                             or pcs_soa[seq] in vpcs
-                        )
-                    if (
-                        block_scalar
-                        and vec_probe
-                        and blocked_on_scalar(entry, now)
-                    ):
-                        stats.scalar_operand_stall_cycles += 1
-                        break
+                        ):
+                            if spare is None:
+                                spare = vec_pool.pop() if vec_pool else blank()
+                            vkind = decode_alu(entry, t1, t2, now, spare)
+                            if vkind == STALL:
+                                stats.scalar_operand_stall_cycles += 1
+                                break
                     fetch_queue.popleft()
                     dispatched += 1
                     rob_room -= 1
@@ -1325,29 +1303,26 @@ class Machine:
                     if first_time:
                         max_seq = seq
 
-                    decoded = None
-                    if engine is not None:
-                        if kind == K_LOAD:
-                            decoded = decode_load(entry, now, first_time)
-                        elif vec_probe and entry.rd != NO_REG:
-                            decoded = decode_alu(entry, t1, t2, now)
+                    if kind == K_LOAD and vpcs is not None:
+                        if spare is None:
+                            spare = vec_pool.pop() if vec_pool else blank()
+                        vkind = decode_load(entry, now, first_time, spare)
 
-                    if decoded is not None and decoded[0]:
-                        # A validation/trigger: recycled when possible.
-                        vkind, vreg, velem, p, counts, rollback = decoded
-                        fl = vec_pool.pop() if vec_pool else VecInFlight.__new__(VecInFlight)
-                        # Only a load's address check has a source: its base.
+                    if vkind:
+                        # A validation/trigger.  Only a load's address
+                        # check has a source: its base.
+                        fl = spare
+                        spare = None
                         r = d1s[seq] if kind == K_LOAD else -1
                         fl.reset(
                             seq, entry, vkind, addrs[seq],
                             rename[r] if r >= 0 else None,
-                            vreg, velem, p, counts, rollback,
                         )
                         rd = rds[seq]
                         if rd > 0:
                             fl.saved_rd = rd
                             fl.saved_tok = rename[rd]
-                            rename[rd] = fl.vtok = (vreg, velem)
+                            rename[rd] = fl.vtok = (fl.vreg, fl.velem)
                         rob.append(fl)
                         waiting.append(fl)
                         continue
@@ -1361,7 +1336,7 @@ class Machine:
                     else:
                         r = d2s[seq]
                         dep2 = rename[r] if r >= 0 else None
-                    if decoded is None:
+                    if vkind is None:
                         fl = InFlight(
                             seq, entry, kind, addrs[seq], dep1, dep2, packed & 1
                         )
@@ -1370,7 +1345,7 @@ class Machine:
                         # vector-capable class has the rollback slot.
                         fl = VecInFlight(
                             seq, entry, kind, addrs[seq], dep1, dep2,
-                            packed & 1, decoded[5],
+                            packed & 1, spare.vrmt_rollback,
                         )
                     if kind == K_STORE:
                         fl.base_dep = dep1
@@ -1469,6 +1444,8 @@ class Machine:
                 last_busy = busy
             if committed_count >= total or now >= stop:
                 break
+        if spare is not None:
+            vec_pool.append(spare)
         self.committed_count = committed_count
         if series is not None:
             self._occupancy_busy = last_busy

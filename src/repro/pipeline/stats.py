@@ -34,7 +34,8 @@ class SimStats:
     scalar_loads_to_memory: int = 0
 
     # -- vectorization ------------------------------------------------------
-    #: dynamic instructions that *created* a vector instance (load or ALU).
+    #: dynamic instructions that *created* a vector instance (load or ALU):
+    #: the sum of the next two, stamped at the end of the run.
     vector_instances: int = 0
     vector_load_instances: int = 0
     vector_alu_instances: int = 0
@@ -57,6 +58,7 @@ class SimStats:
     elements_computed_used: int = 0
     elements_computed_unused: int = 0
     elements_not_computed: int = 0
+    #: one per vector instance (stamped at the end of the run).
     registers_allocated: int = 0
     registers_freed: int = 0
 

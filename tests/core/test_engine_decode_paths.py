@@ -1,14 +1,18 @@
 """White-box coverage of the engine's decode decision paths.
 
-Decode returns None for a plain scalar, else the tuple ``(kind, reg,
-elem, pred_addr, counts_as_validation, vrmt_rollback)``.  ALU decode
-takes the rename tokens of rs1 / rs2: a ``(reg, elem)`` tuple for a
-vector-mapped source, None for a scalar one (its value is the entry's
-``s1`` / ``s2``).
+Decode returns None for a plain scalar, else the outcome's kind, and
+writes the outcome into the window record it is handed; the helpers
+below read it back as the tuple ``(kind, reg, elem, mismatch,
+counts_as_validation, vrmt_rollback)``.  ALU decode takes the rename
+tokens of rs1 / rs2: a ``(reg, elem)`` tuple for a vector-mapped source,
+None for a scalar one (its value is the entry's ``s1`` / ``s2``).
 """
 
-from repro.core.engine import SCALAR, TRIGGER, VALIDATION, VectorizationEngine
+from types import SimpleNamespace
+
+from repro.core.engine import SCALAR, STALL, TRIGGER, VALIDATION, VectorizationEngine
 from repro.pipeline.config import make_config
+from repro.pipeline.machine import VecInFlight
 from repro.pipeline.stats import SimStats
 
 
@@ -51,6 +55,30 @@ def kind(decoded):
     return SCALAR if decoded is None else decoded[0]
 
 
+def decided(vkind, fl):
+    """A decode outcome as ``(kind, reg, elem, mismatch,
+    counts_as_validation, vrmt_rollback)``, or None for a plain scalar."""
+    if vkind is None:
+        return None
+    if vkind == SCALAR:
+        return (SCALAR, None, -1, False, False, fl.vrmt_rollback)
+    return (vkind, fl.vreg, fl.velem, fl.mismatch, fl.counts_as_validation,
+            fl.vrmt_rollback)
+
+
+def decode_load(engine, entry, now, first_time=True):
+    """``(kind, record)`` of one load decode."""
+    fl = VecInFlight.__new__(VecInFlight)
+    return engine.decode_load(entry, now, first_time, fl), fl
+
+
+def decode_alu(engine, entry, t1, t2, now):
+    """One arithmetic decode, as :func:`decided` reads it (STALL as is)."""
+    fl = VecInFlight.__new__(VecInFlight)
+    vkind = engine.decode_alu(entry, t1, t2, now, fl)
+    return STALL if vkind == STALL else decided(vkind, fl)
+
+
 def make_engine(**vector_overrides):
     config = make_config(4, 1, "V")
     for key, value in vector_overrides.items():
@@ -62,7 +90,7 @@ def drive_load(engine, pc, addrs, start_seq=0):
     decisions = []
     for i, addr in enumerate(addrs):
         entry = FakeLoadEntry(start_seq + i, pc, addr)
-        decisions.append(engine.decode_load(entry, now=i, first_time=True))
+        decisions.append(decided(*decode_load(engine, entry, now=i)))
     return decisions
 
 
@@ -97,7 +125,7 @@ def test_pool_exhaustion_returns_scalar():
 def test_alu_decode_requires_vector_source():
     engine = make_engine()
     entry = FakeAluEntry(0, 50, "ADD", s1=5, s2=7)
-    assert engine.decode_alu(entry, None, None, now=0) is None
+    assert decode_alu(engine, entry, None, None, now=0) is None
 
 
 def test_alu_decode_vectorizes_and_validates():
@@ -105,9 +133,9 @@ def test_alu_decode_vectorizes_and_validates():
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     reg = decisions[3][1]
     entry = FakeAluEntry(4, 50, "ADD", s2=7)
-    first = engine.decode_alu(entry, (reg, 0), None, now=4)
+    first = decode_alu(engine, entry, (reg, 0), None, now=4)
     assert first[0] == TRIGGER
-    second = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=7), (reg, 1), None, now=5)
+    second = decode_alu(engine, FakeAluEntry(5, 50, "ADD", s2=7), (reg, 1), None, now=5)
     assert second[0] == VALIDATION
     assert second[2] == 1
 
@@ -116,9 +144,9 @@ def test_alu_scalar_value_change_forces_new_instance():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     reg = decisions[3][1]
-    engine.decode_alu(FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
+    decode_alu(engine, FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
     # Same registers, different scalar value -> operand check must fail.
-    redo = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=99), (reg, 1), None, now=5)
+    redo = decode_alu(engine, FakeAluEntry(5, 50, "ADD", s2=99), (reg, 1), None, now=5)
     assert redo[0] == TRIGGER
     assert engine.stats.vector_alu_instances == 2
 
@@ -128,8 +156,8 @@ def test_alu_source_register_change_forces_new_instance():
     d1 = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     d2 = drive_load(engine, pc=20, addrs=[0x4000 + 8 * i for i in range(4)], start_seq=10)
     reg1, reg2 = d1[3][1], d2[3][1]
-    engine.decode_alu(FakeAluEntry(20, 50, "ADD", s2=7), (reg1, 0), None, now=20)
-    redo = engine.decode_alu(FakeAluEntry(21, 50, "ADD", s2=7), (reg2, 0), None, now=21)
+    decode_alu(engine, FakeAluEntry(20, 50, "ADD", s2=7), (reg1, 0), None, now=20)
+    redo = decode_alu(engine, FakeAluEntry(21, 50, "ADD", s2=7), (reg2, 0), None, now=21)
     assert redo[0] == TRIGGER
 
 
@@ -137,10 +165,10 @@ def test_alu_misaligned_source_offset_forces_new_instance():
     engine = make_engine()
     decisions = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])
     reg = decisions[3][1]
-    engine.decode_alu(FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
+    decode_alu(engine, FakeAluEntry(4, 50, "ADD", s2=7), (reg, 0), None, now=4)
     # The source element skips from 0 to 2 (control divergence): the
     # rename-offset part of the §3.2 check must reject the validation.
-    redo = engine.decode_alu(FakeAluEntry(5, 50, "ADD", s2=7), (reg, 2), None, now=5)
+    redo = decode_alu(engine, FakeAluEntry(5, 50, "ADD", s2=7), (reg, 2), None, now=5)
     assert redo[0] == TRIGGER
 
 
@@ -151,7 +179,7 @@ def test_alu_two_vector_sources_with_different_offsets():
     reg1 = d1[3][1]
     reg2 = d2[3][1]
     # reg1 at element 0, reg2 already at element 2 -> start offset 2 (§3.4).
-    decision = engine.decode_alu(FakeAluEntry(20, 60, "SUB"), (reg1, 0), (reg2, 2), now=20)
+    decision = decode_alu(engine, FakeAluEntry(20, 60, "SUB"), (reg1, 0), (reg2, 2), now=20)
     assert decision[0] == TRIGGER
     assert decision[2] == 2
     assert engine.stats.offset_instances == 1
@@ -182,3 +210,50 @@ def test_vrmt_pressure_orphans_registers_without_crashing():
     assert engine.vrmt.lookup(10) is None
     assert engine.vrmt.lookup(20) is not None
     assert engine.vrmt.orphaned_registers >= 1
+
+
+def _mixed_instance(engine, pc=50):
+    """A mixed vector/scalar ADD at ``pc`` (vector rs1, scalar rs2 = 7)
+    and its source load register."""
+    src = drive_load(engine, pc=10, addrs=[0x1000 + 8 * i for i in range(4)])[3][1]
+    first = decode_alu(engine, FakeAluEntry(4, pc, "ADD", s2=7), (src, 0), None, now=4)
+    assert first[0] == TRIGGER and first[1].scalar_value == 7
+    return src, first[1]
+
+
+def test_stalled_mixed_operand_decode_leaves_a_stale_mapping_in_place():
+    """§3.2's scalar-operand stall is decided on a peek: a stalled decode
+    neither drops a stale mapping nor refreshes the set's LRU order."""
+    engine = make_engine()
+    src, dest = _mixed_instance(engine, pc=50)
+    # pc 114 shares pc 50's VRMT set (64 sets) and is now its MRU row.
+    drive_load(engine, pc=114, addrs=[0x6000 + 8 * i for i in range(4)], start_seq=20)
+    bucket = engine.vrmt.table._sets[50]
+    assert [pc for pc, _ in bucket] == [114, 50]
+    dest.defunct = True  # the register died under its mapping
+    producer = SimpleNamespace(done_at=None)  # rs2's producer has not issued
+    entry = FakeAluEntry(5, 50, "ADD", s2=7)
+    assert decode_alu(engine, entry, (src, 1), producer, now=5) == STALL
+    producer.done_at = 9  # issued, but its value is not ready until 9
+    assert decode_alu(engine, entry, (src, 1), producer, now=5) == STALL
+    assert [pc for pc, _ in bucket] == [114, 50]
+    assert engine.vrmt.table.peek(50) is dest
+    # Once the value is ready the decode drops the stale mapping and
+    # starts a new instance.
+    redo = decode_alu(engine, entry, (src, 1), producer, now=9)
+    assert redo[0] == TRIGGER and redo[1] is not dest
+    assert engine.vrmt.table.peek(50) is redo[1]
+
+
+def test_mixed_operand_stall_only_when_blocking_and_only_on_scalar_sources():
+    engine = make_engine()
+    src, dest = _mixed_instance(engine)
+    producer = SimpleNamespace(done_at=None)
+    # A vector-mapped source never stalls: only scalar producers are read.
+    ok = decode_alu(engine, FakeAluEntry(5, 50, "ADD", s2=7), (src, 1), None, now=5)
+    assert ok[0] == VALIDATION and ok[1] is dest
+    # Fig 7's ideal machine does not block on the scalar operand.
+    engine = make_engine(block_on_scalar_operand=False)
+    src, dest = _mixed_instance(engine)
+    redo = decode_alu(engine, FakeAluEntry(5, 50, "ADD", s2=7), (src, 1), producer, now=5)
+    assert redo[0] == VALIDATION and redo[1] is dest

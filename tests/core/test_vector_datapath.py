@@ -15,7 +15,7 @@ from repro.functional.semantics import apply_alu
 from repro.isa.opcodes import FU_LATENCY, Opcode, fu_class_of
 from repro.memory import DataPorts
 
-from .test_engine_decode_paths import FakeAluEntry, drive_load, make_engine
+from .test_engine_decode_paths import FakeAluEntry, decode_alu, drive_load, make_engine
 
 
 def _load_register(engine, pc, base, values, fetched):
@@ -40,45 +40,46 @@ def test_tick_writes_each_scheduled_element_value():
     x = _load_register(engine, 10, 0x1000, [2**62, -7, 11, 3], fetched=(0, 1, 2))
     y = _load_register(engine, 20, 0x4000, [5, 6, -9, 4], fetched=(0, 1, 2, 3))
     # dest[k] = x[k - 2] * y[k]: x is two elements behind (start offset 2).
-    mul = engine.decode_alu(FakeAluEntry(30, 60, "MUL"), (x, 0), (y, 2), now=30)
+    mul = decode_alu(engine, FakeAluEntry(30, 60, "MUL"), (x, 0), (y, 2), now=30)
     assert mul[0] == TRIGGER and mul[2] == 2
     prod = mul[1]
     # dest[k] = prod[k] + 9 (an ALU instance fed by another ALU instance).
     addi = FakeAluEntry(31, 70, "ADDI", rs2=-1, imm=9)
-    total = engine.decode_alu(addi, (prod, 2), None, now=31)[1]
+    total = decode_alu(engine, addi, (prod, 2), None, now=31)[1]
     engine.tick(40)
     assert prod.r_time[2] is not None and prod.r_time[3] is not None
     _assert_scheduled_values(prod, Opcode.MUL, lambda k: x.values[k - 2], lambda k: y.values[k], 2)
     _assert_scheduled_values(total, Opcode.ADDI, lambda k: prod.values[k], lambda k: 9, 2)
     assert total.r_time[3] is not None  # both instances finished in one tick
-    assert not engine.pending_alu
+    assert not engine.woken_alu
 
 
 def test_tick_stops_at_an_unfetched_source_and_resumes():
     engine = make_engine()
     loaded = [1.5, -2.25, 8.0, 0.5]
     x = _load_register(engine, 10, 0x1000, loaded, fetched=(0, 1))
-    sub = engine.decode_alu(FakeAluEntry(5, 60, "FSUB", s2=0.75), (x, 0), None, now=5)
+    sub = decode_alu(engine, FakeAluEntry(5, 60, "FSUB", s2=0.75), (x, 0), None, now=5)
     dest = sub[1]
     latency = FU_LATENCY[fu_class_of(Opcode.FSUB)]
     engine.tick(20)
     # The FU opens at cycle 20; one element per cycle through the pipe.
     assert dest.r_time == [20 + latency, 21 + latency, None, None]
     assert dest.values[:2] == [1.5 - 0.75, -2.25 - 0.75]
-    [inst] = engine.pending_alu  # waiting on element 2, asleep on x
-    assert inst.asleep and x.alu_sleepers == [inst]
+    # Waiting on element 2: asleep on x, off the datapath's pass.
+    [inst] = x.alu_sleepers
+    assert inst.dest is dest and not engine.woken_alu
     engine.tick(22)
     assert dest.r_time[2:] == [None, None]
     for k in (2, 3):
         x.values[k] = loaded[k]
         x.r_time[k] = 25
-    wake_instances(x)  # what every element-time writer does
-    assert not inst.asleep and x.alu_sleepers is None
+    wake_instances(x, engine.woken_alu)  # what every element-time writer does
+    assert engine.woken_alu == [(inst.order, inst)] and x.alu_sleepers is None
     engine.tick(26)
     # Never before the sources (ready at 25), never two in one cycle.
     assert dest.r_time[2:] == [25 + latency, 26 + latency]
     assert dest.values == [1.5 - 0.75, -2.25 - 0.75, 8.0 - 0.75, 0.5 - 0.75]
-    assert not engine.pending_alu
+    assert not engine.woken_alu
 
 
 def test_a_source_leaving_the_live_set_wakes_its_sleepers():
@@ -87,21 +88,21 @@ def test_a_source_leaving_the_live_set_wakes_its_sleepers():
     next pass schedules the rest of the register."""
     engine = make_engine()
     x = _load_register(engine, 10, 0x1000, [1, 2, 3, 4], fetched=(0,))
-    dest = engine.decode_alu(FakeAluEntry(5, 60, "ADD", s2=1), (x, 0), None, now=5)[1]
+    dest = decode_alu(engine, FakeAluEntry(5, 60, "ADD", s2=1), (x, 0), None, now=5)[1]
     engine.tick(20)
-    [inst] = engine.pending_alu
-    assert inst.asleep and dest.r_time[1:] == [None, None, None]
+    [inst] = x.alu_sleepers
+    assert not engine.woken_alu and dest.r_time[1:] == [None, None, None]
     engine.vrf.free(x)
-    assert not inst.asleep
+    assert engine.woken_alu == [(inst.order, inst)]
     engine.tick(21)
     assert None not in dest.r_time
-    assert not engine.pending_alu
+    assert not engine.woken_alu
 
 
 def test_corrupted_element_fails_the_commit_time_check():
     engine = make_engine()
     x = _load_register(engine, 10, 0x1000, [4, 5, 6, 7], fetched=(0, 1, 2, 3))
-    decision = engine.decode_alu(FakeAluEntry(5, 60, "ADD", s2=10), (x, 0), None, now=5)
+    decision = decode_alu(engine, FakeAluEntry(5, 60, "ADD", s2=10), (x, 0), None, now=5)
     dest = decision[1]
     engine.tick(20)
     ports = DataPorts(1, wide=True)

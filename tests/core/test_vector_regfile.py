@@ -63,7 +63,7 @@ def test_free_is_idempotent():
 
 def test_load_address_range():
     vrf, reg = fresh()
-    reg.set_load_addresses(0x1000, 8)
+    reg.make_load(0x1000, 8)
     vrf.index_load(reg)
     assert reg.pred_addrs == [0x1000, 0x1008, 0x1010, 0x1018]
     assert vrf.coherence_candidates(0x1008) == [reg]
@@ -73,7 +73,7 @@ def test_load_address_range():
 
 def test_negative_stride_range():
     vrf, reg = fresh()
-    reg.set_load_addresses(0x1000, -8)
+    reg.make_load(0x1000, -8)
     vrf.index_load(reg)
     assert reg.first_addr == 0x1000 - 24
     assert vrf.coherence_candidates(0x1000 - 16) == [reg]

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import threading
+import time
 
 import pytest
 
@@ -145,8 +146,10 @@ def test_dropped_heartbeats_with_wedged_task_hit_the_liveness_clock(
     fresh_state, monkeypatch
 ):
     """A peer whose heartbeat thread dies *and* whose task wedges goes
-    silent; frame silence past ``heartbeat_timeout`` declares it lost."""
+    silent; frame silence past ``heartbeat_timeout`` declares it lost, and
+    its point is reassigned at once — long before the wedge would end."""
     reference = _reference(fresh_state, monkeypatch)
+    hang = 30.0
     _arm(monkeypatch, [
         {
             "site": "node.heartbeat",
@@ -157,18 +160,31 @@ def test_dropped_heartbeats_with_wedged_task_hit_the_liveness_clock(
             "site": "node.crash",
             "action": "hang",
             "match": {"node": 0, "generation": 0},
-            "delay": 30.0,
+            "delay": hang,
         },
     ])
+    heartbeat_timeout = 2.0
+    #: peer start-up plus the dispatcher's sweep interval, with room for a
+    #: loaded host; far below the injected hang.
+    margin = 5.0
+    seen = {}
+    start = time.monotonic()
+
+    def progress(event, **data):
+        if event in ("node.lost", "point.reassigned"):
+            seen.setdefault(event, time.monotonic() - start)
+
     report = GridReport()
     with DistributedScheduler(
-        nodes=2, heartbeat_interval=0.2, heartbeat_timeout=2.0
+        nodes=2, heartbeat_interval=0.2, heartbeat_timeout=heartbeat_timeout
     ) as scheduler:
-        results = run_grid(POINTS, scheduler=scheduler, report=report)
+        results = run_grid(POINTS, scheduler=scheduler, report=report, progress=progress)
     assert report.ok, report.failed
     assert report.nodes_lost == 1
     assert report.points_reassigned == 1
     assert _fingerprints(results) == reference
+    assert set(seen) == {"node.lost", "point.reassigned"}
+    assert max(seen.values()) < heartbeat_timeout + margin < hang, seen
 
 
 def test_concurrent_batches_share_one_scheduler_and_survive_a_cancel(

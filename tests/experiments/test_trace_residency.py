@@ -4,7 +4,8 @@ The serial grid runs its cold points grouped by trace and releases each
 trace it loaded after that trace's last point, so it builds every
 trace once and holds one at a time; a trace the caller held stays
 resident.  The Fig 1 / Fig 3 analyses share one load of each trace and
-leave nothing resident that they loaded.
+leave nothing resident that they loaded; a cold serial ``figures``
+computes them while the grid holds each trace.
 """
 
 from __future__ import annotations
@@ -123,6 +124,17 @@ def test_cold_fig01_fig03_share_one_load_per_trace(cold, loads, capsys):
     assert loads["built"] == Counter(dict.fromkeys(ALL_BENCHMARKS, 1))
     assert _resident() == []
     assert capsys.readouterr().out == cold_rows
+
+
+def test_cold_serial_figures_build_each_trace_once(cold, loads, capsys):
+    """A cold ``figures --jobs 1`` computes the Fig 1 / Fig 3 analyses
+    while the serial grid holds each trace, so every trace is built once
+    for both the simulations and the analyses."""
+    assert main(["figures", "--scale", str(SCALE), "--jobs", "1", "--json"]) == 0
+    capsys.readouterr()
+    assert loads["built"] == Counter(dict.fromkeys(ALL_BENCHMARKS, 1))
+    assert sum(loads["built"].values()) == 12
+    assert _resident() == []
 
 
 def test_a_traced_run_releases_the_trace_it_loaded(cold):
