@@ -6,10 +6,9 @@ simulated instructions per CPU-second (KIPS) for one representative
 scalar-mode run and one V-mode run.  Results are written machine-readably to ``BENCH_perf.json``
 at the repository root so successive PRs can track the trend.
 
-The main section is the cycle model's raw throughput on the 12k
-experiment scale (the hot-loop trajectory).  Plus a **profile** section: per-pipeline-stage wall-clock and
-simulated-cycle attribution for each exact point, collected by
-:class:`repro.observe.StageProfiler` (see docs/OBSERVABILITY.md).
+The record is the cycle model's raw throughput on the 12k experiment
+scale (the hot-loop trajectory).  For where the loop's time goes, stage
+by stage, see ``benchmarks/opcount.py``.
 
 ``--check`` turns the harness into a regression guard for CI: it
 re-measures the exact points and fails (exit 1) if the fresh
@@ -53,7 +52,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.observe import MetricsRegistry, Observer, StageProfiler  # noqa: E402
+from repro.observe import Observer  # noqa: E402
 from repro.pipeline.config import make_config  # noqa: E402
 from repro.pipeline.machine import Machine  # noqa: E402
 from repro.workloads.spec95 import cached_trace  # noqa: E402
@@ -107,54 +106,6 @@ def measure_point(
         elapsed = time.process_time() - t0
         best = max(best, stats.committed / 1000.0 / elapsed)
     return best
-
-
-def _batch_summary(hist) -> dict:
-    """Summarize a batch-size histogram (batch width -> batch count).
-
-    ``median`` is *operation-weighted* — the batch width the median
-    dispatched operation rode in — so a run that issues one 1000-wide
-    batch and one 1-wide batch reports ~1000, not 500.  This is the
-    number that shows whether batching actually amortizes per-call
-    overhead over wide groups.
-    """
-    counts = hist.counts
-    if not counts:
-        return {"batches": 0, "median": 0, "max": 0}
-    weighted = sorted((value, value * count) for value, count in counts.items())
-    half = sum(w for _, w in weighted) / 2.0
-    seen = 0.0
-    median = weighted[-1][0]
-    for value, weight in weighted:
-        seen += weight
-        if seen >= half:
-            median = value
-            break
-    return {"batches": hist.total, "median": median, "max": max(counts)}
-
-
-def profile_section(scale: int = SCALE) -> dict:
-    """Pipeline-stage attribution for the exact points (``profile`` key).
-
-    Each point runs once under a :class:`StageProfiler` plus a
-    :class:`MetricsRegistry`: the payload records which stage's Python is
-    hot (``stage_wall_fraction``), which stages the simulated machine
-    keeps busy (``stage_cycle_fraction``), and — under ``batch`` — how
-    wide the execute-stage kernel batches (``kernel.batch_size``) ran.
-    The profiler's hooks sit in the same run
-    loop the timed KIPS runs execute; profiled runs are bit-identical to
-    plain ones, only slower by the clock reads.
-    """
-    out = {}
-    for label, (name, width, ports, mode) in POINTS.items():
-        trace = cached_trace(name, scale)
-        observer = Observer(metrics=MetricsRegistry(), profiler=StageProfiler())
-        Machine(make_config(width, ports, mode), trace, observer=observer).run()
-        out[label] = observer.profiler.to_dict()
-        out[label]["batch"] = {
-            "kernel": _batch_summary(observer.metrics.histogram("kernel.batch_size")),
-        }
-    return out
 
 
 def run_benchmark(scale: int = SCALE, rounds: int = ROUNDS) -> dict:
@@ -336,7 +287,6 @@ def main(argv=None) -> int:
     if args.check:
         return check_regression(args.tolerance, args.scale, args.rounds)
     payload = run_benchmark(scale=args.scale, rounds=args.rounds)
-    payload["profile"] = profile_section(args.scale)
     payload["history"] = append_history(payload, args.timestamp)
     if RESULT_PATH.exists():  # bench_service.py owns the "service" section
         try:
@@ -364,37 +314,6 @@ def test_observe_check_measures_both_sides():
         "compress", 4, 1, "noIM", scale=2_500, observer=Observer()
     )
     assert plain > 0 and observed > 0
-
-
-def test_profile_section_attributes_stages():
-    """Smoke: a profiled run lands nonzero wall-clock on every stage."""
-    trace = cached_trace("compress", 2_500)
-    observer = Observer(profiler=StageProfiler())
-    Machine(make_config(4, 1, "noIM"), trace, observer=observer).run()
-    payload = observer.profiler.to_dict()
-    assert payload["cycles"] > 0
-    assert sum(payload["stage_seconds"].values()) > 0
-    # fractions are rounded to 4 places in the payload; allow that slack
-    assert abs(sum(payload["stage_wall_fraction"].values()) - 1.0) < 1e-3
-
-
-def test_batch_summary_is_operation_weighted():
-    """1000 ops in one batch + 1 op in another: the median op rode wide."""
-    from repro.observe.metrics import Histogram
-
-    hist = Histogram({1000: 1, 1: 1})
-    summary = _batch_summary(hist)
-    assert summary == {"batches": 2, "median": 1000, "max": 1000}
-    assert _batch_summary(Histogram()) == {"batches": 0, "median": 0, "max": 0}
-
-
-def test_profile_section_reports_batch_widths():
-    """A profiled V run surfaces the execute-stage kernel batch histogram."""
-    trace = cached_trace("swim", 2_500)
-    observer = Observer(metrics=MetricsRegistry(), profiler=StageProfiler())
-    Machine(make_config(4, 1, "V"), trace, observer=observer).run()
-    kernel = _batch_summary(observer.metrics.histogram("kernel.batch_size"))
-    assert kernel["batches"] > 0 and kernel["max"] >= kernel["median"] >= 1
 
 
 if __name__ == "__main__":

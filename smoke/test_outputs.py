@@ -3,9 +3,12 @@ line.
 
     PYTHONPATH=src python -m pytest smoke/test_outputs.py
 
-The three checks share one throwaway disk cache: the headline check
-simulates every headline point at the default scale on two worker
-peers, and the EXPERIMENTS.md check then finds those points there.
+The checks share one throwaway disk cache: the headline check simulates
+every headline point at the default scale on two worker peers, the
+EXPERIMENTS.md check then finds those points there, and the figure pin
+check finds every figure point there.  The headline claims and the
+figure rows must match the ``smoke`` section of
+``tests/verify/output_pins.json``.
 """
 
 from __future__ import annotations
@@ -16,6 +19,10 @@ import pytest
 
 from conftest import ROOT, repro
 from repro.experiments.paper_reference import HEADLINE, same_sign
+from tests.verify.test_output_pins import PIN_FILE, digest
+
+#: the 12 000-scale digests of the figure rows and the headline claims.
+PINS = json.loads(PIN_FILE.read_text())["smoke"]
 
 
 @pytest.fixture(scope="module")
@@ -35,10 +42,11 @@ def test_headline_signs(cache):
     # reproduction's 8-way baseline is stronger than the paper's, so that
     # razor-thin +3 % turns negative.
     payload = json.loads(repro(
-        "headline", "--scale", "12000", "--jobs", "2", "--json", **cache,
+        "headline", "--scale", str(PINS["scale"]), "--jobs", "2", "--json", **cache,
     ).stdout)
     assert payload["ok"], payload.get("error")
     claims = payload["claims"]
+    assert digest(claims) == PINS["headline"], "headline claims moved off the pin"
     checked = [k for k in claims if k != "speedup_1pV_vs_8way_4pnoIM"]
     assert len(checked) == 7, sorted(claims)
     flipped = [k for k in checked if not same_sign(claims[k], HEADLINE[k])]
@@ -53,3 +61,17 @@ def test_experiments_md_is_the_generated_one(cache, tmp_path):
     assert out.read_bytes() == (ROOT / "EXPERIMENTS.md").read_bytes(), (
         "EXPERIMENTS.md drifted from `python -m repro.experiments.report`"
     )
+
+
+def test_figure_rows_match_the_pin(cache):
+    payload = json.loads(repro(
+        "figures", "--scale", str(PINS["scale"]), "--jobs", "2", "--json", **cache,
+    ).stdout)
+    assert payload["ok"], payload.get("error")
+    figures = payload["figures"]
+    assert sorted(figures) == sorted(PINS["figures"])
+    moved = sorted(
+        name for name, figure in figures.items()
+        if digest(figure["rows"]) != PINS["figures"][name]
+    )
+    assert not moved, f"figure rows moved off the pin: {moved}"

@@ -17,9 +17,8 @@ The package layers, bottom-up:
   speculative dynamic vectorization engine;
 * :mod:`repro.analysis` / :mod:`repro.experiments` — trace analyses and
   one declaration per figure of the paper's evaluation;
-* :mod:`repro.observe` — structured observability: typed event tracing,
-  a metrics registry, and pipeline-stage profiling (zero overhead when
-  off);
+* :mod:`repro.observe` — structured observability: typed event tracing
+  and a metrics registry (zero overhead when off);
 * :mod:`repro.verify` — differential fuzzing and invariant auditing:
   random-program campaigns through a three-way oracle (interpreter /
   scalar machine / V-mode machine), a coverage-gated corpus, and a

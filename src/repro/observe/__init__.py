@@ -1,6 +1,6 @@
 """repro.observe — structured observability for the simulator.
 
-Three cooperating pieces, all **zero-overhead when off**:
+Two cooperating pieces, both **zero-overhead when off**:
 
 * :mod:`~repro.observe.events` — a typed event-tracing bus
   (:class:`TraceBus`) that the pipeline, core, frontend and memory layers
@@ -13,11 +13,8 @@ Three cooperating pieces, all **zero-overhead when off**:
   counters/gauges/histograms/series that an observed run fills with
   machine-level metrics, and that :func:`record_sim_stats` fills with
   the ``sim.*`` counters of any ``SimStats``.
-* :mod:`~repro.observe.profile` — a :class:`StageProfiler` attributing
-  simulated cycles and simulator wall-clock to pipeline stages
-  (``BENCH_perf.json``'s ``profile`` section).
 
-An :class:`Observer` bundles the three; instrumented components accept
+An :class:`Observer` bundles the two; instrumented components accept
 ``observer=None`` (the default — nothing is constructed, emission sites
 cost one ``is not None`` test) or an observer with any subset attached::
 
@@ -35,29 +32,25 @@ from .._lazy import lazy_exports
 if TYPE_CHECKING:
     from .events import TraceBus
     from .metrics import MetricsRegistry
-    from .profile import StageProfiler
 
 
 class Observer:
-    """The bundle an instrumented run carries: bus, metrics, profiler.
+    """The bundle an instrumented run carries: bus and metrics.
 
-    Every part is optional and independently ``None``; components test
-    the part they feed (``observer.bus``, ``observer.metrics``,
-    ``observer.profiler``) so an observer carrying only metrics pays no
-    tracing cost and vice versa.
+    Each part is optional and independently ``None``; components test
+    the part they feed (``observer.bus``, ``observer.metrics``) so an
+    observer carrying only metrics pays no tracing cost and vice versa.
     """
 
-    __slots__ = ("bus", "metrics", "profiler")
+    __slots__ = ("bus", "metrics")
 
     def __init__(
         self,
         bus: Optional[TraceBus] = None,
         metrics: Optional[MetricsRegistry] = None,
-        profiler: Optional[StageProfiler] = None,
     ) -> None:
         self.bus = bus
         self.metrics = metrics
-        self.profiler = profiler
 
     @classmethod
     def tracing(
@@ -109,10 +102,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Histogram",
         "Series",
         "record_sim_stats",
-    ),
-    ".profile": (
-        "StageProfiler",
-        "STAGES",
     ),
 })
 __all__.insert(0, "Observer")

@@ -26,9 +26,8 @@ Every stage body lives exactly once, in :meth:`Machine._cycles`: one
 loop that runs the whole cycle (commit -> execute -> memory -> dispatch
 -> fetch) with every loop-invariant object hoisted to a local.
 :meth:`Machine.run` drives it to completion and :meth:`Machine.step` runs
-one cycle of it; metrics sampling and stage profiling are hooks inside
-that loop, so observed and stepped runs execute the same code as plain
-ones.
+one cycle of it; metrics sampling is a hook inside that loop, so
+observed and stepped runs execute the same code as plain ones.
 
 Execution is *batched*: each cycle the execute stage makes one pass over
 the waiting window, routes ready instructions into per-kind groups
@@ -60,7 +59,6 @@ from ..isa.opcodes import FU_LATENCY, FuClass
 from ..isa.registers import NO_REG, NUM_LOGICAL_REGS
 from ..memory.hierarchy import MemoryHierarchy
 from ..memory.ports import DataPorts
-from ..observe import profile as observe_profile
 from ..observe.events import FLUSH_BRANCH, VFETCH_ISSUE
 from .config import MachineConfig
 from .stats import SimStats
@@ -618,12 +616,9 @@ class Machine:
 
         Observation is hooks, not a second loop: the ``kernel.batch_size``
         histogram and the ``ports.occupancy`` series (one sample every
-        4096 cycles) when the observer carries metrics, and per-stage
-        wall-clock attribution when it carries a
-        :class:`~repro.observe.StageProfiler` (the clock is read once at
-        each stage boundary).  The hooks only read clocks and counters, so
-        observed runs are bit-identical to plain ones; a dormant hook
-        costs one ``is not None`` test.
+        4096 cycles) when the observer carries metrics.  The hooks only
+        read counters, so observed runs are bit-identical to plain ones; a
+        dormant hook costs one ``is not None`` test.
         """
         ports = self.ports
         engine = self.engine
@@ -698,36 +693,21 @@ class Machine:
             vpcs = None
         total = len(entries)
         # Observation hooks, hoisted once (None = dormant).
-        bh = series = prof = None
+        bh = series = None
         obs = self.observer
-        if obs is not None:
+        if obs is not None and obs.metrics is not None:
             metrics = obs.metrics
-            if metrics is not None:
-                bh = metrics.histogram("kernel.batch_size").observe
-                series = metrics.series("ports.occupancy")
-                occupancy_scale = 4096 * ports.n_ports
-                last_busy = self._occupancy_busy
-            prof = obs.profiler
-            if prof is not None:
-                clock = observe_profile.perf_counter
-                account = prof.account
-                first = now
-                wall_start = clock()
+            bh = metrics.histogram("kernel.batch_size").observe
+            series = metrics.series("ports.occupancy")
+            occupancy_scale = 4096 * ports.n_ports
+            last_busy = self._occupancy_busy
         committed_count = self.committed_count
         while True:
-            if prof is not None:
-                t0 = clock()
             # ---- begin cycle (inlined ports.begin_cycle) -----------------
             ports.cycles += 1
             ports._used_this_cycle = 0
             if woken_alu:
                 engine_tick(now)
-                if prof is not None:
-                    # Vector ALU scheduling: execute-stage time, but not a
-                    # cycle in which the execute stage itself was active.
-                    tp = clock()
-                    account("execute", tp - t0, False)
-                    t0 = tp
 
             # ---- commit --------------------------------------------------
             if rob:
@@ -832,10 +812,6 @@ class Machine:
                             break
                     committed_count += committed
                     stats.committed += committed
-                    if prof is not None:
-                        tp = clock()
-                        account("commit", tp - t0)
-                        t0 = tp
 
             # ---- execute -------------------------------------------------
             # One batched pass over the waiting window.  Phase 1 walks the
@@ -1177,10 +1153,6 @@ class Machine:
                 self.waiting = still_waiting
                 if flush_seq is not None:
                     flush_from(flush_seq, now + 1 + mispredict_penalty, now)
-                if prof is not None:
-                    tp = clock()
-                    account("execute", tp - t0)
-                    t0 = tp
 
             # ---- memory: L1 data-port transactions -----------------------
             if self.mem_queue or (engine is not None and engine.pending_fetches):
@@ -1240,10 +1212,6 @@ class Machine:
                         served += 1
                     if served:
                         self.mem_queue = queue[served:]
-                if prof is not None:
-                    tp = clock()
-                    account("memory", tp - t0)
-                    t0 = tp
 
             # ---- dispatch ------------------------------------------------
             # Rename and insert up to ``width`` fetched instructions into
@@ -1368,10 +1336,6 @@ class Machine:
                 self.lsq_count = lsq_count
                 self._max_dispatched_seq = max_seq
                 stats.fetched += dispatched
-                if prof is not None:
-                    tp = clock()
-                    account("dispatch", tp - t0)
-                    t0 = tp
 
             # ---- fetch ---------------------------------------------------
             # Up to ``width`` instructions, as far as the fetch queue has
@@ -1383,7 +1347,7 @@ class Machine:
                 and not fetch_unit._blocked
                 and now >= fetch_unit._stalled_until
             ):
-                index = start = fetch_unit._index
+                index = fetch_unit._index
                 if index < total:
                     budget = fq_size - len(fetch_queue)
                     if width < budget:
@@ -1434,8 +1398,6 @@ class Machine:
                             break
                     fetch_unit._index = index
                     fetch_unit._last_line = last_line
-                if prof is not None:
-                    account("fetch", clock() - t0, index > start)
 
             now += 1
             if series is not None and not (now & 0x0FFF):
@@ -1449,9 +1411,6 @@ class Machine:
         self.committed_count = committed_count
         if series is not None:
             self._occupancy_busy = last_busy
-        if prof is not None:
-            prof.cycles += now - first
-            prof.wall_seconds += clock() - wall_start
         return now
 
     def _record_metrics(self, registry) -> None:

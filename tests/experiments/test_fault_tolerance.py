@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import time
 
 import pytest
 
@@ -132,26 +133,45 @@ def test_worker_crash_salvages_the_grid_and_indicts_the_point(fresh_state, monke
 
 
 def test_hung_task_times_out_and_the_rest_complete(fresh_state, monkeypatch):
+    hang = 120.0
     monkeypatch.setenv(
         "REPRO_FAULTS",
         json.dumps([
             {
                 "site": "grid.point",
                 "action": "hang",
-                "delay": 120.0,
+                "delay": hang,
                 "match": {"benchmark": "li", "mode": "V"},
             }
         ]),
     )
+    #: ten times a healthy point's compute on a fresh peer, so only the
+    #: hung point can miss it.
+    task_timeout = 2.0
+    #: peer start-up before the dispatch plus the dispatcher's 0.25 s
+    #: sweep tick, with room for a loaded host; far below the hang.
+    margin = 4.0
+    failed_at = []
+    start = time.monotonic()
+
+    def progress(event, **data):
+        if event == "point.failed":
+            failed_at.append(time.monotonic() - start)
+
     report = GridReport()
-    results = run_grid(POINTS, jobs=2, report=report, task_timeout=5.0, max_retries=0)
+    results = run_grid(
+        POINTS, jobs=2, report=report, task_timeout=task_timeout, max_retries=0,
+        progress=progress,
+    )
 
     assert set(results) == set(HEALTHY)
     (failure,) = report.failed
     assert failure.point == CRASHER
     assert failure.kind == "timeout"
     assert failure.attempts == 1
-    assert "5" in failure.error
+    assert f"within {task_timeout:g}s" in failure.error
+    (elapsed,) = failed_at
+    assert task_timeout <= elapsed < task_timeout + margin < hang, elapsed
 
 
 @pytest.mark.slow

@@ -17,6 +17,10 @@ from repro.schemas import envelope, validate_envelope, SCHEMA_GRID
 #: enough work per point that a running grid leaves a comfortable cancel
 #: window after its first result (~150 KIPS -> roughly 1s per point).
 SLOW_SCALE = 150_000
+#: DELETE to terminal ``cancelled`` on a running grid: the dispatcher's
+#: 0.25 s tick, killing the job's peers and the job worker's unwinding,
+#: with room for a loaded host (measured: about 0.1 s).
+CANCEL_MARGIN = 3.0
 
 
 def _slow_points(scale=SLOW_SCALE, n=6):
@@ -37,6 +41,29 @@ def _wait_first_result(server, job_id, timeout=60.0):
         assert time.monotonic() < deadline, "no point.result within the deadline"
         time.sleep(0.02)
     return job
+
+
+def _cancel(client, job_id):
+    """DELETE a queued or running job; its final payload once it is
+    ``cancelled``, which must come within :data:`CANCEL_MARGIN`."""
+    start = time.monotonic()
+    status, _, _ = client.request("DELETE", f"/jobs/{job_id}")
+    assert status in (200, 202)  # 202 cancelling; 200 if it raced terminal
+    final = client.wait_job(job_id, timeout=CANCEL_MARGIN)
+    elapsed = time.monotonic() - start
+    assert final["job"]["state"] == "cancelled"
+    assert elapsed < CANCEL_MARGIN, f"cancel took {elapsed:.2f}s"
+    return final
+
+
+def _finished_points(server, job_id):
+    """The request points of the job's streamed results."""
+    job = server.service.jobs.get(job_id)
+    return [
+        {key: event.data["result"]["point"][key] for key in ("benchmark", "mode", "scale")}
+        for event in job.bus.events
+        if event.kind == "point.result"
+    ]
 
 
 def _counter(metrics_payload, name):
@@ -167,24 +194,27 @@ class TestCancelRunning:
         job_id = payload["job"]["id"]
         _wait_first_result(server, job_id)
 
-        status, payload, _ = client.request("DELETE", f"/jobs/{job_id}")
-        assert status in (200, 202)  # 202 cancelling; 200 if it raced terminal
-        final = client.wait_job(job_id, timeout=120.0)
-        assert final["job"]["state"] == "cancelled"
+        final = _cancel(client, job_id)
         assert final["job"]["result"] is None
         assert final["error"]["kind"] == "job.cancelled"
 
         # The identical grid resubmits as a fresh job (no dedup against a
-        # cancelled predecessor) and reuses every point that finished
-        # before the stop — memo or disk hits, never a recompute.
+        # cancelled predecessor).
         status, payload, _ = client.request("POST", "/grid", body)
         assert status == 202
         assert payload["job"]["id"] != job_id
-        final = client.wait_job(payload["job"]["id"], timeout=300.0)
+        _cancel(client, payload["job"]["id"])
+
+        # Every point that finished before the stop is reused — memo or
+        # disk hits, never a recompute.
+        finished = _finished_points(server, job_id)
+        assert 1 <= len(finished) < len(body["points"])
+        status, payload, _ = client.request("POST", "/grid", {"points": finished})
+        final = client.wait_job(payload["job"]["id"])
         assert final["job"]["state"] == "done"
         accounting = final["job"]["result"]["accounting"]
-        assert accounting["memo_hits"] + accounting["disk_hits"] >= 1
-        assert accounting["simulated"] < len(body["points"])
+        assert accounting["memo_hits"] + accounting["disk_hits"] == len(finished)
+        assert accounting["simulated"] == 0
 
     def test_subprocess_backend_cancel_tears_down_nodes(
         self, daemon, tmp_path, monkeypatch
@@ -208,10 +238,7 @@ class TestCancelRunning:
         _wait_first_result(server, job_id, timeout=120.0)
         before = {slot.index: slot.peer.pid for slot in scheduler._slots}
 
-        status, _, _ = client.request("DELETE", f"/jobs/{job_id}")
-        assert status in (200, 202)
-        final = client.wait_job(job_id, timeout=120.0)
-        assert final["job"]["state"] == "cancelled"
+        final = _cancel(client, job_id)
 
         # Recycling, not teardown: every peer the job still occupied was
         # replaced by a live successor, and the scheduler keeps serving.
@@ -228,11 +255,17 @@ class TestCancelRunning:
             assert peer.process.poll() is None
 
         # Worker-side persistence: completed points were written to the
-        # shared disk cache before the cancel, so the identical grid
-        # reuses them.
-        status, payload, _ = client.request("POST", "/grid", body)
+        # shared disk cache before the cancel, so a grid of them is all
+        # hits; one new point beside them shows the recycled peers serve.
+        finished = _finished_points(server, job_id)
+        assert 1 <= len(finished) < len(body["points"])
+        fresh = {"benchmark": "compress", "mode": "noIM", "scale": 2_400}
+        status, payload, _ = client.request(
+            "POST", "/grid", {"points": finished + [fresh]}
+        )
         assert status == 202
-        final = client.wait_job(payload["job"]["id"], timeout=300.0)
+        final = client.wait_job(payload["job"]["id"])
         assert final["job"]["state"] == "done"
         accounting = final["job"]["result"]["accounting"]
-        assert accounting["memo_hits"] + accounting["disk_hits"] >= 1
+        assert accounting["memo_hits"] + accounting["disk_hits"] == len(finished)
+        assert accounting["simulated"] == 1

@@ -1,8 +1,8 @@
 """Fingerprint and run-loop parity: the cycle model's results are pinned.
 
 The pipeline has one run loop (``Machine._cycles``); plain runs, observed
-runs (metrics and stage profiling are hooks inside that loop) and runs
-driven one cycle at a time through ``step()`` all execute it.  Every
+runs (metrics sampling is a hook inside that loop) and runs driven one
+cycle at a time through ``step()`` all execute it.  Every
 SimStats field must match bit-for-bit across those drivers, and the
 whole 84-point grid (12 benchmarks x 7 configurations) must equal the
 pinned seed fingerprints.
@@ -17,7 +17,7 @@ import pytest
 
 from repro.experiments.runner import point_config
 from repro.functional import run_program
-from repro.observe import MetricsRegistry, Observer, StageProfiler
+from repro.observe import MetricsRegistry, Observer
 from repro.pipeline.config import make_config
 from repro.pipeline.machine import Machine
 from repro.verify.fuzzer import generate_genome, synthesize
@@ -86,17 +86,16 @@ def test_kernel_parity_grid():
     [("compress", 4, 1, "noIM"), ("compress", 4, 1, "IM"), ("swim", 4, 1, "V")],
 )
 def test_fused_run_loop_matches_step_loop(name, width, ports, mode):
-    """Plain run == metrics + profiler run == a machine driven by step().
+    """Plain run == metrics run == a machine driven by step().
 
-    The observation hooks only read clocks and counters, and step() runs
+    The observation hooks only read counters, and step() runs
     one cycle of the same loop, so every SimStats field must be
     bit-identical across the three drivers.
     """
     trace = cached_trace(name, 3000)
     plain = _stats(trace, width, ports, mode)
-    observer = Observer(metrics=MetricsRegistry(), profiler=StageProfiler())
+    observer = Observer(metrics=MetricsRegistry())
     assert _stats(trace, width, ports, mode, observer=observer) == plain
-    assert observer.profiler.cycles == plain["cycles"]
     assert _stepped_stats(trace, width, ports, mode) == plain
 
 
